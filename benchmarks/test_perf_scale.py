@@ -9,8 +9,8 @@ the engine one).
 Methodology
 -----------
 * The baseline is the *object-mode* engine — the same source tree with
-  ``REPRO_ARRAY_ENGINE=0``, which disables the pooled array state and
-  the degenerate-topology fast lane.  Before any timing the harness
+  ``REPRO_ARRAY_ENGINE=0``, which disables the degenerate-topology fast
+  lane.  Before any timing the harness
   asserts both modes produce **bit-identical** virtual-time results, so
   the speedup is a pure implementation effect.
 * The scenario is the hierarchical-Ibcast steady state at P=1024 on the
@@ -151,7 +151,6 @@ def test_scale_speedup_p1024():
     stats = res.engine_stats
     dispatched = stats.get("events_dispatched", 0)
     batched = stats.get("batched_syscalls", 0)
-    pools = {k: v for k, v in stats.items() if k.startswith("pool_")}
     _record("scale_sweep", {
         "scenario": SCALE_CFG.describe() + f" iters={SCALE_CFG.iterations}",
         "candidate": "hier_seg32KB",
@@ -165,7 +164,6 @@ def test_scale_speedup_p1024():
         "optimized_events_per_s": res.events / arr,
         "baseline_events_per_s": res.events / obj,
         "batched_fraction": batched / max(dispatched, 1),
-        "pools": pools,
         "identical_results": True,
     })
     assert speedup >= 5.0, (

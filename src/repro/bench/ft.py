@@ -37,7 +37,12 @@ from ..adcl.timer import ADCLTimer, TimerRecord
 from ..errors import CommRevokedError, RankFailedError
 from ..nbc.coll import barrier as nbc_barrier
 from ..sim import Compute, Progress, SimWorld, get_platform
-from .overlap import OverlapConfig, OverlapResult, function_set_for
+from .overlap import (
+    OPERATION_KINDS,
+    OverlapConfig,
+    OverlapResult,
+    function_set_for,
+)
 
 __all__ = ["FTOverlapResult", "run_overlap_ft"]
 
@@ -102,8 +107,8 @@ def run_overlap_ft(
         max_retries=config.max_retries,
     )
     fnset = function_set_for(config.operation)
-    kind = "bcast" if config.operation == "bcast" else "alltoall"
-    spec = CollSpec(kind, world.comm_world, config.nbytes)
+    spec = CollSpec(OPERATION_KINDS[config.operation], world.comm_world,
+                    config.nbytes)
     if isinstance(selector, int):
         selector = FixedSelector(fnset, selector)
     areq = ADCLRequest(

@@ -463,27 +463,6 @@ def _print_stats(wall: float, events: int, cache: Optional[ResultCache],
             print(f"fast lane             {batched} syscalls batched "
                   f"({batched / max(dispatched, 1):.1%} of dispatched "
                   f"events)")
-        # pool_<name>_<field> keys from Simulator.stats(); names may
-        # themselves contain underscores, so match on the field suffix
-        fields = ("capacity", "in_use", "high_water", "acquires",
-                  "recycled", "grows", "armed")
-        pools: dict = {}
-        for key, value in engine.items():
-            if not key.startswith("pool_"):
-                continue
-            for field in fields:
-                if key.endswith("_" + field):
-                    name = key[len("pool_"):-len(field) - 1]
-                    pools.setdefault(name, {})[field] = value
-                    break
-        for name in sorted(pools):
-            p = pools[name]
-            used = p.get("in_use", p.get("armed", 0))
-            print(f"pool {name:<16} {used}/{p.get('capacity', 0)} in use, "
-                  f"high-water {p.get('high_water', 0)}"
-                  + (f", {p.get('recycled', 0)} recycled, "
-                     f"{p.get('grows', 0)} grows"
-                     if "recycled" in p else ""))
     sstats = schedule_cache_stats()
     print(f"schedule cache        hit rate {sstats['hit_rate']:.1%} "
           f"({sstats['hits']} hits / {sstats['misses']} misses, "

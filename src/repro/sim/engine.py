@@ -21,19 +21,23 @@ Fast-path invariants (see DESIGN.md §10)
   the handle, which is every hot-path event the MPI layer schedules.
   Both draw from the same ``seq`` counter, so their relative order is
   exactly insertion order regardless of which entry point was used.
-* ``pending()`` is O(1): a live-event counter is maintained on every
-  schedule/cancel/dispatch instead of scanning the heap.
+* ``pending()`` is O(1): ``len(heap)`` minus a count of cancelled
+  entries still in the heap.  Only :meth:`Event.cancel`, the lazy skip
+  of a cancelled entry and compaction touch that count, so scheduling
+  and dispatching a live event do no bookkeeping at all.
 * Cancelled events are lazily deleted; when more than half of a
   non-trivial heap is cancelled the heap is *compacted* (rebuilt without
   the dead entries).  Compaction never changes the dispatch order:
   entries are totally ordered by ``(time, seq)`` and only entries that
   would have been skipped anyway are removed.
-* The dispatch loop binds its hot names to locals.  Event order is
+* The dispatch loop binds its hot names to locals and pops before it
+  looks: an entry past the ``until`` horizon is pushed back, which
+  leaves the ``(time, seq)`` order untouched.  Event order is
   bit-identical to the straightforward peek/pop loop.
 * **Inline-post protocol** for trusted drivers: a caller that can prove
   ``time >= now`` for every event it schedules may push
-  ``(time, next(sim._seq), fn, args)`` onto ``sim._heap`` directly and
-  increment ``sim._live``, skipping the :meth:`post` call entirely.
+  ``(time, next(sim._seq), fn, args)`` onto ``sim._heap`` directly,
+  skipping the :meth:`post` call entirely; nothing else needs updating.
   ``_heap`` is only ever mutated in place (see :meth:`_compact`), so a
   cached reference stays valid for the simulator's lifetime.  The MPI
   layer uses this for the resume/delivery events that dominate heap
@@ -64,10 +68,9 @@ class Event:
 
     Supports cancellation: a cancelled event stays in the heap but is
     skipped when popped (lazy deletion), which keeps cancellation O(1).
-    The owning simulator is notified so its live-event counter stays
-    exact; once an event has been dispatched (or its cancelled shell
-    discarded) the back-reference is dropped and a late ``cancel()``
-    only sets the flag.
+    The owning simulator counts the cancelled entry so ``pending()``
+    stays exact; once an event has been dispatched the back-reference
+    is dropped and a late ``cancel()`` only sets the flag.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
@@ -89,10 +92,9 @@ class Event:
         sim = self._sim
         if sim is not None:
             self._sim = None
-            sim._live -= 1
-            heap = sim._heap
-            nheap = len(heap)
-            if nheap > _COMPACT_MIN_HEAP and (nheap - sim._live) * 2 > nheap:
+            sim._cancelled += 1
+            nheap = len(sim._heap)
+            if nheap > _COMPACT_MIN_HEAP and sim._cancelled * 2 > nheap:
                 sim._compact()
 
     def __lt__(self, other: "Event") -> bool:
@@ -125,8 +127,8 @@ class Simulator:
         #: by :meth:`halt` from inside a callback (cheaper than a
         #: ``stop_when`` predicate, which costs a call per event)
         self._halted = False
-        #: live (non-cancelled) events currently in the heap
-        self._live = 0
+        #: cancelled entries still in the heap (lazily deleted)
+        self._cancelled = 0
         #: number of events dispatched so far (observability / tests).
         #: Updated exactly at loop exit by :meth:`run` (and per event by
         #: :meth:`step`); read it after the loop returns.
@@ -138,9 +140,6 @@ class Simulator:
         #: matching count to :attr:`events_dispatched` so the observable
         #: event total stays identical to the object-mode engine
         self.batched_syscalls = 0
-        #: slot pools registered by the driving layer (name -> pool);
-        #: their occupancy/high-water marks are folded into :meth:`stats`
-        self._pools: dict = {}
 
     # ------------------------------------------------------------------ API
 
@@ -162,7 +161,6 @@ class Simulator:
         seq = next(self._seq)
         ev = Event(time, seq, fn, args, self)
         heapq.heappush(self._heap, (time, seq, ev))
-        self._live += 1
         return ev
 
     def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -185,7 +183,6 @@ class Simulator:
                 f"cannot schedule event at t={time!r} in the past (now={self._now!r})"
             )
         _heappush(self._heap, (time, next(self._seq), fn, args))
-        self._live += 1
 
     def halt(self) -> None:
         """Stop the running loop after the current event's callback.
@@ -198,35 +195,17 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1)."""
-        return self._live
-
-    def register_pool(self, name: str, pool) -> None:
-        """Register a slot pool so :meth:`stats` reports its occupancy.
-
-        ``pool`` is any object with a ``stats() -> dict`` method (see
-        :class:`repro.sim.pool.SlotPool`).  Registering under an existing
-        name replaces the previous pool.
-        """
-        self._pools[name] = pool
+        return len(self._heap) - self._cancelled
 
     def stats(self) -> dict:
-        """Kernel observability counters (cheap; safe to poll).
-
-        Includes per-registered-pool occupancy and high-water marks as
-        flat ``pool_<name>_<field>`` keys, so sweep-level aggregation
-        (which sums stats dicts key-wise) keeps working.
-        """
-        out = {
+        """Kernel observability counters (cheap; safe to poll)."""
+        return {
             "events_dispatched": self.events_dispatched,
-            "pending": self._live,
+            "pending": self.pending(),
             "heap_size": len(self._heap),
             "compactions": self.compactions,
             "batched_syscalls": self.batched_syscalls,
         }
-        for name, pool in self._pools.items():
-            for field, value in pool.stats().items():
-                out[f"pool_{name}_{field}"] = value
-        return out
 
     # ------------------------------------------------------------------ heap
 
@@ -244,6 +223,7 @@ class Simulator:
             if not (type(entry[2]) is Event and entry[2].cancelled)
         ]
         heapq.heapify(heap)
+        self._cancelled = 0
         self.compactions += 1
 
     # ------------------------------------------------------------------ run
@@ -259,12 +239,12 @@ class Simulator:
             ev = entry[2]
             if type(ev) is Event:
                 if ev.cancelled:
+                    self._cancelled -= 1
                     continue
                 ev._sim = None
                 fn, args = ev.fn, ev.args
             else:
                 fn, args = ev, entry[3]
-            self._live -= 1
             self._now = entry[0]
             self.events_dispatched += 1
             fn(*args)
@@ -302,22 +282,25 @@ class Simulator:
         try:
             heap = self._heap
             pop = _heappop
+            push = _heappush
             event_cls = Event
+            # pop first: an entry past the horizon is pushed back, which
+            # restores the same (time, seq) order — cheaper than peeking
+            # at heap[0] before every dispatch
             if stop_when is None:
                 # the common loop: one fewer branch per dispatched event
                 while heap:
-                    entry = heap[0]
+                    entry = pop(heap)
                     ev = entry[2]
                     cancellable = type(ev) is event_cls
                     if cancellable and ev.cancelled:
-                        pop(heap)
+                        self._cancelled -= 1
                         continue
                     time = entry[0]
                     if time > until_f:
+                        push(heap, entry)
                         self._now = until
                         break
-                    pop(heap)
-                    self._live -= 1
                     self._now = time
                     dispatched += 1
                     if cancellable:
@@ -332,18 +315,17 @@ class Simulator:
                         self._now = until
             else:
                 while heap:
-                    entry = heap[0]
+                    entry = pop(heap)
                     ev = entry[2]
                     cancellable = type(ev) is event_cls
                     if cancellable and ev.cancelled:
-                        pop(heap)
+                        self._cancelled -= 1
                         continue
                     time = entry[0]
                     if time > until_f:
+                        push(heap, entry)
                         self._now = until
                         break
-                    pop(heap)
-                    self._live -= 1
                     self._now = time
                     dispatched += 1
                     if cancellable:
@@ -366,16 +348,16 @@ class Simulator:
         rec = _get_recorder()
         if rec.enabled:
             rec.instant("engine", "run", -1, self._now,
-                        {"dispatched": dispatched, "pending": self._live,
+                        {"dispatched": dispatched, "pending": self.pending(),
                          "heap_size": len(self._heap),
                          "compactions": self.compactions,
                          "batched_syscalls": self.batched_syscalls})
             if self.batched_syscalls:
                 rec.instant("engine", "fastlane.batch", -1, self._now,
                             {"batched_syscalls": self.batched_syscalls})
-            # fold the kernel counters (incl. pool_<name>_<field>) into
-            # the registry as gauges: stats are cumulative, so
-            # last-write-wins is the aggregation that stays truthful
+            # fold the kernel counters into the registry as gauges: stats
+            # are cumulative, so last-write-wins is the aggregation that
+            # stays truthful
             for field, value in self.stats().items():
                 rec.metrics.gauge(f"engine.{field}").set(value)
         return self._now

@@ -27,6 +27,7 @@ current ``busy_until`` so bursts of posts serialize realistically.
 from __future__ import annotations
 
 import math
+import os
 from heapq import heappush as _heappush
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
@@ -49,7 +50,6 @@ from .faults import FaultInjector, FaultPlan, RankCrash
 from .netmodel import MachineParams
 from .noise import NoiseModel, NullNoise
 from .platforms import Platform
-from .pool import DeadlineWheel, SlotPool, array_engine_enabled
 from .process import (
     Barrier,
     Compute,
@@ -69,6 +69,16 @@ __all__ = ["SimWorld", "SimComm", "MPIContext", "RunResult", "INCAST_DEPTH_CAP"]
 INCAST_DEPTH_CAP = 50.0
 
 
+def _fastlane_enabled() -> bool:
+    """Whether new worlds may arm the fast lane (DESIGN.md §15).
+
+    ``REPRO_ARRAY_ENGINE=0`` turns it off; the variable is read per world
+    so tests and A/B harnesses can flip it between simulations in one
+    process.
+    """
+    return os.environ.get("REPRO_ARRAY_ENGINE", "1") not in ("", "0", "false")
+
+
 # --------------------------------------------------------------------------
 # internal message representation
 # --------------------------------------------------------------------------
@@ -85,14 +95,15 @@ class _Message:
         "nbytes",
         "data",
         "eager",
+        "same_node",
         "send_req",
         "recv_req",
         "attempts",
-        "_pool_slot",
     )
 
     def __init__(self, src: int, dst: int, tag: int, comm_id: int, nbytes: int,
-                 data: Any, eager: bool, send_req: Optional[SendRequest]):
+                 data: Any, eager: bool, same_node: bool,
+                 send_req: Optional[SendRequest]):
         self.src = src
         self.dst = dst
         self.tag = tag
@@ -100,17 +111,12 @@ class _Message:
         self.nbytes = nbytes
         self.data = data
         self.eager = eager
+        #: both ends on one node (shared-memory link class)
+        self.same_node = same_node
         self.send_req = send_req
         self.recv_req: Optional[RecvRequest] = None
         #: transmission attempts so far (drops trigger retransmission)
         self.attempts = 0
-        #: slot index in the world's message pool (-1 = unpooled/released)
-        self._pool_slot = -1
-
-
-def _new_pool_message() -> _Message:
-    """Factory for :class:`~repro.sim.pool.SlotPool`-recycled messages."""
-    return _Message(0, 0, 0, 0, 0, None, False, None)
 
 
 class _RankState:
@@ -127,7 +133,7 @@ class _RankState:
         "pending_data",
         "posted",
         "unexpected",
-        "open_by_peer",
+        "open",
         "failed_excs",
         "wait_t0",
         "n_active",
@@ -158,9 +164,10 @@ class _RankState:
         self.posted: dict[tuple[int, int, int], list[RecvRequest]] = {}
         #: unexpected messages: same key -> FIFO list
         self.unexpected: dict[tuple[int, int, int], list[_Message]] = {}
-        #: incomplete requests by world peer, so a crash/revoke can fail
-        #: exactly the operations that can no longer complete
-        self.open_by_peer: dict[int, list] = {}
+        #: incomplete (rendezvous send / receive) requests in post order,
+        #: as an insertion-ordered dict used as a set: a crash or revoke
+        #: fails exactly the operations that can no longer complete
+        self.open: dict = {}
         #: failure notifications not yet reported to the program; sticky
         #: until thrown into the generator at its next MPI syscall
         self.failed_excs: list[BaseException] = []
@@ -465,7 +472,8 @@ class MPIContext:
         simulated program, which may reuse its buffer).  ``nbytes``
         defaults to the payload size.
         """
-        comm = comm or self.world.comm_world
+        if comm is None:
+            comm = self.world.comm_world
         if comm.revoked:
             raise CommRevokedError(
                 f"rank {self.rank}: isend on revoked communicator {comm.comm_id}"
@@ -477,9 +485,9 @@ class MPIContext:
                 data = data.copy()
         elif nbytes is None:
             raise SimulationError("isend needs nbytes or data")
-        wdst = comm.world_rank(dest)
-        return self.world._post_isend(self._st, wdst, tag, comm.comm_id,
-                                      int(nbytes), data, notify)
+        # comm.ranks[dest] is comm.world_rank(dest) without the call
+        return self.world._post_isend(self._st, comm.ranks[dest], tag,
+                                      comm.comm_id, int(nbytes), data, notify)
 
     def irecv(
         self,
@@ -490,14 +498,14 @@ class MPIContext:
         notify: Optional[Callable[[Waitable, float], None]] = None,
     ) -> RecvRequest:
         """Post a non-blocking receive from communicator-local ``source``."""
-        comm = comm or self.world.comm_world
+        if comm is None:
+            comm = self.world.comm_world
         if comm.revoked:
             raise CommRevokedError(
                 f"rank {self.rank}: irecv on revoked communicator {comm.comm_id}"
             )
-        wsrc = comm.world_rank(source)
-        return self.world._post_irecv(self._st, wsrc, tag, comm.comm_id,
-                                      int(nbytes), notify)
+        return self.world._post_irecv(self._st, comm.ranks[source], tag,
+                                      comm.comm_id, int(nbytes), notify)
 
 
 # --------------------------------------------------------------------------
@@ -550,10 +558,15 @@ class SimWorld:
         self.params = platform.params
         self.topology = platform.topology(nprocs, placement=placement)
         # hot-path precomputations: these back the inlined versions of
-        # params.progress_cost()/params.link() and topology lookups used
-        # once per event in the protocol paths below
+        # params.progress_cost()/params.link()/params.copy_time(), the
+        # post overheads and topology lookups used once per message or
+        # event in the protocol paths below
         self._progress_base = self.params.progress_base
         self._progress_per_req = self.params.progress_per_req
+        self._o_send = self.params.o_send
+        self._o_recv = self.params.o_recv
+        self._copy_bw = self.params.copy_bw
+        self._nic_rails = self.params.nic_rails
         self._node_of = tuple(
             self.topology.node_of(r) for r in range(nprocs)
         )
@@ -564,6 +577,9 @@ class SimWorld:
         #: network-side noise stream (shared, deterministic draw order);
         #: jitter only — heavy-tail OS outliers apply to compute, not links
         self._net_noise = base_noise.jitter_only(0xBEEF)
+        #: a deterministic stream returns every duration unchanged, so
+        #: the per-message perturb call is skipped
+        self._net_det = self._net_noise.deterministic
         self._ranks = [
             _RankState(r, base_noise.spawn(r + 1)) for r in range(nprocs)
         ]
@@ -591,17 +607,25 @@ class SimWorld:
         self._resume = self._resume
         self._post = self.sim.post
         # inline-post protocol (engine.py: "Fast-path invariants"): the
-        # resume events this layer schedules are the majority of all
-        # heap traffic and are never in the past (busy_until is clamped
-        # to >= now before every charge), so they push heap tuples
-        # directly instead of paying a Simulator.post() call each
+        # resume and message events this layer schedules are the
+        # majority of all heap traffic and are never in the past
+        # (busy_until is clamped to >= now before every charge), so they
+        # push heap tuples directly instead of paying a Simulator.post()
+        # call each
         self._sim_heap = self.sim._heap
         self._sim_seq = self.sim._seq
         self._deliver = self._deliver
         self._on_send_complete = self._on_send_complete
         self._on_rts_arrival = self._on_rts_arrival
         self._on_cts_arrival = self._on_cts_arrival
+        self._send_cts = self._send_cts
         self._wait_try = self._wait_try
+        self._inject = self._inject
+        # the message-path entry points a Tracer wraps; it saves and
+        # restores these instance attributes, so caching them is safe
+        self._post_isend = self._post_isend
+        self._post_irecv = self._post_irecv
+        self._complete_recv = self._complete_recv
         #: world ranks killed by a RankCrash fault (authoritative)
         self._dead: set[int] = set()
         #: agree instances whose decision has not committed yet
@@ -643,29 +667,13 @@ class SimWorld:
             self._faults.on_rank_crash = self._on_rank_crash
             self._faults.obs = self._obs
             self._faults.install(self.sim)
-        # ---- array engine (DESIGN.md §15) ----------------------------
-        # numpy-pooled message slots + a vectorized retransmit-deadline
-        # wheel; both are exact-behavior substitutions (object identity
-        # and event order are preserved), so they stay on under faults
-        # and tracing.  REPRO_ARRAY_ENGINE=0 restores object mode.
-        self._array_mode = array_engine_enabled()
-        self._msg_pool: Optional[SlotPool] = None
-        self._wheel: Optional[DeadlineWheel] = None
-        if self._array_mode:
-            self._msg_pool = SlotPool(
-                "messages", _new_pool_message,
-                capacity=max(256, 2 * nprocs))
-            self.sim.register_pool("messages", self._msg_pool)
-            if self._faults is not None and self._reliable:
-                self._wheel = DeadlineWheel()
-                self.sim.register_pool("retransmit_wheel", self._wheel)
-        #: degenerate-topology fast lane: when no faults, no tracing and
-        #: deterministic per-rank noise can distinguish a symmetric
-        #: rank's timeline from its batch-collapsed equivalent, runs of
-        #: Compute/Progress/Wait syscalls are drained inline instead of
-        #: through one heap event each (see :meth:`_batch`)
+        #: degenerate-topology fast lane (DESIGN.md §15): when no faults,
+        #: no tracing and deterministic per-rank noise can distinguish a
+        #: symmetric rank's timeline from its batch-collapsed equivalent,
+        #: runs of Compute/Progress/Wait syscalls are drained inline
+        #: instead of through one heap event each (see :meth:`_batch`)
         self._fastlane = (
-            self._array_mode and self._faults is None and self._obs is None
+            _fastlane_enabled() and self._faults is None and self._obs is None
         )
 
     @property
@@ -769,7 +777,7 @@ class SimWorld:
                     return True
                 if getattr(item, "peer", None) in self._dead:
                     return True
-        return any(peer in self._dead for peer in st.open_by_peer)
+        return any(req.peer in self._dead for req in st.open)
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -787,12 +795,12 @@ class SimWorld:
         if self._dead:
             lines.append(f"  dead rank(s): {sorted(self._dead)}")
         blocked = [st for st in self._ranks if not st.finished and not st.dead]
-        n_live = len(self._ranks) - len(self._dead)
+        n_alive = len(self._ranks) - len(self._dead)
         for st in blocked[:max_ranks]:
             if st.id in in_barrier:
                 lines.append(
                     f"  rank {st.id}: in barrier "
-                    f"({len(in_barrier)}/{n_live} arrived)"
+                    f"({len(in_barrier)}/{n_alive} arrived)"
                 )
             elif st.waiting is not None:
                 pending = [it for it in st.waiting if not it.done]
@@ -859,7 +867,6 @@ class SimWorld:
             # inline-post (see __init__): busy >= now by construction
             _heappush(self._sim_heap,
                       (busy, next(self._sim_seq), self._resume, (st, None)))
-            self.sim._live += 1
             return
         if tsc is Progress:
             if st.failed_excs:
@@ -896,7 +903,6 @@ class SimWorld:
                 self._sim_heap,
                 (st.busy_until, next(self._sim_seq), self._resume, (st, None)),
             )
-            self.sim._live += 1
             return
         self._handle_syscall(st, syscall)
 
@@ -934,9 +940,9 @@ class SimWorld:
         # n_active == 0 throughout the batch, so the progress/wait charge
         # is a constant — the exact float the evented path computes
         pcost = self._progress_base + self._progress_per_req * st.n_active
-        # no events dispatch while batching, so the live count only moves
-        # if a pulled syscall cancels an event — snapshot once
-        live = sim._live
+        # no events dispatch while batching, so the cancelled-entry count
+        # only moves if a pulled syscall cancels an event — snapshot once
+        cancelled = sim._cancelled
         batched = 0
         while True:
             nheap = len(heap)
@@ -955,9 +961,8 @@ class SimWorld:
                 # one-for-one, so it is not compensated below
                 _heappush(heap, (st.busy_until, next(self._sim_seq),
                                  self._finish_rank, (st,)))
-                sim._live += 1
                 break
-            if (len(heap) != nheap or sim._live != live
+            if (len(heap) != nheap or sim._cancelled != cancelled
                     or st.n_active != 0 or st.busy_until != busy):
                 # the generator touched the world between yields (posted
                 # a request, charged time, cancelled an event, ...):
@@ -1013,7 +1018,6 @@ class SimWorld:
         _heappush(self._sim_heap,
                   (st.busy_until, next(self._sim_seq),
                    self._deferred_syscall, (st, syscall)))
-        self.sim._live += 1
 
     def _deferred_syscall(self, st: _RankState, syscall: Any) -> None:
         if st.dead:
@@ -1103,7 +1107,6 @@ class SimWorld:
                 self._sim_heap,
                 (st.busy_until, next(self._sim_seq), self._resume, (st, None)),
             )
-            self.sim._live += 1
         elif tsc is Wait:
             if st.failed_excs and self._interruptible(sc.items):
                 self._throw(st.id, st.failed_excs[0])
@@ -1135,7 +1138,6 @@ class SimWorld:
             # inline-post (see __init__): busy >= now by construction
             _heappush(self._sim_heap,
                       (busy, next(self._sim_seq), self._resume, (st, None)))
-            self.sim._live += 1
         elif tsc is ComputeProgressSpan:
             # chunk #1's compute half is processed in the pulling event,
             # exactly where the flat pair stream would process it
@@ -1173,7 +1175,6 @@ class SimWorld:
         _heappush(self._sim_heap,
                   (busy, next(self._sim_seq), self._span_progress,
                    (st, span, remaining)))
-        self.sim._live += 1
 
     def _span_progress(self, st: _RankState, span: ComputeProgressSpan,
                        remaining: int) -> None:
@@ -1219,7 +1220,6 @@ class SimWorld:
             _heappush(self._sim_heap,
                       (st.busy_until, next(self._sim_seq),
                        self._resume, (st, None)))
-            sim._live += 1
             return
         if (self._fastlane and st.noise_det and st.n_active == 0
                 and not st.pending_cts and not st.pending_data
@@ -1242,7 +1242,6 @@ class SimWorld:
                 _heappush(self._sim_heap,
                           (busy, next(self._sim_seq),
                            self._resume, (st, None)))
-                sim._live += 1
                 return
         # event-per-half: the next compute runs in its own heap event at
         # the exact (time, seq) slot the flat pair stream's resume would
@@ -1251,7 +1250,6 @@ class SimWorld:
         _heappush(self._sim_heap,
                   (st.busy_until, next(self._sim_seq),
                    self._span_compute, (st, span, remaining)))
-        sim._live += 1
 
     def _barrier_maybe_release(self) -> None:
         """Release the hard barrier once every *live* rank arrived."""
@@ -1271,7 +1269,6 @@ class SimWorld:
             st.busy_until = when
             # inline-post: `when` is the latest arrival, hence >= now
             _heappush(heap, (when, next(seq), resume, (st, None)))
-        self.sim._live += len(waiting)
 
     def _wait_try(self, st: _RankState) -> None:
         """Re-evaluate a blocked rank's wait condition (spin semantics)."""
@@ -1313,7 +1310,6 @@ class SimWorld:
         # inline-post (see __init__): busy_until was clamped to >= now
         _heappush(self._sim_heap,
                   (st.busy_until, next(self._sim_seq), self._resume, (st, None)))
-        self.sim._live += 1
 
     # ------------------------------------------------------------------
     # MPI entry (single-threaded progress semantics)
@@ -1326,29 +1322,30 @@ class SimWorld:
         calls, waits (incl. every spin retry), and posts.
         """
         if st.pending_cts:
-            sim = self.sim
-            now = sim._now
-            node_of = self._node_of
-            o_send = self.params.o_send
-            heap = sim._heap
-            seq = sim._seq
-            on_cts = self._on_cts_arrival
             msgs, st.pending_cts = st.pending_cts, []
             for msg in msgs:
-                # sending a CTS control message costs one post overhead
-                # (inlined ctx.charge(params.o_send))
-                busy = st.busy_until
-                st.busy_until = busy = (busy if busy > now else now) + o_send
-                link = self._links[node_of[msg.src] == node_of[msg.dst]]
-                t = busy + link.alpha
-                _heappush(heap, (t if t > now else now, next(seq),
-                                 on_cts, (msg,)))
-                sim._live += 1
-                self._ranks[msg.src].inbound += 1
+                self._send_cts(st, msg)
         if st.pending_data:
+            # the sender CPU noticed the CTSs: move the payloads
             msgs, st.pending_data = st.pending_data, []
+            busy = st.busy_until
+            now = self.sim._now
+            t_post = busy if busy > now else now
             for msg in msgs:
-                self._start_data_transfer(st, msg)
+                if msg.send_req.failed is None:
+                    self._inject(msg, t_post, msg.same_node)
+
+    def _send_cts(self, st: _RankState, msg: _Message) -> None:
+        """The receiver's CPU answers a matched RTS with a CTS."""
+        # a CTS control message costs one post overhead (inlined
+        # ctx.charge(params.o_send)) and travels at link latency
+        busy = st.busy_until
+        now = self.sim._now
+        st.busy_until = busy = (busy if busy > now else now) + self._o_send
+        _heappush(self._sim_heap,
+                  (busy + self._links[msg.same_node].alpha, next(self._sim_seq),
+                   self._on_cts_arrival, (msg,)))
+        self._ranks[msg.src].inbound += 1
 
     # ------------------------------------------------------------------
     # posting
@@ -1364,7 +1361,6 @@ class SimWorld:
         data: Any,
         notify: Optional[Callable],
     ) -> SendRequest:
-        params = self.params
         if self._dead and wdst in self._dead:
             raise RankFailedError(
                 f"rank {st.id}: isend to dead rank {wdst} "
@@ -1372,57 +1368,39 @@ class SimWorld:
             )
         if st.pending_cts or st.pending_data:
             self._mpi_entry(st)  # any MPI call drives pending protocol actions
-        # inlined st.ctx.charge(params.o_send)
+        # inlined st.ctx.charge(params.o_send); from here on busy >= now
         busy = st.busy_until
         now = self.sim._now
-        st.busy_until = (busy if busy > now else now) + params.o_send
-        req = SendRequest(wdst, tag, nbytes, st.busy_until, comm_id)
-        req._notify = notify  # type: ignore[attr-defined]
+        st.busy_until = busy = (busy if busy > now else now) + self._o_send
+        req = SendRequest(wdst, tag, nbytes, busy, comm_id, notify)
         node_of = self._node_of
         same_node = node_of[st.id] == node_of[wdst]
         link = self._links[same_node]
         eager = nbytes <= link.eager_threshold
-        pool = self._msg_pool
-        if pool is not None:
-            msg = pool.acquire()
-            msg.src = st.id
-            msg.dst = wdst
-            msg.tag = tag
-            msg.comm_id = comm_id
-            msg.nbytes = nbytes
-            msg.data = data
-            msg.eager = eager
-            msg.send_req = req
-            msg.recv_req = None
-            msg.attempts = 0
-        else:
-            msg = _Message(st.id, wdst, tag, comm_id, nbytes, data, eager, req)
+        msg = _Message(st.id, wdst, tag, comm_id, nbytes, data, eager,
+                       same_node, req)
         if self._obs is not None:
-            self._obs.instant("communication", "msg.post", st.id,
-                              st.busy_until,
+            self._obs.instant("communication", "msg.post", st.id, busy,
                               {"dst": wdst, "tag": tag, "nbytes": nbytes,
                                "eager": eager})
             self._m_posted.inc()
             self._m_bytes.observe(nbytes)
         if eager:
             # the library copies the payload into an internal buffer,
-            # then the NIC drains it without further CPU help
-            st.ctx.charge(params.copy_time(nbytes))
-            self._inject(msg, st.busy_until, same_node)
+            # then the NIC drains it without further CPU help (inlined
+            # ctx.charge(params.copy_time(nbytes)))
+            st.busy_until = busy = busy + nbytes / self._copy_bw
+            self._inject(msg, busy, same_node)
             req.done = True
-            req.complete_time = st.busy_until
+            req.complete_time = busy
             if notify is not None:
-                notify(req, st.busy_until)
+                notify(req, busy)
         else:
             st.n_active += 1
-            st.open_by_peer.setdefault(wdst, []).append(req)
+            st.open[req] = None
             # RTS control message: latency only
-            sim = self.sim
-            t = st.busy_until + link.alpha
-            now = sim._now
-            _heappush(sim._heap, (t if t > now else now, next(sim._seq),
-                                  self._on_rts_arrival, (msg,)))
-            sim._live += 1
+            _heappush(self._sim_heap, (busy + link.alpha, next(self._sim_seq),
+                                       self._on_rts_arrival, (msg,)))
             self._ranks[wdst].inbound += 1
         return req
 
@@ -1435,7 +1413,6 @@ class SimWorld:
         nbytes: int,
         notify: Optional[Callable],
     ) -> RecvRequest:
-        params = self.params
         if self._dead and wsrc in self._dead:
             raise RankFailedError(
                 f"rank {st.id}: irecv from dead rank {wsrc} "
@@ -1443,12 +1420,11 @@ class SimWorld:
             )
         if st.pending_cts or st.pending_data:
             self._mpi_entry(st)
-        # inlined st.ctx.charge(params.o_recv)
+        # inlined st.ctx.charge(params.o_recv); from here on busy >= now
         busy = st.busy_until
         now = self.sim._now
-        st.busy_until = (busy if busy > now else now) + params.o_recv
-        req = RecvRequest(wsrc, tag, nbytes, st.busy_until, comm_id)
-        req._notify = notify  # type: ignore[attr-defined]
+        st.busy_until = busy = (busy if busy > now else now) + self._o_recv
+        req = RecvRequest(wsrc, tag, nbytes, busy, comm_id, notify)
         key = (wsrc, tag, comm_id)
         queue = st.unexpected.get(key)
         if queue:
@@ -1457,24 +1433,27 @@ class SimWorld:
                 del st.unexpected[key]
             if msg.eager:
                 # late match: pay the unpack copy out of the eager buffer
-                st.ctx.charge(params.copy_time(msg.nbytes))
+                st.busy_until = busy = busy + msg.nbytes / self._copy_bw
                 req.data = msg.data
                 req.done = True
-                req.complete_time = st.busy_until
-                self._release_msg(msg)
+                req.complete_time = busy
                 if notify is not None:
-                    notify(req, st.busy_until)
+                    notify(req, busy)
             else:
-                # unexpected RTS: answer with CTS at this (in-MPI) moment
+                # unexpected RTS: answer with CTS at this (in-MPI) moment;
+                # no other protocol work is pending, it ran on entry
                 msg.recv_req = req
                 st.n_active += 1
-                st.open_by_peer.setdefault(wsrc, []).append(req)
-                st.pending_cts.append(msg)
-                self._mpi_entry(st)
+                st.open[req] = None
+                self._send_cts(st, msg)
         else:
             st.n_active += 1
-            st.open_by_peer.setdefault(wsrc, []).append(req)
-            st.posted.setdefault(key, []).append(req)
+            st.open[req] = None
+            queue = st.posted.get(key)
+            if queue is None:
+                st.posted[key] = [req]
+            else:
+                queue.append(req)
         return req
 
     # ------------------------------------------------------------------
@@ -1496,13 +1475,6 @@ class SimWorld:
         h = (h * 0xC2B2AE35) & 0xFFFFFFFF
         return h >> 16
 
-    def _rail_of(self, src: int, dst: int) -> int:
-        """Deterministic NIC rail choice preserving per-pair message order."""
-        rails = self.params.nic_rails
-        if rails == 1:
-            return 0
-        return self._pair_hash(src, dst) % rails
-
     def _inject(self, msg: _Message, t_post: float, same_node: bool) -> None:
         """Put an (eager or rendezvous-data) message on the wire.
 
@@ -1514,17 +1486,22 @@ class SimWorld:
             self._dead_letter(msg)
             return
         params = self.params
-        sim = self.sim
-        now = sim._now
+        now = self.sim._now
+        heap = self._sim_heap
+        seq = self._sim_seq
+        src = msg.src
+        dst = msg.dst
         link = self._links[same_node]
         # inlined link.serialization_time(nbytes)
-        ser = self._net_noise.perturb(link.per_msg + msg.nbytes / link.beta)
+        ser = link.per_msg + msg.nbytes / link.beta
+        if not self._net_det:
+            ser = self._net_noise.perturb(ser)
         if same_node:
             # intra-node transfers share the node's memory channels;
             # flooding them (many concurrent large copies) additionally
             # degrades each transfer (sm-BTL FIFO / cache contention)
-            mem = self._mem_free[self._node_of[msg.src]]
-            rail = self._pair_hash(msg.src, msg.dst) % len(mem)
+            mem = self._mem_free[self._node_of[src]]
+            rail = self._pair_hash(src, dst) % len(mem)
             free = mem[rail]
             start = t_post if t_post > free else free
             if params.intra_contention > 0.0 and ser > 0.0:
@@ -1533,34 +1510,33 @@ class SimWorld:
             done = start + ser
             mem[rail] = done
             arrival = start + link.alpha + ser
-            _heappush(sim._heap, (arrival if arrival > now else now,
-                                  next(sim._seq), self._deliver, (msg,)))
-            sim._live += 1
-            self._ranks[msg.dst].inbound += 1
+            _heappush(heap, (arrival if arrival > now else now,
+                             next(seq), self._deliver, (msg,)))
+            self._ranks[dst].inbound += 1
             if not msg.eager:
-                _heappush(sim._heap, (done if done > now else now,
-                                      next(sim._seq),
-                                      self._on_send_complete, (msg,)))
-                sim._live += 1
-                self._ranks[msg.src].inbound += 1
+                _heappush(heap, (done if done > now else now, next(seq),
+                                 self._on_send_complete, (msg,)))
+                self._ranks[src].inbound += 1
             return
-        rail = self._rail_of(msg.src, msg.dst)
+        # NIC rail choice: a pair always maps to the same rail, which
+        # preserves per-pair message order
+        nrails = self._nic_rails
+        rail = 0 if nrails == 1 else self._pair_hash(src, dst) % nrails
         alpha = link.alpha
-        src_node = self._node_of[msg.src]
-        dst_node = self._node_of[msg.dst]
+        src_node = self._node_of[src]
+        dst_node = self._node_of[dst]
         tx_rail = rx_rail = rail
         faults = self._faults
         if faults is not None:
             lat_mult, bw_mult = faults.link_factors()
             ser *= bw_mult
             alpha *= lat_mult
-            nrails = self.params.nic_rails
             tx_rail = faults.healthy_rail(src_node, rail, nrails)
             rx_rail = faults.healthy_rail(dst_node, rail, nrails)
             if (
                 tx_rail is None
                 or rx_rail is None
-                or faults.should_drop(msg.src, msg.dst)
+                or faults.should_drop(src, dst)
             ):
                 self._drop(msg, t_post, same_node)
                 return
@@ -1570,11 +1546,9 @@ class SimWorld:
         tx[tx_rail] = start + ser
         if not msg.eager:
             done = start + ser
-            _heappush(sim._heap, (done if done > now else now,
-                                  next(sim._seq),
-                                  self._on_send_complete, (msg,)))
-            sim._live += 1
-            self._ranks[msg.src].inbound += 1
+            _heappush(heap, (done if done > now else now, next(seq),
+                             self._on_send_complete, (msg,)))
+            self._ranks[src].inbound += 1
         arrival = start + alpha + ser
         # receive-side rail contention (incast): the message occupies the
         # destination rail for its serialization time before delivery;
@@ -1591,10 +1565,9 @@ class SimWorld:
             ser *= 1.0 + params.incast_penalty * min(depth, INCAST_DEPTH_CAP)
         delivery = start_rx + ser
         rx[rx_rail] = delivery
-        _heappush(sim._heap, (delivery if delivery > now else now,
-                              next(sim._seq), self._deliver, (msg,)))
-        sim._live += 1
-        self._ranks[msg.dst].inbound += 1
+        _heappush(heap, (delivery if delivery > now else now, next(seq),
+                         self._deliver, (msg,)))
+        self._ranks[dst].inbound += 1
 
     # ------------------------------------------------------------------
     # reliable transport (retransmission on injected message loss)
@@ -1629,23 +1602,7 @@ class SimWorld:
             )
         self.retransmits += 1
         retry_at = max(t_post + self._rto(msg, same_node), self.sim.now)
-        if self._wheel is not None:
-            # vectorized deadline table: the (deadline, payload) pair
-            # lives in the numpy wheel and the heap carries only a bare
-            # wakeup at the same (time, seq) the per-event path would
-            # use — each wakeup pops the earliest due timer, so firing
-            # order and event counts match object mode exactly
-            self._wheel.arm(retry_at, (msg, same_node))
-            self._post(retry_at, self._wheel_fire)
-        else:
-            self._post(retry_at, self._retransmit, msg, same_node)
-
-    def _wheel_fire(self) -> None:
-        """One retransmit-wheel wakeup: fire the earliest due timer."""
-        payload = self._wheel.pop_due(self.sim._now)
-        if payload is not None:
-            msg, same_node = payload
-            self._retransmit(msg, same_node)
+        self._post(retry_at, self._retransmit, msg, same_node)
 
     def _retransmit(self, msg: _Message, same_node: bool) -> None:
         if self._obs is not None:
@@ -1667,35 +1624,6 @@ class SimWorld:
                               self.sim._now,
                               {"dst": msg.dst, "nbytes": msg.nbytes})
             self._m_dead_letters.inc()
-        self._release_msg(msg)
-
-    def _release_msg(self, msg: _Message) -> None:
-        """Recycle a consumed message through the slot pool (array mode).
-
-        Dropping the payload/receive references here keeps recycled
-        slots from pinning buffers.  ``send_req`` survives until the
-        slot is re-acquired: :class:`~repro.sim.trace.Tracer` wrappers
-        read it right after the wrapped ``_complete_recv`` returns.
-        Safe on unpooled messages (no-op).
-        """
-        pool = self._msg_pool
-        if pool is not None and msg._pool_slot >= 0:
-            msg.data = None
-            msg.recv_req = None
-            pool.release(msg)
-
-    @staticmethod
-    def _untrack(st: _RankState, req) -> None:
-        """Drop a finished request from the per-peer open-request index."""
-        queue = st.open_by_peer.get(req.peer)
-        if queue is None:
-            return
-        try:
-            queue.remove(req)
-        except ValueError:
-            return
-        if not queue:
-            del st.open_by_peer[req.peer]
 
     def _on_send_complete(self, msg: _Message) -> None:
         """Rendezvous data fully injected: the send buffer is reusable."""
@@ -1708,7 +1636,7 @@ class SimWorld:
         req.done = True
         req.complete_time = now
         st.n_active -= 1
-        self._untrack(st, req)
+        del st.open[req]
         notify = req._notify
         if notify is not None:
             try:
@@ -1731,10 +1659,15 @@ class SimWorld:
             if not queue:
                 del st.posted[key]
             msg.recv_req = req
-            st.pending_cts.append(msg)
-            if st.waiting is not None:
+            if st.waiting is None:
+                st.pending_cts.append(msg)  # noticed at the next MPI entry
+            elif st.pending_cts or st.pending_data:
                 # blocked in wait == spinning inside MPI: react now
+                st.pending_cts.append(msg)
                 self._mpi_entry(st)
+            else:
+                # the same, with no other protocol work queued
+                self._send_cts(st, msg)
         else:
             st.unexpected.setdefault(key, []).append(msg)
 
@@ -1743,19 +1676,17 @@ class SimWorld:
         st.inbound -= 1
         if st.dead or msg.send_req.failed is not None:
             return
-        st.pending_data.append(msg)
-        if st.waiting is not None:
+        if st.waiting is None:
+            st.pending_data.append(msg)  # noticed at the next MPI entry
+        elif st.pending_cts or st.pending_data:
+            st.pending_data.append(msg)
             self._mpi_entry(st)
-
-    def _start_data_transfer(self, st: _RankState, msg: _Message) -> None:
-        """Sender CPU noticed the CTS: move the payload."""
-        if msg.send_req.failed is not None:
-            return
-        busy = st.busy_until
-        now = self.sim._now
-        node_of = self._node_of
-        self._inject(msg, busy if busy > now else now,
-                     node_of[msg.src] == node_of[msg.dst])
+        else:
+            # blocked in Wait with no other protocol work: exactly what
+            # _mpi_entry would do with this one message
+            busy = st.busy_until
+            now = self.sim._now
+            self._inject(msg, busy if busy > now else now, msg.same_node)
 
     def _deliver(self, msg: _Message) -> None:
         st = self._ranks[msg.dst]
@@ -1791,7 +1722,7 @@ class SimWorld:
         req.done = True
         req.complete_time = t
         st.n_active -= 1
-        self._untrack(st, req)
+        del st.open[req]
         notify = req._notify
         if notify is not None:
             try:
@@ -1800,9 +1731,6 @@ class SimWorld:
                 st.failed_excs.append(exc)
         if st.waiting is not None:
             self._wait_try(st)
-        # released last: notify/wait_try may post new sends, and an
-        # earlier release would let them re-acquire this very slot
-        self._release_msg(msg)
 
     # ------------------------------------------------------------------
     # process failure: rank crash, revoke sweep, agreement commit
@@ -1812,11 +1740,13 @@ class SimWorld:
                       notify: bool = True) -> None:
         """Permanently fail one of ``st``'s open requests.
 
-        With ``notify=False`` the request is marked failed but no sticky
-        failure notification is queued — used when the owning rank
-        itself triggered the failure (it revoked the communicator) and a
-        notification would only re-interrupt its recovery.
+        The request leaves the open-request index.  With ``notify=False``
+        it is marked failed but no sticky failure notification is queued
+        — used when the owning rank itself triggered the failure (it
+        revoked the communicator) and a notification would only
+        re-interrupt its recovery.
         """
+        del st.open[req]
         req.failed = exc
         if notify:
             st.failed_excs.append(exc)
@@ -1862,7 +1792,7 @@ class SimWorld:
         st.pending_data.clear()
         st.posted.clear()
         st.unexpected.clear()
-        st.open_by_peer.clear()
+        st.open.clear()
         st.n_active = 0
         if st.gen is not None:
             st.gen.close()
@@ -1880,12 +1810,8 @@ class SimWorld:
         for other in self._ranks:
             if other.dead or other.finished:
                 continue
-            reqs = other.open_by_peer.pop(rank, None)
-            if not reqs:
-                continue
-            for req in reqs:
-                if req.done or req.failed is not None:
-                    continue
+            # the dead peer's requests, in post order
+            for req in [r for r in other.open if r.peer == rank]:
                 self._fail_request(other, req, exc)
         if self._agree_pending:
             still = []
@@ -1915,22 +1841,12 @@ class SimWorld:
             if st.dead or st.finished:
                 continue
             notify = st.id != initiator
-            hit = False
-            for peer in list(st.open_by_peer):
-                queue = st.open_by_peer[peer]
-                keep = []
-                for req in queue:
-                    if not req.done and req.failed is None and req.comm_id == cid:
-                        self._fail_request(st, req, CommRevokedError(
-                            f"communicator {cid} revoked at t={now:.6f}s"
-                        ), notify=notify)
-                        hit = notify
-                    else:
-                        keep.append(req)
-                if keep:
-                    st.open_by_peer[peer] = keep
-                else:
-                    del st.open_by_peer[peer]
+            doomed = [req for req in st.open if req.comm_id == cid]
+            for req in doomed:
+                self._fail_request(st, req, CommRevokedError(
+                    f"communicator {cid} revoked at t={now:.6f}s"
+                ), notify=notify)
+            hit = notify and bool(doomed)
             if st.pending_cts:
                 st.pending_cts = [m for m in st.pending_cts if m.comm_id != cid]
             if st.pending_data:

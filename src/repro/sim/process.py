@@ -69,13 +69,20 @@ class Waitable:
 
 
 class SendRequest(Waitable):
-    """Handle for a posted non-blocking send."""
+    """Handle for a posted non-blocking send.
+
+    ``notify`` is the optional completion callback (see :class:`Waitable`).
+    The :class:`Waitable` fields are set here directly rather than through
+    ``super().__init__()``: one request is built per message post.
+    """
 
     __slots__ = ("peer", "tag", "nbytes", "post_time", "complete_time", "comm_id")
 
     def __init__(self, peer: int, tag: int, nbytes: int, post_time: float,
-                 comm_id: int = 0):
-        super().__init__()
+                 comm_id: int = 0, notify=None):
+        self.done = False
+        self.failed = None
+        self._notify = notify
         self.peer = peer
         self.tag = tag
         self.nbytes = nbytes
@@ -92,15 +99,18 @@ class RecvRequest(Waitable):
     """Handle for a posted non-blocking receive.
 
     :attr:`data` holds the delivered payload (if the sender attached
-    one) once the request is complete.
+    one) once the request is complete.  ``notify`` is set up as in
+    :class:`SendRequest`.
     """
 
     __slots__ = ("peer", "tag", "nbytes", "post_time", "complete_time", "data",
                  "comm_id")
 
     def __init__(self, peer: int, tag: int, nbytes: int, post_time: float,
-                 comm_id: int = 0):
-        super().__init__()
+                 comm_id: int = 0, notify=None):
+        self.done = False
+        self.failed = None
+        self._notify = notify
         self.peer = peer
         self.tag = tag
         self.nbytes = nbytes
@@ -158,7 +168,7 @@ class ComputeProgressSpan:
     ``(Compute(seconds), Progress(handles)) * count``, and simulated
     with bit-identical charges, times and event counts.  The difference
     is mechanical: the driver steps the span internally instead of
-    resuming the generator per chunk, which lets the array engine's fast
+    resuming the generator per chunk, which lets the driver's fast
     lane collapse the remainder into pure arithmetic once every handle
     has completed and nothing else distinguishes the chunks
     (DESIGN.md §15).  Overlap-style benchmark loops — the hot path of

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,10 @@ from repro.bench.fabric import FabricConfig, result_fingerprint
 from repro.bench.fabric.master import fork_available
 from repro.bench.overlap import OverlapConfig
 from repro.bench.parallel import ResultCache, sweep_implementations
+
+#: the checkout these tests belong to: subprocesses run from it so they
+#: import this tree's ``src``, wherever the checkout lives
+REPO_ROOT = Path(__file__).resolve().parents[3]
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="fabric needs the fork start method")
@@ -57,7 +62,7 @@ def test_master_sigkill_then_resume_is_bitwise_identical(tmp_path):
             "--result-cache", cache_dir]
 
     victim = subprocess.Popen(base + ["--jobs", "2"], env=env,
-                              cwd="/root/repo",
+                              cwd=REPO_ROOT,
                               stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL)
     # wait for the checkpoint to hold some — but not all — tasks
@@ -75,7 +80,7 @@ def test_master_sigkill_then_resume_is_bitwise_identical(tmp_path):
     assert partial >= 1, "sweep was killed before any checkpoint landed"
 
     resumed = subprocess.run(
-        base + ["--jobs", "2", "--resume"], env=env, cwd="/root/repo",
+        base + ["--jobs", "2", "--resume"], env=env, cwd=REPO_ROOT,
         capture_output=True, text=True, timeout=300)
     assert resumed.returncode == 0, resumed.stderr
     if partial < 21:  # the kill landed mid-sweep, not after the end
@@ -120,7 +125,7 @@ def test_orphaned_workers_die_with_a_sigkilled_master(tmp_path):
         "threading.Thread(target=snitch, daemon=True).start()\n"
         "m.run([('a', 1), ('b', 2)], cache=None)\n")
     proc = subprocess.Popen([sys.executable, str(script)],
-                            cwd="/root/repo", stdout=subprocess.PIPE,
+                            cwd=REPO_ROOT, stdout=subprocess.PIPE,
                             stderr=subprocess.DEVNULL, text=True)
     line = proc.stdout.readline()
     assert line.startswith("PIDS "), line

@@ -10,7 +10,13 @@ strictly fewer learning iterations than a cold restart.
 import pytest
 
 from repro.adcl import CheckpointStore
-from repro.bench import OverlapConfig, run_overlap, run_overlap_ft
+from repro.adcl.request import ADCLRequest
+from repro.bench import (
+    OPERATION_KINDS,
+    OverlapConfig,
+    run_overlap,
+    run_overlap_ft,
+)
 from repro.errors import RankFailedError
 from repro.sim import FaultPlan, RankCrash
 from repro.units import KiB
@@ -101,3 +107,28 @@ def test_two_crashes_two_repairs():
     assert res.repairs == 2
     assert len(res.records) == 20
     assert len(set(res.agreed_winner.values())) == 1
+
+
+class _Built(Exception):
+    """Raised once the driver has built its ADCL request."""
+
+
+@pytest.mark.parametrize("operation", sorted(OPERATION_KINDS))
+def test_ft_driver_tunes_the_same_signature_as_plain(operation, monkeypatch):
+    """Both drivers key the tuning problem (history, checkpoints) by the
+    same CollSpec signature for every benchmark operation."""
+    built = []
+
+    def record(self, fnset, spec, *args, **kwargs):
+        built.append(spec.signature())
+        raise _Built
+
+    monkeypatch.setattr(ADCLRequest, "__init__", record)
+    cfg = OverlapConfig(platform="whale", nprocs=4, operation=operation,
+                        nbytes=4 * KiB, iterations=2)
+    for driver in (run_overlap, run_overlap_ft):
+        with pytest.raises(_Built):
+            driver(cfg, evals_per_function=1)
+    plain, ft = built
+    assert ft == plain
+    assert plain.startswith(OPERATION_KINDS[operation] + ":")

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,10 @@ from repro.bench.parallel import (
     sweep_implementations,
     task_key,
 )
+
+#: the checkout these tests belong to: subprocesses run from it so they
+#: import this tree's ``src``, wherever the checkout lives
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: tier-1 sized sweep scenario (21 bcast implementations, tiny runs)
 SMALL_CFG = OverlapConfig(platform="whale", nprocs=4, operation="bcast",
@@ -163,7 +168,7 @@ def test_result_cache_two_process_hammer(tmp_path):
             f"_hammer_cache({directory!r}, {seed}, {n_keys}, {out!r})"
         )
         procs.append(subprocess.Popen(
-            [sys.executable, "-c", code], cwd="/root/repo"))
+            [sys.executable, "-c", code], cwd=REPO_ROOT))
     for proc in procs:
         assert proc.wait(timeout=120) == 0
     cache = ResultCache(directory)

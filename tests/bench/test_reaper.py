@@ -14,10 +14,15 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.bench.fabric.master import fork_available
+
+#: the checkout these tests belong to: subprocesses run from it so they
+#: import this tree's ``src``, wherever the checkout lives
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="fabric needs the fork start method")
@@ -64,7 +69,7 @@ def _run_scenario(tmp_path, mode, external_signal=None):
     script = tmp_path / "driver.py"
     script.write_text(_DRIVER)
     proc = subprocess.Popen(
-        [sys.executable, str(script), mode], cwd="/root/repo",
+        [sys.executable, str(script), mode], cwd=REPO_ROOT,
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     try:
         line = proc.stdout.readline()

@@ -171,19 +171,41 @@ def test_post_counts_toward_pending():
 
 
 def test_inline_post_protocol_matches_post():
-    """The documented trusted-driver protocol: push the tuple directly."""
+    """The documented trusted-driver protocol: pushing the heap tuple is
+    all it takes — no counter to bump — and it counts as pending,
+    dispatches and counts as dispatched exactly like post()."""
+    import heapq
+
     sim = Simulator()
     order = []
     sim.post(1.0, order.append, "via-post")
     # what repro.sim.mpi does on its hot paths
-    import heapq
-
     heapq.heappush(sim._heap, (1.0, next(sim._seq), order.append, ("inline",)))
-    sim._live += 1
     assert sim.pending() == 2
+    assert sim.stats()["pending"] == 2
     sim.run()
     assert order == ["via-post", "inline"]
     assert sim.pending() == 0
+    assert sim.events_dispatched == 2
+
+
+def test_inline_post_alongside_cancelled_events():
+    """Inline pushes and cancelled shells share the heap: pending() is
+    the heap size minus the cancelled entries, before and after the
+    lazy skips."""
+    import heapq
+
+    sim = Simulator()
+    fired = []
+    ev = sim.at(1.0, fired.append, "cancelled")
+    heapq.heappush(sim._heap, (2.0, next(sim._seq), fired.append, ("inline",)))
+    ev.cancel()
+    assert sim.pending() == 1
+    assert sim.stats()["heap_size"] == 2
+    sim.run()
+    assert fired == ["inline"]
+    assert sim.pending() == 0
+    assert sim.stats()["heap_size"] == 0
 
 
 def test_halt_stops_loop_and_preserves_queue():
@@ -220,7 +242,7 @@ def test_cancel_after_fire_is_a_noop():
     ev = sim.at(1.0, lambda: None)
     sim.run()
     assert sim.pending() == 0
-    ev.cancel()  # late cancel: sets the flag, must not corrupt _live
+    ev.cancel()  # late cancel: sets the flag, must not count as cancelled
     assert sim.pending() == 0
     sim.at(2.0, lambda: None)
     assert sim.pending() == 1

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 
 
 @settings(max_examples=60, deadline=None)
@@ -74,3 +74,64 @@ def test_run_until_is_a_clean_split(times, horizon):
     assert sorted(fired) == sorted(early)
     sim.run()
     assert sorted(fired) == sorted(times)
+
+
+def _live_entries(sim) -> int:
+    """Brute force: heap entries that are not cancelled Event shells."""
+    return sum(1 for entry in sim._heap
+               if not (type(entry[2]) is Event and entry[2].cancelled))
+
+
+_ops = st.one_of(
+    st.tuples(st.just("at"), st.floats(min_value=0.0, max_value=10.0)),
+    st.tuples(st.just("post"), st.floats(min_value=0.0, max_value=10.0)),
+    st.tuples(st.just("burst"), st.integers(min_value=1, max_value=90)),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10_000)),
+    st.tuples(st.just("run"), st.floats(min_value=0.0, max_value=5.0)),
+    st.tuples(st.just("step"), st.just(0)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_ops, max_size=60))
+def test_pending_matches_brute_force_count(ops):
+    """pending() is len(heap) minus the cancelled count; random mixes of
+    at/post/cancel/run/step (bursts large enough to trigger compaction)
+    must keep it equal to a scan of the heap."""
+    sim = Simulator()
+    handles = []
+    for kind, arg in ops:
+        if kind == "at":
+            handles.append(sim.at(sim.now + arg, lambda: None))
+        elif kind == "post":
+            sim.post(sim.now + arg, lambda: None)
+        elif kind == "burst":
+            handles.extend(sim.at(sim.now + 1.0 + i, lambda: None)
+                           for i in range(arg))
+        elif kind == "cancel" and handles:
+            # a run of up to 40 handles; fired or already-cancelled ones
+            # are no-ops
+            start = arg % len(handles)
+            for ev in handles[start:start + 40]:
+                ev.cancel()
+        elif kind == "run":
+            sim.run(until=sim.now + arg)
+        elif kind == "step":
+            sim.step()
+        assert sim.pending() == _live_entries(sim)
+        assert sim.stats()["pending"] == sim.pending()
+    sim.run()
+    assert sim.pending() == 0 == _live_entries(sim)
+
+
+def test_pending_property_reaches_compaction():
+    """The burst/cancel mix above does exercise compaction."""
+    sim = Simulator()
+    handles = [sim.at(1.0 + i, lambda: None) for i in range(90)]
+    for ev in handles[:60]:
+        ev.cancel()
+    # the 46th cancel tips the heap over half-dead: 44 entries survive
+    # the rebuild, and the 14 later cancels stay as lazy shells
+    assert sim.compactions == 1
+    assert len(sim._heap) == 44
+    assert sim.pending() == _live_entries(sim) == 30

@@ -265,3 +265,36 @@ def test_run_result_reports_all_ranks():
     assert len(res.finish_times) == 4
     assert res.makespan == pytest.approx(0.4, rel=0.01)
     assert res.events > 0
+
+
+def test_fastlane_defers_a_pull_that_cancels_an_event(monkeypatch):
+    """The fast lane drains a rank's syscalls inline only while nothing
+    between two yields touches the world.  Cancelling a timer moves
+    neither the heap size nor the rank's clock, so the lane must watch
+    the engine's cancelled-entry count to notice it and defer the pull."""
+
+    def run(cancel, lane):
+        monkeypatch.setenv("REPRO_ARRAY_ENGINE", "1" if lane else "0")
+        world = make_world(nprocs=1)
+
+        def program(ctx):
+            timer = ctx.world.sim.at(100.0, lambda: None)
+            yield Compute(1e-3)
+            if cancel:
+                timer.cancel()
+            yield Compute(1e-3)
+            yield Compute(1e-3)
+
+        res = run_programs(world, program)
+        return ([t.hex() for t in res.finish_times], res.events,
+                world.sim.batched_syscalls, world.sim.pending())
+
+    times, events, batched, pending = run(cancel=True, lane=True)
+    assert batched == 0  # the cancelling pull was replayed as an event
+    assert pending == 0
+    assert (times, events) == run(cancel=True, lane=False)[:2]
+    # without the cancel the same program is batched after its first yield
+    times, events, batched, pending = run(cancel=False, lane=True)
+    assert batched == 2
+    assert pending == 1  # the timer is still queued
+    assert (times, events) == run(cancel=False, lane=False)[:2]

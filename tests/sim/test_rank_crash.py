@@ -11,6 +11,7 @@ from repro.errors import (
 from repro.sim import (
     Compute,
     FaultPlan,
+    Progress,
     RankCrash,
     SimWorld,
     Wait,
@@ -286,3 +287,133 @@ def test_respawn_delay_is_recorded_not_resurrecting():
     assert world.dead_ranks == frozenset({1})
     assert world.faults.ranks_crashed == 1
     assert crash.respawn_delay == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the open-request index behind crash and revoke sweeps
+# ---------------------------------------------------------------------------
+
+_RDV = 256 * 1024  # rendezvous-sized: requests stay open until the peer acts
+
+
+def _post_to_three_peers(ctx, comms):
+    """Rank 0's open requests to peers 1, 2 and 3, interleaved; none of
+    the peers ever answers.  Returns ``(peer, comm, request)`` in post
+    order."""
+    posted = []
+    for tag, (peer, comm, kind) in enumerate([
+            (1, 0, "recv"), (2, 0, "recv"), (3, 1, "send"), (3, 0, "recv"),
+            (2, 1, "send"), (1, 1, "recv"), (2, 0, "recv"), (3, 1, "recv")]):
+        post = ctx.isend if kind == "send" else ctx.irecv
+        posted.append((peer, comm, post(peer, _RDV, tag, comms[comm])))
+    return posted
+
+
+def _spy_failures(world, monkeypatch):
+    """Record every request the world fails, in the order it fails them."""
+    failed = []
+    orig = world._fail_request
+
+    def spy(st, req, exc, notify=True):
+        failed.append((st.id, req))
+        orig(st, req, exc, notify)
+
+    monkeypatch.setattr(world, "_fail_request", spy)
+    return failed
+
+
+def test_crash_fails_exactly_the_dead_peers_requests_in_post_order(
+        monkeypatch):
+    world = make_world(4, crashes=[RankCrash(2, 0.001)])
+    comms = (world.comm_world, world.make_comm(range(4)))
+    failed = _spy_failures(world, monkeypatch)
+    seen = {}
+
+    def prog(ctx):
+        if ctx.rank != 0:
+            yield Compute(0.003)
+            return
+        posted = _post_to_three_peers(ctx, comms)
+        yield Compute(0.002)  # rank 2 dies meanwhile; no syscall checks
+        seen["posted"] = posted
+        seen["open"] = list(world._ranks[0].open)
+        try:
+            yield Progress()  # the sticky notification is delivered here
+        except RankFailedError:
+            seen["notified"] = True
+
+    world.launch(prog)
+    world.run()
+    posted = seen["posted"]
+    to_dead = [req for peer, _, req in posted if peer == 2]
+    assert failed == [(0, req) for req in to_dead]
+    assert all(isinstance(req.failed, RankFailedError) for req in to_dead)
+    assert all(req.failed is None for peer, _, req in posted if peer != 2)
+    assert seen["open"] == [req for peer, _, req in posted if peer != 2]
+    assert seen["notified"]
+
+
+def test_revoke_fails_exactly_that_comms_open_requests(monkeypatch):
+    world = make_world(4)
+    comms = (world.comm_world, world.make_comm(range(4)))
+    failed = _spy_failures(world, monkeypatch)
+    seen = {}
+
+    def prog(ctx):
+        if ctx.rank == 3:
+            yield Compute(0.001)
+            comms[1].revoke(ctx)
+            return
+        if ctx.rank != 0:
+            yield Compute(0.003)
+            return
+        posted = _post_to_three_peers(ctx, comms)
+        yield Compute(0.002)
+        seen["posted"] = posted
+        seen["open"] = list(world._ranks[0].open)
+        try:
+            yield Progress()
+        except CommRevokedError:
+            seen["notified"] = True
+
+    world.launch(prog)
+    world.run()
+    posted = seen["posted"]
+    on_revoked = [req for _, comm, req in posted if comm == 1]
+    assert failed == [(0, req) for req in on_revoked]
+    assert all(isinstance(req.failed, CommRevokedError) for req in on_revoked)
+    assert all(req.failed is None for _, comm, req in posted if comm == 0)
+    assert seen["open"] == [req for _, comm, req in posted if comm == 0]
+    assert seen["notified"]
+
+
+def test_blocked_report_after_a_crash_sweep():
+    """A survivor that caught the crash and then blocks on its remaining
+    peers is a genuine deadlock; the report lists what it waits on."""
+    world = make_world(4, crashes=[RankCrash(2, 0.001)])
+    comms = (world.comm_world, world.make_comm(range(4)))
+
+    def prog(ctx):
+        if ctx.rank != 0:
+            yield Compute(0.003)
+            return
+        posted = _post_to_three_peers(ctx, comms)
+        try:
+            yield Wait([req for _, _, req in posted])
+        except RankFailedError:
+            pass
+        yield Wait([req for peer, _, req in posted if peer != 2])
+
+    world.launch(prog)
+    with pytest.raises(DeadlockError) as ei:
+        world.run()
+    assert world.blocked_report() == (
+        "  dead rank(s): [2]\n"
+        "  rank 0: waiting on 5 item(s): "
+        "recv(from=1, tag=0, comm=1, 262144B); "
+        "send(to=3, tag=2, comm=2, 262144B); "
+        "recv(from=3, tag=3, comm=1, 262144B); "
+        "recv(from=1, tag=5, comm=2, 262144B); "
+        "recv(from=3, tag=7, comm=2, 262144B)"
+    )
+    assert world.blocked_report() in str(ei.value)

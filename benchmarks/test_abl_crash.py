@@ -9,8 +9,8 @@ the ablation compares the learning iterations a cold restart pays
 against a restart restored from the checkpoint.
 """
 
-from repro.adcl import CheckpointStore
-from repro.bench import OverlapConfig, format_table, run_overlap_ft
+from repro.adcl import ULFM, CheckpointStore
+from repro.bench import OverlapConfig, format_table, run_overlap
 from repro.sim import FaultPlan, RankCrash
 from repro.units import KiB
 
@@ -26,21 +26,20 @@ def test_crash_recovery_and_checkpoint_ablation(once, figure_output, tmp_path):
         platform="whale", nprocs=8, operation="alltoall",
         nbytes=64 * KiB, iterations=20,
     )
-    key = "alltoall@whale:B65536"
 
     def run():
         store = CheckpointStore(str(tmp_path / "ckpt.json"))
         # execution 1: crash at t=9ms, recover, checkpoint every 4 iters
-        crashed = run_overlap_ft(
+        crashed = run_overlap(
             cfg_crash, evals_per_function=2,
-            checkpoint=store, checkpoint_every=4,
+            recovery=ULFM(checkpoint=store, checkpoint_every=4),
         )
         # execution 2a: cold restart — re-learns everything
-        cold = run_overlap_ft(cfg_clean, evals_per_function=2)
+        cold = run_overlap(cfg_clean, evals_per_function=2, recovery=ULFM())
         # execution 2b: warm restart from the persisted checkpoint
-        warm = run_overlap_ft(
+        warm = run_overlap(
             cfg_clean, evals_per_function=2,
-            restore_from=store.load(key),
+            recovery=ULFM(checkpoint=CheckpointStore(store.path)),
         )
         table = format_table(
             ["run", "learning iters", "winner", "notes"],

@@ -19,8 +19,7 @@ exact regression anchors, not statistical expectations.
 import pytest
 
 from repro.adcl.resilience import Resilience
-from repro.bench import OverlapConfig, format_table, run_overlap, \
-    run_overlap_resilient
+from repro.bench import OverlapConfig, format_table, run_overlap
 from repro.errors import DeadlockError, WatchdogTimeout
 from repro.sim.faults import DropRule, FaultPlan, LinkDegradation
 from repro.units import KiB
@@ -61,10 +60,10 @@ def healthy_baseline():
 def test_resilient_tuning_survives_faults(once, figure_output):
     def run():
         healthy = healthy_baseline()
-        res = run_overlap_resilient(
+        res = run_overlap(
             OverlapConfig(faults=FAULTS, **SCENARIO),
             selector="brute_force", evals_per_function=3,
-            resilience=POLICY,
+            recovery=POLICY,
         )
         naive_outcome = "completed (!)"
         try:
@@ -142,8 +141,7 @@ def test_resilient_runner_is_invisible_without_faults(once):
     def run():
         cfg = OverlapConfig(**SCENARIO)
         plain = run_overlap(cfg, evals_per_function=3)
-        res = run_overlap_resilient(cfg, evals_per_function=3,
-                                    resilience=POLICY)
+        res = run_overlap(cfg, evals_per_function=3, recovery=POLICY)
         return plain, res
 
     plain, res = once(run)

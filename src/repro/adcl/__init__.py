@@ -31,7 +31,7 @@ from .fnsets import (
 from .function import CollFunction, CollSpec, FunctionSet
 from .history import HistoryStore
 from .request import ADCLRequest, SELECTOR_NAMES, make_selector
-from .resilience import Resilience
+from .resilience import ULFM, Resilience
 from .selection import (
     BruteForceSelector,
     FactorialSelector,
@@ -64,6 +64,7 @@ __all__ = [
     "SELECTOR_NAMES",
     "Selector",
     "TimerRecord",
+    "ULFM",
     "filter_outliers",
     "iallgather_function_set",
     "ialltoall_extended_function_set",

@@ -177,6 +177,41 @@ class ADCLRequest:
         rs["started"] = it + 1
         return self._iter_base + it
 
+    def _start(self, ctx: MPIContext,
+               buffers: Optional[Mapping[str, np.ndarray]],
+               allow_blocking: bool) -> tuple[Waitable, bool]:
+        """Select this invocation's implementation and initiate it.
+
+        Returns the handle and whether the implementation is blocking.
+        """
+        rs = self._rstate.get(ctx.rank)
+        if rs is None:
+            rs = self._rstate[ctx.rank] = {"it": 0, "handles": []}
+        it = self._current_iteration(ctx, rs)
+        if it > self._max_it:
+            self._max_it = it
+        fn_idx = self._iter_fn.get(it)
+        if fn_idx is None:
+            rel = max(it - self._epoch_start, 0)
+            fn_idx = self.selector.function_for_iteration(rel)
+            if self.resilience is not None:
+                fn_idx = self.selector.substitute(fn_idx)
+            self._iter_fn[it] = fn_idx
+            self._journal.append(["iter", it, fn_idx])
+            if self.audit is not None:
+                self._audit_check_decision()
+                self.audit.selection(it, fn_idx, self.fnset[fn_idx].name,
+                                     not self.selector.decided)
+        fn = self.fnset[fn_idx]
+        if fn.blocking and not allow_blocking:
+            raise AdclError(
+                f"start_now() selected blocking implementation {fn.name!r}; "
+                f"use `yield from start(ctx)`"
+            )
+        handle = fn.make(ctx, self.spec, buffers)
+        rs["handles"].append((handle, it, fn_idx, ctx.now))
+        return handle, fn.blocking
+
     def start(self, ctx: MPIContext,
               buffers: Optional[Mapping[str, np.ndarray]] = None):
         """Initiate the operation (generator).
@@ -189,30 +224,9 @@ class ADCLRequest:
 
         Blocking implementations complete inside this call.
         """
-        rs = self._rstate.get(ctx.rank)
-        if rs is None:
-            rs = self._rstate[ctx.rank] = {"it": 0, "handles": []}
-        it = self._current_iteration(ctx, rs)
-        if it > self._max_it:
-            self._max_it = it
-        fn_idx = self._iter_fn.get(it)
-        if fn_idx is None:
-            rel = max(it - self._epoch_start, 0)
-            fn_idx = self.selector.function_for_iteration(rel)
-            if self.resilience is not None:
-                fn_idx = self.selector.substitute(fn_idx)
-            self._iter_fn[it] = fn_idx
-            self._journal.append(["iter", it, fn_idx])
-            if self.audit is not None:
-                self._audit_check_decision()
-                self.audit.selection(it, fn_idx, self.fnset[fn_idx].name,
-                                     not self.selector.decided)
-        fn = self.fnset[fn_idx]
-        handle = fn.make(ctx, self.spec, buffers)
-        rs["handles"].append((handle, it, fn_idx, ctx.now))
-        if fn.blocking:
-            if not handle.done:
-                yield Wait(handle)
+        handle, blocking = self._start(ctx, buffers, allow_blocking=True)
+        if blocking and not handle.done:
+            yield Wait(handle)
         return handle
 
     def start_now(self, ctx: MPIContext,
@@ -225,35 +239,9 @@ class ADCLRequest:
         non-blocking (e.g. the paper's 21-function ``Ibcast`` set) this
         saves a generator object and a delegation round-trip per
         invocation, which a tuning loop pays hundreds of thousands of
-        times.  The body mirrors :meth:`start` exactly.
+        times.
         """
-        rs = self._rstate.get(ctx.rank)
-        if rs is None:
-            rs = self._rstate[ctx.rank] = {"it": 0, "handles": []}
-        it = self._current_iteration(ctx, rs)
-        if it > self._max_it:
-            self._max_it = it
-        fn_idx = self._iter_fn.get(it)
-        if fn_idx is None:
-            rel = max(it - self._epoch_start, 0)
-            fn_idx = self.selector.function_for_iteration(rel)
-            if self.resilience is not None:
-                fn_idx = self.selector.substitute(fn_idx)
-            self._iter_fn[it] = fn_idx
-            self._journal.append(["iter", it, fn_idx])
-            if self.audit is not None:
-                self._audit_check_decision()
-                self.audit.selection(it, fn_idx, self.fnset[fn_idx].name,
-                                     not self.selector.decided)
-        fn = self.fnset[fn_idx]
-        if fn.blocking:
-            raise AdclError(
-                f"start_now() selected blocking implementation {fn.name!r}; "
-                f"use `yield from start(ctx)`"
-            )
-        handle = fn.make(ctx, self.spec, buffers)
-        rs["handles"].append((handle, it, fn_idx, ctx.now))
-        return handle
+        return self._start(ctx, buffers, allow_blocking=False)[0]
 
     def handle(self, ctx: MPIContext) -> Waitable:
         """The oldest in-flight handle (single-outstanding usage)."""

@@ -21,12 +21,10 @@ from .fabric import (
     result_fingerprint,
     run_tasks_fabric,
 )
-from .ft import FTOverlapResult, run_overlap_ft
 from .overlap import (
     OPERATION_KINDS,
     OverlapConfig,
     OverlapResult,
-    ResilientOverlapResult,
     function_set_for,
     run_overlap,
     run_overlap_resilient,
@@ -49,13 +47,11 @@ from .verification import (
 
 __all__ = [
     "CORRECTNESS_TOLERANCE",
-    "FTOverlapResult",
     "FabricConfig",
     "FabricError",
     "OPERATION_KINDS",
     "OverlapConfig",
     "OverlapResult",
-    "ResilientOverlapResult",
     "ResultCache",
     "SweepResult",
     "VerificationResult",
@@ -69,7 +65,6 @@ __all__ = [
     "paper_scale",
     "result_fingerprint",
     "run_overlap",
-    "run_overlap_ft",
     "run_overlap_resilient",
     "run_tasks",
     "run_tasks_fabric",

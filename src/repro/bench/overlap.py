@@ -15,7 +15,7 @@ communication that could not be overlapped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..adcl.fnsets import (
@@ -26,12 +26,21 @@ from ..adcl.fnsets import (
     ibcast_function_set,
     ireduce_scatter_function_set,
 )
+from ..adcl.checkpoint import restore, snapshot
 from ..adcl.function import CollSpec, FunctionSet
 from ..adcl.request import ADCLRequest
-from ..adcl.resilience import Resilience
+from ..adcl.resilience import ULFM, Resilience
 from ..adcl.selection.base import FixedSelector, Selector
 from ..adcl.timer import ADCLTimer, TimerRecord
-from ..errors import DeadlockError, MessageLostError, ReproError, WatchdogTimeout
+from ..errors import (
+    CommRevokedError,
+    DeadlockError,
+    MessageLostError,
+    RankFailedError,
+    ReproError,
+    WatchdogTimeout,
+)
+from ..nbc.coll import barrier as nbc_barrier
 from ..sim import (
     Barrier,
     ComputeProgressSpan,
@@ -44,7 +53,6 @@ from ..sim import (
 __all__ = [
     "OverlapConfig",
     "OverlapResult",
-    "ResilientOverlapResult",
     "function_set_for",
     "run_overlap",
     "run_overlap_resilient",
@@ -129,6 +137,11 @@ class OverlapConfig:
                           outlier_prob=self.noise_outlier_prob,
                           seed=self.seed)
 
+    @property
+    def checkpoint_key(self) -> str:
+        """Key of this problem's tuning snapshot in a checkpoint store."""
+        return f"{self.operation}@{self.platform}:B{self.nbytes}"
+
     def describe(self) -> str:
         return (
             f"{self.operation}@{self.platform} P={self.nprocs} "
@@ -148,11 +161,44 @@ class OverlapResult:
     fn_names: list[str]
     winner: Optional[str]
     decided_at: Optional[int]
+    #: virtual time of every simulation run, aborted ones included
     makespan: float
+    #: events of the completed simulation runs
     events: int
     #: event-loop counters from :meth:`repro.sim.engine.Simulator.stats`
     #: (summed over runs when the benchmark restarts simulations)
     engine_stats: dict
+    #: fault/transport counters summed over all simulation runs
+    messages_dropped: int = 0
+    retransmits: int = 0
+    #: audit trail of every quarantine (index, reason)
+    quarantine_log: list[tuple[int, str]] = field(default_factory=list)
+    #: drift-triggered re-tunes
+    retunes: int = 0
+    #: ``Resilience``: simulation restarts after aborted measurements
+    restarts: int = 0
+    #: ``Resilience``: (exception name, quarantined indices) per abort
+    aborts: list[tuple[str, list[int]]] = field(default_factory=list)
+    #: world ranks that crashed during the (last) run / alive at its end
+    dead: list[int] = field(default_factory=list)
+    survivors: list[int] = field(default_factory=list)
+    #: ``ULFM``: communicator repairs (revoke/agree/shrink rounds)
+    repairs: int = 0
+    #: ``ULFM``: winner name each survivor obtained from the final
+    #: agreement (uniform by construction — asserting that is the point)
+    agreed_winner: dict[int, Optional[str]] = field(default_factory=dict)
+    #: ``ULFM``: snapshots written to the checkpoint store
+    checkpoints_written: int = 0
+    #: ``ULFM``: epoch restored from a warm-start checkpoint (0: cold)
+    restored_epoch: int = 0
+    #: virtual time respawned replacements of the dead ranks would wait
+    #: before rejoining (informational)
+    respawn_wait: float = 0.0
+
+    @property
+    def learning_iterations(self) -> int:
+        """Iterations spent in the learning phase."""
+        return sum(1 for r in self.records if r.learning)
 
     @property
     def total_time(self) -> float:
@@ -199,6 +245,7 @@ def run_overlap(
     filter_method: str = "cluster",
     history=None,
     fnset: Optional[FunctionSet] = None,
+    recovery: Union[None, Resilience, ULFM] = None,
 ) -> OverlapResult:
     """Execute the micro-benchmark.
 
@@ -208,136 +255,50 @@ def run_overlap(
     ``fnset`` replaces the operation's standard candidate pool; the
     guideline checker uses this to measure mock-up candidates with the
     exact same loop, timer and network model as the tuned decision.
+
+    ``recovery`` picks what a failure does:
+
+    * ``None`` — one simulation; any error aborts the benchmark.
+    * :class:`Resilience` — the simulation runs under the policy's
+      virtual-time watchdog, and an aborted measurement (deadlock,
+      watchdog timeout, lost message) quarantines the implementations in
+      flight (sticky) and restarts the simulation — up to
+      ``max_restarts`` times — with the surviving candidates.  The
+      request carries its tuning state across restarts, and its drift
+      detector may re-open tuning mid-run.
+    * :class:`ULFM` — ``config.faults`` may crash ranks; the survivors
+      revoke, agree on the decision epoch, shrink, repair the request
+      against the survivor communicator and resume tuning inside the
+      same simulation, then agree on the winner.  The coordinator
+      (lowest live rank) snapshots tuning state into
+      ``recovery.checkpoint`` every ``checkpoint_every`` completed
+      iterations, and a store already holding this problem's snapshot
+      warm-starts the tuner from it.  The iteration barrier is the
+      message-based one: a hard barrier cannot be interrupted by a
+      peer's death, a real one can.
+
+    Every mode runs the same iteration body, so a candidate is timed by
+    the same harness whatever the recovery policy.
     """
-    world = SimWorld(
-        get_platform(config.platform),
-        config.nprocs,
-        noise=config.noise(),
-        placement=config.placement,
-        faults=config.faults,
-        reliable=config.reliable,
-        max_retries=config.max_retries,
-    )
     if fnset is None:
         fnset = function_set_for(config.operation)
-    kind = OPERATION_KINDS.get(config.operation, "alltoall")
-    spec = CollSpec(kind, world.comm_world, config.nbytes)
+    kind = OPERATION_KINDS[config.operation]
     if isinstance(selector, int):
         selector = FixedSelector(fnset, selector)
-    areq = ADCLRequest(
-        fnset,
-        spec,
-        selector=selector,
-        evals_per_function=evals_per_function,
-        filter_method=filter_method,
-        history=history,
-    )
-    timer = ADCLTimer(areq)
+    resilience = recovery if isinstance(recovery, Resilience) else None
+    ulfm = recovery if isinstance(recovery, ULFM) else None
+    store = ulfm.checkpoint if ulfm is not None else None
     chunk = config.compute_per_iteration / max(config.nprogress, 1)
-
+    nprogress = config.nprogress
     # a fully non-blocking set lets the loop start operations with a
     # plain call instead of a generator delegation per iteration
     nonblocking_set = not any(fn.blocking for fn in fnset)
 
-    def factory(ctx):
-        barrier = Barrier()
-        nprogress = config.nprogress
-        for _ in range(config.iterations):
-            timer.start(ctx)
-            if nonblocking_set:
-                areq.start_now(ctx)
-            else:
-                yield from areq.start(ctx)
-            # one span replaces the (Compute, Progress) * nprogress pair
-            # stream: bit-identical charges and event schedule, but the
-            # driver steps the chunks internally, which lets the array
-            # engine collapse the post-completion tail (DESIGN.md §15)
-            if nprogress:
-                yield ComputeProgressSpan(chunk, [areq.handle(ctx)],
-                                          nprogress)
-            yield from areq.wait(ctx)
-            timer.stop(ctx)
-            # measurement hygiene: re-synchronize ranks so NIC backlog
-            # and phase skew cannot leak between timed iterations (an
-            # idealized MPI_Barrier; see repro.sim.process.Barrier)
-            yield barrier
-
-    world.launch(factory)
-    res = world.run()
-    return OverlapResult(
-        config=config,
-        records=list(timer.records),
-        fn_names=[fnset[r.fn_index].name for r in timer.records],
-        winner=areq.winner_name,
-        decided_at=areq.decided_at,
-        makespan=res.makespan,
-        events=res.events,
-        engine_stats=world.sim.stats(),
-    )
-
-
-@dataclass
-class ResilientOverlapResult(OverlapResult):
-    """Outcome of a resilient run (restart loop + degradation handling)."""
-
-    #: simulation restarts after aborted measurements
-    restarts: int
-    #: (exception name, quarantined function indices) per aborted run
-    aborts: list[tuple[str, list[int]]]
-    #: audit trail of every quarantine (index, reason)
-    quarantine_log: list[tuple[int, str]]
-    #: drift-triggered re-tunes
-    retunes: int
-    #: fault/transport counters summed over all simulation runs
-    messages_dropped: int
-    retransmits: int
-
-
-def run_overlap_resilient(
-    config: OverlapConfig,
-    selector: Union[str, Selector, int] = "brute_force",
-    evals_per_function: int = 5,
-    filter_method: str = "cluster",
-    history=None,
-    resilience: Optional[Resilience] = None,
-) -> ResilientOverlapResult:
-    """Execute the micro-benchmark under the resilient-tuning policy.
-
-    Like :func:`run_overlap`, but the simulation runs under the
-    resilience policy's virtual-time watchdog, and an aborted
-    measurement (deadlock, watchdog timeout, lost message) does not kill
-    the benchmark: the implementations in flight are quarantined
-    (sticky) and the simulation restarts — up to
-    ``resilience.max_restarts`` times — with the surviving candidates.
-    The :class:`~repro.adcl.request.ADCLRequest` carries its tuning
-    state (measurements, quarantines, drift detector) across restarts,
-    and its drift detector may re-open tuning mid-run.
-    """
-    if resilience is None:
-        resilience = Resilience()
-    fnset = function_set_for(config.operation)
-    kind = OPERATION_KINDS.get(config.operation, "alltoall")
-    if isinstance(selector, int):
-        selector = FixedSelector(fnset, selector)
-    chunk = config.compute_per_iteration / max(config.nprogress, 1)
-
+    out = OverlapResult(config=config, records=[], fn_names=[], winner=None,
+                        decided_at=None, makespan=0.0, events=0,
+                        engine_stats={})
     areq: Optional[ADCLRequest] = None
-    records: list[TimerRecord] = []
-    fn_names: list[str] = []
-    restarts = 0
-    aborts: list[tuple[str, list[int]]] = []
-    makespan = 0.0
-    events = 0
-    dropped = 0
-    retransmits = 0
-    engine_stats: dict = {}
-
-    def _merge_stats(world) -> None:
-        for k, v in world.sim.stats().items():
-            engine_stats[k] = engine_stats.get(k, 0) + v
-
-    while len(records) < config.iterations:
-        remaining = config.iterations - len(records)
+    while True:
         world = SimWorld(
             get_platform(config.platform),
             config.nprocs,
@@ -358,66 +319,142 @@ def run_overlap_resilient(
                 history=history,
                 resilience=resilience,
             )
+            if store is not None and config.checkpoint_key in store:
+                out.restored_epoch = restore(
+                    areq, store.load(config.checkpoint_key))
         else:
             areq.spec = spec  # rebind to the fresh world's communicator
             areq.reset_runtime()
-        timer = ADCLTimer(areq)
+        # replicated driver state: a ULFM repair appends a fresh timer
+        timers = [ADCLTimer(areq)]
+        remaining = config.iterations - len(out.records)
+        repair_state = {"comm_id": spec.comm.comm_id}
+        last_ckpt = [0]
+
+        def completed() -> int:
+            return sum(len(t.records) for t in timers)
+
+        def recover(ctx, comm):
+            """One ULFM recovery round: revoke, agree, shrink, repair."""
+            comm.revoke(ctx)
+            # synchronize on the decision epoch: with replicated tuner
+            # state this is trivially uniform, but the agreement is what
+            # guarantees it — a rank with a diverged epoch shows up here
+            yield from comm.agree(ctx, areq.epoch, op="min")
+            newcomm = comm.shrink()
+            if repair_state["comm_id"] != newcomm.comm_id:
+                # first survivor through performs the (collective) repair
+                repair_state["comm_id"] = newcomm.comm_id
+                out.repairs += 1
+                areq.repair(newcomm)
+                timers.append(ADCLTimer(areq))
+            return newcomm
+
+        def checkpoint(ctx, comm) -> None:
+            done = completed()
+            live = comm.live_ranks()
+            if (done - last_ckpt[0] >= ulfm.checkpoint_every
+                    and live and ctx.rank == live[0]):
+                last_ckpt[0] = done
+                store.save(config.checkpoint_key, snapshot(areq))
+                out.checkpoints_written += 1
 
         def factory(ctx):
-            for _ in range(remaining):
-                timer.start(ctx)
-                yield from areq.start(ctx)
-                if config.nprogress:
-                    yield ComputeProgressSpan(chunk, [areq.handle(ctx)],
-                                              config.nprogress)
-                yield from areq.wait(ctx)
-                timer.stop(ctx)
-                yield Barrier()
+            comm = world.comm_world
+            barrier = Barrier()
+            started = 0
+            failures = 0
+            while (started if ulfm is None else completed()) < remaining:
+                started += 1
+                try:
+                    timers[-1].start(ctx)
+                    if nonblocking_set:
+                        areq.start_now(ctx)
+                    else:
+                        yield from areq.start(ctx)
+                    # one span replaces the (Compute, Progress) * nprogress
+                    # pair stream: bit-identical charges and event
+                    # schedule, but the driver steps the chunks
+                    # internally, which lets the array engine collapse
+                    # the post-completion tail (DESIGN.md §15)
+                    if nprogress:
+                        yield ComputeProgressSpan(chunk, [areq.handle(ctx)],
+                                                  nprogress)
+                    yield from areq.wait(ctx)
+                    timers[-1].stop(ctx)
+                    if ulfm is None:
+                        # measurement hygiene: re-synchronize ranks so NIC
+                        # backlog and phase skew cannot leak between timed
+                        # iterations (an idealized MPI_Barrier; see
+                        # repro.sim.process.Barrier)
+                        yield barrier
+                        continue
+                    yield from nbc_barrier(ctx, comm)
+                except (RankFailedError, CommRevokedError):
+                    failures += 1
+                    if ulfm is None or (ulfm.max_repairs is not None
+                                        and failures > ulfm.max_repairs):
+                        raise
+                    comm = yield from recover(ctx, comm)
+                    continue
+                # only ULFM iterations get here
+                if store is not None and ulfm.checkpoint_every:
+                    checkpoint(ctx, comm)
+            if ulfm is not None:
+                # uniform decision: every survivor reports the agreed winner
+                mine = areq.selector.winner if areq.decided else None
+                w = yield from comm.agree(
+                    ctx, mine if mine is not None else -1, op="min"
+                )
+                out.agreed_winner[ctx.rank] = fnset[w].name if w >= 0 else None
 
         world.launch(factory)
+        aborted = None
         try:
-            res = world.run(deadline=resilience.deadline)
+            res = world.run(deadline=None if resilience is None
+                            else resilience.deadline)
         except (WatchdogTimeout, DeadlockError, MessageLostError) as exc:
-            restarts += 1
+            if resilience is None:
+                raise
+            aborted = exc
+            out.restarts += 1
             culprits = sorted(areq.inflight_functions())
             for idx in culprits:
                 areq.quarantine(
                     idx, f"measurement aborted: {type(exc).__name__}: {exc}"
                 )
-            aborts.append((type(exc).__name__, culprits))
-            # completed iterations of the aborted run are still valid
-            records.extend(timer.records)
-            fn_names.extend(fnset[r.fn_index].name for r in timer.records)
-            makespan += world.sim.now
-            if world.faults is not None:
-                dropped += world.faults.messages_dropped
-            retransmits += world.retransmits
-            _merge_stats(world)
-            if restarts > resilience.max_restarts:
-                raise
-            continue
-        records.extend(timer.records)
-        fn_names.extend(fnset[r.fn_index].name for r in timer.records)
-        makespan += res.makespan
-        events += res.events
+            out.aborts.append((type(exc).__name__, culprits))
+        # completed iterations of an aborted run are still valid
+        for t in timers:
+            out.records.extend(t.records)
         if world.faults is not None:
-            dropped += world.faults.messages_dropped
-        retransmits += world.retransmits
-        _merge_stats(world)
+            out.messages_dropped += world.faults.messages_dropped
+        out.retransmits += world.retransmits
+        for k, v in world.sim.stats().items():
+            out.engine_stats[k] = out.engine_stats.get(k, 0) + v
+        if aborted is None:
+            out.makespan += res.makespan
+            out.events += res.events
+            break
+        out.makespan += world.sim.now
+        if out.restarts > resilience.max_restarts:
+            raise aborted
 
-    return ResilientOverlapResult(
-        config=config,
-        records=records,
-        fn_names=fn_names,
-        winner=areq.winner_name,
-        decided_at=areq.decided_at,
-        makespan=makespan,
-        events=events,
-        engine_stats=engine_stats,
-        restarts=restarts,
-        aborts=aborts,
-        quarantine_log=list(areq.quarantine_log),
-        retunes=areq.retunes,
-        messages_dropped=dropped,
-        retransmits=retransmits,
+    out.fn_names = [fnset[r.fn_index].name for r in out.records]
+    out.winner = areq.winner_name
+    out.decided_at = areq.decided_at
+    out.quarantine_log = list(areq.quarantine_log)
+    out.retunes = areq.retunes
+    out.dead = sorted(world.dead_ranks)
+    out.survivors = [r for r in range(config.nprocs) if r not in out.dead]
+    crashes = config.faults.crashes if config.faults is not None else ()
+    out.respawn_wait = sum(
+        c.respawn_delay or 0.0 for c in crashes if c.rank in out.dead
     )
+    return out
+
+
+def run_overlap_resilient(config, *args, resilience=None, **kwargs):
+    """:func:`run_overlap` with ``recovery=resilience or Resilience()``."""
+    return run_overlap(config, *args, recovery=resilience or Resilience(),
+                       **kwargs)

@@ -59,7 +59,7 @@ import time
 from typing import Optional, Sequence
 
 from .adcl.checkpoint import CheckpointStore
-from .adcl.resilience import Resilience
+from .adcl.resilience import ULFM, Resilience
 from .apps.fft import FFTConfig
 from .bench import (
     OPERATION_KINDS,
@@ -70,8 +70,6 @@ from .bench import (
     format_table,
     function_set_for,
     run_overlap,
-    run_overlap_ft,
-    run_overlap_resilient,
     sweep_implementations,
 )
 from .nbc.schedule import schedule_cache_stats
@@ -763,37 +761,46 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _reject_ignored_tune_flags(args) -> None:
+    """Exit 2 on a ``tune`` flag the chosen driver mode would ignore."""
+    if args.deadline is not None and not args.resilient:
+        problem = ("--deadline needs --resilient (only the resilient "
+                   "driver runs a watchdog)")
+    elif (args.checkpoint is not None or args.checkpoint_every) \
+            and not args.ft:
+        problem = ("--checkpoint/--checkpoint-every need --ft (only the "
+                   "fault-tolerant driver checkpoints tuning state)")
+    elif args.checkpoint_every and args.checkpoint is None:
+        problem = ("--checkpoint-every needs --checkpoint (the store the "
+                   "snapshots go to)")
+    else:
+        return
+    print(f"error: {problem}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def cmd_tune(args) -> int:
+    _reject_ignored_tune_flags(args)
     if args.serve:
         return cmd_tune_serve(args)
     cfg = _overlap_config(args)
     fnset = function_set_for(args.operation)
+    recovery = None
+    if args.resilient:
+        recovery = Resilience(deadline=args.deadline)
+    elif args.ft:
+        store = (CheckpointStore(args.checkpoint)
+                 if args.checkpoint is not None else None)
+        recovery = ULFM(checkpoint=store,
+                        checkpoint_every=args.checkpoint_every)
     recorder = prev = None
     if args.trace or args.metrics:
         recorder = TraceRecorder()
         prev = install(recorder)
     t0 = time.perf_counter()
     try:
-        if args.resilient:
-            res = run_overlap_resilient(
-                cfg, selector=args.selector, evals_per_function=args.evals,
-                resilience=Resilience(deadline=args.deadline),
-            )
-        elif args.ft:
-            store = None
-            restore_from = None
-            if args.checkpoint is not None:
-                store = CheckpointStore(args.checkpoint)
-                key = f"{cfg.operation}@{cfg.platform}:B{cfg.nbytes}"
-                restore_from = store.load(key)
-            res = run_overlap_ft(
-                cfg, selector=args.selector, evals_per_function=args.evals,
-                checkpoint=store, checkpoint_every=args.checkpoint_every,
-                restore_from=restore_from,
-            )
-        else:
-            res = run_overlap(cfg, selector=args.selector,
-                              evals_per_function=args.evals)
+        res = run_overlap(cfg, selector=args.selector,
+                          evals_per_function=args.evals, recovery=recovery)
     finally:
         if recorder is not None:
             install(prev)
@@ -843,8 +850,7 @@ def cmd_tune(args) -> int:
             explain=True,
         )
     if args.stats:
-        _print_stats(wall, res.events, None,
-                     getattr(res, "engine_stats", None))
+        _print_stats(wall, res.events, None, res.engine_stats)
     if res.winner is None:
         print("\nno decision yet — increase --iterations")
         return 1

@@ -141,8 +141,8 @@ class RankCrash:
     ``respawn_delay`` (optional) is the provisioning time a replacement
     process would need before it could join a *subsequent* execution;
     within one simulation the rank stays dead.  The fault-tolerant
-    harness (:func:`repro.bench.run_overlap_ft`) adds it to restart-time
-    accounting.
+    driver (:func:`repro.bench.run_overlap` with ``recovery=ULFM()``)
+    adds it to restart-time accounting.
     """
 
     rank: int

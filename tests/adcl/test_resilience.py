@@ -9,11 +9,7 @@ from repro.adcl.resilience import Resilience
 from repro.adcl.selection.base import FixedSelector
 from repro.adcl.selection.brute_force import BruteForceSelector
 from repro.adcl.selection.heuristic import HeuristicSelector
-from repro.bench.overlap import (
-    OverlapConfig,
-    run_overlap,
-    run_overlap_resilient,
-)
+from repro.bench.overlap import OverlapConfig, run_overlap
 from repro.errors import AdclError, SelectionError
 from repro.sim.faults import DropRule, FaultPlan, LinkDegradation
 from repro.sim.process import Waitable
@@ -206,8 +202,8 @@ def test_restart_quarantines_deadlocked_candidate(monkeypatch):
     monkeypatch.setattr(ov, "function_set_for",
                         lambda op: toy_fnset_with_stuck_candidate())
     cfg = OverlapConfig(iterations=30, **COMM_HEAVY)
-    res = run_overlap_resilient(cfg, evals_per_function=3,
-                                resilience=Resilience(deadline=1.0))
+    res = run_overlap(cfg, evals_per_function=3,
+                      recovery=Resilience(deadline=1.0))
     assert res.restarts == 1
     assert res.aborts == [("DeadlockError", [1])]
     assert [i for i, _ in res.quarantine_log] == [1]
@@ -233,9 +229,9 @@ def test_restart_budget_exhaustion_reraises(monkeypatch):
     from repro.errors import DeadlockError
 
     with pytest.raises(DeadlockError):
-        run_overlap_resilient(
+        run_overlap(
             cfg, evals_per_function=2,
-            resilience=Resilience(deadline=1.0, max_restarts=2),
+            recovery=Resilience(deadline=1.0, max_restarts=2),
         )
 
 
@@ -250,9 +246,9 @@ def test_blowout_quarantine_under_drop_window():
     # running best and it is quarantined without aborting the run
     plan = FaultPlan(drops=(DropRule(1.0, 0.011, 0.02),))
     cfg = OverlapConfig(iterations=40, faults=plan, **COMM_HEAVY)
-    res = run_overlap_resilient(
+    res = run_overlap(
         cfg, evals_per_function=3,
-        resilience=Resilience(quarantine_factor=3.0, deadline=5.0),
+        recovery=Resilience(quarantine_factor=3.0, deadline=5.0),
     )
     assert res.restarts == 0
     assert res.retransmits > 0
@@ -265,9 +261,9 @@ def test_drift_retunes_exactly_once_after_degradation_ends():
         LinkDegradation(0.0, 0.25, latency_mult=8.0, bandwidth_mult=8.0),
     ))
     cfg = OverlapConfig(iterations=60, faults=plan, **COMM_HEAVY)
-    res = run_overlap_resilient(
+    res = run_overlap(
         cfg, evals_per_function=3,
-        resilience=Resilience(drift_window=4, deadline=5.0),
+        recovery=Resilience(drift_window=4, deadline=5.0),
     )
     assert res.retunes == 1
     assert res.restarts == 0
@@ -283,9 +279,9 @@ def test_drift_reopen_invalidates_history_record():
     ))
     hist = HistoryStore()
     cfg = OverlapConfig(iterations=60, faults=plan, **COMM_HEAVY)
-    res = run_overlap_resilient(
+    res = run_overlap(
         cfg, evals_per_function=3, history=hist,
-        resilience=Resilience(drift_window=4, deadline=5.0),
+        recovery=Resilience(drift_window=4, deadline=5.0),
     )
     assert res.retunes == 1
     # the store holds exactly the post-drift decision, not the stale one
@@ -297,7 +293,7 @@ def test_drift_reopen_invalidates_history_record():
 def test_resilient_run_without_faults_matches_plain_run():
     cfg = OverlapConfig(iterations=30, **COMM_HEAVY)
     plain = run_overlap(cfg, evals_per_function=3)
-    res = run_overlap_resilient(cfg, evals_per_function=3)
+    res = run_overlap(cfg, evals_per_function=3, recovery=Resilience())
     assert res.winner == plain.winner
     assert res.restarts == 0 and res.retunes == 0
     assert not res.quarantine_log

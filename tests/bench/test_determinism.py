@@ -6,11 +6,7 @@ and with the resilient tuner in the loop.  These tests run identical
 configurations twice and require byte-identical output.
 """
 
-from repro.bench.overlap import (
-    OverlapConfig,
-    run_overlap,
-    run_overlap_resilient,
-)
+from repro.bench.overlap import OverlapConfig, run_overlap
 from repro.adcl.resilience import Resilience
 from repro.sim.faults import DropRule, FaultPlan, LinkDegradation
 
@@ -59,10 +55,10 @@ def test_resilient_faulty_run_is_bit_reproducible():
     cfg = OverlapConfig(faults=plan, **NOISY)
 
     def run():
-        res = run_overlap_resilient(
+        res = run_overlap(
             cfg, evals_per_function=3,
-            resilience=Resilience(quarantine_factor=3.0, drift_window=4,
-                                  deadline=5.0),
+            recovery=Resilience(quarantine_factor=3.0, drift_window=4,
+                                deadline=5.0),
         )
         return fingerprint(res) + (res.restarts, res.retunes,
                                    tuple(res.quarantine_log))

@@ -9,17 +9,16 @@ strictly fewer learning iterations than a cold restart.
 
 import pytest
 
-from repro.adcl import CheckpointStore
+from repro.adcl import ULFM, CheckpointStore, Resilience
 from repro.adcl.request import ADCLRequest
-from repro.bench import (
-    OPERATION_KINDS,
-    OverlapConfig,
-    run_overlap,
-    run_overlap_ft,
-)
+from repro.bench import OPERATION_KINDS, OverlapConfig, run_overlap
 from repro.errors import RankFailedError
 from repro.sim import FaultPlan, RankCrash
 from repro.units import KiB
+
+
+def run_ft(cfg, **ulfm):
+    return run_overlap(cfg, evals_per_function=2, recovery=ULFM(**ulfm))
 
 
 def config(crashes=(), iterations=20, nprocs=8, **kw):
@@ -34,7 +33,7 @@ CRASH = RankCrash(5, 0.009)  # kills rank 5 of 8 mid-learning
 
 
 def test_crash_mid_tuning_recovers_and_completes():
-    res = run_overlap_ft(config([CRASH]), evals_per_function=2)
+    res = run_ft(config([CRASH]))
     assert res.dead == [5]
     assert res.survivors == [0, 1, 2, 3, 4, 6, 7]
     assert res.repairs == 1
@@ -43,7 +42,7 @@ def test_crash_mid_tuning_recovers_and_completes():
 
 
 def test_all_survivors_agree_on_the_winner():
-    res = run_overlap_ft(config([CRASH]), evals_per_function=2)
+    res = run_ft(config([CRASH]))
     # every survivor reported through the final agreement ...
     assert sorted(res.agreed_winner) == res.survivors
     # ... and they all obtained the same decision
@@ -53,7 +52,7 @@ def test_all_survivors_agree_on_the_winner():
 
 def test_no_fault_matches_plain_driver_decision():
     plain = run_overlap(config(), evals_per_function=2)
-    ft = run_overlap_ft(config(), evals_per_function=2)
+    ft = run_ft(config())
     assert ft.dead == [] and ft.repairs == 0
     assert ft.winner == plain.winner
     assert ft.decided_at == plain.decided_at
@@ -64,20 +63,18 @@ def test_checkpointed_restart_beats_cold_restart(tmp_path):
     store = CheckpointStore(str(tmp_path / "ckpt.json"))
 
     # first execution: crash, recover, checkpoint along the way
-    first = run_overlap_ft(
-        config([CRASH]), evals_per_function=2,
-        checkpoint=store, checkpoint_every=4,
-    )
+    first = run_ft(config([CRASH]), checkpoint=store, checkpoint_every=4)
     assert first.checkpoints_written > 0
+    assert first.restored_epoch == 0  # the store was empty
     key = "alltoall@whale:B65536"
+    assert config().checkpoint_key == key
     assert store.epoch(key) > 0
 
     # cold restart re-learns from scratch; warm restart restores the
-    # journal and must re-run strictly fewer measurement iterations
-    cold = run_overlap_ft(config(), evals_per_function=2)
-    warm = run_overlap_ft(
-        config(), evals_per_function=2, restore_from=store.load(key),
-    )
+    # journal from the store and must re-run strictly fewer measurement
+    # iterations
+    cold = run_ft(config())
+    warm = run_ft(config(), checkpoint=store)
     assert warm.restored_epoch > 0
     assert warm.learning_iterations < cold.learning_iterations
     assert warm.winner == cold.winner
@@ -85,23 +82,17 @@ def test_checkpointed_restart_beats_cold_restart(tmp_path):
 
 def test_max_repairs_zero_aborts_on_crash():
     with pytest.raises(RankFailedError):
-        run_overlap_ft(config([CRASH]), evals_per_function=2, max_repairs=0)
+        run_ft(config([CRASH]), max_repairs=0)
 
 
 def test_respawn_wait_is_accounted():
-    res = run_overlap_ft(
-        config([RankCrash(5, 0.009, respawn_delay=1.5)]),
-        evals_per_function=2,
-    )
+    res = run_ft(config([RankCrash(5, 0.009, respawn_delay=1.5)]))
     assert res.dead == [5]
     assert res.respawn_wait == pytest.approx(1.5)
 
 
 def test_two_crashes_two_repairs():
-    res = run_overlap_ft(
-        config([RankCrash(5, 0.009), RankCrash(2, 0.03)]),
-        evals_per_function=2,
-    )
+    res = run_ft(config([RankCrash(5, 0.009), RankCrash(2, 0.03)]))
     assert res.dead == [2, 5]
     assert res.survivors == [0, 1, 3, 4, 6, 7]
     assert res.repairs == 2
@@ -115,8 +106,8 @@ class _Built(Exception):
 
 @pytest.mark.parametrize("operation", sorted(OPERATION_KINDS))
 def test_ft_driver_tunes_the_same_signature_as_plain(operation, monkeypatch):
-    """Both drivers key the tuning problem (history, checkpoints) by the
-    same CollSpec signature for every benchmark operation."""
+    """Every recovery mode keys the tuning problem (history, checkpoints)
+    by the same CollSpec signature for every benchmark operation."""
     built = []
 
     def record(self, fnset, spec, *args, **kwargs):
@@ -126,9 +117,9 @@ def test_ft_driver_tunes_the_same_signature_as_plain(operation, monkeypatch):
     monkeypatch.setattr(ADCLRequest, "__init__", record)
     cfg = OverlapConfig(platform="whale", nprocs=4, operation=operation,
                         nbytes=4 * KiB, iterations=2)
-    for driver in (run_overlap, run_overlap_ft):
+    for recovery in (None, Resilience(), ULFM()):
         with pytest.raises(_Built):
-            driver(cfg, evals_per_function=1)
-    plain, ft = built
-    assert ft == plain
+            run_overlap(cfg, evals_per_function=1, recovery=recovery)
+    plain, resilient, ft = built
+    assert resilient == ft == plain
     assert plain.startswith(OPERATION_KINDS[operation] + ":")

@@ -274,14 +274,14 @@ def test_resilient_hier_run_is_not_misclassified_under_drops():
     """Message drops with a reliable transport slow a hierarchical run
     down but must not be misread as deadlock or trigger restarts."""
     from repro.adcl.resilience import Resilience
-    from repro.bench.overlap import OverlapConfig, run_overlap_resilient
+    from repro.bench.overlap import OverlapConfig, run_overlap
 
     plan = FaultPlan(drops=(DropRule(0.5, 0.005, 0.02),), seed=3)
     cfg = OverlapConfig(nprocs=8, operation="bcast_hier", nbytes=64 * 1024,
                         compute_total=2.0, iterations=8, placement="cyclic",
                         faults=plan)
-    res = run_overlap_resilient(cfg, selector=5, evals_per_function=1,
-                                resilience=Resilience(deadline=5.0))
+    res = run_overlap(cfg, selector=5, evals_per_function=1,
+                      recovery=Resilience(deadline=5.0))
     assert res.restarts == 0
     assert res.aborts == []
     assert len(res.records) == cfg.iterations
@@ -293,7 +293,7 @@ def test_resilient_quarantine_still_triggers_with_hier_candidates(monkeypatch):
     from repro.adcl.function import CollFunction, FunctionSet
     from repro.adcl.fnsets import ibcast_function_set
     from repro.adcl.resilience import Resilience
-    from repro.bench.overlap import OverlapConfig, run_overlap_resilient
+    from repro.bench.overlap import OverlapConfig, run_overlap
     from repro.sim.process import Waitable
     import repro.bench.overlap as ov
 
@@ -313,8 +313,8 @@ def test_resilient_quarantine_still_triggers_with_hier_candidates(monkeypatch):
     monkeypatch.setattr(ov, "function_set_for", lambda op: toy)
     cfg = OverlapConfig(nprocs=8, operation="bcast_hier", nbytes=64 * 1024,
                         compute_total=2.0, iterations=12, placement="cyclic")
-    res = run_overlap_resilient(cfg, evals_per_function=2,
-                                resilience=Resilience(deadline=1.0))
+    res = run_overlap(cfg, evals_per_function=2,
+                      recovery=Resilience(deadline=1.0))
     assert res.restarts == 1
     assert [i for i, _ in res.quarantine_log] == [1]
     assert "stuck" not in res.fn_names

@@ -266,3 +266,50 @@ def test_top_command_scrapes_live_endpoint(capsys):
     assert "test-scope" in out
     assert "repro_serve_connections" in out
     assert "repro_serve_queue_depth" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--deadline", "5"],
+    ["--ft", "--deadline", "5"],
+])
+def test_tune_rejects_deadline_without_resilient(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--nprocs", "4", "--iterations", "3", *flags])
+    assert exc.value.code == 2
+    assert "--deadline needs --resilient" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--checkpoint", "{ckpt}"],
+    ["--checkpoint-every", "4"],
+    ["--resilient", "--checkpoint", "{ckpt}", "--checkpoint-every", "4"],
+])
+def test_tune_rejects_checkpoint_flags_without_ft(flags, capsys, tmp_path):
+    ckpt = str(tmp_path / "ckpt.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--nprocs", "4", "--iterations", "3",
+              *[f.format(ckpt=ckpt) for f in flags]])
+    assert exc.value.code == 2
+    assert "need --ft" in capsys.readouterr().err
+    assert not (tmp_path / "ckpt.json").exists()
+
+
+def test_tune_ft_rejects_checkpoint_every_without_store(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--ft", "--nprocs", "4", "--iterations", "3",
+              "--checkpoint-every", "4"])
+    assert exc.value.code == 2
+    assert "--checkpoint-every needs --checkpoint" in capsys.readouterr().err
+
+
+def test_tune_ft_warm_starts_from_its_checkpoint(capsys, tmp_path):
+    ckpt = str(tmp_path / "ckpt.json")
+    argv = ["tune", "--ft", "--nprocs", "8", "--iterations", "20",
+            "--crash", "5@0.009", "--checkpoint", ckpt,
+            "--checkpoint-every", "4"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert "checkpoints written" in first
+    assert "warm start" not in first
+    assert main(argv) == 0
+    assert "warm start: restored tuning state" in capsys.readouterr().out

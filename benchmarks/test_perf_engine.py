@@ -381,11 +381,13 @@ def test_recorder_identity_and_overhead():
         "identical_results": True,
     })
     # the enabled path records hundreds of thousands of events and is
-    # allowed to cost something; 3x is the runaway backstop.  The
+    # allowed to cost something: packed event rows measure 1.34-1.47x on
+    # a 2-CPU x86 VM (one tuple plus an args dict per event measured
+    # 2.29-2.39x), so 1.9x is that ratio plus 30% headroom.  The
     # *disabled* path is covered by the sections above: every other test
     # in this file runs with no recorder installed, so any disabled-path
     # cost shows up in sweep_speedup and the <--factor> regression gate.
-    assert on / off < 3.0, (on, off)
+    assert on / off < 1.9, (on, off)
 
 
 if __name__ == "__main__":

@@ -18,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import AdclError
-from ..obs.recorder import get_recorder
+from ..obs.recorder import declare, get_recorder
 from ..sim.mpi import MPIContext
 from .request import ADCLRequest
 
 __all__ = ["ADCLTimer", "TimerRecord"]
+
+_K_ITERATION = declare("X", "tuning", "iteration", "fn:O it:i learning:?")
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,10 @@ class ADCLTimer:
             # ratio `repro report` computes per candidate
             span_it = self.request._iter_base + it
             span_fn = self.request.function_used(span_it)
-            obs.complete(
-                "tuning", "iteration", ctx.rank, t0, ctx.now - t0,
-                {"fn": (self.request.fnset[span_fn].name
-                        if span_fn is not None else "?"),
-                 "it": span_it, "learning": not self.request.decided})
+            obs.emit_obj((self.request.fnset[span_fn].name
+                          if span_fn is not None else "?"),
+                         _K_ITERATION, ctx.rank, t0, ctx.now - t0, span_it,
+                         not self.request.decided)
         if len(per_rank) == self.request.spec.comm.size:
             del self._pending[it]
             seconds = max(per_rank.values())

@@ -24,11 +24,17 @@ from typing import Union, Optional
 import numpy as np
 
 from ..errors import ScheduleError
+from ..obs.recorder import declare
 from ..sim.mpi import MPIContext, SimComm
 from ..sim.process import RecvRequest, Waitable
 from .schedule import CompiledSchedule, Schedule, resolve
 
 __all__ = ["NBCRequest", "make_buffers"]
+
+_K_ROUND = declare("i", "communication", "nbc.round", "sched:O round:i ops:i")
+_K_HIER_PHASE = declare("i", "communication", "nbc.hier.phase",
+                        "sched:O phase:i ops:i")
+_K_DONE = declare("i", "communication", "nbc.done", "sched:O rounds:i")
 
 
 def make_buffers(**arrays) -> dict[str, Optional[np.ndarray]]:
@@ -158,9 +164,8 @@ class NBCRequest(Waitable):
                 self.complete_time = ctx.now
                 obs = ctx.world._obs
                 if obs is not None:
-                    obs.instant("communication", "nbc.done", ctx.rank,
-                                ctx.now, {"sched": self.schedule.name,
-                                          "rounds": nrounds})
+                    obs.emit_obj(self.schedule.name, _K_DONE, ctx.rank,
+                                 ctx.now, nrounds)
                 notify = self._notify
                 if notify is not None:
                     notify(self, ctx.now)
@@ -171,16 +176,14 @@ class NBCRequest(Waitable):
         ops = self.schedule.rounds[self._round]
         obs = ctx.world._obs
         if obs is not None:
-            obs.instant("communication", "nbc.round", ctx.rank, ctx.now,
-                        {"sched": self.schedule.name, "round": self._round,
-                         "ops": len(ops)})
-            # hierarchical schedules (PR-8) get an explicit phase marker
-            # so the intra/inter/broadcast structure is visible in traces
-            if "[hier" in self.schedule.name:
-                obs.instant("communication", "nbc.hier.phase", ctx.rank,
-                            ctx.now, {"sched": self.schedule.name,
-                                      "phase": self._round,
-                                      "ops": len(ops)})
+            name = self.schedule.name
+            obs.emit_obj(name, _K_ROUND, ctx.rank, ctx.now, self._round,
+                         len(ops))
+            # hierarchical schedules get an explicit phase marker so the
+            # intra/inter/broadcast structure is visible in traces
+            if "[hier" in name:
+                obs.emit_obj(name, _K_HIER_PHASE, ctx.rank, ctx.now,
+                             self._round, len(ops))
         buffers = self.buffers
         comm = self.comm
         tag_base = self.tag_base

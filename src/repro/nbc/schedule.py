@@ -350,12 +350,15 @@ class ScheduleCache:
     A/B baseline.
 
     The store is a plain dict (the lookup is on a tuning hot path); when
-    it would exceed ``maxsize`` distinct keys it is flushed wholesale —
-    a realistic tuning run holds well under a thousand plans, so a flush
-    signals key churn, not a working set worth LRU bookkeeping.
+    it would exceed ``maxsize`` distinct keys it is flushed wholesale.
+    Plans are per rank, so a tuning run holds candidates x ranks of
+    them: the 21-candidate Ibcast brute force at P=256 needs 5,376
+    (about 1.1 KB each).  The default bound holds that working set with
+    room to spare, so a flush signals key churn, not a working set worth
+    LRU bookkeeping.
     """
 
-    def __init__(self, maxsize: int = 4096, enabled: bool = True):
+    def __init__(self, maxsize: int = 8192, enabled: bool = True):
         if maxsize <= 0:
             raise ScheduleError(f"cache maxsize must be positive, got {maxsize}")
         self.maxsize = maxsize

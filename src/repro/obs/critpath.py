@@ -238,6 +238,16 @@ def _walk_chain(idx: _PidIndex, w0: float, w1: float,
 # ---------------------------------------------------------------------------
 
 
+def _mean(values: List[float]) -> float:
+    """Mean summed left to right: ``sum()`` compensates float rounding
+    since Python 3.12, so it would make trace bytes depend on the
+    interpreter version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 def _windows_for_pid(pid: int, idx: _PidIndex) -> List[dict]:
     """One analysis window per tuning iteration (or one per pid when the
     trace has no iteration spans — e.g. a bare world trace)."""
@@ -255,7 +265,7 @@ def _windows_for_pid(pid: int, idx: _PidIndex) -> List[dict]:
                 "t0": w0, "t1": w1,
                 "completion": w1 - w0,
                 "critical_rank": crit,
-                "straggler_slack": sum(slacks) / len(slacks),
+                "straggler_slack": _mean(slacks),
                 "nranks": len(ranks),
             })
         return windows
@@ -270,7 +280,7 @@ def _windows_for_pid(pid: int, idx: _PidIndex) -> List[dict]:
         "pid": pid, "it": None, "fn": f"pid {pid}",
         "t0": w0, "t1": w1, "completion": w1 - w0,
         "critical_rank": crit,
-        "straggler_slack": sum(slacks) / len(slacks),
+        "straggler_slack": _mean(slacks),
         "nranks": len(ends),
     })
     return windows

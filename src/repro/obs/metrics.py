@@ -100,6 +100,16 @@ class Histogram:
         self.total += 1
         self.sum += v
 
+    def observe_many(self, values) -> None:
+        """``observe`` each value in order (the sum is accumulated one
+        value at a time, so it is bit-identical to per-value calls)."""
+        bounds, counts, total = self.bounds, self.counts, self.sum
+        for v in values:
+            counts[bisect_left(bounds, v)] += 1
+            total += v
+        self.sum = total
+        self.total += len(values)
+
     @property
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0

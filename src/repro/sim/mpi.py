@@ -43,8 +43,8 @@ from ..errors import (
     SimulationError,
     WatchdogTimeout,
 )
-from ..obs.metrics import SIZE_BUCKETS
-from ..obs.recorder import get_recorder
+from ..obs.metrics import LATENCY_BUCKETS, SIZE_BUCKETS
+from ..obs.recorder import declare, get_recorder
 from .engine import Simulator
 from .faults import FaultInjector, FaultPlan, RankCrash
 from .netmodel import MachineParams
@@ -67,6 +67,28 @@ __all__ = ["SimWorld", "SimComm", "MPIContext", "RunResult", "INCAST_DEPTH_CAP"]
 #: maximum receive-queue depth that still worsens an incast collapse;
 #: beyond this the degradation saturates (TCP throughput floors out)
 INCAST_DEPTH_CAP = 50.0
+
+# trace event kinds a world records, and the sim.* metrics the recorder
+# folds from their rows when its registry is read (obs/recorder.py)
+_K_POST = declare("i", "communication", "msg.post",
+                  "dst:i tag:q nbytes:q eager:?",
+                  counter="sim.messages_posted",
+                  histogram=("sim.message_bytes", "nbytes", SIZE_BUCKETS))
+_K_DELIVER = declare("i", "communication", "msg.deliver",
+                     "src:i nbytes:q _latency:d",
+                     counter="sim.messages_delivered",
+                     histogram=("sim.message_latency_seconds", "_latency",
+                                LATENCY_BUCKETS))
+_K_COMPUTE = declare("X", "compute", "compute")
+_K_PROGRESS = declare("X", "progress", "progress", "n_active:i",
+                      counter="sim.progress_calls")
+_K_WAIT = declare("X", "communication", "wait")
+_K_DROP = declare("i", "fault", "fault.drop", "dst:i attempt:i",
+                  counter="sim.fault_drops")
+_K_RETRANSMIT = declare("i", "fault", "fault.retransmit", "dst:i attempt:i",
+                        counter="sim.retransmits")
+_K_DEAD_LETTER = declare("i", "fault", "fault.dead_letter", "dst:i nbytes:q",
+                         counter="sim.dead_letters")
 
 
 def _fastlane_enabled() -> bool:
@@ -640,23 +662,16 @@ class SimWorld:
         #: messages discarded because their destination was dead
         self.dead_letters = 0
         # observability: cache the recorder (or None) so every hot-path
-        # guard is a single `is not None` test; the metric instruments
-        # are pre-created here so instrumentation sites skip the
-        # registry lookup.  Recording is passive — it never draws RNG or
-        # moves busy_until — so traced runs stay bit-identical.
+        # guard is a single `is not None` test; the sim.* instruments are
+        # created here so a snapshot lists them from the world's start.
+        # Recording is passive — it never draws RNG or moves busy_until —
+        # so traced runs stay bit-identical.
         _rec = get_recorder()
         self._obs = _rec if _rec.enabled else None
         if self._obs is not None:
             self._obs.begin_world(nprocs, platform.name)
-            m = self._obs.metrics
-            self._m_posted = m.counter("sim.messages_posted")
-            self._m_bytes = m.histogram("sim.message_bytes", SIZE_BUCKETS)
-            self._m_delivered = m.counter("sim.messages_delivered")
-            self._m_latency = m.histogram("sim.message_latency_seconds")
-            self._m_progress = m.counter("sim.progress_calls")
-            self._m_drops = m.counter("sim.fault_drops")
-            self._m_retrans = m.counter("sim.retransmits")
-            self._m_dead_letters = m.counter("sim.dead_letters")
+            self._obs.prepare(_K_POST, _K_DELIVER, _K_PROGRESS, _K_DROP,
+                              _K_RETRANSMIT, _K_DEAD_LETTER)
         if self._faults is not None:
             for crash in self._faults.plan.crashes:
                 if crash.rank >= nprocs:
@@ -858,7 +873,7 @@ class SimWorld:
             busy = t0 + dur
             st.busy_until = busy
             if self._obs is not None:
-                self._obs.complete("compute", "compute", st.id, t0, dur)
+                self._obs.emit(_K_COMPUTE, st.id, t0, dur)
             if (self._fastlane and st.noise_det and st.n_active == 0
                     and st.inbound == 0 and not st.pending_cts
                     and not st.pending_data and not st.failed_excs):
@@ -881,9 +896,7 @@ class SimWorld:
             cost = self._progress_base + self._progress_per_req * st.n_active
             st.busy_until = t0 + cost
             if self._obs is not None:
-                self._obs.complete("progress", "progress", st.id, t0, cost,
-                                   {"n_active": st.n_active})
-                self._m_progress.inc()
+                self._obs.emit(_K_PROGRESS, st.id, t0, cost, st.n_active)
             try:
                 for h in syscall.handles:
                     # progress() on a completed handle is a no-op; the
@@ -1092,9 +1105,7 @@ class SimWorld:
             cost = self._progress_base + self._progress_per_req * st.n_active
             st.busy_until = busy + cost
             if self._obs is not None:
-                self._obs.complete("progress", "progress", st.id, busy, cost,
-                                   {"n_active": st.n_active})
-                self._m_progress.inc()
+                self._obs.emit(_K_PROGRESS, st.id, busy, cost, st.n_active)
             try:
                 for h in sc.handles:
                     if not h.done:
@@ -1134,7 +1145,7 @@ class SimWorld:
             busy = t0 + dur
             st.busy_until = busy
             if self._obs is not None:
-                self._obs.complete("compute", "compute", st.id, t0, dur)
+                self._obs.emit(_K_COMPUTE, st.id, t0, dur)
             # inline-post (see __init__): busy >= now by construction
             _heappush(self._sim_heap,
                       (busy, next(self._sim_seq), self._resume, (st, None)))
@@ -1171,7 +1182,7 @@ class SimWorld:
         busy = t0 + dur
         st.busy_until = busy
         if self._obs is not None:
-            self._obs.complete("compute", "compute", st.id, t0, dur)
+            self._obs.emit(_K_COMPUTE, st.id, t0, dur)
         _heappush(self._sim_heap,
                   (busy, next(self._sim_seq), self._span_progress,
                    (st, span, remaining)))
@@ -1205,9 +1216,7 @@ class SimWorld:
         cost = self._progress_base + self._progress_per_req * st.n_active
         st.busy_until = t0 + cost
         if self._obs is not None:
-            self._obs.complete("progress", "progress", st.id, t0, cost,
-                               {"n_active": st.n_active})
-            self._m_progress.inc()
+            self._obs.emit(_K_PROGRESS, st.id, t0, cost, st.n_active)
         try:
             for h in span.handles:
                 if not h.done:
@@ -1301,8 +1310,8 @@ class SimWorld:
             busy = now
         if self._obs is not None and st.wait_t0 is not None:
             dur = busy - st.wait_t0
-            self._obs.complete("communication", "wait", st.id, st.wait_t0,
-                               dur if dur > 0.0 else 0.0)
+            self._obs.emit(_K_WAIT, st.id, st.wait_t0,
+                           dur if dur > 0.0 else 0.0)
             st.wait_t0 = None
         st.busy_until = busy + (
             self._progress_base + self._progress_per_req * st.n_active
@@ -1380,11 +1389,7 @@ class SimWorld:
         msg = _Message(st.id, wdst, tag, comm_id, nbytes, data, eager,
                        same_node, req)
         if self._obs is not None:
-            self._obs.instant("communication", "msg.post", st.id, busy,
-                              {"dst": wdst, "tag": tag, "nbytes": nbytes,
-                               "eager": eager})
-            self._m_posted.inc()
-            self._m_bytes.observe(nbytes)
+            self._obs.emit(_K_POST, st.id, busy, wdst, tag, nbytes, eager)
         if eager:
             # the library copies the payload into an internal buffer,
             # then the NIC drains it without further CPU help (inlined
@@ -1588,9 +1593,8 @@ class SimWorld:
         self._faults.messages_dropped += 1
         msg.attempts += 1
         if self._obs is not None:
-            self._obs.instant("fault", "fault.drop", msg.src, self.sim._now,
-                              {"dst": msg.dst, "attempt": msg.attempts})
-            self._m_drops.inc()
+            self._obs.emit(_K_DROP, msg.src, self.sim._now, msg.dst,
+                           msg.attempts)
         if not self._reliable:
             return  # the message silently vanishes: the receiver blocks
         if msg.attempts > self._max_retries:
@@ -1606,10 +1610,8 @@ class SimWorld:
 
     def _retransmit(self, msg: _Message, same_node: bool) -> None:
         if self._obs is not None:
-            self._obs.instant("fault", "fault.retransmit", msg.src,
-                              self.sim._now,
-                              {"dst": msg.dst, "attempt": msg.attempts})
-            self._m_retrans.inc()
+            self._obs.emit(_K_RETRANSMIT, msg.src, self.sim._now, msg.dst,
+                           msg.attempts)
         self._inject(msg, self.sim.now, same_node)
 
     def _dead_letter(self, msg: _Message) -> None:
@@ -1620,10 +1622,8 @@ class SimWorld:
         """
         self.dead_letters += 1
         if self._obs is not None:
-            self._obs.instant("fault", "fault.dead_letter", msg.src,
-                              self.sim._now,
-                              {"dst": msg.dst, "nbytes": msg.nbytes})
-            self._m_dead_letters.inc()
+            self._obs.emit(_K_DEAD_LETTER, msg.src, self.sim._now, msg.dst,
+                           msg.nbytes)
 
     def _on_send_complete(self, msg: _Message) -> None:
         """Rendezvous data fully injected: the send buffer is reusable."""
@@ -1714,10 +1714,8 @@ class SimWorld:
         if req.failed is not None:
             return  # failed by a crash/revoke sweep; message is dropped
         if self._obs is not None:
-            self._obs.instant("communication", "msg.deliver", st.id, t,
-                              {"src": msg.src, "nbytes": msg.nbytes})
-            self._m_delivered.inc()
-            self._m_latency.observe(t - msg.send_req.post_time)
+            self._obs.emit(_K_DELIVER, st.id, t, msg.src, msg.nbytes,
+                           t - msg.send_req.post_time)
         req.data = msg.data
         req.done = True
         req.complete_time = t

@@ -100,6 +100,24 @@ def test_cache_rejects_nonpositive_maxsize():
         ScheduleCache(maxsize=0)
 
 
+def test_cache_holds_a_p256_ibcast_brute_force(global_cache):
+    """All 21 Ibcast candidates x 256 ranks fit: a second pass over the
+    same plans (the next op of the same run) neither misses nor flushes."""
+    from repro.adcl.fnsets import IBCAST_SEGSIZES
+    from repro.nbc.ibcast import IBCAST_FANOUTS
+
+    geometries = [(fanout, segsize) for fanout in IBCAST_FANOUTS
+                  for segsize in IBCAST_SEGSIZES]
+    assert len(geometries) == 21
+    for _ in range(2):
+        global_cache.reset_stats()
+        for fanout, segsize in geometries:
+            for rank in range(256):
+                compiled_ibcast(256, rank, 0, 128 * 1024, fanout, segsize)
+    assert (global_cache.misses, global_cache.flushes) == (0, 0)
+    assert global_cache.hits == 21 * 256
+
+
 def test_compiled_ibcast_memoizes_per_geometry(global_cache):
     a = compiled_ibcast(8, 3, 0, 64 * 1024, 2, 16 * 1024)
     b = compiled_ibcast(8, 3, 0, 64 * 1024, 2, 16 * 1024)

@@ -259,7 +259,9 @@ def run_fft(config: FFTConfig) -> FFTResult:
             if config.validate:
                 result = np.fft.fft(slab, axis=0)
                 expected = reference[:, rank * L:(rank + 1) * L, :]
-                validation[rank] = bool(np.allclose(result, expected, atol=1e-8))
+                # every iteration must transpose correctly, not just the last
+                ok = bool(np.allclose(result, expected, atol=1e-8))
+                validation[rank] = validation.get(rank, True) and ok
 
     world.launch(factory)
     res = world.run()

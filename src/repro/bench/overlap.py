@@ -166,7 +166,8 @@ class OverlapResult:
     #: events of the completed simulation runs
     events: int
     #: event-loop counters from :meth:`repro.sim.engine.Simulator.stats`
-    #: (summed over runs when the benchmark restarts simulations)
+    #: plus ``coalesced`` (summed over runs when the benchmark restarts
+    #: simulations)
     engine_stats: dict
     #: fault/transport counters summed over all simulation runs
     messages_dropped: int = 0
@@ -432,6 +433,9 @@ def run_overlap(
         out.retransmits += world.retransmits
         for k, v in world.sim.stats().items():
             out.engine_stats[k] = out.engine_stats.get(k, 0) + v
+        # kept out of stats(), whose fields the recorder folds into gauges
+        out.engine_stats["coalesced"] = (
+            out.engine_stats.get("coalesced", 0) + world.sim.coalesced)
         if aborted is None:
             out.makespan += res.makespan
             out.events += res.events

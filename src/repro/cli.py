@@ -461,6 +461,12 @@ def _print_stats(wall: float, events: int, cache: Optional[ResultCache],
             print(f"fast lane             {batched} syscalls batched "
                   f"({batched / max(dispatched, 1):.1%} of dispatched "
                   f"events)")
+        coalesced = engine.get("coalesced", 0)
+        if coalesced:
+            # same-instant joins: events popped with another's heap entry
+            evented = dispatched - batched
+            print(f"heap joins            {evented} events shared "
+                  f"{evented - coalesced} heap entries")
     sstats = schedule_cache_stats()
     print(f"schedule cache        hit rate {sstats['hit_rate']:.1%} "
           f"({sstats['hits']} hits / {sstats['misses']} misses, "

@@ -22,9 +22,10 @@ Fast-path invariants (see DESIGN.md §10)
   Both draw from the same ``seq`` counter, so their relative order is
   exactly insertion order regardless of which entry point was used.
 * ``pending()`` is O(1): ``len(heap)`` minus a count of cancelled
-  entries still in the heap.  Only :meth:`Event.cancel`, the lazy skip
-  of a cancelled entry and compaction touch that count, so scheduling
-  and dispatching a live event do no bookkeeping at all.
+  entries still in the heap, plus the events that share another's entry
+  (see the joins below).  Only :meth:`Event.cancel`, the lazy skip of a
+  cancelled entry and compaction touch the cancelled count, so
+  scheduling and dispatching a live event do no bookkeeping for it.
 * Cancelled events are lazily deleted; when more than half of a
   non-trivial heap is cancelled the heap is *compacted* (rebuilt without
   the dead entries).  Compaction never changes the dispatch order:
@@ -40,8 +41,22 @@ Fast-path invariants (see DESIGN.md §10)
   skipping the :meth:`post` call entirely; nothing else needs updating.
   ``_heap`` is only ever mutated in place (see :meth:`_compact`), so a
   cached reference stays valid for the simulator's lifetime.  The MPI
-  layer uses this for the resume/delivery events that dominate heap
-  traffic.
+  layer uses this for its message events.
+* **Same-instant joins** (:meth:`post_join`): the same trusted drivers
+  schedule rank continuations through :meth:`post_join`, which may
+  *join* the heap entry the previous push created instead of pushing
+  its own.  It joins only when the seq it draws is exactly one past the
+  previous push's seq (nothing was scheduled in between, through any
+  entry point), its time equals that entry's time, and that time is
+  after ``now`` (so the entry cannot have been popped yet).  In the
+  plain heap the two entries would then be adjacent in ``(time, seq)``
+  order, and anything pushed later draws a larger seq, so they would pop
+  back to back anyway: a coalesced entry
+  ``(time, seq, _COHORT, [(fn, args), ...])`` dispatches its members in
+  order and the event order is bit-identical.  The joining seq is simply
+  spent.  Each member counts as one dispatched and one pending event,
+  and ``heap_size`` and the compaction threshold count members, so no
+  observable counter changes.
 """
 
 from __future__ import annotations
@@ -61,6 +76,12 @@ _heappop = heapq.heappop
 #: heap size below which compaction is never attempted (rebuilds of tiny
 #: heaps cost more than the lazy skips they save)
 _COMPACT_MIN_HEAP = 64
+
+#: element 2 of a coalesced entry ``(time, seq, _COHORT, members)``
+_COHORT = object()
+
+#: the member iterator while no coalesced entry is dispatching
+_NO_COHORT = iter(())
 
 
 class Event:
@@ -93,7 +114,9 @@ class Event:
         if sim is not None:
             self._sim = None
             sim._cancelled += 1
-            nheap = len(sim._heap)
+            # logical size, so compaction fires exactly where it would
+            # in a heap without joins
+            nheap = sim._queued()
             if nheap > _COMPACT_MIN_HEAP and sim._cancelled * 2 > nheap:
                 sim._compact()
 
@@ -118,8 +141,9 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        #: heap of ``(time, seq, Event)`` / ``(time, seq, fn, args)``
-        #: entries (tuples compare in C; element 2 is never compared)
+        #: heap of ``(time, seq, Event)`` / ``(time, seq, fn, args)`` /
+        #: ``(time, seq, _COHORT, members)`` entries (tuples compare in
+        #: C; element 2 is never compared)
         self._heap: list[tuple] = []
         self._seq = itertools.count()
         self._running = False
@@ -129,6 +153,19 @@ class Simulator:
         self._halted = False
         #: cancelled entries still in the heap (lazily deleted)
         self._cancelled = 0
+        #: the entry the last :meth:`post_join` push created or joined:
+        #: its last seq, its time and its member list
+        self._open_seq = -2
+        self._open_time = 0.0
+        self._open_members: list = []
+        #: queued events that share another event's heap entry; the
+        #: members of the dispatching entry not yet run are counted by
+        #: its iterator instead
+        self._joined = 0
+        self._cohort = _NO_COHORT
+        #: events that joined an existing heap entry instead of pushing
+        #: their own (observability; the ``--stats`` footer prints it)
+        self.coalesced = 0
         #: number of events dispatched so far (observability / tests).
         #: Updated exactly at loop exit by :meth:`run` (and per event by
         #: :meth:`step`); read it after the loop returns.
@@ -184,6 +221,25 @@ class Simulator:
             )
         _heappush(self._heap, (time, next(self._seq), fn, args))
 
+    def post_join(self, time: float, fn: Callable[..., Any], args: tuple) -> None:
+        """Schedule ``fn(*args)`` at ``time``, sharing the previous
+        push's heap entry when that is exact (see the module docstring).
+
+        For trusted drivers only: ``time >= now`` is not checked.
+        """
+        seq = next(self._seq)
+        if (seq == self._open_seq + 1 and time == self._open_time
+                and time > self._now):
+            self._open_members.append((fn, args))
+            self._joined += 1
+            self.coalesced += 1
+        else:
+            members = [(fn, args)]
+            _heappush(self._heap, (time, seq, _COHORT, members))
+            self._open_time = time
+            self._open_members = members
+        self._open_seq = seq
+
     def halt(self) -> None:
         """Stop the running loop after the current event's callback.
 
@@ -193,16 +249,22 @@ class Simulator:
         """
         self._halted = True
 
+    def _queued(self) -> int:
+        """Queued events, cancelled shells included: the size the heap
+        would have if every event had its own entry."""
+        return (len(self._heap) + self._joined
+                + self._cohort.__length_hint__())
+
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1)."""
-        return len(self._heap) - self._cancelled
+        return self._queued() - self._cancelled
 
     def stats(self) -> dict:
         """Kernel observability counters (cheap; safe to poll)."""
         return {
             "events_dispatched": self.events_dispatched,
             "pending": self.pending(),
-            "heap_size": len(self._heap),
+            "heap_size": self._queued(),
             "compactions": self.compactions,
             "batched_syscalls": self.batched_syscalls,
         }
@@ -237,7 +299,16 @@ class Simulator:
         while heap:
             entry = heapq.heappop(heap)
             ev = entry[2]
-            if type(ev) is Event:
+            if ev is _COHORT:
+                members = entry[3]
+                fn, args = members[0]
+                if len(members) > 1:
+                    # the rest go back under the same key: nothing can
+                    # sort between them and the member dispatched now
+                    heapq.heappush(heap, (entry[0], entry[1], _COHORT,
+                                          members[1:]))
+                    self._joined -= 1
+            elif type(ev) is Event:
                 if ev.cancelled:
                     self._cancelled -= 1
                     continue
@@ -250,6 +321,55 @@ class Simulator:
             fn(*args)
             return True
         return False
+
+    def _run_cohort(self, entry: tuple,
+                    stop_when: Optional[Callable[[], bool]]) -> int:
+        """Dispatch a coalesced entry's members in order; return how many ran.
+
+        ``_now`` is set before each member (the MPI fast lane moves it
+        forward) and ``pending()`` stays exact between members: the
+        member iterator counts the ones not yet run.  :meth:`halt` or
+        ``stop_when`` stop it between members and leave ``_halted`` set
+        for :meth:`run`; members not yet run, also after an exception,
+        go back under the same key.
+        """
+        time = entry[0]
+        members = entry[3]
+        self._joined -= len(members) - 1
+        self._cohort = it = iter(members)
+        try:
+            if stop_when is None:
+                for fn, args in it:
+                    self._now = time
+                    fn(*args)
+                    if self._halted:
+                        break
+            else:
+                for fn, args in it:
+                    self._now = time
+                    fn(*args)
+                    if self._halted or stop_when():
+                        self._halted = True
+                        break
+        except BaseException:
+            self.events_dispatched += len(members) - it.__length_hint__()
+            raise
+        finally:
+            self._cohort = _NO_COHORT
+            rest = it.__length_hint__()
+            if rest:
+                _heappush(self._heap,
+                          (time, entry[1], _COHORT, members[-rest:]))
+                self._joined += rest - 1
+        return len(members) - rest
+
+    def _horizon_stop(self, entry: tuple, until: float) -> None:
+        """Push back an entry past the ``until`` horizon and stop there."""
+        _heappush(self._heap, entry)
+        self._now = until
+        # the clock may move back here, so "time > now" no longer proves
+        # that the open entry is still queued
+        self._open_seq = -2
 
     def run(
         self,
@@ -282,8 +402,9 @@ class Simulator:
         try:
             heap = self._heap
             pop = _heappop
-            push = _heappush
             event_cls = Event
+            cohort = _COHORT
+            run_cohort = self._run_cohort
             # pop first: an entry past the horizon is pushed back, which
             # restores the same (time, seq) order — cheaper than peeking
             # at heap[0] before every dispatch
@@ -298,9 +419,13 @@ class Simulator:
                         continue
                     time = entry[0]
                     if time > until_f:
-                        push(heap, entry)
-                        self._now = until
+                        self._horizon_stop(entry, until)
                         break
+                    if ev is cohort:
+                        dispatched += run_cohort(entry, None)
+                        if self._halted:
+                            break
+                        continue
                     self._now = time
                     dispatched += 1
                     if cancellable:
@@ -323,9 +448,13 @@ class Simulator:
                         continue
                     time = entry[0]
                     if time > until_f:
-                        push(heap, entry)
-                        self._now = until
+                        self._horizon_stop(entry, until)
                         break
+                    if ev is cohort:
+                        dispatched += run_cohort(entry, stop_when)
+                        if self._halted:
+                            break
+                        continue
                     self._now = time
                     dispatched += 1
                     if cancellable:
@@ -349,7 +478,7 @@ class Simulator:
         if rec.enabled:
             rec.instant("engine", "run", -1, self._now,
                         {"dispatched": dispatched, "pending": self.pending(),
-                         "heap_size": len(self._heap),
+                         "heap_size": self._queued(),
                          "compactions": self.compactions,
                          "batched_syscalls": self.batched_syscalls})
             if self.batched_syscalls:

@@ -628,12 +628,14 @@ class SimWorld:
         # skips binding a fresh method object each time
         self._resume = self._resume
         self._post = self.sim.post
-        # inline-post protocol (engine.py: "Fast-path invariants"): the
-        # resume and message events this layer schedules are the
+        # the resume and message events this layer schedules are the
         # majority of all heap traffic and are never in the past
-        # (busy_until is clamped to >= now before every charge), so they
-        # push heap tuples directly instead of paying a Simulator.post()
-        # call each
+        # (busy_until is clamped to >= now before every charge).  Rank
+        # continuations go through Simulator.post_join, which lets ranks
+        # running in phase share one heap entry per instant (engine.py:
+        # "Same-instant joins"); message events push heap tuples
+        # directly instead of paying a Simulator.post() call each
+        self._push_cont = self.sim.post_join
         self._sim_heap = self.sim._heap
         self._sim_seq = self.sim._seq
         self._deliver = self._deliver
@@ -879,9 +881,7 @@ class SimWorld:
                     and not st.pending_data and not st.failed_excs):
                 self._batch(st)
                 return
-            # inline-post (see __init__): busy >= now by construction
-            _heappush(self._sim_heap,
-                      (busy, next(self._sim_seq), self._resume, (st, None)))
+            self._push_cont(busy, self._resume, (st, None))
             return
         if tsc is Progress:
             if st.failed_excs:
@@ -911,11 +911,7 @@ class SimWorld:
                     and not st.pending_data and not st.failed_excs):
                 self._batch(st)
                 return
-            # inline-post: charges only ever move busy_until forward
-            _heappush(
-                self._sim_heap,
-                (st.busy_until, next(self._sim_seq), self._resume, (st, None)),
-            )
+            self._push_cont(st.busy_until, self._resume, (st, None))
             return
         self._handle_syscall(st, syscall)
 
@@ -945,7 +941,7 @@ class SimWorld:
         object-mode resume would have dispatched.
         """
         sim = self.sim
-        heap = self._sim_heap
+        seq = self._sim_seq
         gen_send = st.gen_send
         compute_cls = Compute
         progress_cls = Progress
@@ -956,9 +952,13 @@ class SimWorld:
         # no events dispatch while batching, so the cancelled-entry count
         # only moves if a pulled syscall cancels an event — snapshot once
         cancelled = sim._cancelled
+        # every scheduling path draws a seq (a joined push too, which
+        # leaves the heap length unchanged), so a probe draw per pull
+        # reveals any scheduling between yields; spent seqs only leave
+        # gaps, never reorder
+        probe = next(seq)
         batched = 0
         while True:
-            nheap = len(heap)
             busy = st.busy_until
             # between-yield world calls (posts, revoke, timers) must see
             # the clock their object-mode resume would see, not the time
@@ -972,10 +972,10 @@ class SimWorld:
                 # classification) and it ends the run at the rank's
                 # finish instant; it replaces the elided resume
                 # one-for-one, so it is not compensated below
-                _heappush(heap, (st.busy_until, next(self._sim_seq),
-                                 self._finish_rank, (st,)))
+                self._push_cont(st.busy_until, self._finish_rank, (st,))
                 break
-            if (len(heap) != nheap or sim._cancelled != cancelled
+            probe += 1
+            if (next(seq) != probe or sim._cancelled != cancelled
                     or st.n_active != 0 or st.busy_until != busy):
                 # the generator touched the world between yields (posted
                 # a request, charged time, cancelled an event, ...):
@@ -1028,9 +1028,7 @@ class SimWorld:
 
     def _defer(self, st: _RankState, syscall: Any) -> None:
         """Schedule an already-pulled syscall at its object-mode time."""
-        _heappush(self._sim_heap,
-                  (st.busy_until, next(self._sim_seq),
-                   self._deferred_syscall, (st, syscall)))
+        self._push_cont(st.busy_until, self._deferred_syscall, (st, syscall))
 
     def _deferred_syscall(self, st: _RankState, syscall: Any) -> None:
         if st.dead:
@@ -1113,11 +1111,7 @@ class SimWorld:
             except (RankFailedError, CommRevokedError) as exc:
                 self._throw(st.id, exc)
                 return
-            # inline-post (see __init__): busy_until was clamped to >= now
-            _heappush(
-                self._sim_heap,
-                (st.busy_until, next(self._sim_seq), self._resume, (st, None)),
-            )
+            self._push_cont(st.busy_until, self._resume, (st, None))
         elif tsc is Wait:
             if st.failed_excs and self._interruptible(sc.items):
                 self._throw(st.id, st.failed_excs[0])
@@ -1146,9 +1140,7 @@ class SimWorld:
             st.busy_until = busy
             if self._obs is not None:
                 self._obs.emit(_K_COMPUTE, st.id, t0, dur)
-            # inline-post (see __init__): busy >= now by construction
-            _heappush(self._sim_heap,
-                      (busy, next(self._sim_seq), self._resume, (st, None)))
+            self._push_cont(busy, self._resume, (st, None))
         elif tsc is ComputeProgressSpan:
             # chunk #1's compute half is processed in the pulling event,
             # exactly where the flat pair stream would process it
@@ -1183,9 +1175,7 @@ class SimWorld:
         st.busy_until = busy
         if self._obs is not None:
             self._obs.emit(_K_COMPUTE, st.id, t0, dur)
-        _heappush(self._sim_heap,
-                  (busy, next(self._sim_seq), self._span_progress,
-                   (st, span, remaining)))
+        self._push_cont(busy, self._span_progress, (st, span, remaining))
 
     def _span_progress(self, st: _RankState, span: ComputeProgressSpan,
                        remaining: int) -> None:
@@ -1226,9 +1216,7 @@ class SimWorld:
             return
         remaining -= 1
         if remaining == 0:
-            _heappush(self._sim_heap,
-                      (st.busy_until, next(self._sim_seq),
-                       self._resume, (st, None)))
+            self._push_cont(st.busy_until, self._resume, (st, None))
             return
         if (self._fastlane and st.noise_det and st.n_active == 0
                 and not st.pending_cts and not st.pending_data
@@ -1248,17 +1236,14 @@ class SimWorld:
                 st.busy_until = busy
                 sim.events_dispatched += 2 * remaining
                 sim.batched_syscalls += 2 * remaining
-                _heappush(self._sim_heap,
-                          (busy, next(self._sim_seq),
-                           self._resume, (st, None)))
+                self._push_cont(busy, self._resume, (st, None))
                 return
         # event-per-half: the next compute runs in its own heap event at
         # the exact (time, seq) slot the flat pair stream's resume would
         # occupy — an inline call here could reorder against a delivery
         # scheduled between the halves
-        _heappush(self._sim_heap,
-                  (st.busy_until, next(self._sim_seq),
-                   self._span_compute, (st, span, remaining)))
+        self._push_cont(st.busy_until, self._span_compute,
+                        (st, span, remaining))
 
     def _barrier_maybe_release(self) -> None:
         """Release the hard barrier once every *live* rank arrived."""
@@ -1269,15 +1254,14 @@ class SimWorld:
         when = self._barrier_time
         waiting, self._barrier_waiting = self._barrier_waiting, []
         self._barrier_time = 0.0
-        heap = self._sim_heap
-        seq = self._sim_seq
+        push_cont = self._push_cont
         resume = self._resume
         ranks = self._ranks
         for rid in waiting:
             st = ranks[rid]
             st.busy_until = when
-            # inline-post: `when` is the latest arrival, hence >= now
-            _heappush(heap, (when, next(seq), resume, (st, None)))
+            # `when` is the latest arrival, hence >= now
+            push_cont(when, resume, (st, None))
 
     def _wait_try(self, st: _RankState) -> None:
         """Re-evaluate a blocked rank's wait condition (spin semantics)."""
@@ -1316,9 +1300,7 @@ class SimWorld:
         st.busy_until = busy + (
             self._progress_base + self._progress_per_req * st.n_active
         )
-        # inline-post (see __init__): busy_until was clamped to >= now
-        _heappush(self._sim_heap,
-                  (st.busy_until, next(self._sim_seq), self._resume, (st, None)))
+        self._push_cont(st.busy_until, self._resume, (st, None))
 
     # ------------------------------------------------------------------
     # MPI entry (single-threaded progress semantics)

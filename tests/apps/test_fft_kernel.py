@@ -1,5 +1,6 @@
 """Integration tests for the 3-D FFT application kernel."""
 
+import numpy as np
 import pytest
 
 from repro.apps.fft import (
@@ -13,6 +14,7 @@ from repro.apps.fft import (
     plane_fft_seconds,
     run_fft,
 )
+from repro.apps.fft import kernel
 from repro.errors import ReproError
 from repro.sim import get_platform
 
@@ -74,6 +76,39 @@ def test_kernel_validates_against_numpy(pattern):
     res = run_fft(cfg)
     assert res.validated is True
     assert len(res.records) == 8
+
+
+def test_validation_checks_every_iteration(monkeypatch):
+    """A wrong transpose in a learning iteration, not only in the last
+    one, fails validation: corrupt one receive buffer of iteration 0."""
+    make_request = kernel._make_request
+    corrupted = []
+
+    def corrupting_request(config, world, m):
+        areq = make_request(config, world, m)
+        start, wait = areq.start, areq.wait
+        recvbufs = {}
+
+        def start_keeping_buffers(ctx, buffers=None):
+            handle = yield from start(ctx, buffers=buffers)
+            recvbufs[id(handle)] = buffers["recv"]
+            return handle
+
+        def wait_then_corrupt_once(ctx, handle=None):
+            yield from wait(ctx, handle)
+            if ctx.rank == 0 and not corrupted:
+                recvbufs[id(handle)].view(np.complex128)[0] += 1.0
+                corrupted.append(handle)
+
+        areq.start, areq.wait = start_keeping_buffers, wait_then_corrupt_once
+        return areq
+
+    monkeypatch.setattr(kernel, "_make_request", corrupting_request)
+    cfg = FFTConfig(n=16, nprocs=4, pattern="pipelined", method="adcl",
+                    iterations=3, validate=True, evals_per_function=1)
+    res = run_fft(cfg)
+    assert len(corrupted) == 1
+    assert res.validated is False
 
 
 @pytest.mark.parametrize("method", FFT_METHODS)

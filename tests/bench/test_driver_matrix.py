@@ -4,8 +4,11 @@ Each benchmark operation × selector × recovery policy must tune the same
 problem (``CollSpec`` signature), reproduce bit for bit, and — the runs
 being fault-free — give the same result with the fast lane on and off
 (``REPRO_ARRAY_ENGINE=0``): the recovery policy never changes how a
-candidate is timed.
+candidate is timed.  Same-instant joins in the engine heap must not move
+a bit either: every fingerprint also matches a run with them disabled.
 """
+
+import heapq
 
 import pytest
 
@@ -19,11 +22,17 @@ from repro.bench import (
     run_overlap,
 )
 from repro.sim import SimWorld, get_platform
+from repro.sim.engine import Simulator
 from repro.units import KiB
 
 SELECTORS = {"brute_force": "brute_force", "heuristic": "heuristic",
              "fixed0": 0}
 RECOVERIES = {"none": None, "resilience": Resilience(), "ulfm": ULFM()}
+
+
+def _post_join_without_joins(self, time, fn, args):
+    """``Simulator.post_join`` with joins disabled: one entry per push."""
+    heapq.heappush(self._heap, (time, next(self._seq), fn, args))
 
 
 def fingerprint(res):
@@ -63,11 +72,14 @@ def test_driver_matrix(operation, selector, recovery, monkeypatch):
     first = run(fast_lane=True)
     assert run(fast_lane=True) == first
     assert run(fast_lane=False) == first
+    with monkeypatch.context() as patch:
+        patch.setattr(Simulator, "post_join", _post_join_without_joins)
+        assert run(fast_lane=True) == first
 
     world = SimWorld(get_platform(cfg.platform), cfg.nprocs)
     expected = CollSpec(OPERATION_KINDS[operation], world.comm_world,
                         cfg.nbytes).signature()
-    assert signatures == [expected] * 3
+    assert signatures == [expected] * 4
 
 
 def test_unknown_operation_with_custom_fnset_is_rejected():

@@ -329,3 +329,178 @@ def test_stop_when_with_until_horizon():
     sim.run(until=2.5, stop_when=lambda: len(fired) >= 2)
     assert fired == [1.0, 2.0]
     assert sim.now == 2.0  # stop_when fired before the horizon did
+
+
+# ---------------------------------------------------------------------------
+# same-instant joins (Simulator.post_join)
+# ---------------------------------------------------------------------------
+
+
+def _join_all(sim, time, labels, fn):
+    for label in labels:
+        sim.post_join(time, fn, (label,))
+
+
+def test_post_join_shares_one_heap_entry():
+    sim = Simulator()
+    order = []
+    _join_all(sim, 1.0, "abc", order.append)
+    assert len(sim._heap) == 1
+    assert sim.coalesced == 2
+    assert sim.pending() == 3
+    assert sim.stats()["heap_size"] == 3
+    sim.run()
+    assert order == ["a", "b", "c"]
+    assert sim.events_dispatched == 3
+    assert sim.pending() == 0
+    assert sim.stats()["heap_size"] == 0
+
+
+def test_post_join_only_joins_the_previous_push():
+    """A seq drawn in between, a different time or a time that is not
+    after now each give the push its own entry."""
+    sim = Simulator()
+    order = []
+    sim.post_join(1.0, order.append, ("a",))
+    sim.post(1.0, order.append, "p")           # draws a seq in between
+    sim.post_join(1.0, order.append, ("b",))
+    sim.post_join(2.0, order.append, ("c",))   # different time
+    sim.post_join(0.0, order.append, ("d",))   # time == now
+    assert sim.coalesced == 0
+    assert len(sim._heap) == 5
+    sim.run()
+    assert order == ["d", "a", "p", "b", "c"]
+
+
+def test_halt_mid_cohort_requeues_the_rest():
+    sim = Simulator()
+    order = []
+
+    def stopper(label):
+        order.append(label)
+        sim.halt()
+
+    sim.post_join(1.0, order.append, ("a",))
+    sim.post_join(1.0, stopper, ("b",))
+    _join_all(sim, 1.0, "cd", order.append)
+    sim.at(1.0, order.append, "e")
+    assert sim.run() == 1.0
+    assert order == ["a", "b"]
+    assert sim.events_dispatched == 2
+    assert sim.pending() == 3
+    assert sim.stats()["heap_size"] == 3
+    sim.run()
+    assert order == ["a", "b", "c", "d", "e"]
+    assert sim.events_dispatched == 5
+    assert sim.pending() == 0
+
+
+def test_stop_when_mid_cohort_requeues_the_rest():
+    sim = Simulator()
+    order = []
+    _join_all(sim, 1.0, "abcd", order.append)
+    sim.run(stop_when=lambda: len(order) == 3)
+    assert order == ["a", "b", "c"]
+    assert sim.pending() == 1
+    sim.run(stop_when=lambda: False)
+    assert order == ["a", "b", "c", "d"]
+    assert sim.events_dispatched == 4
+    assert sim.pending() == 0
+
+
+def test_until_horizon_keeps_a_later_cohort_whole():
+    """Members share one time, so the horizon splits between cohorts:
+    the one past it goes back intact and still counts as pending."""
+    sim = Simulator()
+    order = []
+
+    def spawn(label):
+        order.append(label)
+        sim.post_join(2.0, order.append, (label.upper(),))
+
+    _join_all(sim, 1.0, "abc", spawn)
+    assert sim.run(until=1.5) == 1.5
+    assert order == ["a", "b", "c"]
+    assert sim.pending() == 3
+    assert len(sim._heap) == 1
+    sim.run()
+    assert order == ["a", "b", "c", "A", "B", "C"]
+    assert sim.pending() == 0
+
+
+def test_pending_is_exact_inside_cohort_members():
+    sim = Simulator()
+    seen = []
+    _join_all(sim, 1.0, range(4), lambda _i: seen.append(sim.pending()))
+    sim.post(2.0, lambda: None)
+    sim.run()
+    assert seen == [4, 3, 2, 1]
+
+
+def test_step_runs_one_cohort_member():
+    sim = Simulator()
+    order = []
+    _join_all(sim, 1.0, "abc", order.append)
+    assert sim.step()
+    assert order == ["a"]
+    assert sim.pending() == 2
+    assert sim.events_dispatched == 1
+    sim.post_join(1.0, order.append, ("d",))  # time == now: its own entry
+    while sim.step():
+        pass
+    assert order == ["a", "b", "c", "d"]
+    assert sim.events_dispatched == 4
+
+
+def test_exception_mid_cohort_requeues_the_rest():
+    sim = Simulator()
+    order = []
+
+    def boom(label):
+        order.append(label)
+        raise RuntimeError(label)
+
+    sim.post_join(1.0, order.append, ("a",))
+    sim.post_join(1.0, boom, ("b",))
+    sim.post_join(1.0, order.append, ("c",))
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert sim.events_dispatched == 2
+    assert sim.pending() == 1
+    sim.run()
+    assert order == ["a", "b", "c"]
+    assert sim.events_dispatched == 3
+
+
+def test_no_join_into_a_popped_entry_after_the_clock_moves_back():
+    """A horizon below the clock moves it back; a later push at the
+    popped entry's time must not join that entry."""
+    sim = Simulator()
+    order = []
+    sim.post(9.0, order.append, "b")
+    sim.post_join(8.0, order.append, ("a",))
+    sim.run(until=8.5)
+    sim.run(until=5.0)
+    assert sim.now == 5.0
+    sim.post_join(8.0, order.append, ("c",))
+    assert sim.pending() == 2
+    sim.run()
+    assert order == ["a", "c", "b"]
+
+
+def test_compaction_counts_joined_events():
+    """Compaction fires where it would if every joined event had its
+    own heap entry."""
+    sim = Simulator()
+    _join_all(sim, 1.0, range(40), lambda _i: None)
+    handles = [sim.at(2.0 + i, lambda: None) for i in range(40)]
+    for ev in handles[:40]:
+        ev.cancel()
+    # 80 logical entries, 40 cancelled: half, not more than half
+    assert sim.compactions == 0
+    extra = sim.at(3.0, lambda: None)
+    extra.cancel()
+    assert sim.compactions == 1
+    assert sim.pending() == 40
+    sim.run()
+    assert sim.events_dispatched == 40

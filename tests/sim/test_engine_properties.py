@@ -1,9 +1,13 @@
 """Property-based tests for the DES kernel."""
 
-from hypothesis import given, settings
+import heapq
+import itertools
+from unittest import mock
+
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import _COHORT, Event, Simulator
 
 
 @settings(max_examples=60, deadline=None)
@@ -77,8 +81,10 @@ def test_run_until_is_a_clean_split(times, horizon):
 
 
 def _live_entries(sim) -> int:
-    """Brute force: heap entries that are not cancelled Event shells."""
-    return sum(1 for entry in sim._heap
+    """Brute force: queued events that are not cancelled Event shells
+    (a coalesced entry holds one event per member)."""
+    return sum(len(entry[3]) if entry[2] is _COHORT else 1
+               for entry in sim._heap
                if not (type(entry[2]) is Event and entry[2].cancelled))
 
 
@@ -135,3 +141,130 @@ def test_pending_property_reaches_compaction():
     assert sim.compactions == 1
     assert len(sim._heap) == 44
     assert sim.pending() == _live_entries(sim) == 30
+
+
+# ---------------------------------------------------------------------------
+# same-instant joins are exact
+# ---------------------------------------------------------------------------
+
+
+def _post_join_without_joins(self, time, fn, args):
+    """``post_join`` with joins disabled: one plain heap entry per push."""
+    heapq.heappush(self._heap, (time, next(self._seq), fn, args))
+
+
+#: few distinct delays, so pushes keep landing on the same instant
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+_KINDS = st.sampled_from(["at", "post", "join", "join", "cancel"])
+_HALT = st.integers(min_value=0, max_value=7).map(lambda x: x == 0)
+
+
+def _node(children):
+    # (how it is scheduled, delay, handle picked by a cancel, the pushes
+    #  its handler makes, whether its handler halts the loop)
+    return st.tuples(_KINDS, _DELAYS, st.integers(0, 1000),
+                     children, _HALT)
+
+
+_EVENT = st.recursive(
+    _node(st.just(())),
+    lambda inner: _node(st.lists(inner, max_size=4).map(tuple)),
+    max_leaves=24,
+)
+
+_PROGRAM_OPS = st.one_of(
+    # siblings pushed back to back
+    st.tuples(st.just("push"), st.lists(_EVENT, min_size=1, max_size=3)),
+    # (joins at one instant, cancellable events): big enough to compact
+    st.tuples(st.just("burst"), st.tuples(st.integers(0, 40),
+                                          st.integers(0, 80))),
+    # a horizon below the clock moves it back
+    st.tuples(st.just("run"), st.none() | _DELAYS | st.just(-1.0)),
+    st.tuples(st.just("stop"), st.integers(min_value=1, max_value=6)),
+    st.tuples(st.just("step"), st.integers(min_value=1, max_value=3)),
+)
+
+
+def _replay(ops):
+    """Run a random schedule; return everything an observer can see."""
+    sim = Simulator()
+    log = []
+    handles = []
+    labels = itertools.count()
+
+    def schedule(node):
+        kind, delay, pick, children, halt = node
+        if kind == "cancel":
+            if handles:
+                # up to 40 handles from the pick on: enough to compact
+                start = pick % len(handles)
+                for ev in handles[start:start + 40]:
+                    ev.cancel()
+            return
+        args = (next(labels), children, halt)
+        time = sim.now + delay
+        if kind == "at":
+            handles.append(sim.at(time, fire, *args))
+        elif kind == "post":
+            sim.post(time, fire, *args)
+        else:
+            sim.post_join(time, fire, args)
+
+    def fire(label, children, halt):
+        log.append((label, sim.now, sim.pending()))
+        for child in children:
+            schedule(child)
+        if halt:
+            sim.halt()
+
+    seen = []
+    for kind, arg in ops:
+        if kind == "push":
+            for node in arg:
+                schedule(node)
+        elif kind == "burst":
+            joins, ats = arg
+            for _ in range(joins):
+                schedule(("join", 1.0, 0, (), False))
+            for i in range(ats):
+                schedule(("at", 1.0 + i % 2, 0, (), False))
+        elif kind == "run":
+            sim.run(until=None if arg is None else sim.now + arg)
+        elif kind == "stop":
+            goal = len(log) + arg
+            sim.run(stop_when=lambda: len(log) >= goal)
+        else:
+            for _ in range(arg):
+                sim.step()
+        assert sim.pending() == _live_entries(sim)
+        seen.append((sim.now, sim.pending(), sim.events_dispatched,
+                     sim.stats()["heap_size"], sim.compactions))
+    while sim.pending():  # handlers may halt the drain
+        sim.run()
+    return log, seen, sim.events_dispatched, sim.coalesced
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_PROGRAM_OPS, max_size=25))
+# step() pops a cohort, then its first member pushes at the same instant
+@example([("push", [("join", 0.5, 0, (("join", 0.0, 0, (), False),), False),
+                    ("join", 0.5, 0, (), False)]),
+          ("step", 1)])
+# the clock moves back below an instant whose cohort already ran
+@example([("push", [("at", 2.0, 0, (), False), ("join", 0.5, 0, (), False)]),
+          ("run", 1.0), ("run", -1.0),
+          ("push", [("join", 0.5, 0, (), False)])])
+def test_joins_leave_dispatch_order_and_counts_unchanged(ops):
+    """post_join's joins are exact: random at/post/cancel/join pushes,
+    also from inside handlers and mixed with halt, until, stop_when and
+    step, give the same calls in the same order at the same times, the
+    same pending counts (inside handlers too), event totals and
+    compactions as the same schedule with every push in its own entry."""
+    log, seen, dispatched, coalesced = _replay(ops)
+    target(float(coalesced))
+    with mock.patch.object(Simulator, "post_join", _post_join_without_joins):
+        ref_log, ref_seen, ref_dispatched, ref_coalesced = _replay(ops)
+    assert ref_coalesced == 0
+    assert log == ref_log
+    assert seen == ref_seen
+    assert dispatched == ref_dispatched

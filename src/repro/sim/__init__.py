@@ -34,7 +34,6 @@ from .process import (
     Waitable,
 )
 from .topology import Topology
-from .trace import MessageRecord, Tracer
 
 __all__ = [
     "Barrier",
@@ -50,7 +49,6 @@ __all__ = [
     "RankCrash",
     "MachineParams",
     "MPIContext",
-    "MessageRecord",
     "NoiseModel",
     "NullNoise",
     "Platform",
@@ -62,7 +60,6 @@ __all__ = [
     "SimWorld",
     "Simulator",
     "Topology",
-    "Tracer",
     "Wait",
     "Waitable",
     "available_platforms",

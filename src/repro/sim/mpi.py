@@ -645,8 +645,8 @@ class SimWorld:
         self._send_cts = self._send_cts
         self._wait_try = self._wait_try
         self._inject = self._inject
-        # the message-path entry points a Tracer wraps; it saves and
-        # restores these instance attributes, so caching them is safe
+        # the message-path entry points are looked up once per posted
+        # send, posted receive and delivered message: cache them too
         self._post_isend = self._post_isend
         self._post_irecv = self._post_irecv
         self._complete_recv = self._complete_recv
@@ -862,58 +862,25 @@ class SimWorld:
             if self._n_unfinished == 0:
                 self.sim.halt()
             return
-        # inline the Compute and Progress branches of _handle_syscall:
-        # one of each per chunk per iteration, together the overwhelming
-        # majority of syscalls.  Anything else takes the full dispatch.
+        # Compute and Progress, one of each per chunk per iteration, are
+        # the overwhelming majority of syscalls: charge them here, where
+        # the fast lane may take over.  Anything else takes the full
+        # dispatch.
         tsc = type(syscall)
         if tsc is Compute:
-            sec = syscall.seconds
-            dur = sec if st.noise_det else st.perturb(sec)
-            if self._faults is not None:
-                dur *= self._faults.compute_factor(st.id)
-            t0 = st.busy_until
-            busy = t0 + dur
-            st.busy_until = busy
-            if self._obs is not None:
-                self._obs.emit(_K_COMPUTE, st.id, t0, dur)
-            if (self._fastlane and st.noise_det and st.n_active == 0
-                    and st.inbound == 0 and not st.pending_cts
-                    and not st.pending_data and not st.failed_excs):
-                self._batch(st)
+            self._charge_compute(st, syscall, 0)
+        elif tsc is Progress:
+            if not self._charge_progress(st, syscall, 0):
                 return
-            self._push_cont(busy, self._resume, (st, None))
+        else:
+            self._handle_syscall(st, syscall)
             return
-        if tsc is Progress:
-            if st.failed_excs:
-                self._throw(st.id, st.failed_excs[0])
-                return
-            if st.pending_cts or st.pending_data:
-                self._mpi_entry(st)
-            # inlined ctx.charge(params.progress_cost(n_active)); the
-            # cost is summed first so the float grouping matches, and
-            # busy_until is already clamped to >= now above
-            t0 = st.busy_until
-            cost = self._progress_base + self._progress_per_req * st.n_active
-            st.busy_until = t0 + cost
-            if self._obs is not None:
-                self._obs.emit(_K_PROGRESS, st.id, t0, cost, st.n_active)
-            try:
-                for h in syscall.handles:
-                    # progress() on a completed handle is a no-op; the
-                    # attribute read is far cheaper than the call
-                    if not h.done:
-                        h.progress(st.ctx)
-            except (RankFailedError, CommRevokedError) as exc:
-                self._throw(st.id, exc)
-                return
-            if (self._fastlane and st.noise_det and st.n_active == 0
-                    and st.inbound == 0 and not st.pending_cts
-                    and not st.pending_data and not st.failed_excs):
-                self._batch(st)
-                return
-            self._push_cont(st.busy_until, self._resume, (st, None))
+        if (self._fastlane and st.noise_det and st.n_active == 0
+                and st.inbound == 0 and not st.pending_cts
+                and not st.pending_data and not st.failed_excs):
+            self._batch(st)
             return
-        self._handle_syscall(st, syscall)
+        self._push_cont(st.busy_until, self._resume, (st, None))
 
     def _batch(self, st: _RankState) -> None:
         """Degenerate-topology fast lane: drain syscalls without events.
@@ -927,10 +894,12 @@ class SimWorld:
         actions and no queued failures.  The in-flight guard matters
         because a batched pull runs between-yield code at a *stale*
         clock: a ``ctx.irecv`` issued while an arrival is still queued
-        would match against pre-arrival queue state.  Under those conditions Compute, all-done Progress and
-        all-done Wait advance ``busy_until`` with exactly the float
-        operations the evented path performs, so results are
-        bit-identical while the heap never sees the elided resumes.
+        would match against pre-arrival queue state.  Under those
+        conditions Compute, all-done Progress and all-done Wait advance
+        ``busy_until`` with exactly the float operations of
+        :meth:`_charge_compute`, :meth:`_charge_progress` and
+        :meth:`_wait_try`'s wait charge, so results are bit-identical
+        while the heap never sees the elided resumes.
 
         Every inline-processed syscall adds one to
         ``events_dispatched`` — the resume event it replaced — keeping
@@ -947,7 +916,7 @@ class SimWorld:
         progress_cls = Progress
         wait_cls = Wait
         # n_active == 0 throughout the batch, so the progress/wait charge
-        # is a constant — the exact float the evented path computes
+        # is a constant — the exact float _charge_progress computes
         pcost = self._progress_base + self._progress_per_req * st.n_active
         # no events dispatch while batching, so the cancelled-entry count
         # only moves if a pulled syscall cancels an event — snapshot once
@@ -988,7 +957,7 @@ class SimWorld:
             tsc = type(syscall)
             if tsc is compute_cls:
                 # noise_det holds for the batch and faults/obs are off,
-                # so the evented path's dur == syscall.seconds exactly
+                # so _charge_compute's dur == syscall.seconds exactly
                 st.busy_until = busy + syscall.seconds
                 batched += 1
                 continue
@@ -1085,33 +1054,13 @@ class SimWorld:
         self._throw(st.id, st.failed_excs[0])
 
     def _handle_syscall(self, st: _RankState, sc: Any) -> None:
-        # branch order: Compute is inlined in _resume, so Progress is
-        # the most frequent syscall arriving here
+        # _resume charges the Compute/Progress syscalls it pulls itself;
+        # here they arrive only as pulls replayed by _deferred_syscall
+        # or yielded after _throw
         tsc = type(sc)
         if tsc is Progress:
-            if st.failed_excs:
-                self._throw(st.id, st.failed_excs[0])
-                return
-            if st.pending_cts or st.pending_data:
-                self._mpi_entry(st)
-            # inlined ctx.charge(params.progress_cost(n_active)); the
-            # cost is summed first so the float grouping matches
-            busy = st.busy_until
-            now = self.sim._now
-            if busy < now:
-                busy = now
-            cost = self._progress_base + self._progress_per_req * st.n_active
-            st.busy_until = busy + cost
-            if self._obs is not None:
-                self._obs.emit(_K_PROGRESS, st.id, busy, cost, st.n_active)
-            try:
-                for h in sc.handles:
-                    if not h.done:
-                        h.progress(st.ctx)
-            except (RankFailedError, CommRevokedError) as exc:
-                self._throw(st.id, exc)
-                return
-            self._push_cont(st.busy_until, self._resume, (st, None))
+            if self._charge_progress(st, sc, 0):
+                self._push_cont(st.busy_until, self._resume, (st, None))
         elif tsc is Wait:
             if st.failed_excs and self._interruptible(sc.items):
                 self._throw(st.id, st.failed_excs[0])
@@ -1131,42 +1080,40 @@ class SimWorld:
             self._barrier_time = max(self._barrier_time, st.busy_until)
             self._barrier_maybe_release()
         elif tsc is Compute:
-            sec = sc.seconds
-            dur = sec if st.noise_det else st.perturb(sec)
-            if self._faults is not None:
-                dur *= self._faults.compute_factor(st.id)
-            t0 = st.busy_until
-            busy = t0 + dur
-            st.busy_until = busy
-            if self._obs is not None:
-                self._obs.emit(_K_COMPUTE, st.id, t0, dur)
-            self._push_cont(busy, self._resume, (st, None))
+            self._charge_compute(st, sc, 0)
+            self._push_cont(st.busy_until, self._resume, (st, None))
         elif tsc is ComputeProgressSpan:
             # chunk #1's compute half is processed in the pulling event,
             # exactly where the flat pair stream would process it
-            self._span_compute(st, sc, sc.count)
+            self._charge_compute(st, sc, sc.count)
         else:
             raise SimulationError(f"rank {st.id} yielded unknown syscall {sc!r}")
 
     # ------------------------------------------------------------------
-    # compute/progress spans (see process.ComputeProgressSpan)
+    # the Compute/Progress charge (see process.ComputeProgressSpan)
     # ------------------------------------------------------------------
 
-    def _span_compute(self, st: _RankState, span: ComputeProgressSpan,
-                      remaining: int) -> None:
-        """One compute half of a span: the Compute branch of _resume.
+    def _charge_compute(self, st: _RankState,
+                        sc: Union[Compute, ComputeProgressSpan],
+                        remaining: int) -> None:
+        """The one Compute charge: ``sc.seconds`` of this rank's CPU.
 
-        Runs inline from the pulling event for the first chunk and as
-        its own heap event for every later one, so the event times,
-        counts and seq order are exactly those of the equivalent flat
-        ``(Compute, Progress)`` pair stream.
+        The duration is perturbed by the rank's noise and scaled by the
+        fault plan's compute factor, then ``busy_until`` advances by it.
+        A plain Compute passes ``remaining == 0`` and schedules its own
+        continuation.  A span's compute half passes the chunks left and
+        schedules the chunk's progress half; it runs inline from the
+        pulling event for the first chunk and as its own heap event for
+        every later one, so the event times, counts and seq order are
+        exactly those of the equivalent flat ``(Compute, Progress)``
+        pair stream.
         """
         if st.dead:
             return
         now = self.sim._now
         if st.busy_until < now:
             st.busy_until = now
-        sec = span.seconds
+        sec = sc.seconds
         dur = sec if st.noise_det else st.perturb(sec)
         if self._faults is not None:
             dur *= self._faults.compute_factor(st.id)
@@ -1175,58 +1122,75 @@ class SimWorld:
         st.busy_until = busy
         if self._obs is not None:
             self._obs.emit(_K_COMPUTE, st.id, t0, dur)
-        self._push_cont(busy, self._span_progress, (st, span, remaining))
+        if remaining:
+            self._push_cont(busy, self._charge_progress, (st, sc, remaining))
 
-    def _span_progress(self, st: _RankState, span: ComputeProgressSpan,
-                       remaining: int) -> None:
-        """One progress half of a span: the Progress branch of _resume.
+    def _charge_progress(self, st: _RankState,
+                         sc: Union[Progress, ComputeProgressSpan],
+                         remaining: int) -> bool:
+        """The one Progress charge: one MPI progress call on ``sc.handles``.
 
-        After the last chunk the generator is resumed with ``None``,
-        exactly as the pair stream's final Progress would.  When the
-        fast lane is eligible and every handle has completed, the
-        remaining chunks collapse into pure busy-clock arithmetic — the
-        same float operations the evented halves would perform, with the
-        elided events compensated in ``events_dispatched`` — which is
+        Throws a queued failure into the program, runs pending protocol
+        actions, charges the progress cost for the rank's active
+        requests and progresses every open handle.  Returns False when
+        the rank is dead or a failure was thrown into the program
+        instead (which has then already yielded its next syscall).  A
+        plain Progress passes ``remaining == 0`` and schedules its own
+        continuation.
+
+        A span's progress half passes the chunks left, counting this
+        one.  After the last chunk the generator is resumed with
+        ``None``, exactly as the pair stream's final Progress would.
+        When the fast lane is eligible and every handle has completed,
+        the remaining chunks collapse into pure busy-clock arithmetic —
+        the same float operations the evented halves would perform, with
+        the elided events compensated in ``events_dispatched`` — which is
         safe because no generator code runs between span halves and a
         concurrent arrival to an idle rank (``n_active == 0``) is a
         passive queue append that reads none of this rank's clocks.
         """
         if st.dead:
-            return
+            return False
         sim = self.sim
         now = sim._now
         if st.busy_until < now:
             st.busy_until = now
         if st.failed_excs:
             self._throw(st.id, st.failed_excs[0])
-            return
+            return False
         if st.pending_cts or st.pending_data:
             self._mpi_entry(st)
+        # inlined ctx.charge(params.progress_cost(n_active)); the cost
+        # is summed first so the float grouping matches
         t0 = st.busy_until
         cost = self._progress_base + self._progress_per_req * st.n_active
         st.busy_until = t0 + cost
         if self._obs is not None:
             self._obs.emit(_K_PROGRESS, st.id, t0, cost, st.n_active)
         try:
-            for h in span.handles:
+            for h in sc.handles:
+                # progress() on a completed handle is a no-op; the
+                # attribute read is far cheaper than the call
                 if not h.done:
                     h.progress(st.ctx)
         except (RankFailedError, CommRevokedError) as exc:
             self._throw(st.id, exc)
-            return
+            return False
+        if not remaining:
+            return True
         remaining -= 1
         if remaining == 0:
             self._push_cont(st.busy_until, self._resume, (st, None))
-            return
+            return True
         if (self._fastlane and st.noise_det and st.n_active == 0
                 and not st.pending_cts and not st.pending_data
                 and not st.failed_excs):
-            for h in span.handles:
+            for h in sc.handles:
                 if not h.done:
                     break
             else:
                 busy = st.busy_until
-                sec = span.seconds
+                sec = sc.seconds
                 # n_active == 0: the per-chunk progress charge is the
                 # constant the evented half would compute
                 pcost = (self._progress_base
@@ -1237,13 +1201,14 @@ class SimWorld:
                 sim.events_dispatched += 2 * remaining
                 sim.batched_syscalls += 2 * remaining
                 self._push_cont(busy, self._resume, (st, None))
-                return
+                return True
         # event-per-half: the next compute runs in its own heap event at
         # the exact (time, seq) slot the flat pair stream's resume would
         # occupy — an inline call here could reorder against a delivery
         # scheduled between the halves
-        self._push_cont(st.busy_until, self._span_compute,
-                        (st, span, remaining))
+        self._push_cont(st.busy_until, self._charge_compute,
+                        (st, sc, remaining))
+        return True
 
     def _barrier_maybe_release(self) -> None:
         """Release the hard barrier once every *live* rank arrived."""
@@ -1599,8 +1564,8 @@ class SimWorld:
     def _dead_letter(self, msg: _Message) -> None:
         """Account a message whose destination rank is dead.
 
-        Single chokepoint for all three discard sites, so observability
-        (and :class:`~repro.sim.trace.Tracer` wrappers) see every one.
+        Single chokepoint for all three discard sites, so the counter
+        and the ``fault.dead_letter`` row see every one.
         """
         self.dead_letters += 1
         if self._obs is not None:

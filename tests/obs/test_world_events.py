@@ -5,7 +5,6 @@ from repro.obs import recording
 from repro.obs.schema import CATEGORIES
 from repro.sim import Compute, FaultPlan, Progress, SimWorld, Wait, get_platform
 from repro.sim.faults import DropRule
-from repro.sim.trace import Tracer
 
 
 def alltoall_prog(m=1024, algorithm="linear"):
@@ -22,10 +21,9 @@ def run_recorded(nprocs=4, faults=None, reliable=True, prog=None):
     with recording() as rec:
         world = SimWorld(get_platform("whale"), nprocs, faults=faults,
                          reliable=reliable)
-        tracer = Tracer(world)
         world.launch(prog or alltoall_prog())
         world.run()
-    return rec, tracer, world
+    return rec, world
 
 
 def by_name(rec):
@@ -36,13 +34,13 @@ def by_name(rec):
 
 
 def test_events_cover_compute_progress_wait_and_messages():
-    rec, tracer, _ = run_recorded()
+    rec, _ = run_recorded()
     names = by_name(rec)
     assert len(names["compute"]) == 4          # one Compute per rank
     assert len(names["progress"]) >= 4
     assert len(names["wait"]) == 4             # one Wait per rank
-    assert len(names["msg.post"]) == tracer.messages
-    assert len(names["msg.deliver"]) == tracer.delivered_messages
+    assert len(names["msg.post"]) == 4 * 3     # linear alltoall, P=4
+    assert len(names["msg.deliver"]) == 4 * 3
     assert names["run"][0][1] == "engine"
     # every event's (cat, name) pair is in the declared taxonomy
     for name, evs in names.items():
@@ -50,18 +48,22 @@ def test_events_cover_compute_progress_wait_and_messages():
             assert name in CATEGORIES[cat], (cat, name)
 
 
-def test_metrics_agree_with_tracer_counts():
-    rec, tracer, _ = run_recorded()
+def test_metrics_agree_with_world_counts():
+    # linear alltoall, P=4, 1 KiB blocks: 12 messages, all delivered
+    rec, world = run_recorded()
     m = rec.metrics.snapshot()
-    assert m["sim.messages_posted"]["value"] == tracer.messages
-    assert m["sim.messages_delivered"]["value"] == tracer.delivered_messages
-    assert m["sim.message_bytes"]["total"] == tracer.messages
-    assert m["sim.message_latency_seconds"]["total"] == tracer.delivered_messages
+    assert m["sim.messages_posted"]["value"] == 12
+    assert m["sim.messages_delivered"]["value"] == 12
+    assert m["sim.message_bytes"]["total"] == 12
+    assert m["sim.message_bytes"]["sum"] == 12 * 1024
+    assert m["sim.message_latency_seconds"]["total"] == 12
     assert m["sim.progress_calls"]["value"] >= 4
+    assert m["sim.retransmits"]["value"] == world.retransmits == 0
+    assert m["sim.dead_letters"]["value"] == world.dead_letters == 0
 
 
 def test_spans_have_nonnegative_duration_and_valid_ranks():
-    rec, _, world = run_recorded()
+    rec, world = run_recorded()
     for ph, w, rank, cat, name, ts, dur, args in rec.events:
         assert ts >= 0.0
         assert dur >= 0.0
@@ -74,20 +76,20 @@ def test_fault_events_match_injector_bookkeeping():
     # the drop rule to eat; the window closes mid-run (the whole program
     # drains in under a millisecond of virtual time)
     plan = FaultPlan(drops=(DropRule(0.4, 0.0, 2e-4),), seed=3)
-    rec, tracer, world = run_recorded(nprocs=16, faults=plan)
+    rec, world = run_recorded(nprocs=16, faults=plan)
     names = by_name(rec)
     assert len(names["fault.drop"]) == world.faults.messages_dropped > 0
-    assert len(names.get("fault.retransmit", [])) == tracer.retransmits
+    assert len(names.get("fault.retransmit", [])) == world.retransmits
     m = rec.metrics.snapshot()
     assert m["sim.fault_drops"]["value"] == world.faults.messages_dropped
-    assert m["sim.retransmits"]["value"] == tracer.retransmits
+    assert m["sim.retransmits"]["value"] == world.retransmits
     # the drop window toggling on and off emits world-level instants
     kinds = [a.get("kind") for *_, a in names["fault.window"]]
     assert kinds.count("drop") >= 2
 
 
 def test_nbc_round_events_track_schedule_shape():
-    rec, _, _ = run_recorded()
+    rec, _ = run_recorded()
     names = by_name(rec)
     rounds = names["nbc.round"]
     done = names["nbc.done"]

@@ -1,189 +1,190 @@
-"""Tests for the communication tracer."""
+"""Message statistics read from the trace recorder's rows.
+
+Every posted message is one ``msg.post`` row (rank = source, args
+``dst``/``nbytes``/``eager``), every completed receive one
+``msg.deliver`` row, and the fault path adds ``fault.*`` rows; the
+``sim.*`` metrics fold from those rows.  These tests check algorithm
+volume laws and the fault bookkeeping against them.
+"""
 
 import math
 
 import pytest
 
 from repro import nbc
-from repro.sim import SimWorld, Wait, get_platform
-from repro.sim.trace import Tracer
+from repro.obs import recording
+from repro.obs.export import build_trace_doc
+from repro.obs.report import render_report
+from repro.sim import Compute, FaultPlan, SimWorld, Wait, get_platform
+from repro.sim.faults import DropRule
 from repro.units import KiB
 
 
-def run_alltoall(nprocs, m, algorithm, keep_records=False):
-    world = SimWorld(get_platform("whale"), nprocs)
-    tracer = Tracer(world, keep_records=keep_records)
+def run_alltoall(nprocs, m, algorithm, faults=None):
+    with recording() as rec:
+        world = SimWorld(get_platform("whale"), nprocs, faults=faults,
+                         reliable=True)
 
-    def prog(ctx):
-        req = nbc.start_ialltoall(ctx, m, algorithm=algorithm)
-        yield Wait(req)
+        def prog(ctx):
+            req = nbc.start_ialltoall(ctx, m, algorithm=algorithm)
+            yield Wait(req)
 
-    world.launch(prog)
-    world.run()
-    return tracer
+        world.launch(prog)
+        world.run()
+    return rec, world
+
+
+def run_faulty(nprocs=16, prob=0.4, seed=3):
+    plan = FaultPlan(drops=(DropRule(prob),), seed=seed)
+    return run_alltoall(nprocs, 1024, "linear", faults=plan)
+
+
+def rows(rec, name):
+    """``(rank, ts, args)`` of every recorded event called ``name``."""
+    return [(rank, ts, args) for _, _, rank, _, n, ts, _, args in rec.events
+            if n == name]
+
+
+def posted_bytes(rec):
+    return sum(a["nbytes"] for _, _, a in rows(rec, "msg.post"))
+
+
+def mean_latency(rec):
+    h = rec.metrics.snapshot()["sim.message_latency_seconds"]
+    return h["sum"] / h["total"]
+
+
+def report(rec):
+    doc = build_trace_doc([("run", rec.export_events(), rec.worlds)],
+                          metrics=rec.metrics.snapshot())
+    return render_report(doc)
 
 
 def test_linear_alltoall_message_count_and_bytes():
     P, m = 8, 1024
-    tr = run_alltoall(P, m, "linear")
-    assert tr.messages == P * (P - 1)
-    assert tr.bytes_total == P * (P - 1) * m
+    rec, _ = run_alltoall(P, m, "linear")
+    assert len(rows(rec, "msg.post")) == P * (P - 1)
+    assert posted_bytes(rec) == P * (P - 1) * m
 
 
 def test_bruck_moves_more_bytes_in_fewer_messages():
     P, m = 16, 1024
-    lin = run_alltoall(P, m, "linear")
-    bruck = run_alltoall(P, m, "bruck")
-    assert bruck.messages < lin.messages
-    assert bruck.messages == P * math.ceil(math.log2(P))
+    lin, _ = run_alltoall(P, m, "linear")
+    bruck, _ = run_alltoall(P, m, "bruck")
+    n_bruck = len(rows(bruck, "msg.post"))
+    assert n_bruck < len(rows(lin, "msg.post"))
+    assert n_bruck == P * math.ceil(math.log2(P))
     # Bruck moves ~log2(P)/2 times the data of the linear exchange
-    ratio = bruck.bytes_total / lin.bytes_total
+    ratio = posted_bytes(bruck) / posted_bytes(lin)
     expected = math.log2(P) / 2 * P / (P - 1)
     assert ratio == pytest.approx(expected, rel=0.05)
 
 
 def test_pairwise_message_count():
     P, m = 8, 512
-    tr = run_alltoall(P, m, "pairwise")
-    assert tr.messages == P * (P - 1)
-    assert tr.bytes_total == P * (P - 1) * m
+    rec, _ = run_alltoall(P, m, "pairwise")
+    assert len(rows(rec, "msg.post")) == P * (P - 1)
+    assert posted_bytes(rec) == P * (P - 1) * m
 
 
 def test_eager_vs_rendezvous_classification():
-    small = run_alltoall(8, 1 * KiB, "pairwise")     # eager everywhere
-    assert small.rendezvous_messages == 0
-    big = run_alltoall(16, 64 * KiB, "pairwise")     # > both thresholds
-    assert big.eager_messages == 0
-    assert big.rendezvous_messages == big.messages
+    small, _ = run_alltoall(8, 1 * KiB, "pairwise")     # eager everywhere
+    assert all(a["eager"] for _, _, a in rows(small, "msg.post"))
+    big, _ = run_alltoall(16, 64 * KiB, "pairwise")     # > both thresholds
+    posts = rows(big, "msg.post")
+    assert posts and not any(a["eager"] for _, _, a in posts)
 
 
 def test_intra_inter_split_matches_topology():
     # whale: 8 cores/node; with 16 ranks, peers 1..7 are intra for rank 0
-    tr = run_alltoall(16, 256, "linear")
+    rec, world = run_alltoall(16, 256, "linear")
+    intra = [world.topology.same_node(src, a["dst"])
+             for src, _, a in rows(rec, "msg.post")]
     # per rank: 7 intra peers, 8 inter peers
-    assert tr.intra_messages == 16 * 7
-    assert tr.inter_messages == 16 * 8
+    assert intra.count(True) == 16 * 7
+    assert intra.count(False) == 16 * 8
 
 
 def test_bytes_by_rank_balanced_for_alltoall():
-    tr = run_alltoall(8, 2048, "pairwise")
-    per_rank = set(tr.bytes_by_rank.values())
-    assert len(per_rank) == 1  # perfectly symmetric operation
+    rec, _ = run_alltoall(8, 2048, "pairwise")
+    by_rank = {}
+    for src, _, a in rows(rec, "msg.post"):
+        by_rank[src] = by_rank.get(src, 0) + a["nbytes"]
+    assert len(by_rank) == 8
+    assert len(set(by_rank.values())) == 1  # perfectly symmetric operation
 
 
 def test_records_kept_on_demand():
-    tr = run_alltoall(4, 128, "linear", keep_records=True)
-    assert len(tr.records) == tr.messages
-    rec = tr.records[0]
-    assert rec.nbytes == 128
-    assert 0 <= rec.src < 4 and 0 <= rec.dst < 4
-
-
-def test_detach_stops_recording():
-    world = SimWorld(get_platform("whale"), 4)
-    tracer = Tracer(world)
-    tracer.detach()
-
-    def prog(ctx):
-        req = nbc.start_ialltoall(ctx, 128, algorithm="linear")
-        yield Wait(req)
-
-    world.launch(prog)
-    world.run()
-    assert tracer.messages == 0
+    rec, _ = run_alltoall(4, 128, "linear")
+    posts = rows(rec, "msg.post")
+    assert len(posts) == 12
+    for src, _, a in posts:
+        assert a["nbytes"] == 128
+        assert 0 <= src < 4 and 0 <= a["dst"] < 4 and a["dst"] != src
 
 
 def test_summary_mentions_counts():
-    tr = run_alltoall(4, 128, "linear")
-    s = tr.summary()
-    assert "12 messages" in s
-    assert "eager" in s and "rendezvous" in s
+    rec, _ = run_alltoall(4, 128, "linear")
+    lines = report(rec).splitlines()
+    assert any(ln.split() == ["sim.messages_posted", "12"] for ln in lines)
+    assert any(ln.split() == ["sim.messages_delivered", "12"] for ln in lines)
 
 
 def test_mean_size_empty_world():
-    world = SimWorld(get_platform("whale"), 2)
-    tracer = Tracer(world)
-    assert tracer.mean_message_size == 0.0
+    with recording() as rec:
+        world = SimWorld(get_platform("whale"), 2)
 
-def run_faulty(nprocs=16, prob=0.4, seed=3, keep_records=False):
-    from repro.sim import FaultPlan
-    from repro.sim.faults import DropRule
+        def prog(ctx):
+            yield Compute(1e-6)
 
-    plan = FaultPlan(drops=(DropRule(prob),), seed=seed)
-    world = SimWorld(get_platform("whale"), nprocs, faults=plan,
-                     reliable=True)
-    tracer = Tracer(world, keep_records=keep_records)
-
-    def prog(ctx):
-        req = nbc.start_ialltoall(ctx, 1024, algorithm="linear")
-        yield Wait(req)
-
-    world.launch(prog)
-    world.run()
-    return tracer, world
+        world.launch(prog)
+        world.run()
+    assert rows(rec, "msg.post") == []
+    h = rec.metrics.snapshot()["sim.message_bytes"]
+    assert h["total"] == 0 and h["sum"] == 0
+    assert any(ln.split()[:2] == ["sim.message_bytes", "n=0"]
+               and ln.endswith("mean=0.000e+00")
+               for ln in report(rec).splitlines())
 
 
 def test_delivery_times_recorded():
-    tr = run_alltoall(4, 128, "linear", keep_records=True)
-    assert all(r.deliver_time is not None for r in tr.records)
-    assert all(r.deliver_time >= r.time for r in tr.records)
-    assert all(r.latency == r.deliver_time - r.time for r in tr.records)
-    assert tr.delivered_messages == tr.messages
+    rec, _ = run_alltoall(4, 128, "linear")
+    # linear alltoall: exactly one message per ordered (src, dst) pair
+    post_t = {(src, a["dst"]): ts for src, ts, a in rows(rec, "msg.post")}
+    deliver_t = {(a["src"], dst): ts
+                 for dst, ts, a in rows(rec, "msg.deliver")}
+    assert len(post_t) == 12
+    assert deliver_t.keys() == post_t.keys()
+    assert all(deliver_t[k] >= post_t[k] for k in post_t)
+    h = rec.metrics.snapshot()["sim.message_latency_seconds"]
+    assert h["total"] == 12
+    assert h["sum"] == pytest.approx(
+        sum(deliver_t[k] - post_t[k] for k in post_t))
 
 
 def test_fault_counters_agree_with_injector():
-    tr, world = run_faulty()
-    assert tr.dropped_attempts == world.faults.messages_dropped > 0
-    assert tr.retransmits == world.retransmits > 0
+    rec, world = run_faulty()
+    assert len(rows(rec, "fault.drop")) == world.faults.messages_dropped > 0
+    assert len(rows(rec, "fault.retransmit")) == world.retransmits > 0
     # reliable transport: every posted message is eventually delivered
-    assert tr.delivered_messages == tr.messages
-    assert tr.dead_letters == world.dead_letters == 0
+    assert len(rows(rec, "msg.deliver")) == len(rows(rec, "msg.post"))
+    assert len(rows(rec, "fault.dead_letter")) == world.dead_letters == 0
+    m = rec.metrics.snapshot()
+    assert m["sim.fault_drops"]["value"] == world.faults.messages_dropped
+    assert m["sim.retransmits"]["value"] == world.retransmits
 
 
 def test_faulty_run_latency_includes_retransmit_delay():
-    clean = run_alltoall(16, 1024, "linear", keep_records=True)
-    faulty, _ = run_faulty(keep_records=True)
-    mean = lambda rs: sum(r.latency for r in rs) / len(rs)  # noqa: E731
-    assert mean(faulty.records) > mean(clean.records)
+    clean, _ = run_alltoall(16, 1024, "linear")
+    faulty, _ = run_faulty()
+    assert mean_latency(faulty) > mean_latency(clean)
 
 
 def test_summary_mentions_fault_counts():
-    tr, _ = run_faulty()
-    s = tr.summary()
-    assert "dropped attempts" in s and "retransmits" in s
-
-
-def test_detach_requires_lifo_order():
-    from repro.sim.engine import SimulationError
-
-    world = SimWorld(get_platform("whale"), 4)
-    a = Tracer(world)
-    b = Tracer(world)
-    with pytest.raises(SimulationError, match="LIFO"):
-        a.detach()
-    b.detach()
-    a.detach()  # now legal: a is on top
-
-    # the original uninstrumented bindings are restored
-    def prog(ctx):
-        req = nbc.start_ialltoall(ctx, 128, algorithm="linear")
-        yield Wait(req)
-
-    world.launch(prog)
-    world.run()
-    assert a.messages == 0 and b.messages == 0
-
-
-def test_stacked_tracers_both_count():
-    world = SimWorld(get_platform("whale"), 4)
-    a = Tracer(world)
-    b = Tracer(world)
-
-    def prog(ctx):
-        req = nbc.start_ialltoall(ctx, 128, algorithm="linear")
-        yield Wait(req)
-
-    world.launch(prog)
-    world.run()
-    assert a.messages == b.messages == 12
-    assert a.delivered_messages == b.delivered_messages == 12
+    rec, world = run_faulty()
+    lines = report(rec).splitlines()
+    assert any(ln.split() == ["sim.fault_drops",
+                              str(world.faults.messages_dropped)]
+               for ln in lines)
+    assert any(ln.split() == ["sim.retransmits", str(world.retransmits)]
+               for ln in lines)

@@ -1,6 +1,8 @@
 # The seed-revision snapshot of repro.nbc.request, kept verbatim for A/B
 # benchmarking by test_perf_engine.py. Only imports were adapted
-# (absolute paths; the seed event loop comes from legacy_engine).
+# (absolute paths; the seed event loop comes from legacy_engine), and
+# the constructor takes the ``peers`` table today's schedules name
+# their peers through (a send/recv on slot s targets ``peers[s]``).
 # Do not "improve" this file.
 """Execution of collective schedules: the NBC request & progress engine.
 
@@ -79,6 +81,7 @@ class NBCRequest(Waitable):
         "schedule",
         "comm",
         "local_rank",
+        "peers",
         "buffers",
         "tag_base",
         "start_time",
@@ -93,12 +96,14 @@ class NBCRequest(Waitable):
         schedule: Schedule,
         comm: SimComm,
         local_rank: int,
+        peers: tuple,
         buffers: Optional[dict] = None,
     ):
         super().__init__()
         self.schedule = schedule
         self.comm = comm
         self.local_rank = local_rank
+        self.peers = peers
         self.buffers = buffers
         self.tag_base = -1
         self.start_time: Optional[float] = None
@@ -163,7 +168,7 @@ class NBCRequest(Waitable):
                 self._pending += 1
                 data = resolve(buffers, op.src)
                 ctx.isend(
-                    op.peer,
+                    self.peers[op.peer],
                     nbytes=op.nbytes,
                     tag=self.tag_base + op.tagoff,
                     comm=self.comm,
@@ -178,7 +183,7 @@ class NBCRequest(Waitable):
                 else:
                     notify = self._make_recv_notify(dst)
                 ctx.irecv(
-                    op.peer,
+                    self.peers[op.peer],
                     nbytes=op.nbytes,
                     tag=self.tag_base + op.tagoff,
                     comm=self.comm,

@@ -195,9 +195,9 @@ def test_schedule_cache_identical_and_hot():
 
     assert _fingerprint(cached) == _fingerprint(uncached)
     _record("schedule_cache", stats)
-    # 8000 lookups (500 iterations x 16 ranks) against 336 distinct
-    # plans (21 functions x 16 ranks): everything past each function's
-    # first evaluation hits
+    # 8000 lookups (500 iterations x 16 ranks) against 72 distinct
+    # role templates (21 functions x 2-5 tree roles): everything past
+    # each role's first build hits
     assert stats["hit_rate"] > 0.95, stats
     assert stats["entries"] > 0
 

@@ -23,8 +23,8 @@ import numpy as np
 from ..nbc.hier import (
     compiled_hier_ialltoall,
     compiled_hier_ibcast,
-    groups_for_comm,
     hier_alltoall_scratch_bytes,
+    partition_for_comm,
 )
 from ..nbc.ialltoall import alltoall_scratch_bytes, compiled_ialltoall
 from ..nbc.iallgather import compiled_iallgather
@@ -41,6 +41,7 @@ from ..nbc.ireduce_scatter import (
     compiled_ireduce_scatter,
 )
 from ..nbc.request import NBCRequest, make_buffers
+from ..nbc.schedule import identity_peers
 from ..sim.mpi import MPIContext
 from ..units import KiB
 from .attributes import Attribute, AttributeSet
@@ -104,19 +105,20 @@ def ibcast_function_set(hierarchical: bool = False) -> FunctionSet:
                           segsize=segsize) -> NBCRequest:
                     comm = spec.comm
                     rank = comm.local_rank(ctx.rank)
-                    groups = groups_for_comm(comm, ctx.topology)
-                    sched = compiled_hier_ibcast(comm.size, rank, spec.root,
-                                                 spec.nbytes, segsize, groups)
-                    return NBCRequest(sched, comm, rank,
+                    part = partition_for_comm(comm, ctx.topology)
+                    sched, peers = compiled_hier_ibcast(
+                        comm.size, rank, spec.root, spec.nbytes, segsize, part)
+                    return NBCRequest(sched, comm, rank, peers,
                                       _as_buffers(buffers)).start(ctx)
             else:
                 def maker(ctx: MPIContext, spec: CollSpec, buffers,
                           fanout=fanout, segsize=segsize) -> NBCRequest:
                     comm = spec.comm
                     rank = comm.local_rank(ctx.rank)
-                    sched = compiled_ibcast(comm.size, rank, spec.root, spec.nbytes,
-                                            fanout, segsize)
-                    return NBCRequest(sched, comm, rank, _as_buffers(buffers)).start(ctx)
+                    sched, peers = compiled_ibcast(comm.size, rank, spec.root,
+                                                   spec.nbytes, fanout, segsize)
+                    return NBCRequest(sched, comm, rank, peers,
+                                      _as_buffers(buffers)).start(ctx)
 
             functions.append(CollFunction(
                 name=f"{_fanout_label(fanout)}_seg{segsize // KiB}KB",
@@ -143,7 +145,8 @@ def scatter_allgather_function() -> CollFunction:
         rank = comm.local_rank(ctx.rank)
         sched = compiled_scatter_allgather(comm.size, rank, spec.root,
                                            spec.nbytes)
-        return NBCRequest(sched, comm, rank, _as_buffers(buffers)).start(ctx)
+        return NBCRequest(sched, comm, rank, identity_peers(comm.size),
+                          _as_buffers(buffers)).start(ctx)
 
     return CollFunction(name="scatter_allgather", maker=maker)
 
@@ -165,22 +168,24 @@ def _alltoall_maker(algorithm: str, ctx: MPIContext, spec: CollSpec,
         ).items():
             if name not in bufs:
                 bufs[name] = np.empty(nbytes, dtype=np.uint8)
-    return NBCRequest(sched, comm, rank, bufs).start(ctx)
+    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
+                      bufs).start(ctx)
 
 
 def _hier_alltoall_maker(ctx, spec: CollSpec, buffers) -> NBCRequest:
     comm = spec.comm
     rank = comm.local_rank(ctx.rank)
-    groups = groups_for_comm(comm, ctx.topology)
-    sched = compiled_hier_ialltoall(comm.size, rank, spec.nbytes, groups)
+    part = partition_for_comm(comm, ctx.topology)
+    sched = compiled_hier_ialltoall(comm.size, rank, spec.nbytes, part)
     bufs = _as_buffers(buffers)
     if bufs is not None:
         for name, nbytes in hier_alltoall_scratch_bytes(
-            comm.size, rank, spec.nbytes, groups
+            comm.size, rank, spec.nbytes, part
         ).items():
             if name not in bufs:
                 bufs[name] = np.empty(nbytes, dtype=np.uint8)
-    return NBCRequest(sched, comm, rank, bufs).start(ctx)
+    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
+                      bufs).start(ctx)
 
 
 def ialltoall_function_set(hierarchical: bool = False) -> FunctionSet:
@@ -250,7 +255,8 @@ def iallgather_function_set(size: Optional[int] = None) -> FunctionSet:
             comm = spec.comm
             rank = comm.local_rank(ctx.rank)
             sched = compiled_iallgather(comm.size, rank, spec.nbytes, algorithm)
-            return NBCRequest(sched, comm, rank, _as_buffers(buffers)).start(ctx)
+            return NBCRequest(sched, comm, rank, identity_peers(comm.size),
+                              _as_buffers(buffers)).start(ctx)
 
         functions.append(CollFunction(
             name=algorithm, maker=maker, attributes={"algorithm": algorithm},
@@ -276,7 +282,8 @@ def ireduce_function_set(segsizes=(0, 64 * KiB)) -> FunctionSet:
                 if bufs is not None:
                     bufs.setdefault("acc", np.empty(spec.nbytes, np.uint8))
                     bufs.setdefault("in", np.empty(spec.nbytes, np.uint8))
-                return NBCRequest(sched, comm, rank, bufs).start(ctx)
+                return NBCRequest(sched, comm, rank, identity_peers(comm.size),
+                                  bufs).start(ctx)
 
             seg_label = "noseg" if segsize == 0 else f"seg{segsize // KiB}KB"
             functions.append(CollFunction(
@@ -302,11 +309,12 @@ def iallgatherv_function_set() -> FunctionSet:
             comm = spec.comm
             rank = comm.local_rank(ctx.rank)
             counts = balanced_counts(spec.nbytes, comm.size)
-            groups = (groups_for_comm(comm, ctx.topology)
+            groups = (partition_for_comm(comm, ctx.topology)
                       if algorithm == "hier" else ())
             sched = compiled_iallgatherv(comm.size, rank, counts, algorithm,
                                          groups)
-            return NBCRequest(sched, comm, rank, _as_buffers(buffers)).start(ctx)
+            return NBCRequest(sched, comm, rank, identity_peers(comm.size),
+                              _as_buffers(buffers)).start(ctx)
 
         functions.append(CollFunction(
             name=algorithm, maker=maker, attributes={"algorithm": algorithm},
@@ -334,7 +342,8 @@ def ireduce_scatter_function_set() -> FunctionSet:
                 full = comm.size * spec.nbytes
                 bufs.setdefault("acc", np.empty(full, np.uint8))
                 bufs.setdefault("in", np.empty(full, np.uint8))
-            return NBCRequest(sched, comm, rank, bufs).start(ctx)
+            return NBCRequest(sched, comm, rank, identity_peers(comm.size),
+                              bufs).start(ctx)
 
         functions.append(CollFunction(
             name=algorithm, maker=maker, attributes={"algorithm": algorithm},
@@ -354,7 +363,7 @@ def iallreduce_function_set() -> FunctionSet:
         def maker(ctx, spec, buffers, algorithm=algorithm):
             comm = spec.comm
             rank = comm.local_rank(ctx.rank)
-            groups = (groups_for_comm(comm, ctx.topology)
+            groups = (partition_for_comm(comm, ctx.topology)
                       if algorithm == "hier" else ())
             sched = compiled_iallreduce(comm.size, rank, spec.nbytes,
                                         algorithm, groups=groups)
@@ -362,7 +371,8 @@ def iallreduce_function_set() -> FunctionSet:
             if bufs is not None:
                 bufs.setdefault("acc", np.empty(spec.nbytes, np.uint8))
                 bufs.setdefault("in", np.empty(spec.nbytes, np.uint8))
-            return NBCRequest(sched, comm, rank, bufs).start(ctx)
+            return NBCRequest(sched, comm, rank, identity_peers(comm.size),
+                              bufs).start(ctx)
 
         functions.append(CollFunction(
             name=algorithm, maker=maker, attributes={"algorithm": algorithm},

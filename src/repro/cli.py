@@ -468,9 +468,12 @@ def _print_stats(wall: float, events: int, cache: Optional[ResultCache],
             print(f"heap joins            {evented} events shared "
                   f"{evented - coalesced} heap entries")
     sstats = schedule_cache_stats()
+    families = ", ".join(f"{name} {n}"
+                         for name, n in sstats["families"].items())
     print(f"schedule cache        hit rate {sstats['hit_rate']:.1%} "
           f"({sstats['hits']} hits / {sstats['misses']} misses, "
-          f"{sstats['entries']} entries)")
+          f"{sstats['entries']} entries"
+          + (f": {families})" if families else ")"))
     if cache is not None:
         cstats = cache.stats()
         print(f"result cache          hit rate {cstats['hit_rate']:.1%} "

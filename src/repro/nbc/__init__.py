@@ -30,13 +30,15 @@ from .coll import (
 )
 from .ft import ft_collective
 from .hier import (
+    Partition,
+    as_partition,
     build_hier_ialltoall,
     build_hier_ibcast,
     compiled_hier_ialltoall,
     compiled_hier_ibcast,
-    groups_for_comm,
     hier_alltoall_scratch_bytes,
     hier_bcast_tree,
+    partition_for_comm,
 )
 from .iallgather import ALLGATHER_ALGORITHMS, build_iallgather, compiled_iallgather
 from .iallgatherv import (
@@ -70,6 +72,7 @@ from .schedule import (
     Schedule,
     ScheduleCache,
     SendOp,
+    identity_peers,
     resolve,
     schedule_cache_stats,
 )
@@ -86,6 +89,7 @@ __all__ = [
     "CopyOp",
     "IBCAST_FANOUTS",
     "NBCRequest",
+    "Partition",
     "RecvOp",
     "REDUCE_ALGORITHMS",
     "REDUCE_SCATTER_ALGORITHMS",
@@ -96,6 +100,7 @@ __all__ = [
     "allgather",
     "alltoall",
     "alltoall_scratch_bytes",
+    "as_partition",
     "balanced_counts",
     "barrier",
     "bcast",
@@ -119,10 +124,11 @@ __all__ = [
     "compiled_ireduce",
     "compiled_ireduce_scatter",
     "ft_collective",
-    "groups_for_comm",
     "hier_alltoall_scratch_bytes",
     "hier_bcast_tree",
+    "identity_peers",
     "make_buffers",
+    "partition_for_comm",
     "reduce",
     "resolve",
     "schedule_cache_stats",

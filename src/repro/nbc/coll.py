@@ -23,10 +23,12 @@ from ..sim.mpi import MPIContext, SimComm
 from ..sim.process import Wait
 from .hier import (
     Groups,
+    Partition,
+    as_partition,
     compiled_hier_ialltoall,
     compiled_hier_ibcast,
-    groups_for_comm,
     hier_alltoall_scratch_bytes,
+    partition_for_comm,
 )
 from .ialltoall import alltoall_scratch_bytes, compiled_ialltoall
 from .iallgather import compiled_iallgather
@@ -36,7 +38,7 @@ from .ibcast import BINOMIAL, compiled_ibcast
 from .ireduce import compiled_ireduce
 from .ireduce_scatter import compiled_ireduce_scatter
 from .request import NBCRequest, make_buffers
-from .schedule import SCHEDULE_CACHE, Schedule
+from .schedule import SCHEDULE_CACHE, Schedule, identity_peers
 
 __all__ = [
     "start_ialltoall",
@@ -60,9 +62,11 @@ def _local_rank(ctx: MPIContext, comm: Optional[SimComm]) -> tuple[SimComm, int]
     return comm, comm.local_rank(ctx.rank)
 
 
-def _groups(ctx: MPIContext, comm: SimComm,
-            groups: Optional[Groups]) -> Groups:
-    return groups if groups is not None else groups_for_comm(comm, ctx.topology)
+def _partition(ctx: MPIContext, comm: SimComm,
+               groups: Optional[Groups]) -> Partition:
+    if groups is None:
+        return partition_for_comm(comm, ctx.topology)
+    return as_partition(groups, comm.size)
 
 
 def start_ialltoall(
@@ -81,7 +85,7 @@ def start_ialltoall(
     """
     comm, rank = _local_rank(ctx, comm)
     if algorithm == "hier":
-        g = _groups(ctx, comm, groups)
+        g = _partition(ctx, comm, groups)
         sched = compiled_hier_ialltoall(comm.size, rank, m, g)
         scratch = hier_alltoall_scratch_bytes(comm.size, rank, m, g)
     else:
@@ -92,7 +96,8 @@ def start_ialltoall(
         buffers = make_buffers(send=sendbuf, recv=recvbuf)
         for name, nbytes in scratch.items():
             buffers[name] = np.empty(nbytes, dtype=np.uint8)
-    return NBCRequest(sched, comm, rank, buffers).start(ctx)
+    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
+                      buffers).start(ctx)
 
 
 def start_ibcast(
@@ -112,12 +117,14 @@ def start_ibcast(
     """
     comm, rank = _local_rank(ctx, comm)
     if fanout == "hier":
-        g = _groups(ctx, comm, groups)
-        sched = compiled_hier_ibcast(comm.size, rank, root, nbytes, segsize, g)
+        g = _partition(ctx, comm, groups)
+        sched, peers = compiled_hier_ibcast(comm.size, rank, root, nbytes,
+                                            segsize, g)
     else:
-        sched = compiled_ibcast(comm.size, rank, root, nbytes, fanout, segsize)
+        sched, peers = compiled_ibcast(comm.size, rank, root, nbytes, fanout,
+                                       segsize)
     buffers = make_buffers(data=buf) if buf is not None else None
-    return NBCRequest(sched, comm, rank, buffers).start(ctx)
+    return NBCRequest(sched, comm, rank, peers, buffers).start(ctx)
 
 
 def start_iallgather(
@@ -134,7 +141,8 @@ def start_iallgather(
     buffers = None
     if sendbuf is not None or recvbuf is not None:
         buffers = make_buffers(send=sendbuf, recv=recvbuf)
-    return NBCRequest(sched, comm, rank, buffers).start(ctx)
+    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
+                      buffers).start(ctx)
 
 
 def start_ireduce(
@@ -157,7 +165,8 @@ def start_ireduce(
         buffers = make_buffers(data=buf)
         buffers["acc"] = np.empty(nbytes, dtype=np.uint8)
         buffers["in"] = np.empty(nbytes, dtype=np.uint8)
-    return NBCRequest(sched, comm, rank, buffers).start(ctx)
+    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
+                      buffers).start(ctx)
 
 
 def start_iallgatherv(
@@ -171,12 +180,13 @@ def start_iallgatherv(
 ) -> NBCRequest:
     """Post a non-blocking all-gather-v; rank *i* contributes ``counts[i]``."""
     comm, rank = _local_rank(ctx, comm)
-    g = _groups(ctx, comm, groups) if algorithm == "hier" else ()
+    g = _partition(ctx, comm, groups) if algorithm == "hier" else ()
     sched = compiled_iallgatherv(comm.size, rank, tuple(counts), algorithm, g)
     buffers = None
     if sendbuf is not None or recvbuf is not None:
         buffers = make_buffers(send=sendbuf, recv=recvbuf)
-    return NBCRequest(sched, comm, rank, buffers).start(ctx)
+    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
+                      buffers).start(ctx)
 
 
 def start_ireduce_scatter(
@@ -202,7 +212,8 @@ def start_ireduce_scatter(
         buffers = make_buffers(data=sendbuf, recv=recvbuf)
         buffers["acc"] = np.empty(comm.size * m, dtype=np.uint8)
         buffers["in"] = np.empty(comm.size * m, dtype=np.uint8)
-    return NBCRequest(sched, comm, rank, buffers).start(ctx)
+    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
+                      buffers).start(ctx)
 
 
 def start_iallreduce(
@@ -217,7 +228,7 @@ def start_iallreduce(
 ) -> NBCRequest:
     """Post a non-blocking all-reduce over ``buf`` (in place)."""
     comm, rank = _local_rank(ctx, comm)
-    g = _groups(ctx, comm, groups) if algorithm == "hier" else ()
+    g = _partition(ctx, comm, groups) if algorithm == "hier" else ()
     sched = compiled_iallreduce(comm.size, rank, nbytes, algorithm,
                                 dtype=dtype, op=op, groups=g)
     buffers = None
@@ -225,7 +236,8 @@ def start_iallreduce(
         buffers = make_buffers(data=buf)
         buffers["acc"] = np.empty(nbytes, dtype=np.uint8)
         buffers["in"] = np.empty(nbytes, dtype=np.uint8)
-    return NBCRequest(sched, comm, rank, buffers).start(ctx)
+    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
+                      buffers).start(ctx)
 
 
 def _barrier_schedule(size: int, rank: int) -> Schedule:
@@ -247,7 +259,7 @@ def start_ibarrier(ctx: MPIContext, comm: Optional[SimComm] = None) -> NBCReques
         ("barrier", "dissemination", comm.size, rank, 0, 0, 0),
         lambda: _barrier_schedule(comm.size, rank),
     )
-    return NBCRequest(sched, comm, rank).start(ctx)
+    return NBCRequest(sched, comm, rank, identity_peers(comm.size)).start(ctx)
 
 
 # ---------------------------------------------------------------------------

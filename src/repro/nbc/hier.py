@@ -17,20 +17,38 @@ Groups
 ------
 Every builder takes ``groups``: a partition of the communicator's local
 ranks into per-node tuples, ordered by each group's smallest member.
-:func:`groups_for_comm` derives it from the simulated topology; tests
+:func:`partition_for_comm` derives it from the simulated topology; tests
 pass hand-made partitions (uneven leaders, non-power-of-two counts)
-directly.  The partition is part of the schedule-cache key — plans are
-pure functions of ``(geometry, groups)``.
+directly.
+
+A :class:`Partition` wraps a validated ``groups`` tuple with the tables
+derived from it (rank → group, per-root broadcast peers).  Partitions
+are interned, so equal partitions are one object: the object itself is
+the partition's token in schedule-cache keys, hashed in O(1) instead of
+rehashing the O(P) nested tuple on every lookup.  Builders accept a
+plain ``groups`` tuple or a :class:`Partition`.
 """
 
 from __future__ import annotations
 
+import weakref
+from typing import Union
+
 from ..errors import ScheduleError
-from .ibcast import BINOMIAL, bcast_tree, emit_pipelined_bcast, segment_bounds
+from .ibcast import (
+    BINOMIAL,
+    bcast_tree,
+    check_bcast_geometry,
+    compiled_bcast_role,
+    emit_pipelined_bcast,
+    segment_bounds,
+)
 from .schedule import SCHEDULE_CACHE, Schedule
 
 __all__ = [
-    "groups_for_comm",
+    "Partition",
+    "as_partition",
+    "partition_for_comm",
     "validate_groups",
     "hier_bcast_tree",
     "build_hier_ibcast",
@@ -41,30 +59,6 @@ __all__ = [
 ]
 
 Groups = tuple[tuple[int, ...], ...]
-
-
-def groups_for_comm(comm, topology) -> Groups:
-    """Partition of ``comm``'s local ranks by hosting node.
-
-    Groups appear in order of their smallest local rank and each group
-    lists its members ascending, so the result is canonical for a given
-    placement — usable directly as (part of) a schedule-cache key.
-
-    Memoized on the communicator: both inputs are immutable (a revoked
-    communicator is replaced by :meth:`~repro.sim.mpi.SimComm.shrink`,
-    never mutated), and every candidate maker recomputing the O(P) scan
-    per invocation dominates large-P runs otherwise.
-    """
-    cached = getattr(comm, "_node_groups", None)
-    if cached is not None and cached[0] is topology:
-        return cached[1]
-    by_node: dict[int, list[int]] = {}
-    for local in range(comm.size):
-        node = topology.node_of(comm.world_rank(local))
-        by_node.setdefault(node, []).append(local)
-    groups = tuple(tuple(members) for members in by_node.values())
-    comm._node_groups = (topology, groups)
-    return groups
 
 
 def validate_groups(size: int, groups: Groups) -> None:
@@ -79,14 +73,116 @@ def validate_groups(size: int, groups: Groups) -> None:
             f"groups {groups!r} are not a partition of {size} ranks")
 
 
-def _group_index(groups: Groups, rank: int) -> int:
-    for gi, g in enumerate(groups):
-        if rank in g:
-            return gi
-    raise ScheduleError(f"rank {rank} not in any group")
+class Partition:
+    """A validated node partition and the lookup tables derived from it.
+
+    Build one through :func:`as_partition` (which interns it); compare
+    and hash by identity.
+    """
+
+    __slots__ = ("groups", "size", "group_of", "max_group", "_bcast",
+                 "__weakref__")
+
+    def __init__(self, groups: Groups):
+        self.size = sum(len(g) for g in groups)
+        validate_groups(self.size, groups)
+        self.groups = groups
+        group_of = [0] * self.size
+        for gi, g in enumerate(groups):
+            for r in g:
+                group_of[r] = gi
+        #: rank -> index of its group
+        self.group_of = tuple(group_of)
+        self.max_group = max((len(g) for g in groups), default=0)
+        self._bcast: dict[int, tuple] = {}
+
+    def bcast_peers(self, root: int) -> tuple[tuple[int, ...], ...]:
+        """Every rank's ``(parent, *children)`` in the two-level tree.
+
+        Indexed by rank; see :func:`hier_bcast_tree` for the shape.
+        Memoized per root.
+        """
+        table = self._bcast.get(root)
+        if table is None:
+            table = self._bcast[root] = self._bcast_table(root)
+        return table
+
+    def _bcast_table(self, root: int) -> tuple[tuple[int, ...], ...]:
+        if not 0 <= root < self.size:
+            raise ScheduleError(f"root {root} out of range for {self.size} ranks")
+        groups = self.groups
+        ridx = self.group_of[root]
+        leaders = [root if gi == ridx else g[0] for gi, g in enumerate(groups)]
+        nl = len(groups)
+        table: list = [None] * self.size
+        for gi, members in enumerate(groups):
+            leader = leaders[gi]
+            parent_v, children_v = bcast_tree(nl, (gi - ridx) % nl, BINOMIAL)
+            parent = -1 if parent_v == -1 else leaders[(parent_v + ridx) % nl]
+            table[leader] = (
+                parent,
+                *[leaders[(cv + ridx) % nl] for cv in children_v],
+                *[r for r in members if r != leader],
+            )
+            below_leader = (leader,)
+            for r in members:
+                if r != leader:
+                    table[r] = below_leader
+        return tuple(table)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"<Partition {len(self.groups)} groups of {self.size} ranks>"
 
 
-def hier_bcast_tree(groups: Groups, rank: int,
+_PARTITIONS: "weakref.WeakValueDictionary[Groups, Partition]" = (
+    weakref.WeakValueDictionary())
+
+
+def as_partition(groups: Union[Groups, Partition],
+                 size: int = -1) -> Partition:
+    """The interned :class:`Partition` of ``groups``.
+
+    A :class:`Partition` passes through; a ``groups`` tuple is validated
+    the first time it is seen.  With ``size`` given, the partition must
+    cover exactly ``range(size)``.
+    """
+    if isinstance(groups, Partition):
+        part = groups
+    else:
+        part = _PARTITIONS.get(groups)
+        if part is None:
+            part = _PARTITIONS[groups] = Partition(groups)
+    if size >= 0 and part.size != size:
+        raise ScheduleError(
+            f"groups {part.groups!r} are not a partition of {size} ranks")
+    return part
+
+
+def partition_for_comm(comm, topology) -> Partition:
+    """The :class:`Partition` of ``comm``'s local ranks by hosting node.
+
+    Groups appear in order of their smallest local rank and each group
+    lists its members ascending, so the result is canonical for a given
+    placement.
+
+    Memoized on the communicator: both inputs are immutable (a revoked
+    communicator is replaced by :meth:`~repro.sim.mpi.SimComm.shrink`,
+    never mutated), and every candidate maker recomputing the O(P) scan
+    per invocation dominates large-P runs otherwise.
+    """
+    cached = getattr(comm, "_node_groups", None)
+    if cached is not None and cached[0] is topology:
+        return cached[1]
+    by_node: dict[int, list[int]] = {}
+    for local in range(comm.size):
+        node = topology.node_of(comm.world_rank(local))
+        by_node.setdefault(node, []).append(local)
+    part = as_partition(tuple(tuple(members) for members in by_node.values()))
+    comm._node_groups = (topology, part)
+    return part
+
+
+def hier_bcast_tree(groups: Union[Groups, Partition], rank: int,
                     root: int) -> tuple[int, list[int]]:
     """Parent and children of ``rank`` in the two-level broadcast tree.
 
@@ -98,19 +194,8 @@ def hier_bcast_tree(groups: Groups, rank: int,
     deeper shape pointless.  Leader-children precede member-children so
     inter-node forwarding (the long pole) is initiated first.
     """
-    gidx = _group_index(groups, rank)
-    ridx = _group_index(groups, root)
-    leaders = [root if gi == ridx else g[0] for gi, g in enumerate(groups)]
-    leader = leaders[gidx]
-    if rank != leader:
-        return leader, []
-    nl = len(groups)
-    v = (gidx - ridx) % nl
-    parent_v, children_v = bcast_tree(nl, v, BINOMIAL)
-    parent = -1 if parent_v == -1 else leaders[(parent_v + ridx) % nl]
-    children = [leaders[(cv + ridx) % nl] for cv in children_v]
-    children += [r for r in groups[gidx] if r != leader]
-    return parent, children
+    peers = as_partition(groups).bcast_peers(root)[rank]
+    return peers[0], list(peers[1:])
 
 
 def build_hier_ibcast(
@@ -119,7 +204,7 @@ def build_hier_ibcast(
     root: int,
     nbytes: int,
     segsize: int,
-    groups: Groups,
+    groups: Union[Groups, Partition],
 ) -> Schedule:
     """Build this rank's schedule for a hierarchical segmented broadcast.
 
@@ -128,25 +213,23 @@ def build_hier_ibcast(
     so the flat and hierarchical variants are drop-in interchangeable
     tuning candidates.
     """
-    if size <= 0 or not 0 <= rank < size or not 0 <= root < size:
-        raise ScheduleError(
-            f"bad bcast geometry size={size} rank={rank} root={root}")
-    validate_groups(size, groups)
+    check_bcast_geometry(size, rank, root)
+    part = as_partition(groups, size)
     seg_bounds = segment_bounds(nbytes, segsize)
     sched = Schedule(name=f"ibcast[hier,seg={segsize}]")
     if size == 1:
         return sched
-    parent, children = hier_bcast_tree(groups, rank, root)
-    return emit_pipelined_bcast(sched, parent, children, seg_bounds)
+    peers = part.bcast_peers(root)[rank]
+    return emit_pipelined_bcast(sched, peers[0], list(peers[1:]), seg_bounds)
 
 
 def compiled_hier_ibcast(size: int, rank: int, root: int, nbytes: int,
-                         segsize: int, groups: Groups):
-    """Cached compiled plan for :func:`build_hier_ibcast`."""
-    return SCHEDULE_CACHE.get(
-        ("bcast", "hier", size, rank, nbytes, segsize, groups, root),
-        lambda: build_hier_ibcast(size, rank, root, nbytes, segsize, groups),
-    )
+                         segsize: int, groups: Union[Groups, Partition]):
+    """``(template, peers)`` for :func:`build_hier_ibcast`: the role
+    template of ``rank`` in the two-level tree, bound to its peers."""
+    check_bcast_geometry(size, rank, root)
+    peers = as_partition(groups, size).bcast_peers(root)[rank]
+    return compiled_bcast_role("hier", size, nbytes, segsize, peers)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +237,8 @@ def compiled_hier_ibcast(size: int, rank: int, root: int, nbytes: int,
 # ---------------------------------------------------------------------------
 
 def hier_alltoall_scratch_bytes(size: int, rank: int, m: int,
-                                groups: Groups) -> dict[str, int]:
+                                groups: Union[Groups, Partition]
+                                ) -> dict[str, int]:
     """Scratch buffers this rank needs besides ``"send"``/``"recv"``.
 
     Only leaders stage data: ``"gather"`` holds every member's full send
@@ -162,11 +246,12 @@ def hier_alltoall_scratch_bytes(size: int, rank: int, m: int,
     ``"so"``/``"si"`` are the pack/unpack areas for one inter-leader
     exchange (sized for the largest peer group).
     """
-    gidx = _group_index(groups, rank)
-    if rank != groups[gidx][0]:
+    part = as_partition(groups, size)
+    members = part.groups[part.group_of[rank]]
+    if rank != members[0]:
         return {}
-    gsz = len(groups[gidx])
-    maxg = max(len(g) for g in groups)
+    gsz = len(members)
+    maxg = part.max_group
     return {
         "gather": gsz * size * m,
         "scatter": gsz * size * m,
@@ -176,7 +261,7 @@ def hier_alltoall_scratch_bytes(size: int, rank: int, m: int,
 
 
 def build_hier_ialltoall(size: int, rank: int, m: int,
-                         groups: Groups) -> Schedule:
+                         groups: Union[Groups, Partition]) -> Schedule:
     """Build this rank's schedule for a leader-based all-to-all.
 
     Three phases, all within LibNBC round semantics:
@@ -199,7 +284,8 @@ def build_hier_ialltoall(size: int, rank: int, m: int,
         raise ScheduleError(f"bad alltoall geometry size={size} rank={rank}")
     if m < 0:
         raise ScheduleError(f"negative block size {m}")
-    validate_groups(size, groups)
+    part = as_partition(groups, size)
+    groups = part.groups
     ngroups = len(groups)
     sched = Schedule(name="ialltoall[hier]")
     # tagoffs: 0 = gather, 1 = scatter, 2+r = inter-leader round r; the
@@ -209,7 +295,7 @@ def build_hier_ialltoall(size: int, rank: int, m: int,
         sched.round()
         sched.copy(m, src=("send", 0, m), dst=("recv", 0, m))
         return sched
-    gidx = _group_index(groups, rank)
+    gidx = part.group_of[rank]
     members = groups[gidx]
     leader = members[0]
     gsz = len(members)
@@ -271,9 +357,11 @@ def build_hier_ialltoall(size: int, rank: int, m: int,
     return sched
 
 
-def compiled_hier_ialltoall(size: int, rank: int, m: int, groups: Groups):
+def compiled_hier_ialltoall(size: int, rank: int, m: int,
+                            groups: Union[Groups, Partition]):
     """Cached compiled plan for :func:`build_hier_ialltoall`."""
+    part = as_partition(groups, size)
     return SCHEDULE_CACHE.get(
-        ("alltoall", "hier", size, rank, m, 0, groups),
-        lambda: build_hier_ialltoall(size, rank, m, groups),
+        ("alltoall", "hier", size, rank, m, 0, part),
+        lambda: build_hier_ialltoall(size, rank, m, part),
     )

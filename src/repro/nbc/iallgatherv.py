@@ -21,7 +21,7 @@ message consistently because ``counts`` is global knowledge.
 from __future__ import annotations
 
 from ..errors import ScheduleError
-from .hier import Groups, _group_index, validate_groups
+from .hier import Groups, as_partition
 from .schedule import SCHEDULE_CACHE, Schedule
 
 __all__ = [
@@ -74,8 +74,7 @@ def build_iallgatherv(
     if algorithm == "ring":
         return _ring(size, rank, counts)
     if algorithm == "hier":
-        validate_groups(size, groups)
-        return _hier(size, rank, counts, groups)
+        return _hier(size, rank, counts, as_partition(groups, size))
     raise ScheduleError(
         f"unknown allgatherv algorithm {algorithm!r}; "
         f"expected one of {ALLGATHERV_ALGORITHMS}")
@@ -126,17 +125,18 @@ def _ring(size: int, rank: int, counts) -> Schedule:
     return sched
 
 
-def _hier(size: int, rank: int, counts, groups: Groups) -> Schedule:
+def _hier(size: int, rank: int, counts, part) -> Schedule:
     offs = _offsets(counts)
     total = offs[-1]
+    groups = part.groups
     ngroups = len(groups)
-    maxg = max(len(g) for g in groups)
+    maxg = part.max_group
     sched = Schedule(name="iallgatherv[hier]")
     # tagoffs: 0 = intra gather, 1 + r*maxg + k = ring round r block k,
     # last = intra replication of the assembled result
     span = 1 + max(0, ngroups - 1) * maxg + 1
     sched.uniform_tag_span = span
-    gidx = _group_index(groups, rank)
+    gidx = part.group_of[rank]
     members = groups[gidx]
     leader = members[0]
 
@@ -190,8 +190,14 @@ def _hier(size: int, rank: int, counts, groups: Groups) -> Schedule:
 
 def compiled_iallgatherv(size: int, rank: int, counts, algorithm: str,
                          groups: Groups = ()):
-    """Cached compiled plan for :func:`build_iallgatherv`."""
+    """Cached compiled plan for :func:`build_iallgatherv`.
+
+    ``groups`` enters the key as its interned partition (see
+    :func:`~repro.nbc.hier.as_partition`).
+    """
     counts = tuple(counts)
+    if groups:
+        groups = as_partition(groups, size)
     return SCHEDULE_CACHE.get(
         ("allgatherv", algorithm, size, rank, counts, 0, groups),
         lambda: build_iallgatherv(size, rank, counts, algorithm, groups),

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ScheduleError
-from .hier import Groups, hier_bcast_tree, validate_groups
+from .hier import Groups, as_partition
 from .iallgatherv import balanced_counts
 from .ibcast import BINOMIAL, bcast_tree
 from .schedule import SCHEDULE_CACHE, Schedule
@@ -61,9 +61,9 @@ def build_iallreduce(
     if algorithm == "ring":
         return _ring(size, rank, nbytes, dtype, op)
     if algorithm == "hier":
-        validate_groups(size, groups)
-        parent, children = hier_bcast_tree(groups, rank, groups[0][0])
-        return _tree(size, rank, parent, children, nbytes, dtype, op,
+        part = as_partition(groups, size)
+        peers = part.bcast_peers(part.groups[0][0])[rank]
+        return _tree(size, rank, peers[0], list(peers[1:]), nbytes, dtype, op,
                      name="iallreduce[hier]")
     raise ScheduleError(
         f"unknown allreduce algorithm {algorithm!r}; "
@@ -164,7 +164,13 @@ def _ring(size: int, rank: int, nbytes: int, dtype: str, op: str) -> Schedule:
 def compiled_iallreduce(size: int, rank: int, nbytes: int, algorithm: str,
                         dtype: str = "float64", op: str = "sum",
                         groups: Groups = ()):
-    """Cached compiled plan for :func:`build_iallreduce`."""
+    """Cached compiled plan for :func:`build_iallreduce`.
+
+    ``groups`` enters the key as its interned partition (see
+    :func:`~repro.nbc.hier.as_partition`).
+    """
+    if groups:
+        groups = as_partition(groups, size)
     return SCHEDULE_CACHE.get(
         ("allreduce", algorithm, size, rank, nbytes, 0, groups, dtype, op),
         lambda: build_iallreduce(size, rank, nbytes, algorithm,

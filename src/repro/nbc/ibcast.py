@@ -22,11 +22,13 @@ the paper.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from ..errors import ScheduleError
 from .schedule import SCHEDULE_CACHE, Schedule
 
 __all__ = ["BINOMIAL", "build_ibcast", "compiled_ibcast", "bcast_tree",
+           "bcast_peers", "check_bcast_geometry", "compiled_bcast_role",
            "emit_pipelined_bcast", "segment_bounds", "IBCAST_FANOUTS"]
 
 #: sentinel fan-out value selecting the binomial tree (the paper's "N")
@@ -98,9 +100,10 @@ def emit_pipelined_bcast(
 ) -> Schedule:
     """Emit this rank's rounds of a segmented tree broadcast.
 
-    ``parent``/``children`` are *real* communicator-local peers
-    (``parent == -1`` on the root); the tree shape is entirely the
-    caller's — flat k-ary/binomial trees (:func:`build_ibcast`) and the
+    ``parent``/``children`` are the peers the ops name (``parent == -1``
+    on the root): real ranks in a per-rank schedule, slots in a role
+    template (:func:`compiled_bcast_role`).  The tree shape is entirely
+    the caller's — flat k-ary/binomial trees (:func:`build_ibcast`) and the
     two-level hierarchical tree (:mod:`repro.nbc.hier`) share these
     exact rounds.  Segment *s* uses tag offset ``tag0 + s``; round *k*
     receives segment *k* from the parent while forwarding segment *k−1*
@@ -135,6 +138,43 @@ def emit_pipelined_bcast(
     return sched
 
 
+def check_bcast_geometry(size: int, rank: int, root: int) -> None:
+    """Raise :class:`ScheduleError` unless ``rank`` and ``root`` lie in
+    a communicator of ``size`` ranks."""
+    if size <= 0 or not 0 <= rank < size or not 0 <= root < size:
+        raise ScheduleError(f"bad bcast geometry size={size} rank={rank} root={root}")
+
+
+def bcast_peers(size: int, rank: int, root: int,
+                fanout: int) -> tuple[int, ...]:
+    """``(parent, *children)`` of ``rank`` as real communicator ranks.
+
+    The parent is ``-1`` on the root.  This is the peer table a tree
+    template (:func:`compiled_bcast_role`) is bound to.
+    """
+    check_bcast_geometry(size, rank, root)
+    parent_v, children_v = bcast_tree(size, (rank - root) % size, fanout)
+    parent = -1 if parent_v == -1 else (parent_v + root) % size
+    return (parent, *[(c + root) % size for c in children_v])
+
+
+@lru_cache(maxsize=16)
+def _tree_peers(size: int, root: int, fanout: int) -> tuple[tuple[int, ...], ...]:
+    """Every rank's :func:`bcast_peers`, indexed by rank.
+
+    A tuning run starts the same few trees (one per fan-out) thousands
+    of times; the table makes binding a template one index.
+    """
+    return tuple(bcast_peers(size, rank, root, fanout) for rank in range(size))
+
+
+_FANOUT_NAMES = {0: "linear", 1: "chain", BINOMIAL: "binomial"}
+
+
+def _fanout_name(fanout) -> str:
+    return _FANOUT_NAMES.get(fanout) or f"{fanout}-ary"
+
+
 def build_ibcast(
     size: int,
     rank: int,
@@ -147,26 +187,48 @@ def build_ibcast(
 
     The broadcast buffer is the schedule buffer named ``"data"`` (on
     every rank; the root's content is distributed into everyone else's).
+    Peers are real ranks (run it bound to
+    :func:`~repro.nbc.schedule.identity_peers`).
 
     The schedule pipelines segments: round *k* receives segment *k* from
     the parent and simultaneously forwards segment *k−1* to the
     children, so a depth-*d* tree with *S* segments completes in
     ``d + S - 1`` forwarding steps.
     """
-    if size <= 0 or not 0 <= rank < size or not 0 <= root < size:
-        raise ScheduleError(f"bad bcast geometry size={size} rank={rank} root={root}")
     seg_bounds = segment_bounds(nbytes, segsize)
-    vrank = (rank - root) % size
-    parent_v, children_v = bcast_tree(size, vrank, fanout)
-    to_real = lambda v: (v + root) % size  # noqa: E731 - tiny translation
-
-    fo_name = {0: "linear", 1: "chain", BINOMIAL: "binomial"}.get(fanout, f"{fanout}-ary")
-    sched = Schedule(name=f"ibcast[{fo_name},seg={segsize}]")
+    peers = bcast_peers(size, rank, root, fanout)
+    sched = Schedule(name=f"ibcast[{_fanout_name(fanout)},seg={segsize}]")
     if size == 1:
         return sched
-    parent = -1 if parent_v == -1 else to_real(parent_v)
-    children = [to_real(c) for c in children_v]
-    return emit_pipelined_bcast(sched, parent, children, seg_bounds)
+    return emit_pipelined_bcast(sched, peers[0], list(peers[1:]), seg_bounds)
+
+
+def compiled_bcast_role(label: str, size: int, nbytes: int, segsize: int,
+                        peers: tuple[int, ...]):
+    """The cached role template for a tree-broadcast rank, with its peers.
+
+    The template depends on the rank only through its role — whether it
+    has a parent, and how many children — so all ranks of one role share
+    it: slot 0 is the parent, slots ``1..nchildren`` the children, in
+    the order of ``peers = (parent, *children)``.  ``label`` names the
+    tree shape (``"binomial"``, ``"hier"``, ...) in the cache key and the
+    schedule name.  Returns ``(template, peers)``, ready for
+    :class:`~repro.nbc.request.NBCRequest`.
+    """
+    has_parent = peers[0] != -1
+    nchildren = len(peers) - 1
+
+    def build() -> Schedule:
+        seg_bounds = segment_bounds(nbytes, segsize)
+        sched = Schedule(name=f"ibcast[{label},seg={segsize}]")
+        if not has_parent and not nchildren:  # a single-rank communicator
+            return sched
+        return emit_pipelined_bcast(sched, 0 if has_parent else -1,
+                                    list(range(1, nchildren + 1)), seg_bounds)
+
+    plan = SCHEDULE_CACHE.get(
+        ("bcast", label, size, nbytes, segsize, has_parent, nchildren), build)
+    return plan, peers
 
 
 def compiled_ibcast(
@@ -177,8 +239,7 @@ def compiled_ibcast(
     fanout: int,
     segsize: int,
 ):
-    """Cached compiled plan for :func:`build_ibcast` (same arguments)."""
-    return SCHEDULE_CACHE.get(
-        ("bcast", "tree", size, rank, nbytes, segsize, fanout, root),
-        lambda: build_ibcast(size, rank, root, nbytes, fanout, segsize),
-    )
+    """``(template, peers)`` for :func:`build_ibcast` (same arguments)."""
+    check_bcast_geometry(size, rank, root)
+    return compiled_bcast_role(_fanout_name(fanout), size, nbytes, segsize,
+                               _tree_peers(size, root, fanout)[rank])

@@ -67,7 +67,7 @@ class NBCRequest(Waitable):
     Parameters
     ----------
     schedule:
-        The per-rank schedule to execute — a mutable
+        The schedule to execute — a mutable
         :class:`~repro.nbc.schedule.Schedule` or a cached
         :class:`~repro.nbc.schedule.CompiledSchedule` plan (all per-run
         state lives in this request, so compiled plans are freely shared
@@ -76,6 +76,11 @@ class NBCRequest(Waitable):
         Communicator the collective runs on.
     local_rank:
         This process's rank within ``comm``.
+    peers:
+        The peer table: a send or receive on slot *s* targets
+        communicator-local rank ``peers[s]``.  A role template binds
+        this rank's ``(parent, *children)``; a per-rank plan binds
+        :func:`~repro.nbc.schedule.identity_peers`.
     buffers:
         Optional buffer dict (see :func:`make_buffers`); ``None`` runs
         the schedule size-only.
@@ -85,6 +90,7 @@ class NBCRequest(Waitable):
         "schedule",
         "comm",
         "local_rank",
+        "peers",
         "buffers",
         "tag_base",
         "start_time",
@@ -100,12 +106,14 @@ class NBCRequest(Waitable):
         schedule: Union[Schedule, CompiledSchedule],
         comm: SimComm,
         local_rank: int,
+        peers: tuple[int, ...],
         buffers: Optional[dict] = None,
     ):
         super().__init__()
         self.schedule = schedule
         self.comm = comm
         self.local_rank = local_rank
+        self.peers = peers
         self.buffers = buffers
         self.tag_base = -1
         self.start_time: Optional[float] = None
@@ -186,6 +194,7 @@ class NBCRequest(Waitable):
                              self._round, len(ops))
         buffers = self.buffers
         comm = self.comm
+        peers = self.peers
         tag_base = self.tag_base
         child_done = self._child_done
         # guard: eager sends / instantly-matched recvs fire their notify
@@ -200,12 +209,12 @@ class NBCRequest(Waitable):
                 if kind == "send":
                     self._pending += 1
                     # positional args: this is the sweep hot loop
-                    ctx.isend(op.peer, op.nbytes, tag_base + op.tagoff,
-                              comm, None, child_done)
+                    ctx.isend(peers[op.peer], op.nbytes,
+                              tag_base + op.tagoff, comm, None, child_done)
                 elif kind == "recv":
                     self._pending += 1
-                    ctx.irecv(op.peer, op.nbytes, tag_base + op.tagoff,
-                              comm, child_done)
+                    ctx.irecv(peers[op.peer], op.nbytes,
+                              tag_base + op.tagoff, comm, child_done)
                 elif kind == "copy":
                     ctx.charge_copy(op.nbytes)
                 elif kind == "combine":
@@ -220,7 +229,7 @@ class NBCRequest(Waitable):
                 self._pending += 1
                 data = resolve(buffers, op.src)
                 ctx.isend(
-                    op.peer,
+                    peers[op.peer],
                     nbytes=op.nbytes,
                     tag=tag_base + op.tagoff,
                     comm=comm,
@@ -235,7 +244,7 @@ class NBCRequest(Waitable):
                 else:
                     notify = self._make_recv_notify(dst)
                 ctx.irecv(
-                    op.peer,
+                    peers[op.peer],
                     nbytes=op.nbytes,
                     tag=tag_base + op.tagoff,
                     comm=comm,

@@ -19,9 +19,8 @@ both modes.
 Compiled schedules & the schedule cache
 ---------------------------------------
 Building a schedule is pure: the op list depends only on the problem
-geometry ``(operation, algorithm, nranks, rank, nbytes, segsize,
-fanout, ...)``, never on run-time state.  All per-run mutable state
-(request handles, the round cursor, pending-op counts) lives in
+geometry, never on run-time state.  All per-run mutable state (request
+handles, the round cursor, pending-op counts) lives in
 :class:`~repro.nbc.request.NBCRequest`, so one plan can back any number
 of concurrent or successive requests.  A tuning run replays the same
 handful of plans for hundreds of iterations; :class:`CompiledSchedule`
@@ -30,11 +29,23 @@ tuples, ``tag_span`` precomputed) and :class:`ScheduleCache` memoizes
 plans under their geometry key with hit/miss statistics.  The builders
 expose ``compiled_*`` entry points that go through the process-global
 :data:`SCHEDULE_CACHE`.
+
+Peers are named by **slot**: a send or receive targets
+``peers[op.peer]``, where ``peers`` is the table the request is bound
+to.  That makes a plan rank-independent wherever the op list is.  The
+tree broadcasts (flat and hierarchical) compile one *template* per tree
+role — ``(has_parent, nchildren)``, with slot 0 the parent and slots
+1.. the children, as LibNBC builds its trees on root-relative virtual
+ranks — and bind each rank's ``(parent, *children)`` when the request is
+made: a P=1024 hierarchical broadcast needs about ten plans instead of
+1,024.  Every other family still compiles one plan per rank whose slots
+are ranks, bound to the shared :func:`identity_peers` table.
 """
 
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,11 +63,21 @@ __all__ = [
     "ScheduleCache",
     "SCHEDULE_CACHE",
     "schedule_cache_stats",
+    "identity_peers",
     "resolve",
 ]
 
 #: symbolic byte-range into a named buffer: ``(buffer_name, offset, nbytes)``
 BufSpec = tuple[str, int, int]
+
+
+@lru_cache(maxsize=64)
+def identity_peers(size: int) -> tuple[int, ...]:
+    """The peer table of a per-rank plan: slot *i* is rank *i*.
+
+    One shared tuple per communicator size.
+    """
+    return tuple(range(size))
 
 
 def resolve(buffers: Optional[dict], spec: Optional[BufSpec]) -> Optional[np.ndarray]:
@@ -80,7 +101,11 @@ def resolve(buffers: Optional[dict], spec: Optional[BufSpec]) -> Optional[np.nda
 
 
 class SendOp:
-    """Send ``nbytes`` to communicator-local ``peer`` (tag offset ``tagoff``)."""
+    """Send ``nbytes`` to peer slot ``peer`` (tag offset ``tagoff``).
+
+    The executing request maps the slot to a communicator-local rank
+    through its peer table.
+    """
 
     __slots__ = ("peer", "nbytes", "tagoff", "src")
     kind = "send"
@@ -97,7 +122,7 @@ class SendOp:
 
 
 class RecvOp:
-    """Receive ``nbytes`` from communicator-local ``peer``."""
+    """Receive ``nbytes`` from peer slot ``peer``."""
 
     __slots__ = ("peer", "nbytes", "tagoff", "dst")
     kind = "recv"
@@ -351,11 +376,12 @@ class ScheduleCache:
 
     The store is a plain dict (the lookup is on a tuning hot path); when
     it would exceed ``maxsize`` distinct keys it is flushed wholesale.
-    Plans are per rank, so a tuning run holds candidates x ranks of
-    them: the 21-candidate Ibcast brute force at P=256 needs 5,376
-    (about 1.1 KB each).  The default bound holds that working set with
-    room to spare, so a flush signals key churn, not a working set worth
-    LRU bookkeeping.
+    Tree-broadcast plans are per role, not per rank, so the 21-candidate
+    Ibcast brute force holds 84 of them at P=256 and 93 at P=1024 (a
+    binomial tree has ``log2(P) + 1`` roles, the others at most four);
+    the other families still hold one plan per rank and candidate.  The
+    default bound holds those working sets with room to spare, so a
+    flush signals key churn, not a working set worth LRU bookkeeping.
     """
 
     def __init__(self, maxsize: int = 8192, enabled: bool = True):
@@ -405,11 +431,21 @@ class ScheduleCache:
     def __len__(self) -> int:
         return len(self._store)
 
+    def families(self) -> dict[str, int]:
+        """Cached plans per family: the operation, prefixed ``hier-``
+        for the hierarchical algorithms (``bcast``, ``hier-bcast``, ...)."""
+        out: dict[str, int] = {}
+        for key in self._store:
+            family = f"hier-{key[0]}" if key[1:2] == ("hier",) else key[0]
+            out[family] = out.get(family, 0) + 1
+        return dict(sorted(out.items()))
+
     def stats(self) -> dict:
         return {
             "hits": self.hits,
             "misses": self.misses,
             "entries": len(self._store),
+            "families": self.families(),
             "flushes": self.flushes,
             "hit_rate": self.hit_rate,
             "enabled": self.enabled,

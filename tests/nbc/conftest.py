@@ -43,3 +43,20 @@ def alltoall_expected(rank, size, m):
         np.full(m, (j * size + rank) % 251, dtype=np.uint8) for j in range(size)
     ]
     return np.concatenate(blocks)
+
+
+def bound_rounds(sched, peers):
+    """A schedule's rounds with every peer slot resolved through ``peers``.
+
+    Two plans that bind to equal results post the same operations, in
+    the same order, to the same ranks.
+    """
+    return [
+        [(op.kind, peers[op.peer], op.nbytes, op.tagoff, op.src)
+         if op.kind == "send" else
+         (op.kind, peers[op.peer], op.nbytes, op.tagoff, op.dst)
+         if op.kind == "recv" else
+         (op.kind, op.nbytes, op.src, op.dst)
+         for op in rnd]
+        for rnd in sched.rounds
+    ]

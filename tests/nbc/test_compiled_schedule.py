@@ -4,7 +4,15 @@ import pytest
 
 from repro.errors import ScheduleError
 from repro.nbc.ibcast import build_ibcast, compiled_ibcast
-from repro.nbc.schedule import SCHEDULE_CACHE, CompiledSchedule, Schedule, ScheduleCache
+from repro.nbc.schedule import (
+    SCHEDULE_CACHE,
+    CompiledSchedule,
+    Schedule,
+    ScheduleCache,
+    identity_peers,
+)
+
+from .conftest import bound_rounds
 
 
 @pytest.fixture
@@ -119,23 +127,35 @@ def test_cache_holds_a_p256_ibcast_brute_force(global_cache):
 
 
 def test_compiled_ibcast_memoizes_per_geometry(global_cache):
-    a = compiled_ibcast(8, 3, 0, 64 * 1024, 2, 16 * 1024)
-    b = compiled_ibcast(8, 3, 0, 64 * 1024, 2, 16 * 1024)
-    other_rank = compiled_ibcast(8, 4, 0, 64 * 1024, 2, 16 * 1024)
+    a, a_peers = compiled_ibcast(8, 3, 0, 64 * 1024, 2, 16 * 1024)
+    b, b_peers = compiled_ibcast(8, 3, 0, 64 * 1024, 2, 16 * 1024)
+    # rank 4 is a leaf of the 2-ary tree, rank 3 an interior node
+    other, other_peers = compiled_ibcast(8, 4, 0, 64 * 1024, 2, 16 * 1024)
     assert a is b
-    assert a is not other_rank
+    assert a_peers == b_peers
+    assert bound_rounds(a, a_peers) != bound_rounds(other, other_peers)
     assert global_cache.hits == 1
     assert global_cache.misses == 2
 
 
+def test_same_role_shares_a_template_but_binds_its_own_peers(global_cache):
+    # ranks 4 and 5 are leaves of the 2-ary tree, under parents 1 and 2
+    a, a_peers = compiled_ibcast(8, 4, 0, 64 * 1024, 2, 16 * 1024)
+    b, b_peers = compiled_ibcast(8, 5, 0, 64 * 1024, 2, 16 * 1024)
+    assert a is b
+    assert a_peers != b_peers
+    assert bound_rounds(a, a_peers) != bound_rounds(b, b_peers)
+    assert (global_cache.hits, global_cache.misses) == (1, 1)
+
+
 def test_compiled_plan_matches_builder_output(global_cache):
-    plan = compiled_ibcast(16, 5, 0, 128 * 1024, 4, 64 * 1024)
+    plan, peers = compiled_ibcast(16, 5, 0, 128 * 1024, 4, 64 * 1024)
     fresh = build_ibcast(16, 5, 0, 128 * 1024, fanout=4, segsize=64 * 1024)
+    assert plan.name == fresh.name
     assert plan.nrounds == fresh.nrounds
     assert plan.tag_span == fresh.tag_span
     assert plan.total_send_bytes() == fresh.total_send_bytes()
-    for frozen, built in zip(plan.rounds, fresh.rounds):
-        assert [repr(op) for op in frozen] == [repr(op) for op in built]
+    assert bound_rounds(plan, peers) == bound_rounds(fresh, identity_peers(16))
 
 
 def test_cached_and_uncached_runs_bit_identical(global_cache):

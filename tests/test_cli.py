@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -93,6 +95,10 @@ def test_tune_with_stats(capsys):
     assert "decision at iteration" in out
     assert "events/sec" in out
     assert "engine loop" in out and "dispatched" in out
+    # the schedule-cache line breaks its plans down per family
+    cache_line = next(line for line in out.splitlines()
+                      if line.startswith("schedule cache"))
+    assert re.search(r"entries: .*\balltoall \d+", cache_line), cache_line
 
 
 def test_tune_with_trace_metrics_and_report(capsys, tmp_path):

@@ -8,12 +8,13 @@
 from __future__ import annotations
 
 from typing import Union
+from unittest import mock
 
 import legacy_mpi
 import legacy_noise
 import legacy_request
 
-import repro.adcl.fnsets as _fnsets
+import repro.nbc.coll as _coll
 from repro.adcl.function import CollSpec
 from repro.adcl.request import ADCLRequest
 from repro.adcl.selection.base import FixedSelector, Selector
@@ -28,24 +29,24 @@ __all__ = ["baseline_stack", "run_overlap_legacy"]
 class baseline_stack:
     """Context manager routing the NBC layer through the seed snapshots.
 
-    Inside the block, schedule plans are built from scratch on every
-    collective init (cache disabled) and ``repro.adcl.fnsets`` wires
-    collectives to the snapshot :class:`legacy_request.NBCRequest`.
-    The optimized classes are restored on exit no matter what.
+    Inside the block, every plan lookup returns a freshly built raw
+    schedule (no cache, as in the seed) and ``repro.nbc.coll`` — the
+    init path every ADCL function-set maker calls — wires collectives
+    to the snapshot :class:`legacy_request.NBCRequest`.  The optimized
+    classes are restored on exit no matter what.
     """
 
     def __enter__(self):
-        self._req = _fnsets.NBCRequest
-        self._enabled = SCHEDULE_CACHE.enabled
-        _fnsets.NBCRequest = legacy_request.NBCRequest
-        SCHEDULE_CACHE.enabled = False
-        SCHEDULE_CACHE.clear()
+        self._req = _coll.NBCRequest
+        self._uncached = mock.patch.object(SCHEDULE_CACHE, "get",
+                                           lambda key, build: build())
+        _coll.NBCRequest = legacy_request.NBCRequest
+        self._uncached.start()
         return self
 
     def __exit__(self, *exc):
-        _fnsets.NBCRequest = self._req
-        SCHEDULE_CACHE.enabled = self._enabled
-        SCHEDULE_CACHE.clear()
+        _coll.NBCRequest = self._req
+        self._uncached.stop()
         return False
 
 

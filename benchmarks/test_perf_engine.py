@@ -10,7 +10,7 @@ Methodology
 * The baseline is not a guess: ``legacy_engine.py`` / ``legacy_mpi.py`` /
   ``legacy_request.py`` / ``legacy_noise.py`` / ``legacy_overlap.py`` are
   verbatim snapshots of the pre-optimization stack (commit c6e9d2f),
-  run with the schedule cache disabled.  Before any timing, the harness
+  run with every plan rebuilt on each lookup.  Before any timing, the harness
   asserts the two stacks produce **bit-identical** virtual-time results
   (winner, decision point, makespan, first/last iteration times, event
   count) — the speedup is only meaningful because the answer is
@@ -29,17 +29,22 @@ import json
 import os
 import sys
 import time
+from unittest import mock
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from repro.bench.overlap import OverlapConfig, run_overlap
+from repro.adcl.function import CollSpec
+from repro.bench.overlap import OverlapConfig, function_set_for, run_overlap
 from repro.bench.parallel import ResultCache, sweep_implementations
-from repro.nbc.schedule import SCHEDULE_CACHE
+from repro.nbc.schedule import SCHEDULE_CACHE, Schedule
+from repro.sim import Wait, get_platform
 from repro.sim.engine import Simulator
 
 import legacy_engine
+import legacy_mpi
+import legacy_request
 from legacy_overlap import baseline_stack, run_overlap_legacy
 
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
@@ -118,7 +123,6 @@ def _fingerprint(res) -> tuple:
 
 
 def _run_optimized(cfg: OverlapConfig):
-    SCHEDULE_CACHE.enabled = True
     SCHEDULE_CACHE.clear()
     return run_overlap(cfg, evals_per_function=2)
 
@@ -131,6 +135,30 @@ def _run_baseline(cfg: OverlapConfig):
 # ---------------------------------------------------------------------------
 # 1. the headline number: single-process tuning-sweep speedup
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("operation", ["bcast", "alltoall"])
+def test_baseline_stack_reaches_the_maker_path(operation):
+    """Inside ``baseline_stack`` the function-set makers build snapshot
+    requests and every plan lookup rebuilds.  A stale patch target would
+    let the speedup gate below time the optimized stack against itself."""
+    with baseline_stack():
+        world = legacy_mpi.SimWorld(get_platform("whale"), 4)
+        spec = CollSpec(operation, world.comm_world, 8 * 1024)
+        made = []
+
+        def program(ctx):
+            for fn in function_set_for(operation):
+                made.append(fn.make(ctx, spec))
+                yield Wait(made[-1])
+
+        world.launch(program)
+        world.run()
+    assert made and all(type(req) is legacy_request.NBCRequest
+                        for req in made)
+    # a freshly built raw schedule per request: no plan came from the cache
+    assert all(type(req.schedule) is Schedule for req in made)
+    assert len({id(req.schedule) for req in made}) == len(made)
 
 
 def test_sweep_speedup_vs_seed_stack():
@@ -180,18 +208,15 @@ def test_sweep_speedup_vs_seed_stack():
 
 def test_schedule_cache_identical_and_hot():
     """Cache on vs off on the *same* stack: identical trace, >99% hits."""
-    SCHEDULE_CACHE.enabled = True
     SCHEDULE_CACHE.clear()
     SCHEDULE_CACHE.reset_stats()
     cached = run_overlap(PERF_CFG, evals_per_function=2)
     stats = SCHEDULE_CACHE.stats()
 
-    SCHEDULE_CACHE.enabled = False
-    SCHEDULE_CACHE.clear()
-    try:
+    # every lookup rebuilds its plan
+    with mock.patch.object(SCHEDULE_CACHE, "get",
+                           lambda key, build: build().compile(key)):
         uncached = run_overlap(PERF_CFG, evals_per_function=2)
-    finally:
-        SCHEDULE_CACHE.enabled = True
 
     assert _fingerprint(cached) == _fingerprint(uncached)
     _record("schedule_cache", stats)

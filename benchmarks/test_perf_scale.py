@@ -36,7 +36,6 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from repro.bench.overlap import OverlapConfig, function_set_for, run_overlap
-from repro.nbc.schedule import SCHEDULE_CACHE
 
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 OUT_PATH = os.path.join(OUT_DIR, "BENCH_scale.json")
@@ -104,7 +103,6 @@ def _object_engine():
 
 
 def _run(cfg: OverlapConfig, selector: int):
-    SCHEDULE_CACHE.enabled = True
     return run_overlap(cfg, selector=selector, evals_per_function=1)
 
 

@@ -1,5 +1,13 @@
 """Predefined ADCL function-sets (§III-E).
 
+An ADCL function is the library's own *init* function for one algorithm
+(§III-C): every maker here is a thin call into the matching
+``start_*`` entry point of :mod:`repro.nbc.coll`, which owns the whole
+path from compiled plan to running :class:`~repro.nbc.request.NBCRequest`
+(rank, node partition, plan lookup, peer binding, scratch buffers).  A
+maker only maps the per-call buffer dict (``"send"``/``"recv"``/
+``"data"``) onto that function's buffer keywords.
+
 * :func:`ibcast_function_set` — the paper's 21-function ``Ibcast`` set:
   fan-out ∈ {0 linear, 1 chain, 2..5, binomial} x segment size
   ∈ {32 KB, 64 KB, 128 KB};
@@ -9,39 +17,33 @@
   adds *blocking* variants of the same algorithms (wait pointer NULL),
   letting the selection logic decide blocking vs non-blocking at run
   time;
-* :func:`ireduce_function_set` / :func:`iallgather_function_set` — the
-  further operations ADCL supports.
+* :func:`ireduce_function_set`, :func:`iallgather_function_set`,
+  :func:`iallgatherv_function_set`, :func:`ireduce_scatter_function_set`
+  and :func:`iallreduce_function_set` — the further operations ADCL
+  supports;
+* :func:`ibcast_mockup_function_set` — the scatter+allgather broadcast
+  mock-up of the guideline checker, the one maker with no ``start_*``.
 """
 
 from __future__ import annotations
 
 
-from typing import Mapping, Optional
+from typing import Optional
 
-import numpy as np
-
-from ..nbc.hier import (
-    compiled_hier_ialltoall,
-    compiled_hier_ibcast,
-    hier_alltoall_scratch_bytes,
-    partition_for_comm,
+from ..nbc.coll import (
+    start_iallgather,
+    start_iallgatherv,
+    start_iallreduce,
+    start_ialltoall,
+    start_ibcast,
+    start_ireduce,
+    start_ireduce_scatter,
 )
-from ..nbc.ialltoall import alltoall_scratch_bytes, compiled_ialltoall
-from ..nbc.iallgather import compiled_iallgather
-from ..nbc.iallgatherv import (
-    ALLGATHERV_ALGORITHMS,
-    balanced_counts,
-    compiled_iallgatherv,
-)
-from ..nbc.iallreduce import ALLREDUCE_ALGORITHMS, compiled_iallreduce
-from ..nbc.ibcast import BINOMIAL, IBCAST_FANOUTS, compiled_ibcast
-from ..nbc.ireduce import compiled_ireduce
-from ..nbc.ireduce_scatter import (
-    REDUCE_SCATTER_ALGORITHMS,
-    compiled_ireduce_scatter,
-)
+from ..nbc.iallgatherv import ALLGATHERV_ALGORITHMS, balanced_counts
+from ..nbc.iallreduce import ALLREDUCE_ALGORITHMS
+from ..nbc.ibcast import BINOMIAL, IBCAST_FANOUTS
+from ..nbc.ireduce_scatter import REDUCE_SCATTER_ALGORITHMS
 from ..nbc.request import NBCRequest, make_buffers
-from ..nbc.schedule import identity_peers
 from ..sim.mpi import MPIContext
 from ..units import KiB
 from .attributes import Attribute, AttributeSet
@@ -70,13 +72,6 @@ HIER_FANOUT = "hier"
 
 #: paper name for the Bruck algorithm
 _A2A_NAME = {"linear": "linear", "bruck": "dissemination", "pairwise": "pairwise"}
-_A2A_ALGO = {v: k for k, v in _A2A_NAME.items()}
-
-
-def _as_buffers(buffers: Optional[Mapping[str, np.ndarray]]):
-    if buffers is None:
-        return None
-    return make_buffers(**buffers)
 
 
 def _fanout_label(fanout) -> str:
@@ -100,25 +95,11 @@ def ibcast_function_set(hierarchical: bool = False) -> FunctionSet:
     functions = []
     for fanout in fanouts:
         for segsize in IBCAST_SEGSIZES:
-            if fanout == HIER_FANOUT:
-                def maker(ctx: MPIContext, spec: CollSpec, buffers,
-                          segsize=segsize) -> NBCRequest:
-                    comm = spec.comm
-                    rank = comm.local_rank(ctx.rank)
-                    part = partition_for_comm(comm, ctx.topology)
-                    sched, peers = compiled_hier_ibcast(
-                        comm.size, rank, spec.root, spec.nbytes, segsize, part)
-                    return NBCRequest(sched, comm, rank, peers,
-                                      _as_buffers(buffers)).start(ctx)
-            else:
-                def maker(ctx: MPIContext, spec: CollSpec, buffers,
-                          fanout=fanout, segsize=segsize) -> NBCRequest:
-                    comm = spec.comm
-                    rank = comm.local_rank(ctx.rank)
-                    sched, peers = compiled_ibcast(comm.size, rank, spec.root,
-                                                   spec.nbytes, fanout, segsize)
-                    return NBCRequest(sched, comm, rank, peers,
-                                      _as_buffers(buffers)).start(ctx)
+            def maker(ctx: MPIContext, spec: CollSpec, buffers,
+                      fanout=fanout, segsize=segsize) -> NBCRequest:
+                return start_ibcast(ctx, spec.nbytes, spec.root, fanout,
+                                    segsize, comm=spec.comm,
+                                    buf=(buffers or {}).get("data"))
 
             functions.append(CollFunction(
                 name=f"{_fanout_label(fanout)}_seg{segsize // KiB}KB",
@@ -136,17 +117,20 @@ def scatter_allgather_function() -> CollFunction:
     (:func:`repro.nbc.compose.build_scatter_allgather`).  It is not part
     of the shipped :func:`ibcast_function_set` — the guideline checker
     measures it stand-alone and asserts the tuned broadcast decision is
-    never slower than this composition.
+    never slower than this composition.  Having no ``start_*`` entry
+    point, it is the one maker that posts its own request.
     """
     from ..nbc.compose import compiled_scatter_allgather
+    from ..nbc.schedule import identity_peers
 
     def maker(ctx: MPIContext, spec: CollSpec, buffers) -> NBCRequest:
         comm = spec.comm
         rank = comm.local_rank(ctx.rank)
         sched = compiled_scatter_allgather(comm.size, rank, spec.root,
                                            spec.nbytes)
+        bufs = None if buffers is None else make_buffers(**buffers)
         return NBCRequest(sched, comm, rank, identity_peers(comm.size),
-                          _as_buffers(buffers)).start(ctx)
+                          bufs).start(ctx)
 
     return CollFunction(name="scatter_allgather", maker=maker)
 
@@ -156,36 +140,14 @@ def ibcast_mockup_function_set() -> FunctionSet:
     return FunctionSet("ibcast_mockup", [scatter_allgather_function()])
 
 
-def _alltoall_maker(algorithm: str, ctx: MPIContext, spec: CollSpec,
-                    buffers) -> NBCRequest:
-    comm = spec.comm
-    rank = comm.local_rank(ctx.rank)
-    sched = compiled_ialltoall(comm.size, rank, spec.nbytes, algorithm)
-    bufs = _as_buffers(buffers)
-    if bufs is not None:
-        for name, nbytes in alltoall_scratch_bytes(
-            comm.size, spec.nbytes, algorithm
-        ).items():
-            if name not in bufs:
-                bufs[name] = np.empty(nbytes, dtype=np.uint8)
-    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
-                      bufs).start(ctx)
+def _alltoall_maker(algorithm: str):
+    def maker(ctx: MPIContext, spec: CollSpec, buffers) -> NBCRequest:
+        buffers = buffers or {}
+        return start_ialltoall(ctx, spec.nbytes, algorithm, comm=spec.comm,
+                               sendbuf=buffers.get("send"),
+                               recvbuf=buffers.get("recv"))
 
-
-def _hier_alltoall_maker(ctx, spec: CollSpec, buffers) -> NBCRequest:
-    comm = spec.comm
-    rank = comm.local_rank(ctx.rank)
-    part = partition_for_comm(comm, ctx.topology)
-    sched = compiled_hier_ialltoall(comm.size, rank, spec.nbytes, part)
-    bufs = _as_buffers(buffers)
-    if bufs is not None:
-        for name, nbytes in hier_alltoall_scratch_bytes(
-            comm.size, rank, spec.nbytes, part
-        ).items():
-            if name not in bufs:
-                bufs[name] = np.empty(nbytes, dtype=np.uint8)
-    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
-                      bufs).start(ctx)
+    return maker
 
 
 def ialltoall_function_set(hierarchical: bool = False) -> FunctionSet:
@@ -194,23 +156,15 @@ def ialltoall_function_set(hierarchical: bool = False) -> FunctionSet:
     ``hierarchical=True`` adds the leader-based two-level candidate
     (gather / inter-leader pairwise exchange / scatter).
     """
-    labels = list(_A2A_NAME.values()) + (["hier"] if hierarchical else [])
+    names = {**_A2A_NAME, "hier": "hier"} if hierarchical else _A2A_NAME
     attrs = AttributeSet([
-        Attribute("algorithm", tuple(labels)),
+        Attribute("algorithm", tuple(names.values())),
     ])
-    functions = []
-    for algorithm, label in _A2A_NAME.items():
-        def maker(ctx, spec, buffers, algorithm=algorithm):
-            return _alltoall_maker(algorithm, ctx, spec, buffers)
-
-        functions.append(CollFunction(
-            name=label, maker=maker, attributes={"algorithm": label},
-        ))
-    if hierarchical:
-        functions.append(CollFunction(
-            name="hier", maker=_hier_alltoall_maker,
-            attributes={"algorithm": "hier"},
-        ))
+    functions = [
+        CollFunction(name=label, maker=_alltoall_maker(algorithm),
+                     attributes={"algorithm": label})
+        for algorithm, label in names.items()
+    ]
     return FunctionSet("ialltoall", functions, attrs)
 
 
@@ -229,13 +183,10 @@ def ialltoall_extended_function_set() -> FunctionSet:
     functions = []
     for blocking in (False, True):
         for algorithm, label in _A2A_NAME.items():
-            def maker(ctx, spec, buffers, algorithm=algorithm):
-                return _alltoall_maker(algorithm, ctx, spec, buffers)
-
             prefix = "blocking_" if blocking else ""
             functions.append(CollFunction(
                 name=f"{prefix}{label}",
-                maker=maker,
+                maker=_alltoall_maker(algorithm),
                 attributes={"algorithm": label, "blocking": blocking},
                 blocking=blocking,
             ))
@@ -252,11 +203,11 @@ def iallgather_function_set(size: Optional[int] = None) -> FunctionSet:
     functions = []
     for algorithm in algos:
         def maker(ctx, spec, buffers, algorithm=algorithm):
-            comm = spec.comm
-            rank = comm.local_rank(ctx.rank)
-            sched = compiled_iallgather(comm.size, rank, spec.nbytes, algorithm)
-            return NBCRequest(sched, comm, rank, identity_peers(comm.size),
-                              _as_buffers(buffers)).start(ctx)
+            buffers = buffers or {}
+            return start_iallgather(ctx, spec.nbytes, algorithm,
+                                    comm=spec.comm,
+                                    sendbuf=buffers.get("send"),
+                                    recvbuf=buffers.get("recv"))
 
         functions.append(CollFunction(
             name=algorithm, maker=maker, attributes={"algorithm": algorithm},
@@ -274,16 +225,10 @@ def ireduce_function_set(segsizes=(0, 64 * KiB)) -> FunctionSet:
     for algorithm in ("binomial", "chain"):
         for segsize in segsizes:
             def maker(ctx, spec, buffers, algorithm=algorithm, segsize=segsize):
-                comm = spec.comm
-                rank = comm.local_rank(ctx.rank)
-                sched = compiled_ireduce(comm.size, rank, spec.root, spec.nbytes,
-                                         algorithm, segsize=segsize)
-                bufs = _as_buffers(buffers)
-                if bufs is not None:
-                    bufs.setdefault("acc", np.empty(spec.nbytes, np.uint8))
-                    bufs.setdefault("in", np.empty(spec.nbytes, np.uint8))
-                return NBCRequest(sched, comm, rank, identity_peers(comm.size),
-                                  bufs).start(ctx)
+                return start_ireduce(ctx, spec.nbytes, spec.root, algorithm,
+                                     comm=spec.comm,
+                                     buf=(buffers or {}).get("data"),
+                                     segsize=segsize)
 
             seg_label = "noseg" if segsize == 0 else f"seg{segsize // KiB}KB"
             functions.append(CollFunction(
@@ -306,15 +251,11 @@ def iallgatherv_function_set() -> FunctionSet:
     functions = []
     for algorithm in ALLGATHERV_ALGORITHMS:
         def maker(ctx, spec, buffers, algorithm=algorithm):
-            comm = spec.comm
-            rank = comm.local_rank(ctx.rank)
-            counts = balanced_counts(spec.nbytes, comm.size)
-            groups = (partition_for_comm(comm, ctx.topology)
-                      if algorithm == "hier" else ())
-            sched = compiled_iallgatherv(comm.size, rank, counts, algorithm,
-                                         groups)
-            return NBCRequest(sched, comm, rank, identity_peers(comm.size),
-                              _as_buffers(buffers)).start(ctx)
+            buffers = buffers or {}
+            return start_iallgatherv(
+                ctx, balanced_counts(spec.nbytes, spec.comm.size), algorithm,
+                comm=spec.comm, sendbuf=buffers.get("send"),
+                recvbuf=buffers.get("recv"))
 
         functions.append(CollFunction(
             name=algorithm, maker=maker, attributes={"algorithm": algorithm},
@@ -333,17 +274,11 @@ def ireduce_scatter_function_set() -> FunctionSet:
     functions = []
     for algorithm in REDUCE_SCATTER_ALGORITHMS:
         def maker(ctx, spec, buffers, algorithm=algorithm):
-            comm = spec.comm
-            rank = comm.local_rank(ctx.rank)
-            sched = compiled_ireduce_scatter(comm.size, rank, spec.nbytes,
-                                             algorithm)
-            bufs = _as_buffers(buffers)
-            if bufs is not None:
-                full = comm.size * spec.nbytes
-                bufs.setdefault("acc", np.empty(full, np.uint8))
-                bufs.setdefault("in", np.empty(full, np.uint8))
-            return NBCRequest(sched, comm, rank, identity_peers(comm.size),
-                              bufs).start(ctx)
+            buffers = buffers or {}
+            return start_ireduce_scatter(ctx, spec.nbytes, algorithm,
+                                         comm=spec.comm,
+                                         sendbuf=buffers.get("data"),
+                                         recvbuf=buffers.get("recv"))
 
         functions.append(CollFunction(
             name=algorithm, maker=maker, attributes={"algorithm": algorithm},
@@ -361,18 +296,9 @@ def iallreduce_function_set() -> FunctionSet:
     functions = []
     for algorithm in ALLREDUCE_ALGORITHMS:
         def maker(ctx, spec, buffers, algorithm=algorithm):
-            comm = spec.comm
-            rank = comm.local_rank(ctx.rank)
-            groups = (partition_for_comm(comm, ctx.topology)
-                      if algorithm == "hier" else ())
-            sched = compiled_iallreduce(comm.size, rank, spec.nbytes,
-                                        algorithm, groups=groups)
-            bufs = _as_buffers(buffers)
-            if bufs is not None:
-                bufs.setdefault("acc", np.empty(spec.nbytes, np.uint8))
-                bufs.setdefault("in", np.empty(spec.nbytes, np.uint8))
-            return NBCRequest(sched, comm, rank, identity_peers(comm.size),
-                              bufs).start(ctx)
+            return start_iallreduce(ctx, spec.nbytes, algorithm,
+                                    comm=spec.comm,
+                                    buf=(buffers or {}).get("data"))
 
         functions.append(CollFunction(
             name=algorithm, maker=maker, attributes={"algorithm": algorithm},

@@ -16,7 +16,8 @@ communication that could not be overlapped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Optional, Union
 
 from ..adcl.fnsets import (
     iallgatherv_function_set,
@@ -59,41 +60,32 @@ __all__ = [
 ]
 
 
-#: benchmark operation -> the :class:`CollSpec` kind it tunes
-OPERATION_KINDS = {
-    "alltoall": "alltoall",
-    "alltoall_ext": "alltoall",
-    "alltoall_hier": "alltoall",
-    "bcast": "bcast",
-    "bcast_hier": "bcast",
-    "allgatherv": "allgatherv",
-    "reduce_scatter": "reduce_scatter",
-    "allreduce": "allreduce",
+#: benchmark operation -> (the :class:`CollSpec` kind it tunes, the
+#: factory of its ADCL function-set): the one operation table
+_OPERATIONS: dict[str, tuple[str, Callable[[], FunctionSet]]] = {
+    "alltoall": ("alltoall", ialltoall_function_set),
+    "alltoall_ext": ("alltoall", ialltoall_extended_function_set),
+    "alltoall_hier": ("alltoall",
+                      partial(ialltoall_function_set, hierarchical=True)),
+    "bcast": ("bcast", ibcast_function_set),
+    "bcast_hier": ("bcast", partial(ibcast_function_set, hierarchical=True)),
+    "allgatherv": ("allgatherv", iallgatherv_function_set),
+    "reduce_scatter": ("reduce_scatter", ireduce_scatter_function_set),
+    "allreduce": ("allreduce", iallreduce_function_set),
 }
+
+#: benchmark operation -> the :class:`CollSpec` kind it tunes
+OPERATION_KINDS = {op: kind for op, (kind, _) in _OPERATIONS.items()}
 
 
 def function_set_for(operation: str) -> FunctionSet:
     """The ADCL function-set used for one benchmark operation."""
-    if operation == "alltoall":
-        return ialltoall_function_set()
-    if operation == "alltoall_ext":
-        return ialltoall_extended_function_set()
-    if operation == "alltoall_hier":
-        return ialltoall_function_set(hierarchical=True)
-    if operation == "bcast":
-        return ibcast_function_set()
-    if operation == "bcast_hier":
-        return ibcast_function_set(hierarchical=True)
-    if operation == "allgatherv":
-        return iallgatherv_function_set()
-    if operation == "reduce_scatter":
-        return ireduce_scatter_function_set()
-    if operation == "allreduce":
-        return iallreduce_function_set()
-    raise ReproError(
-        f"unknown benchmark operation {operation!r}; "
-        f"expected one of {', '.join(sorted(OPERATION_KINDS))}"
-    )
+    if operation not in _OPERATIONS:
+        raise ReproError(
+            f"unknown benchmark operation {operation!r}; "
+            f"expected one of {', '.join(sorted(OPERATION_KINDS))}"
+        )
+    return _OPERATIONS[operation][1]()
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,21 @@ non-blocking collective as a *schedule* — rounds of sends/receives/
 copies separated by local barriers — executed incrementally by a
 progress engine.  This package re-implements that design:
 
-* :mod:`repro.nbc.schedule` — the schedule data structure,
+* :mod:`repro.nbc.schedule` — the schedule data structure and the
+  process-global compiled-plan cache,
 * :mod:`repro.nbc.request` — the NBC handle / progress engine,
 * :mod:`repro.nbc.ibcast` / :mod:`~repro.nbc.ialltoall` /
-  :mod:`~repro.nbc.iallgather` / :mod:`~repro.nbc.ireduce` — algorithm
-  builders (including the paper's 21 Ibcast and 3 Ialltoall variants),
-* :mod:`repro.nbc.coll` — one-call entry points and blocking wrappers.
+  :mod:`~repro.nbc.iallgather` / :mod:`~repro.nbc.iallgatherv` /
+  :mod:`~repro.nbc.ireduce` / :mod:`~repro.nbc.ireduce_scatter` /
+  :mod:`~repro.nbc.iallreduce` — algorithm builders (including the
+  paper's 21 Ibcast and 3 Ialltoall variants),
+* :mod:`repro.nbc.hier` — node partitions and the two-level
+  leader-based broadcast and all-to-all,
+* :mod:`repro.nbc.compose` — the scatter+allgather broadcast mock-up of
+  the guideline checker,
+* :mod:`repro.nbc.coll` — the ``start_*`` init functions (the one path
+  from compiled plan to running request, which the ADCL function-sets
+  call) and blocking wrappers.
 """
 
 from .coll import (

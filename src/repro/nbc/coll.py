@@ -84,16 +84,17 @@ def start_ialltoall(
     overrides the topology-derived node partition.
     """
     comm, rank = _local_rank(ctx, comm)
-    if algorithm == "hier":
+    hier = algorithm == "hier"
+    if hier:
         g = _partition(ctx, comm, groups)
         sched = compiled_hier_ialltoall(comm.size, rank, m, g)
-        scratch = hier_alltoall_scratch_bytes(comm.size, rank, m, g)
     else:
         sched = compiled_ialltoall(comm.size, rank, m, algorithm)
-        scratch = alltoall_scratch_bytes(comm.size, m, algorithm)
     buffers = None
     if sendbuf is not None or recvbuf is not None:
         buffers = make_buffers(send=sendbuf, recv=recvbuf)
+        scratch = (hier_alltoall_scratch_bytes(comm.size, rank, m, g) if hier
+                   else alltoall_scratch_bytes(comm.size, m, algorithm))
         for name, nbytes in scratch.items():
             buffers[name] = np.empty(nbytes, dtype=np.uint8)
     return NBCRequest(sched, comm, rank, identity_peers(comm.size),

@@ -44,7 +44,6 @@ are ranks, bound to the shared :func:`identity_peers` table.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -369,10 +368,7 @@ class ScheduleCache:
     """Memoizes compiled plans under their geometry key.
 
     ``get(key, builder)`` returns the cached :class:`CompiledSchedule`
-    for ``key`` or builds, compiles and stores one.  With the cache
-    disabled the builder's raw mutable :class:`Schedule` is returned —
-    exactly the pre-cache behavior, which the perf harness uses as its
-    A/B baseline.
+    for ``key`` or builds, compiles and stores one.
 
     The store is a plain dict (the lookup is on a tuning hot path); when
     it would exceed ``maxsize`` distinct keys it is flushed wholesale.
@@ -384,11 +380,10 @@ class ScheduleCache:
     flush signals key churn, not a working set worth LRU bookkeeping.
     """
 
-    def __init__(self, maxsize: int = 8192, enabled: bool = True):
+    def __init__(self, maxsize: int = 8192):
         if maxsize <= 0:
             raise ScheduleError(f"cache maxsize must be positive, got {maxsize}")
         self.maxsize = maxsize
-        self.enabled = enabled
         self._store: dict[tuple, CompiledSchedule] = {}
         self.hits = 0
         self.misses = 0
@@ -396,9 +391,6 @@ class ScheduleCache:
 
     def get(self, key: tuple, builder: Callable[[], Schedule]):
         """The compiled plan for ``key``, building it on a miss."""
-        if not self.enabled:
-            self.misses += 1
-            return builder()
         plan = self._store.get(key)
         if plan is not None:
             self.hits += 1
@@ -448,7 +440,6 @@ class ScheduleCache:
             "families": self.families(),
             "flushes": self.flushes,
             "hit_rate": self.hit_rate,
-            "enabled": self.enabled,
         }
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -458,11 +449,8 @@ class ScheduleCache:
         )
 
 
-#: process-global plan cache used by the ``compiled_*`` builder entry
-#: points.  ``REPRO_SCHEDULE_CACHE=0`` disables it (A/B baselines).
-SCHEDULE_CACHE = ScheduleCache(
-    enabled=os.environ.get("REPRO_SCHEDULE_CACHE", "1") not in ("", "0", "false")
-)
+#: process-global plan cache used by the ``compiled_*`` builder entry points
+SCHEDULE_CACHE = ScheduleCache()
 
 
 def schedule_cache_stats() -> dict:

@@ -1,5 +1,7 @@
 """Structural tests for the predefined function-sets (§III-E)."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,10 @@ from repro.adcl import (
     ireduce_function_set,
 )
 from repro.adcl.fnsets import IBCAST_SEGSIZES
+from repro.bench.overlap import OPERATION_KINDS, function_set_for
 from repro.errors import AdclError
+from repro.nbc.hier import partition_for_comm
+from repro.nbc.iallgatherv import balanced_counts
 from repro.nbc.ibcast import BINOMIAL, IBCAST_FANOUTS
 from repro.sim import SimWorld, Wait, get_platform
 from repro.units import KiB
@@ -84,6 +89,9 @@ def test_index_of_and_errors():
     (ibcast_function_set, "bcast", 8 * KiB),
     (lambda: iallgather_function_set(size=4), "allgather", 1 * KiB),
     (ireduce_function_set, "reduce", 1 * KiB),
+] + [
+    pytest.param(partial(function_set_for, op), kind, 1 * KiB, id=op)
+    for op, kind in sorted(OPERATION_KINDS.items())
 ])
 def test_every_function_runs_to_completion(factory, kind, nbytes):
     """Smoke: every maker in every set produces a runnable schedule."""
@@ -98,6 +106,134 @@ def test_every_function_runs_to_completion(factory, kind, nbytes):
 
     world.launch(program)
     world.run()  # raises on deadlock / structural problems
+
+
+# ---------------------------------------------------------------------------
+# data path: every maker moves real buffers to the numpy reference result
+# ---------------------------------------------------------------------------
+
+#: five ranks on BlueGene/P's 4-core nodes: a 2-node partition {0..3}, {4}
+P = 5
+DATA_PLATFORM = "bluegene_p"
+#: not its node's first member, so the rooted makers must pass it through
+ROOT = 2
+
+
+def _bytes(rank: int, n: int) -> np.ndarray:
+    """``n`` payload bytes that differ per rank and per position."""
+    return ((np.arange(n) * 7 + rank * 31 + 1) % 251).astype(np.uint8)
+
+
+def _ints(rank: int, n: int) -> np.ndarray:
+    """Integer-valued float64 vector: sums are exact in any order."""
+    return np.arange(n, dtype=np.float64) * (rank + 1) + rank
+
+
+def _alltoall_case(m=13):
+    def buffers(rank):
+        return {"send": _bytes(rank, P * m), "recv": np.zeros(P * m, np.uint8)}
+
+    def expect(rank):
+        return "recv", np.concatenate(
+            [_bytes(src, P * m)[rank * m:(rank + 1) * m] for src in range(P)])
+
+    return m, buffers, expect
+
+
+def _bcast_case(nbytes=70_001):  # three 32 KB segments, the last partial
+    def buffers(rank):
+        return {"data": _bytes(ROOT, nbytes) if rank == ROOT
+                else np.zeros(nbytes, np.uint8)}
+
+    return nbytes, buffers, lambda rank: ("data", _bytes(ROOT, nbytes))
+
+
+def _allgather_case(m=13):
+    def buffers(rank):
+        return {"send": _bytes(rank, m), "recv": np.zeros(P * m, np.uint8)}
+
+    return m, buffers, lambda rank: (
+        "recv", np.concatenate([_bytes(src, m) for src in range(P)]))
+
+
+def _allgatherv_case(total=23):
+    counts = balanced_counts(total, P)
+    assert len(set(counts)) == 2  # uneven: the v-path is exercised
+
+    def buffers(rank):
+        return {"send": _bytes(rank, counts[rank]),
+                "recv": np.zeros(total, np.uint8)}
+
+    return total, buffers, lambda rank: (
+        "recv", np.concatenate([_bytes(src, counts[src]) for src in range(P)]))
+
+
+def _reduce_scatter_case(n=3):  # n float64 per block
+    def buffers(rank):
+        return {"data": _ints(rank, P * n), "recv": np.zeros(n)}
+
+    def expect(rank):
+        return "recv", sum(_ints(src, P * n) for src in range(P))[
+            rank * n:(rank + 1) * n]
+
+    return 8 * n, buffers, expect
+
+
+def _allreduce_case(n=7):
+    return 8 * n, lambda rank: {"data": _ints(rank, n)}, lambda rank: (
+        "data", sum(_ints(src, n) for src in range(P)))
+
+
+def _reduce_case(n=7):
+    def expect(rank):
+        if rank != ROOT:
+            return None
+        return "data", sum(_ints(src, n) for src in range(P))
+
+    return 8 * n, lambda rank: {"data": _ints(rank, n)}, expect
+
+
+DATA_CASES = {
+    "alltoall": _alltoall_case,
+    "bcast": _bcast_case,
+    "allgather": _allgather_case,
+    "allgatherv": _allgatherv_case,
+    "reduce_scatter": _reduce_scatter_case,
+    "allreduce": _allreduce_case,
+    "reduce": _reduce_case,
+}
+
+
+@pytest.mark.parametrize("factory,kind", [
+    pytest.param(partial(function_set_for, op), kind, id=op)
+    for op, kind in sorted(OPERATION_KINDS.items())
+] + [
+    pytest.param(partial(iallgather_function_set, size=P), "allgather",
+                 id="allgather"),
+    pytest.param(ireduce_function_set, "reduce", id="reduce"),
+])
+def test_every_function_moves_data(factory, kind):
+    """Every maker maps its buffer dict onto the collective and the
+    result matches the numpy reference, on an uneven two-node P=5."""
+    fnset = factory()
+    nbytes, buffers, expect = DATA_CASES[kind]()
+    world = SimWorld(get_platform(DATA_PLATFORM), P)
+    assert len(partition_for_comm(world.comm_world, world.topology).groups) == 2
+    spec = CollSpec(kind, world.comm_world, nbytes, root=ROOT)
+    wrong = []
+
+    def program(ctx):
+        rank = ctx.rank
+        for fn in fnset:
+            bufs = buffers(rank)
+            yield Wait(fn.make(ctx, spec, bufs))
+            want = expect(rank)
+            if want is not None and not np.array_equal(bufs[want[0]], want[1]):
+                wrong.append((fn.name, rank))
+
+    world.launch(program)
+    world.run()
+    assert not wrong
 
 
 def test_spec_validation():

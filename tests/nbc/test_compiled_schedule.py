@@ -1,5 +1,7 @@
 """Unit tests for CompiledSchedule and the schedule cache."""
 
+from unittest import mock
+
 import pytest
 
 from repro.errors import ScheduleError
@@ -18,12 +20,9 @@ from .conftest import bound_rounds
 @pytest.fixture
 def global_cache():
     """Clean slate on the process-global cache; restore afterwards."""
-    was_enabled = SCHEDULE_CACHE.enabled
-    SCHEDULE_CACHE.enabled = True
     SCHEDULE_CACHE.clear()
     SCHEDULE_CACHE.reset_stats()
     yield SCHEDULE_CACHE
-    SCHEDULE_CACHE.enabled = was_enabled
     SCHEDULE_CACHE.clear()
     SCHEDULE_CACHE.reset_stats()
 
@@ -69,14 +68,6 @@ def test_cache_hit_returns_same_plan_object():
     assert (cache.hits, cache.misses) == (1, 1)
     assert cache.hit_rate == 0.5
     assert len(cache) == 1
-
-
-def test_cache_disabled_returns_raw_schedule():
-    cache = ScheduleCache(enabled=False)
-    out = cache.get(("a",), lambda: Schedule("x").send(1, 100))
-    assert isinstance(out, Schedule)  # the pre-cache mutable object
-    assert cache.misses == 1
-    assert len(cache) == 0
 
 
 def test_cache_flushes_wholesale_at_maxsize():
@@ -171,7 +162,8 @@ def test_cached_and_uncached_runs_bit_identical(global_cache):
                 tuple(r.seconds.hex() for r in res.records), res.events)
 
     cached = run_overlap(cfg, evals_per_function=2)
-    global_cache.enabled = False
-    global_cache.clear()
-    uncached = run_overlap(cfg, evals_per_function=2)
+    # every lookup rebuilds its plan
+    with mock.patch.object(global_cache, "get",
+                           lambda key, build: build().compile(key)):
+        uncached = run_overlap(cfg, evals_per_function=2)
     assert fingerprint(cached) == fingerprint(uncached)

@@ -45,12 +45,9 @@ BGP_1024 = tuple(tuple(range(n, n + 4)) for n in range(0, 1024, 4))
 
 @pytest.fixture
 def cache():
-    was_enabled = SCHEDULE_CACHE.enabled
-    SCHEDULE_CACHE.enabled = True
     SCHEDULE_CACHE.clear()
     SCHEDULE_CACHE.reset_stats()
     yield SCHEDULE_CACHE
-    SCHEDULE_CACHE.enabled = was_enabled
     SCHEDULE_CACHE.clear()
     SCHEDULE_CACHE.reset_stats()
 

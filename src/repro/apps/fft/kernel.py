@@ -20,11 +20,16 @@ measured identically.
 
 With ``validate=True`` the kernel moves real ``complex128`` data
 through the simulated all-to-all and checks the distributed result
-against ``numpy.fft.fftn``.
+against ``numpy.fft.fftn``.  Its live data is then the input and
+reference cubes plus, per rank, one y-slab and the in-flight transpose
+buffers: about 8 x n^3 x 16 bytes at peak.  Each rank's input is a
+view of the shared cube, and every per-iteration array is local to one
+iteration, so nothing outlives its last use.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -158,6 +163,15 @@ def _make_request(config: FFTConfig, world: SimWorld, m: int) -> ADCLRequest:
                        evals_per_function=config.evals_per_function)
 
 
+def _slab_matches(slab: np.ndarray, expected: np.ndarray) -> bool:
+    """Finish the transform along z and compare it with numpy's slice.
+
+    The transformed copy is a temporary of this call, so a rank holds it
+    only while comparing.
+    """
+    return bool(np.allclose(np.fft.fft(slab, axis=0), expected, atol=1e-8))
+
+
 def run_fft(config: FFTConfig) -> FFTResult:
     """Execute the kernel and return per-iteration measurements."""
     world = SimWorld(
@@ -174,6 +188,7 @@ def run_fft(config: FFTConfig) -> FFTResult:
     timer = ADCLTimer(areq)
 
     n = config.n
+    P = config.nprocs
     L = decomp.planes_per_rank
     tile_compute = plane_fft_seconds(n, tile, params)
     chunk = tile_compute / config.progress_per_tile
@@ -187,10 +202,73 @@ def run_fft(config: FFTConfig) -> FFTResult:
         original = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
         reference = np.fft.fftn(original)
 
+    def post(ctx, local, z0, cnt):
+        """2-D FFT one tile and start its transpose (generator).
+
+        Returns the window entry ``(handle, z0, cnt, recvbuf)``.  The
+        packed send buffer is referenced only by the request, which
+        drops it when the transpose completes.
+        """
+        if local is None:
+            handle = yield from areq.start(ctx)
+            return handle, z0, cnt, None
+        send = np.ascontiguousarray(
+            np.fft.fft2(local[z0:z0 + cnt]).reshape(cnt, P, L, n)
+            .transpose(1, 0, 2, 3)
+        )
+        recvbuf = np.zeros(P * m, dtype=np.uint8)
+        handle = yield from areq.start(ctx, buffers={"send": send,
+                                                     "recv": recvbuf})
+        return handle, z0, cnt, recvbuf
+
+    def complete_oldest(ctx, window, slab):
+        """Wait for the oldest transpose and unpack it into the y-slab."""
+        handle, z0, cnt, recvbuf = window.popleft()
+        yield from areq.wait(ctx, handle)
+        if slab is not None:
+            blocks = recvbuf.view(np.complex128).reshape(P, cnt, L, n)
+            slab.reshape(P, L, L, n)[:, z0:z0 + cnt] = blocks
+
+    def iteration(ctx, local):
+        """One timed forward FFT (generator); True unless validation fails.
+
+        Everything the iteration allocates is local to this frame, so it
+        is freed when the iteration returns instead of being pinned by
+        the rank program through the next one.
+        """
+        slab = None
+        if local is not None:
+            slab = np.zeros((n, L, n), dtype=np.complex128)
+        window = deque()  # (handle, z0, cnt, recvbuf), oldest first
+        timer.start(ctx)
+        for z0, cnt in tiles:
+            # 2-D FFTs for this tile, progressing outstanding transposes
+            for _ in range(config.progress_per_tile):
+                yield Compute(chunk)
+                yield Progress(areq.handles(ctx))
+            if len(window) >= pattern.window:
+                yield from complete_oldest(ctx, window, slab)
+            window.append((yield from post(ctx, local, z0, cnt)))
+        while window:
+            yield from complete_oldest(ctx, window, slab)
+        # final 1-D FFTs along z on the received y-slab
+        yield Compute(final_compute)
+        timer.stop(ctx)
+        # re-synchronize between timed iterations so neither NIC
+        # backlog nor rank phase skew leaks from one measurement
+        # into the next (the hygiene real benchmarks get from
+        # MPI_Barrier, idealized to a perfect synchronizer)
+        yield Barrier()
+        if slab is None:
+            return True
+        # every iteration must transpose correctly, not just the last
+        return _slab_matches(slab, reference[:, ctx.rank * L:(ctx.rank + 1) * L])
+
     def factory(ctx):
         rank = ctx.rank
+        local = None
         if config.validate:
-            local = original[rank * L:(rank + 1) * L].astype(np.complex128)
+            local = original[rank * L:(rank + 1) * L]
         # untimed warm-up with the stock (linear) transpose: fills NIC
         # queues and de-phases ranks the way steady state does, so the
         # first measured function has no cold-start advantage
@@ -208,60 +286,8 @@ def run_fft(config: FFTConfig) -> FFTResult:
             yield Compute(final_compute)
             yield Barrier()
         for _ in range(config.iterations):
-            if config.validate:
-                work = local.copy()
-                slab = np.zeros((n, L, n), dtype=np.complex128)
-            window: list[tuple] = []  # (handle, z0, cnt, recvbuf)
-
-            def unpack(z0, cnt, recvbuf):
-                if not config.validate:
-                    return
-                blocks = recvbuf.view(np.complex128).reshape(
-                    config.nprocs, cnt, L, n
-                )
-                for src in range(config.nprocs):
-                    slab[src * L + z0: src * L + z0 + cnt, :, :] = blocks[src]
-
-            timer.start(ctx)
-            for z0, cnt in tiles:
-                # 2-D FFTs for this tile, progressing outstanding transposes
-                for _ in range(config.progress_per_tile):
-                    yield Compute(chunk)
-                    yield Progress(areq.handles(ctx))
-                buffers = None
-                recvbuf = None
-                if config.validate:
-                    work[z0: z0 + cnt] = np.fft.fft2(work[z0: z0 + cnt])
-                    send = np.ascontiguousarray(
-                        work[z0: z0 + cnt].reshape(cnt, config.nprocs, L, n)
-                        .transpose(1, 0, 2, 3)
-                    )
-                    recvbuf = np.zeros(config.nprocs * m, dtype=np.uint8)
-                    buffers = {"send": send, "recv": recvbuf}
-                if len(window) >= pattern.window:
-                    h, uz0, ucnt, urecv = window.pop(0)
-                    yield from areq.wait(ctx, h)
-                    unpack(uz0, ucnt, urecv)
-                h = yield from areq.start(ctx, buffers=buffers)
-                window.append((h, z0, cnt, recvbuf))
-            while window:
-                h, uz0, ucnt, urecv = window.pop(0)
-                yield from areq.wait(ctx, h)
-                unpack(uz0, ucnt, urecv)
-            # final 1-D FFTs along z on the received y-slab
-            yield Compute(final_compute)
-            timer.stop(ctx)
-            # re-synchronize between timed iterations so neither NIC
-            # backlog nor rank phase skew leaks from one measurement
-            # into the next (the hygiene real benchmarks get from
-            # MPI_Barrier, idealized to a perfect synchronizer)
-            yield Barrier()
-            if config.validate:
-                result = np.fft.fft(slab, axis=0)
-                expected = reference[:, rank * L:(rank + 1) * L, :]
-                # every iteration must transpose correctly, not just the last
-                ok = bool(np.allclose(result, expected, atol=1e-8))
-                validation[rank] = validation.get(rank, True) and ok
+            ok = yield from iteration(ctx, local)
+            validation[rank] = validation.get(rank, True) and ok
 
     world.launch(factory)
     res = world.run()

@@ -58,6 +58,11 @@ import sys
 import time
 from typing import Optional, Sequence
 
+try:
+    import resource
+except ImportError:  # pragma: no cover - not available on Windows
+    resource = None
+
 from .adcl.checkpoint import CheckpointStore
 from .adcl.resilience import ULFM, Resilience
 from .apps.fft import FFTConfig
@@ -445,10 +450,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _print_stats(wall: float, events: int, cache: Optional[ResultCache],
                  engine: Optional[dict] = None,
                  fabric=None) -> None:
-    """The ``--stats`` footer: wall-clock + throughput + cache efficacy
-    + (for fabric runs) the PR-4 metrics-registry fabric counters."""
+    """The ``--stats`` footer: wall-clock + peak memory + throughput +
+    cache efficacy + (for fabric runs) the metrics-registry fabric
+    counters."""
     rate = events / wall if wall > 0 else float("inf")
     print(f"\nwall-clock            {wall:.3f} s")
+    if resource is not None:
+        # ru_maxrss is in KiB on Linux and in bytes on macOS
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak /= 1024 * 1024 if sys.platform == "darwin" else 1024
+        print(f"peak RSS              {peak:.1f} MiB")
     print(f"events dispatched     {events}")
     print(f"events/sec            {rate:,.0f}")
     if engine:

@@ -83,7 +83,11 @@ class NBCRequest(Waitable):
         :func:`~repro.nbc.schedule.identity_peers`.
     buffers:
         Optional buffer dict (see :func:`make_buffers`); ``None`` runs
-        the schedule size-only.
+        the schedule size-only.  The request owns the dict, including
+        any scratch arrays ``nbc.coll.start_*`` added to it, until its
+        last round completes; it then drops the reference
+        (``buffers`` becomes ``None``), so a finished collective pins
+        no memory however long its handle is kept.
     """
 
     __slots__ = (
@@ -140,6 +144,7 @@ class NBCRequest(Waitable):
         if not self.schedule.rounds:
             self.done = True
             self.complete_time = ctx.now
+            self.buffers = None
             return self
         self._post_round(ctx)
         self._advance(ctx)
@@ -170,6 +175,7 @@ class NBCRequest(Waitable):
             if self._round >= nrounds:
                 self.done = True
                 self.complete_time = ctx.now
+                self.buffers = None
                 obs = ctx.world._obs
                 if obs is not None:
                     obs.emit_obj(self.schedule.name, _K_DONE, ctx.rank,

@@ -177,6 +177,28 @@ def test_result_reports_mean_after_learning():
     assert res.mean_after_learning() <= res.mean_iteration * 1.5
 
 
+def test_validated_fft_peak_memory():
+    """The validated kernel's live set stays near its algorithmic floor:
+    the input and reference cubes plus each rank's y-slab and in-flight
+    transpose buffers (about 8 cubes).  One per-rank array pinned past
+    its last use adds about one cube, which RSS noise would hide but a
+    traced-allocation peak shows deterministically."""
+    import tracemalloc
+
+    cfg = FFTConfig(n=32, nprocs=8, pattern="window_tiled", method="adcl",
+                    iterations=6, evals_per_function=1, validate=True, seed=1)
+    run_fft(cfg)  # warm imports and the schedule cache out of the peak
+    tracemalloc.start()
+    try:
+        res = run_fft(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.validated is True
+    cube = cfg.n ** 3 * 16
+    assert peak <= 8.5 * cube, f"peak {peak / cube:.2f} cubes"
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "known fast-lane drift: recording disarms the fast lane, and "
     "SimWorld._batch (the raw Compute/Progress batch the FFT kernel "

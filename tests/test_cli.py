@@ -74,6 +74,7 @@ def test_sweep_with_jobs_result_cache_and_stats(capsys, tmp_path):
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert "wall-clock" in first
+    assert re.search(r"^peak RSS +\d+\.\d MiB$", first, re.MULTILINE)
     assert "events dispatched" in first
     assert "schedule cache" in first
     assert "result cache" in first
@@ -94,6 +95,7 @@ def test_tune_with_stats(capsys):
     out = capsys.readouterr().out
     assert "decision at iteration" in out
     assert "events/sec" in out
+    assert re.search(r"^peak RSS +\d+\.\d MiB$", out, re.MULTILINE)
     assert "engine loop" in out and "dispatched" in out
     # the schedule-cache line breaks its plans down per family
     cache_line = next(line for line in out.splitlines()

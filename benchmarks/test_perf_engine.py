@@ -35,8 +35,14 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from repro.adcl.fnsets import ibcast_mockup_function_set
 from repro.adcl.function import CollSpec
-from repro.bench.overlap import OverlapConfig, function_set_for, run_overlap
+from repro.bench.overlap import (
+    OPERATION_KINDS,
+    OverlapConfig,
+    function_set_for,
+    run_overlap,
+)
 from repro.bench.parallel import ResultCache, sweep_implementations
 from repro.nbc.schedule import SCHEDULE_CACHE, Schedule
 from repro.sim import Wait, get_platform
@@ -137,18 +143,29 @@ def _run_baseline(cfg: OverlapConfig):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("operation", ["bcast", "alltoall"])
+#: operation -> (CollSpec kind, function-set factory): every benchmark
+#: operation plus the guideline checker's scatter+allgather mock-up
+_MAKER_SETS = {
+    **{op: (kind, lambda op=op: function_set_for(op))
+       for op, kind in OPERATION_KINDS.items()},
+    "bcast_mockup": ("bcast", ibcast_mockup_function_set),
+}
+
+
+@pytest.mark.parametrize("operation", sorted(_MAKER_SETS))
 def test_baseline_stack_reaches_the_maker_path(operation):
     """Inside ``baseline_stack`` the function-set makers build snapshot
-    requests and every plan lookup rebuilds.  A stale patch target would
-    let the speedup gate below time the optimized stack against itself."""
+    requests and every plan lookup rebuilds.  A stale patch target, or a
+    family that bypasses the shared bind step, would let the speedup
+    gate below time the optimized stack against itself."""
+    kind, function_set = _MAKER_SETS[operation]
     with baseline_stack():
         world = legacy_mpi.SimWorld(get_platform("whale"), 4)
-        spec = CollSpec(operation, world.comm_world, 8 * 1024)
+        spec = CollSpec(kind, world.comm_world, 8 * 1024)
         made = []
 
         def program(ctx):
-            for fn in function_set_for(operation):
+            for fn in function_set():
                 made.append(fn.make(ctx, spec))
                 yield Wait(made[-1])
 

@@ -1,12 +1,12 @@
 """Predefined ADCL function-sets (§III-E).
 
 An ADCL function is the library's own *init* function for one algorithm
-(§III-C): every maker here is a thin call into the matching
-``start_*`` entry point of :mod:`repro.nbc.coll`, which owns the whole
-path from compiled plan to running :class:`~repro.nbc.request.NBCRequest`
-(rank, node partition, plan lookup, peer binding, scratch buffers).  A
-maker only maps the per-call buffer dict (``"send"``/``"recv"``/
-``"data"``) onto that function's buffer keywords.
+(§III-C): every maker here is a thin call into :mod:`repro.nbc.coll`,
+which owns the whole path from compiled plan to running
+:class:`~repro.nbc.request.NBCRequest` (rank, node partition, plan
+lookup, peer binding, scratch buffers).  A maker only maps the per-call
+buffer dict (``"send"``/``"recv"``/``"data"``) onto that function's
+buffer keywords.
 
 * :func:`ibcast_function_set` — the paper's 21-function ``Ibcast`` set:
   fan-out ∈ {0 linear, 1 chain, 2..5, binomial} x segment size
@@ -22,7 +22,8 @@ maker only maps the per-call buffer dict (``"send"``/``"recv"``/
   and :func:`iallreduce_function_set` — the further operations ADCL
   supports;
 * :func:`ibcast_mockup_function_set` — the scatter+allgather broadcast
-  mock-up of the guideline checker, the one maker with no ``start_*``.
+  mock-up of the guideline checker, posted through the same
+  :func:`~repro.nbc.coll.start_plan` bind step as every ``start_*``.
 """
 
 from __future__ import annotations
@@ -38,12 +39,14 @@ from ..nbc.coll import (
     start_ibcast,
     start_ireduce,
     start_ireduce_scatter,
+    start_plan,
 )
+from ..nbc.compose import compiled_scatter_allgather
 from ..nbc.iallgatherv import ALLGATHERV_ALGORITHMS, balanced_counts
 from ..nbc.iallreduce import ALLREDUCE_ALGORITHMS
 from ..nbc.ibcast import BINOMIAL, IBCAST_FANOUTS
 from ..nbc.ireduce_scatter import REDUCE_SCATTER_ALGORITHMS
-from ..nbc.request import NBCRequest, make_buffers
+from ..nbc.request import NBCRequest
 from ..sim.mpi import MPIContext
 from ..units import KiB
 from .attributes import Attribute, AttributeSet
@@ -117,20 +120,17 @@ def scatter_allgather_function() -> CollFunction:
     (:func:`repro.nbc.compose.build_scatter_allgather`).  It is not part
     of the shipped :func:`ibcast_function_set` — the guideline checker
     measures it stand-alone and asserts the tuned broadcast decision is
-    never slower than this composition.  Having no ``start_*`` entry
-    point, it is the one maker that posts its own request.
+    never slower than this composition.  It posts through the same
+    :func:`~repro.nbc.coll.start_plan` bind step as the library's
+    candidates, so a mock-up that wins can be adopted as one.
     """
-    from ..nbc.compose import compiled_scatter_allgather
-    from ..nbc.schedule import identity_peers
-
     def maker(ctx: MPIContext, spec: CollSpec, buffers) -> NBCRequest:
         comm = spec.comm
         rank = comm.local_rank(ctx.rank)
         sched = compiled_scatter_allgather(comm.size, rank, spec.root,
                                            spec.nbytes)
-        bufs = None if buffers is None else make_buffers(**buffers)
-        return NBCRequest(sched, comm, rank, identity_peers(comm.size),
-                          bufs).start(ctx)
+        return start_plan(ctx, comm, rank, sched,
+                          data=(buffers or {}).get("data"))
 
     return CollFunction(name="scatter_allgather", maker=maker)
 

@@ -43,6 +43,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 from typing import Any, Callable, Optional, Sequence
 
 from ..adcl.history import atomic_write_json
@@ -120,6 +121,11 @@ class ResultCache:
     #: a lock file older than this is a crashed writer's leftovers
     STALE_LOCK_S = FileLock.STALE_S
 
+    #: an entry's file name (see :meth:`path_for`); other files in the
+    #: directory, such as the fabric's ``fabric_defects.json``, are not
+    #: entries
+    _ENTRY = re.compile(r"[0-9a-f]{40}\.json")
+
     def __init__(self, directory: str):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
@@ -163,7 +169,7 @@ class ResultCache:
 
     def __len__(self) -> int:
         return sum(1 for name in os.listdir(self.directory)
-                   if name.endswith(".json"))
+                   if self._ENTRY.fullmatch(name))
 
     @property
     def hit_rate(self) -> float:

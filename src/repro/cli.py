@@ -157,37 +157,40 @@ def build_parser() -> argparse.ArgumentParser:
                             "'drop=0.01@0.1:0.5,degrade=0:1:4:4,"
                             "straggler=3:2.5,rail=0:1@0.2,seed=7'")
 
+    def fabric_flags(p):
+        p.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="fabric worker processes to fan tasks out "
+                            "over (1 = serial; results are bit-identical "
+                            "either way)")
+        p.add_argument("--result-cache", default=None, metavar="DIR",
+                       help="keyed on-disk result cache directory; "
+                            "repeated runs reuse finished tasks and every "
+                            "completed task is checkpointed to it "
+                            "immediately")
+        p.add_argument("--resume", action="store_true",
+                       help="continue a killed run from the last "
+                            "completed task in --result-cache "
+                            "(requires --result-cache)")
+        p.add_argument("--task-timeout", type=float, default=60.0,
+                       metavar="S",
+                       help="fabric lease deadline per task in wall "
+                            "seconds; an expired lease is reassigned to "
+                            "another worker (default 60)")
+        p.add_argument("--fabric-metrics", default=None, metavar="PATH",
+                       help="write the fabric's telemetry (spawns, "
+                            "respawns, lease expiries, steals) as a JSON "
+                            "metrics snapshot")
+        p.add_argument("--chaos-kill-workers", type=int, default=0,
+                       metavar="N",
+                       help="chaos harness: SIGKILL N random fabric "
+                            "workers mid-run (results must stay "
+                            "bit-identical; used by CI)")
+        p.add_argument("--chaos-seed", type=int, default=0,
+                       help="seed for the chaos worker-killer RNG")
+
     def perf_flags(p, parallel: bool = True):
         if parallel:
-            p.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="fabric worker processes to fan simulations "
-                                "out over (1 = serial; results are "
-                                "bit-identical either way)")
-            p.add_argument("--result-cache", default=None, metavar="DIR",
-                           help="keyed on-disk result cache directory; "
-                                "repeated runs reuse finished simulations "
-                                "and every completed task is checkpointed "
-                                "to it immediately")
-            p.add_argument("--resume", action="store_true",
-                           help="continue a killed sweep from the last "
-                                "completed task in --result-cache "
-                                "(requires --result-cache)")
-            p.add_argument("--task-timeout", type=float, default=60.0,
-                           metavar="S",
-                           help="fabric lease deadline per task in wall "
-                                "seconds; an expired lease is reassigned "
-                                "to another worker (default 60)")
-            p.add_argument("--fabric-metrics", default=None, metavar="PATH",
-                           help="write the sweep fabric's telemetry "
-                                "(spawns, respawns, lease expiries, "
-                                "steals) as a JSON metrics snapshot")
-            p.add_argument("--chaos-kill-workers", type=int, default=0,
-                           metavar="N",
-                           help="chaos harness: SIGKILL N random fabric "
-                                "workers mid-sweep (results must stay "
-                                "bit-identical; used by CI)")
-            p.add_argument("--chaos-seed", type=int, default=0,
-                           help="seed for the chaos worker-killer RNG")
+            fabric_flags(p)
             p.add_argument("--telemetry", default=None, metavar="ENDPOINT",
                            help="serve a live read-only metrics exposition "
                                 "for the sweep fabric at ENDPOINT "
@@ -402,30 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SIZE",
                          help="largest message size the fuzzer draws "
                               "(default 256KB)")
-    p_guide.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="fabric worker processes to fan probe checks "
-                              "out over (1 = serial; results are "
-                              "bit-identical either way)")
-    p_guide.add_argument("--result-cache", default=None, metavar="DIR",
-                         help="keyed on-disk result cache; finished probes "
-                              "are checkpointed and reused")
-    p_guide.add_argument("--resume", action="store_true",
-                         help="continue a killed campaign from the last "
-                              "completed probe (requires --result-cache)")
-    p_guide.add_argument("--task-timeout", type=float, default=60.0,
-                         metavar="S",
-                         help="fabric lease deadline per probe in wall "
-                              "seconds (default 60)")
-    p_guide.add_argument("--fabric-metrics", default=None, metavar="PATH",
-                         help="write the campaign fabric's telemetry as a "
-                              "JSON metrics snapshot")
-    p_guide.add_argument("--chaos-kill-workers", type=int, default=0,
-                         metavar="N",
-                         help="chaos harness: SIGKILL N random fabric "
-                              "workers mid-campaign (results must stay "
-                              "bit-identical; used by CI)")
-    p_guide.add_argument("--chaos-seed", type=int, default=0,
-                         help="seed for the chaos worker-killer RNG")
+    fabric_flags(p_guide)
     p_guide.add_argument("--defects", default=None, metavar="PATH",
                          help="write the machine-readable defect reports "
                               "here (deterministic bytes)")

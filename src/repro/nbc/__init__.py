@@ -17,9 +17,10 @@ progress engine.  This package re-implements that design:
   leader-based broadcast and all-to-all,
 * :mod:`repro.nbc.compose` — the scatter+allgather broadcast mock-up of
   the guideline checker,
-* :mod:`repro.nbc.coll` — the ``start_*`` init functions (the one path
-  from compiled plan to running request, which the ADCL function-sets
-  call) and blocking wrappers.
+* :mod:`repro.nbc.coll` — :func:`~repro.nbc.coll.start_plan`, the one
+  bind step from compiled plan to running request (peer table, caller
+  arrays, the plan's derived scratch), the ``start_*`` init functions
+  built on it (which the ADCL function-sets call) and blocking wrappers.
 """
 
 from .coll import (
@@ -36,6 +37,7 @@ from .coll import (
     start_ibcast,
     start_ireduce,
     start_ireduce_scatter,
+    start_plan,
 )
 from .ft import ft_collective
 from .hier import (
@@ -45,7 +47,6 @@ from .hier import (
     build_hier_ibcast,
     compiled_hier_ialltoall,
     compiled_hier_ibcast,
-    hier_alltoall_scratch_bytes,
     hier_bcast_tree,
     partition_for_comm,
 )
@@ -57,12 +58,7 @@ from .iallgatherv import (
     compiled_iallgatherv,
 )
 from .iallreduce import ALLREDUCE_ALGORITHMS, build_iallreduce, compiled_iallreduce
-from .ialltoall import (
-    ALLTOALL_ALGORITHMS,
-    alltoall_scratch_bytes,
-    build_ialltoall,
-    compiled_ialltoall,
-)
+from .ialltoall import ALLTOALL_ALGORITHMS, build_ialltoall, compiled_ialltoall
 from .ibcast import BINOMIAL, IBCAST_FANOUTS, bcast_tree, build_ibcast, compiled_ibcast
 from .ireduce import REDUCE_ALGORITHMS, build_ireduce, compiled_ireduce
 from .ireduce_scatter import (
@@ -73,6 +69,7 @@ from .ireduce_scatter import (
 from .request import NBCRequest, make_buffers
 from .schedule import (
     SCHEDULE_CACHE,
+    USER_BUFFERS,
     BufSpec,
     CombineOp,
     CompiledSchedule,
@@ -106,9 +103,9 @@ __all__ = [
     "Schedule",
     "ScheduleCache",
     "SendOp",
+    "USER_BUFFERS",
     "allgather",
     "alltoall",
-    "alltoall_scratch_bytes",
     "as_partition",
     "balanced_counts",
     "barrier",
@@ -133,7 +130,6 @@ __all__ = [
     "compiled_ireduce",
     "compiled_ireduce_scatter",
     "ft_collective",
-    "hier_alltoall_scratch_bytes",
     "hier_bcast_tree",
     "identity_peers",
     "make_buffers",
@@ -149,4 +145,5 @@ __all__ = [
     "start_ibcast",
     "start_ireduce",
     "start_ireduce_scatter",
+    "start_plan",
 ]

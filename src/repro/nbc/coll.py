@@ -2,8 +2,13 @@
 
 These wrap the schedule builders into one-call APIs for rank programs:
 
-* ``start_*`` — build + post a non-blocking collective, returning the
-  :class:`~repro.nbc.request.NBCRequest` to progress/wait on;
+* :func:`start_plan` — the one bind step from a compiled plan to a
+  running :class:`~repro.nbc.request.NBCRequest`: it binds the peer
+  table, wraps the caller's arrays and allocates the plan's derived
+  :attr:`~repro.nbc.schedule.CompiledSchedule.scratch`;
+* ``start_*`` — look up the plan of a non-blocking collective and post
+  it through :func:`start_plan`, returning the request to progress/wait
+  on;
 * the module-level generators (``alltoall``, ``bcast``, ...) — blocking
   convenience wrappers (``yield from nbc.alltoall(ctx, ...)``), used for
   the paper's blocking-MPI baselines.
@@ -15,7 +20,7 @@ data; omit them for size-only performance runs.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -27,10 +32,9 @@ from .hier import (
     as_partition,
     compiled_hier_ialltoall,
     compiled_hier_ibcast,
-    hier_alltoall_scratch_bytes,
     partition_for_comm,
 )
-from .ialltoall import alltoall_scratch_bytes, compiled_ialltoall
+from .ialltoall import compiled_ialltoall
 from .iallgather import compiled_iallgather
 from .iallgatherv import compiled_iallgatherv
 from .iallreduce import compiled_iallreduce
@@ -38,9 +42,10 @@ from .ibcast import BINOMIAL, compiled_ibcast
 from .ireduce import compiled_ireduce
 from .ireduce_scatter import compiled_ireduce_scatter
 from .request import NBCRequest, make_buffers
-from .schedule import SCHEDULE_CACHE, Schedule, identity_peers
+from .schedule import SCHEDULE_CACHE, CompiledSchedule, Schedule, identity_peers
 
 __all__ = [
+    "start_plan",
     "start_ialltoall",
     "start_ibcast",
     "start_iallgather",
@@ -60,6 +65,28 @@ __all__ = [
 def _local_rank(ctx: MPIContext, comm: Optional[SimComm]) -> tuple[SimComm, int]:
     comm = comm or ctx.comm_world
     return comm, comm.local_rank(ctx.rank)
+
+
+def start_plan(ctx: MPIContext, comm: SimComm, rank: int,
+               plan: Union[Schedule, CompiledSchedule],
+               peers: Optional[tuple[int, ...]] = None,
+               **arrays: Optional[np.ndarray]) -> NBCRequest:
+    """Bind ``plan`` to this rank and post it.
+
+    ``peers`` is the plan's peer table (default: the identity table of a
+    per-rank plan).  ``arrays`` are the caller's buffers by schedule
+    name (``send=``, ``recv=``, ``data=``); when any is given, the
+    plan's scratch is allocated next to them, otherwise the request runs
+    size-only.
+    """
+    buffers = None
+    if any(arr is not None for arr in arrays.values()):
+        buffers = make_buffers(**arrays)
+        for name, nbytes in plan.scratch.items():
+            buffers[name] = np.empty(nbytes, dtype=np.uint8)
+    if peers is None:
+        peers = identity_peers(comm.size)
+    return NBCRequest(plan, comm, rank, peers, buffers).start(ctx)
 
 
 def _partition(ctx: MPIContext, comm: SimComm,
@@ -84,21 +111,12 @@ def start_ialltoall(
     overrides the topology-derived node partition.
     """
     comm, rank = _local_rank(ctx, comm)
-    hier = algorithm == "hier"
-    if hier:
+    if algorithm == "hier":
         g = _partition(ctx, comm, groups)
         sched = compiled_hier_ialltoall(comm.size, rank, m, g)
     else:
         sched = compiled_ialltoall(comm.size, rank, m, algorithm)
-    buffers = None
-    if sendbuf is not None or recvbuf is not None:
-        buffers = make_buffers(send=sendbuf, recv=recvbuf)
-        scratch = (hier_alltoall_scratch_bytes(comm.size, rank, m, g) if hier
-                   else alltoall_scratch_bytes(comm.size, m, algorithm))
-        for name, nbytes in scratch.items():
-            buffers[name] = np.empty(nbytes, dtype=np.uint8)
-    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
-                      buffers).start(ctx)
+    return start_plan(ctx, comm, rank, sched, send=sendbuf, recv=recvbuf)
 
 
 def start_ibcast(
@@ -124,8 +142,7 @@ def start_ibcast(
     else:
         sched, peers = compiled_ibcast(comm.size, rank, root, nbytes, fanout,
                                        segsize)
-    buffers = make_buffers(data=buf) if buf is not None else None
-    return NBCRequest(sched, comm, rank, peers, buffers).start(ctx)
+    return start_plan(ctx, comm, rank, sched, peers, data=buf)
 
 
 def start_iallgather(
@@ -139,11 +156,7 @@ def start_iallgather(
     """Post a non-blocking all-gather of ``m`` bytes per rank."""
     comm, rank = _local_rank(ctx, comm)
     sched = compiled_iallgather(comm.size, rank, m, algorithm)
-    buffers = None
-    if sendbuf is not None or recvbuf is not None:
-        buffers = make_buffers(send=sendbuf, recv=recvbuf)
-    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
-                      buffers).start(ctx)
+    return start_plan(ctx, comm, rank, sched, send=sendbuf, recv=recvbuf)
 
 
 def start_ireduce(
@@ -161,13 +174,7 @@ def start_ireduce(
     comm, rank = _local_rank(ctx, comm)
     sched = compiled_ireduce(comm.size, rank, root, nbytes, algorithm,
                              dtype=dtype, op=op, segsize=segsize)
-    buffers = None
-    if buf is not None:
-        buffers = make_buffers(data=buf)
-        buffers["acc"] = np.empty(nbytes, dtype=np.uint8)
-        buffers["in"] = np.empty(nbytes, dtype=np.uint8)
-    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
-                      buffers).start(ctx)
+    return start_plan(ctx, comm, rank, sched, data=buf)
 
 
 def start_iallgatherv(
@@ -183,11 +190,7 @@ def start_iallgatherv(
     comm, rank = _local_rank(ctx, comm)
     g = _partition(ctx, comm, groups) if algorithm == "hier" else ()
     sched = compiled_iallgatherv(comm.size, rank, tuple(counts), algorithm, g)
-    buffers = None
-    if sendbuf is not None or recvbuf is not None:
-        buffers = make_buffers(send=sendbuf, recv=recvbuf)
-    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
-                      buffers).start(ctx)
+    return start_plan(ctx, comm, rank, sched, send=sendbuf, recv=recvbuf)
 
 
 def start_ireduce_scatter(
@@ -208,13 +211,7 @@ def start_ireduce_scatter(
     comm, rank = _local_rank(ctx, comm)
     sched = compiled_ireduce_scatter(comm.size, rank, m, algorithm,
                                      dtype=dtype, op=op)
-    buffers = None
-    if sendbuf is not None or recvbuf is not None:
-        buffers = make_buffers(data=sendbuf, recv=recvbuf)
-        buffers["acc"] = np.empty(comm.size * m, dtype=np.uint8)
-        buffers["in"] = np.empty(comm.size * m, dtype=np.uint8)
-    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
-                      buffers).start(ctx)
+    return start_plan(ctx, comm, rank, sched, data=sendbuf, recv=recvbuf)
 
 
 def start_iallreduce(
@@ -232,13 +229,7 @@ def start_iallreduce(
     g = _partition(ctx, comm, groups) if algorithm == "hier" else ()
     sched = compiled_iallreduce(comm.size, rank, nbytes, algorithm,
                                 dtype=dtype, op=op, groups=g)
-    buffers = None
-    if buf is not None:
-        buffers = make_buffers(data=buf)
-        buffers["acc"] = np.empty(nbytes, dtype=np.uint8)
-        buffers["in"] = np.empty(nbytes, dtype=np.uint8)
-    return NBCRequest(sched, comm, rank, identity_peers(comm.size),
-                      buffers).start(ctx)
+    return start_plan(ctx, comm, rank, sched, data=buf)
 
 
 def _barrier_schedule(size: int, rank: int) -> Schedule:
@@ -260,7 +251,7 @@ def start_ibarrier(ctx: MPIContext, comm: Optional[SimComm] = None) -> NBCReques
         ("barrier", "dissemination", comm.size, rank, 0, 0, 0),
         lambda: _barrier_schedule(comm.size, rank),
     )
-    return NBCRequest(sched, comm, rank, identity_peers(comm.size)).start(ctx)
+    return start_plan(ctx, comm, rank, sched)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ __all__ = [
     "hier_bcast_tree",
     "build_hier_ibcast",
     "compiled_hier_ibcast",
-    "hier_alltoall_scratch_bytes",
     "build_hier_ialltoall",
     "compiled_hier_ialltoall",
 ]
@@ -236,30 +235,6 @@ def compiled_hier_ibcast(size: int, rank: int, root: int, nbytes: int,
 # hierarchical all-to-all
 # ---------------------------------------------------------------------------
 
-def hier_alltoall_scratch_bytes(size: int, rank: int, m: int,
-                                groups: Union[Groups, Partition]
-                                ) -> dict[str, int]:
-    """Scratch buffers this rank needs besides ``"send"``/``"recv"``.
-
-    Only leaders stage data: ``"gather"`` holds every member's full send
-    buffer, ``"scatter"`` accumulates every member's full result, and
-    ``"so"``/``"si"`` are the pack/unpack areas for one inter-leader
-    exchange (sized for the largest peer group).
-    """
-    part = as_partition(groups, size)
-    members = part.groups[part.group_of[rank]]
-    if rank != members[0]:
-        return {}
-    gsz = len(members)
-    maxg = part.max_group
-    return {
-        "gather": gsz * size * m,
-        "scatter": gsz * size * m,
-        "so": gsz * maxg * m,
-        "si": gsz * maxg * m,
-    }
-
-
 def build_hier_ialltoall(size: int, rank: int, m: int,
                          groups: Union[Groups, Partition]) -> Schedule:
     """Build this rank's schedule for a leader-based all-to-all.
@@ -274,6 +249,12 @@ def build_hier_ialltoall(size: int, rank: int, m: int,
        leader (round 0 is the node-local rearrangement, pure copies);
     3. **scatter** — the leader returns each member's assembled ``P*m``
        result, landing in ``"recv"``.
+
+    Only leaders stage data: ``"gather"`` holds every member's send
+    buffer, ``"scatter"`` every member's assembled result, and
+    ``"so"``/``"si"`` one inter-leader exchange; the plan's
+    :attr:`~repro.nbc.schedule.CompiledSchedule.scratch` sizes them
+    from these ops.
 
     Each payload block crosses the network once per *node pair* instead
     of once per rank pair — the win (and the candidate the tuner should

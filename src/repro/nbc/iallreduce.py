@@ -16,9 +16,11 @@ Three candidates spanning the latency/bandwidth/topology trade-offs:
   result flows back down — the full vector crosses the network
   ``2*(nnodes-1)`` times total instead of ``2*(P-1)``.
 
-Extra buffers: ``"acc"`` and ``"in"``, each ``nbytes``.  Combine order
-is deterministic per rank but differs between candidates; exactness
-tests should use integer-valued payloads.
+Extra buffers: ``"acc"`` (``nbytes``) and, on every rank that combines
+an incoming contribution, ``"in"`` (at most ``nbytes``); the compiled
+plan derives both from its ops, so a tree leaf allocates no ``"in"``.
+Combine order is deterministic per rank but differs between
+candidates; exactness tests should use integer-valued payloads.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ The paper's ``Ialltoall`` function-set contains three algorithms
 
 Buffers: ``"send"`` and ``"recv"`` are the user buffers (``P x m``
 bytes); Bruck additionally uses ``"tmp"`` (``P x m``) and the staging
-areas ``"so"`` / ``"si"`` (``ceil(P/2) x m`` each).  Allocation sizes
-are reported by :func:`alltoall_scratch_bytes`.
+areas ``"so"`` / ``"si"`` (the largest round's block count ``x m``).
+The compiled plan derives those sizes from its own ops
+(:attr:`~repro.nbc.schedule.CompiledSchedule.scratch`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .schedule import SCHEDULE_CACHE, Schedule
 
 __all__ = [
     "ALLTOALL_ALGORITHMS",
-    "alltoall_scratch_bytes",
     "build_ialltoall",
     "compiled_ialltoall",
     "bruck_final_source",
@@ -36,14 +36,6 @@ __all__ = [
 
 #: algorithm names accepted by :func:`build_ialltoall`
 ALLTOALL_ALGORITHMS = ("linear", "pairwise", "bruck")
-
-
-def alltoall_scratch_bytes(size: int, m: int, algorithm: str) -> dict[str, int]:
-    """Scratch buffer sizes (bytes) an algorithm needs besides send/recv."""
-    if algorithm == "bruck":
-        half = math.ceil(size / 2)
-        return {"tmp": size * m, "so": half * m, "si": half * m}
-    return {}
 
 
 def bruck_final_source(size: int, rank: int, j: int) -> int:

@@ -13,8 +13,9 @@ byte vector in ``"data"``; rank *i* ends with the fully reduced *i*-th
   blocks.  Moves ``log2(P)`` times the data but pipelines well on fat
   links; also the guideline bound the pairwise candidate must beat.
 
-Extra buffers: ``"acc"`` and ``"in"`` staging (``P*m`` bytes covers
-both candidates).  Like all reductions, the combine order is
+Extra buffers: ``"acc"`` and ``"in"`` staging, sized by the plan from
+its own ops (``m`` bytes for pairwise, ``P*m`` for
+reduce_then_scatter).  Like all reductions, the combine order is
 deterministic per rank but differs between candidates, so exactness
 tests should use integer-valued payloads.
 """

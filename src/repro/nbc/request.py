@@ -84,8 +84,8 @@ class NBCRequest(Waitable):
     buffers:
         Optional buffer dict (see :func:`make_buffers`); ``None`` runs
         the schedule size-only.  The request owns the dict, including
-        any scratch arrays ``nbc.coll.start_*`` added to it, until its
-        last round completes; it then drops the reference
+        the plan's scratch arrays ``nbc.coll.start_plan`` added to it,
+        until its last round completes; it then drops the reference
         (``buffers`` becomes ``None``), so a finished collective pins
         no memory however long its handle is kept.
     """

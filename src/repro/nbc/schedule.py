@@ -14,7 +14,11 @@ sweeps) or *with data* (used by correctness tests and the FFT kernel).
 Operations reference buffers symbolically through ``(name, offset,
 nbytes)`` byte-range specs resolved against a ``buffers`` dict of 1-D
 ``uint8`` arrays at execution time, so the same schedule object serves
-both modes.
+both modes.  The caller supplies the :data:`USER_BUFFERS`; every other
+name an op references is *scratch*, and the plan itself owns its
+layout: :attr:`Schedule.scratch` maps each scratch name to the largest
+end offset any op reaches in it.  :func:`repro.nbc.coll.start_plan`
+allocates exactly that when the collective moves data.
 
 Compiled schedules & the schedule cache
 ---------------------------------------
@@ -64,10 +68,26 @@ __all__ = [
     "schedule_cache_stats",
     "identity_peers",
     "resolve",
+    "USER_BUFFERS",
 ]
 
 #: symbolic byte-range into a named buffer: ``(buffer_name, offset, nbytes)``
 BufSpec = tuple[str, int, int]
+
+#: buffer names the caller supplies; every other referenced name is scratch
+USER_BUFFERS = ("send", "recv", "data")
+
+
+def _scratch_extents(rounds) -> dict[str, int]:
+    """Scratch buffer name -> largest end offset any op reaches in it."""
+    out: dict[str, int] = {}
+    for rnd in rounds:
+        for op in rnd:
+            for spec in (getattr(op, "src", None), getattr(op, "dst", None)):
+                if spec is not None and spec[0] not in USER_BUFFERS:
+                    name, offset, nbytes = spec
+                    out[name] = max(out.get(name, 0), offset + nbytes)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -253,6 +273,12 @@ class Schedule:
         return len(self.rounds)
 
     @property
+    def scratch(self) -> dict[str, int]:
+        """Scratch buffer name -> bytes the ops reach in it (see
+        :attr:`CompiledSchedule.scratch`)."""
+        return _scratch_extents(self.rounds)
+
+    @property
     def tag_span(self) -> int:
         """Tag offsets to reserve on the communicator.
 
@@ -318,7 +344,9 @@ class CompiledSchedule:
     """An immutable, shareable execution plan for one collective.
 
     Structurally a frozen :class:`Schedule`: the rounds are tuples of
-    the same op objects and ``tag_span`` is precomputed, so
+    the same op objects and ``tag_span`` and ``scratch`` (every buffer
+    name outside :data:`USER_BUFFERS` the ops reference, with the
+    largest end offset they reach in it) are precomputed, so
     :class:`~repro.nbc.request.NBCRequest` executes either
     interchangeably (and bit-identically — the ops themselves are
     read-only during execution).  Because nothing in the plan mutates at
@@ -326,12 +354,13 @@ class CompiledSchedule:
     ranks, iterations and simulations of the same geometry.
     """
 
-    __slots__ = ("name", "rounds", "tag_span", "key")
+    __slots__ = ("name", "rounds", "tag_span", "scratch", "key")
 
     def __init__(self, schedule: Schedule, key: Optional[tuple] = None):
         self.name = schedule.name
         self.rounds: tuple[tuple, ...] = tuple(tuple(rnd) for rnd in schedule.rounds)
         self.tag_span: int = schedule.tag_span
+        self.scratch: dict[str, int] = schedule.scratch
         #: the cache key this plan was compiled under (None if uncached)
         self.key = key
 

@@ -73,6 +73,18 @@ def test_result_cache_roundtrip(tmp_path):
     assert stats["hit_rate"] == 0.5
 
 
+def test_result_cache_counts_only_entries(tmp_path):
+    """The fabric writes ``fabric_defects.json`` into the cache directory
+    after a quarantine; it is not an entry."""
+    cache = ResultCache(str(tmp_path / "c"))
+    cache.put("k", {"x": 1})
+    with open(os.path.join(cache.directory, "fabric_defects.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump({"defects": []}, fh)
+    assert len(cache) == 1
+    assert cache.stats()["entries"] == 1
+
+
 def test_result_cache_key_mismatch_degrades_to_miss(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
     cache.put("real-key", {"x": 1})

@@ -1,9 +1,11 @@
-"""A finished collective releases its buffer dict and scratch arrays.
+"""A collective's scratch is exactly what its plan references, and a
+finished collective releases its buffer dict and scratch arrays.
 
-``nbc.coll.start_*`` hands the request a buffer dict holding flat views
-of the caller's arrays plus any scratch the algorithm needs (Bruck's
-``tmp``/``so``/``si``, the hierarchical leaders' staging areas, the
-reductions' ``acc``/``in``).  The request must drop that dict when its
+``nbc.coll.start_plan`` hands the request a buffer dict holding flat
+views of the caller's arrays plus the scratch the plan's ops reference
+(Bruck's ``tmp``/``so``/``si``, the hierarchical leaders' staging
+areas, the reductions' ``acc``/``in``), each sized to the largest byte
+range any op reaches in it.  The request must drop that dict when its
 last round completes, so the scratch dies while the caller still holds
 the handle — ADCL keeps handles in lists and rank programs keep them in
 frames long after the data moved.
@@ -15,13 +17,15 @@ import numpy as np
 import pytest
 
 from repro import nbc
+from repro.adcl.fnsets import scatter_allgather_function
+from repro.adcl.function import CollSpec
+from repro.nbc.schedule import USER_BUFFERS
 from repro.sim import SimWorld, Wait, get_platform
 
 P = 4
 M = 16                     # bytes per block (two float64)
 GROUPS = ((0, 1), (2, 3))  # two leaders, so the hierarchical paths stage
 COUNTS = (8, 16, 8, 24)
-USER_BUFFERS = ("send", "recv", "data")
 
 
 def _alltoall(algorithm, groups=None):
@@ -66,6 +70,25 @@ def _iallreduce(ctx):
     return nbc.start_iallreduce(ctx, M, buf=np.full(M // 8, float(ctx.rank)))
 
 
+def _mockup(ctx):
+    spec = CollSpec("bcast", ctx.comm_world, 1000)
+    return scatter_allgather_function().make(
+        ctx, spec, {"data": np.full(1000, ctx.rank, dtype=np.uint8)})
+
+
+def _referenced_extents(plan) -> dict[str, int]:
+    """Non-user buffer name -> largest end offset any op of ``plan``
+    reaches in it, read straight off the ops."""
+    out: dict[str, int] = {}
+    for rnd in plan.rounds:
+        for op in rnd:
+            for spec in (getattr(op, "src", None), getattr(op, "dst", None)):
+                if spec is not None and spec[0] not in USER_BUFFERS:
+                    name, offset, nbytes = spec
+                    out[name] = max(out.get(name, 0), offset + nbytes)
+    return out
+
+
 #: name -> (post, whether the algorithm allocates scratch on some rank)
 CASES = {
     "alltoall-linear": (_alltoall("linear"), False),
@@ -79,6 +102,7 @@ CASES = {
     "ireduce": (_ireduce, True),
     "ireduce_scatter": (_ireduce_scatter, True),
     "iallreduce": (_iallreduce, True),
+    "ibcast-scatter+allgather": (_mockup, False),
 }
 
 
@@ -88,20 +112,28 @@ def test_completed_request_releases_buffers(case):
     world = SimWorld(get_platform("whale"), P)
     requests = {}
     scratch = {}
+    sizes = {}
 
     def body(ctx):
         req = post(ctx)
         requests[ctx.rank] = req
-        scratch[ctx.rank] = [
-            weakref.ref(arr) for name, arr in (req.buffers or {}).items()
-            if name not in USER_BUFFERS
-        ]
+        held = {name: arr for name, arr in (req.buffers or {}).items()
+                if name not in USER_BUFFERS}
+        scratch[ctx.rank] = [weakref.ref(arr) for arr in held.values()]
+        if req.buffers is not None:
+            sizes[ctx.rank] = {name: arr.nbytes for name, arr in held.items()}
         yield Wait(req)
 
     world.launch(body)
     world.run()
 
     assert any(scratch.values()) == allocates
+    assert sizes, "no request was still in flight after start"
+    for rank, held in sizes.items():
+        # every referenced scratch name is present, none is extra, and
+        # each is exactly as large as the ops reach
+        assert held == _referenced_extents(requests[rank].schedule), \
+            f"rank {rank}"
     for rank, req in requests.items():
         assert req.done
         assert req.buffers is None, f"rank {rank} still holds its buffers"

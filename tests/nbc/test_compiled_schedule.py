@@ -5,9 +5,11 @@ from unittest import mock
 import pytest
 
 from repro.errors import ScheduleError
+from repro.nbc.ialltoall import build_ialltoall
 from repro.nbc.ibcast import build_ibcast, compiled_ibcast
 from repro.nbc.schedule import (
     SCHEDULE_CACHE,
+    USER_BUFFERS,
     CompiledSchedule,
     Schedule,
     ScheduleCache,
@@ -43,6 +45,18 @@ def test_compile_freezes_structure():
     for frozen, original in zip(plan.rounds, sched.rounds):
         assert isinstance(frozen, tuple)
         assert list(frozen) == original
+
+
+@pytest.mark.parametrize("rank", range(5))
+def test_plan_derives_its_scratch_layout(rank):
+    """Bruck at P=5: ``tmp`` holds all five blocks, the staging areas the
+    largest round's two; ``send``/``recv`` are the caller's."""
+    sched = build_ialltoall(5, rank, 8, "bruck")
+    plan = sched.compile()
+    assert plan.scratch == {"tmp": 40, "so": 16, "si": 16}
+    assert not set(plan.scratch) & set(USER_BUFFERS)
+    assert sched.scratch == plan.scratch
+    assert build_ialltoall(5, rank, 8, "pairwise").compile().scratch == {}
 
 
 def test_compile_validates_first():

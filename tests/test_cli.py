@@ -64,6 +64,31 @@ def test_nbytes_accepts_size_suffixes():
     assert args.nbytes == 2 * 1024 * 1024
 
 
+FABRIC_FLAGS = {
+    "--jobs": ("jobs", "3", 1, 3),
+    "--result-cache": ("result_cache", "DIR", None, "DIR"),
+    "--resume": ("resume", None, False, True),
+    "--task-timeout": ("task_timeout", "2.5", 60.0, 2.5),
+    "--fabric-metrics": ("fabric_metrics", "M.json", None, "M.json"),
+    "--chaos-kill-workers": ("chaos_kill_workers", "2", 0, 2),
+    "--chaos-seed": ("chaos_seed", "7", 0, 7),
+}
+
+
+@pytest.mark.parametrize("command", ["sweep", "fft", "verify-guidelines"])
+def test_fabric_flags_shared_by_every_parallel_command(command):
+    parser = build_parser()
+    defaults = parser.parse_args([command])
+    argv = [command]
+    for flag, (_, value, _, _) in FABRIC_FLAGS.items():
+        argv += [flag] if value is None else [flag, value]
+    given = parser.parse_args(argv)
+    for dest, _, default, parsed in FABRIC_FLAGS.values():
+        assert getattr(defaults, dest) == default
+        assert getattr(given, dest) == parsed
+        assert type(getattr(given, dest)) is type(parsed)
+
+
 def test_sweep_with_jobs_result_cache_and_stats(capsys, tmp_path):
     cache_dir = str(tmp_path / "cache")
     argv = [

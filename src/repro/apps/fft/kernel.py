@@ -20,7 +20,11 @@ measured identically.
 
 With ``validate=True`` the kernel moves real ``complex128`` data
 through the simulated all-to-all and checks the distributed result
-against ``numpy.fft.fftn``.  Its live data is then the input and
+against ``numpy.fft.fftn`` after every iteration: each rank finishes
+its y-slab along z and passes when every element of the difference
+``d`` from the reference slice satisfies ``|d| <= 1e-8 + 1e-5 * |ref|``
+(``np.allclose(..., atol=1e-8)``; see :func:`_slab_matches`).  Its
+live data is then the input and
 reference cubes plus, per rank, one y-slab and the in-flight transpose
 buffers: about 8 x n^3 x 16 bytes at peak.  Each rank's input is a
 view of the shared cube, and every per-iteration array is local to one
@@ -166,10 +170,27 @@ def _make_request(config: FFTConfig, world: SimWorld, m: int) -> ADCLRequest:
 def _slab_matches(slab: np.ndarray, expected: np.ndarray) -> bool:
     """Finish the transform along z and compare it with numpy's slice.
 
-    The transformed copy is a temporary of this call, so a rank holds it
-    only while comparing.
+    The predicate is ``np.allclose(fft(slab, axis=0), expected,
+    atol=1e-8)`` for a finite ``expected``: with ``d = fft(slab) -
+    expected``, every element must satisfy ``|d| <= 1e-8 + 1e-5 *
+    |expected|``, computed with allclose's float operations in its
+    order, so the two agree bit for bit.  A NaN or infinity in the
+    transform fails, as it does under allclose.
+
+    Unlike allclose it builds no tolerance array: ``d`` is formed in
+    place in the transform, and once ``|d|`` is taken the tolerance is
+    written over the transform's storage, so besides the transform only
+    ``|d|`` and the boolean result are allocated, each a temporary of
+    this call.
     """
-    return bool(np.allclose(np.fft.fft(slab, axis=0), expected, atol=1e-8))
+    d = np.fft.fft(slab, axis=0)
+    d -= expected
+    err = np.abs(d)
+    tol = d.view(np.float64).reshape(-1)[:err.size].reshape(err.shape)
+    np.abs(expected, out=tol)
+    tol *= 1e-5
+    tol += 1e-8
+    return bool((err <= tol).all())
 
 
 def run_fft(config: FFTConfig) -> FFTResult:
@@ -216,7 +237,8 @@ def run_fft(config: FFTConfig) -> FFTResult:
             np.fft.fft2(local[z0:z0 + cnt]).reshape(cnt, P, L, n)
             .transpose(1, 0, 2, 3)
         )
-        recvbuf = np.zeros(P * m, dtype=np.uint8)
+        # every byte is received before it is read: no zero fill
+        recvbuf = np.empty(P * m, dtype=np.uint8)
         handle = yield from areq.start(ctx, buffers={"send": send,
                                                      "recv": recvbuf})
         return handle, z0, cnt, recvbuf
@@ -238,7 +260,8 @@ def run_fft(config: FFTConfig) -> FFTResult:
         """
         slab = None
         if local is not None:
-            slab = np.zeros((n, L, n), dtype=np.complex128)
+            # the tiles' unpacks cover the whole slab
+            slab = np.empty((n, L, n), dtype=np.complex128)
         window = deque()  # (handle, z0, cnt, recvbuf), oldest first
         timer.start(ctx)
         for z0, cnt in tiles:

@@ -24,6 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ..errors import ScheduleError
 from ..sim.mpi import MPIContext, SimComm
 from ..sim.process import Wait
 from .hier import (
@@ -77,11 +78,27 @@ def start_plan(ctx: MPIContext, comm: SimComm, rank: int,
     per-rank plan).  ``arrays`` are the caller's buffers by schedule
     name (``send=``, ``recv=``, ``data=``); when any is given, the
     plan's scratch is allocated next to them, otherwise the request runs
-    size-only.
+    size-only.  Each array is checked once against the bytes the plan's
+    ops reach in it (:attr:`~repro.nbc.schedule.CompiledSchedule.user_extents`),
+    so a bad buffer raises :class:`~repro.errors.ScheduleError` here,
+    before any message is posted, and the rounds can slice views
+    unchecked.  A ``None`` array runs the ops that name it without data.
     """
     buffers = None
     if any(arr is not None for arr in arrays.values()):
         buffers = make_buffers(**arrays)
+        for name, need in plan.user_extents.items():
+            if name not in buffers:
+                raise ScheduleError(
+                    f"{plan.name}: the schedule needs buffer {name!r}, "
+                    f"which was not passed"
+                )
+            buf = buffers[name]
+            if buf is not None and buf.nbytes < need:
+                raise ScheduleError(
+                    f"{plan.name}: buffer {name!r} too small: need "
+                    f"{need} bytes, have {buf.nbytes}"
+                )
         for name, nbytes in plan.scratch.items():
             buffers[name] = np.empty(nbytes, dtype=np.uint8)
     if peers is None:

@@ -26,8 +26,8 @@ import numpy as np
 from ..errors import ScheduleError
 from ..obs.recorder import declare
 from ..sim.mpi import MPIContext, SimComm
-from ..sim.process import RecvRequest, Waitable
-from .schedule import CompiledSchedule, Schedule, resolve
+from ..sim.process import Waitable
+from .schedule import BufSpec, CompiledSchedule, Schedule
 
 __all__ = ["NBCRequest", "make_buffers"]
 
@@ -59,6 +59,16 @@ def make_buffers(**arrays) -> dict[str, Optional[np.ndarray]]:
                 raise ScheduleError(f"buffer {name!r} must be C-contiguous")
             out[name] = arr.reshape(-1).view(np.uint8)
     return out
+
+
+def _view(buffers: dict, spec: Optional[BufSpec]) -> Optional[np.ndarray]:
+    """The ``uint8`` view ``spec`` names, unchecked (``start_plan``
+    checked the buffers), or None when the op or its buffer has no data."""
+    if spec is None:
+        return None
+    name, off, n = spec
+    buf = buffers[name]
+    return None if buf is None else buf[off:off + n]
 
 
 class NBCRequest(Waitable):
@@ -220,7 +230,7 @@ class NBCRequest(Waitable):
                 elif kind == "recv":
                     self._pending += 1
                     ctx.irecv(peers[op.peer], op.nbytes,
-                              tag_base + op.tagoff, comm, child_done)
+                              tag_base + op.tagoff, comm, None, child_done)
                 elif kind == "copy":
                     ctx.charge_copy(op.nbytes)
                 elif kind == "combine":
@@ -229,60 +239,43 @@ class NBCRequest(Waitable):
                     raise ScheduleError(f"unknown op kind {kind!r}")
             self._pending -= 1
             return
+        # payload path: start_plan checked every buffer against the
+        # plan's extents, so _view slices unchecked
         for op in ops:
             kind = op.kind
             if kind == "send":
                 self._pending += 1
-                data = resolve(buffers, op.src)
-                ctx.isend(
-                    peers[op.peer],
-                    nbytes=op.nbytes,
-                    tag=tag_base + op.tagoff,
-                    comm=comm,
-                    data=data,
-                    notify=child_done,
-                )
+                ctx.isend(peers[op.peer], op.nbytes, tag_base + op.tagoff,
+                          comm, _view(buffers, op.src), child_done)
             elif kind == "recv":
                 self._pending += 1
-                dst = resolve(buffers, op.dst)
-                if dst is None:
-                    notify = child_done
-                else:
-                    notify = self._make_recv_notify(dst)
-                ctx.irecv(
-                    peers[op.peer],
-                    nbytes=op.nbytes,
-                    tag=tag_base + op.tagoff,
-                    comm=comm,
-                    notify=notify,
-                )
+                # the transport copies the payload into this view when
+                # the receive completes
+                ctx.irecv(peers[op.peer], op.nbytes, tag_base + op.tagoff,
+                          comm, _view(buffers, op.dst), child_done)
             elif kind == "copy":
                 ctx.charge_copy(op.nbytes)
-                src = resolve(buffers, op.src)
-                dst = resolve(buffers, op.dst)
+                src = _view(buffers, op.src)
+                dst = _view(buffers, op.dst)
                 if src is not None and dst is not None:
                     dst[:] = src
             elif kind == "combine":
                 # a combine reads + writes the destination: ~2 copies of CPU
                 ctx.charge_copy(2 * op.nbytes)
-                src = resolve(buffers, op.src)
-                dst = resolve(buffers, op.dst)
+                src = _view(buffers, op.src)
+                dst = _view(buffers, op.dst)
                 if src is not None and dst is not None:
                     op.apply(src, dst)
             else:  # pragma: no cover - schedule.validate() prevents this
                 raise ScheduleError(f"unknown op kind {kind!r}")
         self._pending -= 1
 
-    def _make_recv_notify(self, dst_view: np.ndarray):
-        def notify(req: RecvRequest, t: float) -> None:
-            if req.data is not None:
-                dst_view[:] = req.data
-            self._pending -= 1
-
-        return notify
-
-    def _child_done(self, req: Waitable, t: float) -> None:
+    def _child_done(self, req: Waitable, t: float) -> Optional[bool]:
+        """A posted op completed.  ``False`` while the round still has ops
+        in flight: nothing a blocked wait can observe changed, so the
+        driver skips re-evaluating it (DESIGN.md §10)."""
         self._pending -= 1
+        return False if self._pending else None
 
     # ------------------------------------------------------------------
 

@@ -18,7 +18,9 @@ both modes.  The caller supplies the :data:`USER_BUFFERS`; every other
 name an op references is *scratch*, and the plan itself owns its
 layout: :attr:`Schedule.scratch` maps each scratch name to the largest
 end offset any op reaches in it.  :func:`repro.nbc.coll.start_plan`
-allocates exactly that when the collective moves data.
+allocates exactly that when the collective moves data, and checks the
+caller's arrays against :attr:`Schedule.user_extents` (the same map for
+the user buffers) before anything is posted.
 
 Compiled schedules & the schedule cache
 ---------------------------------------
@@ -78,13 +80,14 @@ BufSpec = tuple[str, int, int]
 USER_BUFFERS = ("send", "recv", "data")
 
 
-def _scratch_extents(rounds) -> dict[str, int]:
-    """Scratch buffer name -> largest end offset any op reaches in it."""
+def _extents(rounds, user: bool) -> dict[str, int]:
+    """Buffer name -> largest end offset any op reaches in it, over the
+    user buffers (``user=True``) or the scratch ones."""
     out: dict[str, int] = {}
     for rnd in rounds:
         for op in rnd:
             for spec in (getattr(op, "src", None), getattr(op, "dst", None)):
-                if spec is not None and spec[0] not in USER_BUFFERS:
+                if spec is not None and (spec[0] in USER_BUFFERS) == user:
                     name, offset, nbytes = spec
                     out[name] = max(out.get(name, 0), offset + nbytes)
     return out
@@ -276,7 +279,13 @@ class Schedule:
     def scratch(self) -> dict[str, int]:
         """Scratch buffer name -> bytes the ops reach in it (see
         :attr:`CompiledSchedule.scratch`)."""
-        return _scratch_extents(self.rounds)
+        return _extents(self.rounds, user=False)
+
+    @property
+    def user_extents(self) -> dict[str, int]:
+        """User buffer name -> bytes the ops reach in it (see
+        :attr:`CompiledSchedule.user_extents`)."""
+        return _extents(self.rounds, user=True)
 
     @property
     def tag_span(self) -> int:
@@ -344,9 +353,10 @@ class CompiledSchedule:
     """An immutable, shareable execution plan for one collective.
 
     Structurally a frozen :class:`Schedule`: the rounds are tuples of
-    the same op objects and ``tag_span`` and ``scratch`` (every buffer
+    the same op objects and ``tag_span``, ``scratch`` (every buffer
     name outside :data:`USER_BUFFERS` the ops reference, with the
-    largest end offset they reach in it) are precomputed, so
+    largest end offset they reach in it) and ``user_extents`` (the same
+    for the user buffers) are precomputed, so
     :class:`~repro.nbc.request.NBCRequest` executes either
     interchangeably (and bit-identically — the ops themselves are
     read-only during execution).  Because nothing in the plan mutates at
@@ -354,13 +364,14 @@ class CompiledSchedule:
     ranks, iterations and simulations of the same geometry.
     """
 
-    __slots__ = ("name", "rounds", "tag_span", "scratch", "key")
+    __slots__ = ("name", "rounds", "tag_span", "scratch", "user_extents", "key")
 
     def __init__(self, schedule: Schedule, key: Optional[tuple] = None):
         self.name = schedule.name
         self.rounds: tuple[tuple, ...] = tuple(tuple(rnd) for rnd in schedule.rounds)
         self.tag_span: int = schedule.tag_span
         self.scratch: dict[str, int] = schedule.scratch
+        self.user_extents: dict[str, int] = schedule.user_extents
         #: the cache key this plan was compiled under (None if uncached)
         self.key = key
 

@@ -106,39 +106,56 @@ def _fastlane_enabled() -> bool:
 # --------------------------------------------------------------------------
 
 
-class _Message:
-    """A point-to-point message in flight (internal)."""
+class _Message(SendRequest):
+    """A point-to-point message in flight, which is also its send request.
 
-    __slots__ = (
-        "src",
-        "dst",
-        "tag",
-        "comm_id",
-        "nbytes",
-        "data",
-        "eager",
-        "same_node",
-        "send_req",
-        "recv_req",
-        "attempts",
-    )
+    :meth:`MPIContext.isend` returns the message itself: one object per
+    send.  ``peer`` (from :class:`SendRequest`) is the destination world
+    rank and ``post_time`` the instant the send was posted.
+    """
+
+    __slots__ = ("src", "data", "eager", "same_node", "recv_req", "attempts")
 
     def __init__(self, src: int, dst: int, tag: int, comm_id: int, nbytes: int,
-                 data: Any, eager: bool, same_node: bool,
-                 send_req: Optional[SendRequest]):
-        self.src = src
-        self.dst = dst
+                 data: Any, eager: bool, same_node: bool, post_time: float,
+                 notify: Optional[Callable]):
+        self.done = False
+        self.failed = None
+        self._notify = notify
+        self.peer = dst
         self.tag = tag
-        self.comm_id = comm_id
         self.nbytes = nbytes
+        self.post_time = post_time
+        self.complete_time: Optional[float] = None
+        self.comm_id = comm_id
+        self.src = src
         self.data = data
         self.eager = eager
         #: both ends on one node (shared-memory link class)
         self.same_node = same_node
-        self.send_req = send_req
         self.recv_req: Optional[RecvRequest] = None
         #: transmission attempts so far (drops trigger retransmission)
         self.attempts = 0
+
+
+_U8 = np.dtype(np.uint8)
+
+
+def _land(buf: np.ndarray, data: Any) -> None:
+    """Copy a delivered payload's bytes into a receive's byte view."""
+    if not isinstance(data, np.ndarray):
+        payload = np.frombuffer(data, dtype=_U8)
+    elif data.dtype is _U8 and data.ndim == 1:
+        payload = data  # a collective's byte slice: copy it as is
+    else:
+        payload = data.reshape(-1).view(_U8)
+    try:
+        buf[:] = payload
+    except ValueError:
+        raise MatchingError(
+            f"a {payload.nbytes}-byte payload cannot land in a "
+            f"{buf.nbytes}-byte receive buffer"
+        ) from None
 
 
 class _RankState:
@@ -485,31 +502,79 @@ class MPIContext:
         tag: int = 0,
         comm: Optional[SimComm] = None,
         data: Any = None,
-        notify: Optional[Callable[[Waitable, float], None]] = None,
+        notify: Optional[Callable[[Waitable, float], Any]] = None,
     ) -> SendRequest:
         """Post a non-blocking send to communicator-local rank ``dest``.
 
         ``data`` optionally attaches a real payload (ndarrays are
         snapshotted at post time, matching MPI buffer semantics for the
         simulated program, which may reuse its buffer).  ``nbytes``
-        defaults to the payload size.
+        defaults to the payload size and must equal it when both are
+        given.  The returned request is the in-flight message itself.
         """
+        world = self.world
         if comm is None:
-            comm = self.world.comm_world
+            comm = world.comm_world
         if comm.revoked:
             raise CommRevokedError(
                 f"rank {self.rank}: isend on revoked communicator {comm.comm_id}"
             )
         if data is not None:
+            is_array = isinstance(data, np.ndarray)
+            size = data.nbytes if is_array else len(data)
             if nbytes is None:
-                nbytes = data.nbytes if isinstance(data, np.ndarray) else len(data)
-            if isinstance(data, np.ndarray):
+                nbytes = size
+            elif nbytes != size:
+                raise SimulationError(
+                    f"rank {self.rank}: isend of {nbytes} bytes with a "
+                    f"{size}-byte payload"
+                )
+            if is_array:
                 data = data.copy()
         elif nbytes is None:
             raise SimulationError("isend needs nbytes or data")
+        nbytes = int(nbytes)
         # comm.ranks[dest] is comm.world_rank(dest) without the call
-        return self.world._post_isend(self._st, comm.ranks[dest], tag,
-                                      comm.comm_id, int(nbytes), data, notify)
+        wdst = comm.ranks[dest]
+        st = self._st
+        dead = world._dead
+        if dead and wdst in dead:
+            raise RankFailedError(
+                f"rank {st.id}: isend to dead rank {wdst} "
+                f"(t={world.sim.now:.6f}s)", frozenset(dead),
+            )
+        if st.pending_cts or st.pending_data:
+            world._mpi_entry(st)  # any MPI call drives pending protocol actions
+        # inlined self.charge(params.o_send); from here on busy >= now
+        busy = st.busy_until
+        now = world.sim._now
+        st.busy_until = busy = (busy if busy > now else now) + world._o_send
+        node_of = world._node_of
+        same_node = node_of[st.id] == node_of[wdst]
+        link = world._links[same_node]
+        eager = nbytes <= link.eager_threshold
+        msg = _Message(st.id, wdst, tag, comm.comm_id, nbytes, data, eager,
+                       same_node, busy, notify)
+        if world._obs is not None:
+            world._obs.emit(_K_POST, st.id, busy, wdst, tag, nbytes, eager)
+        if eager:
+            # the library copies the payload into an internal buffer,
+            # then the NIC drains it without further CPU help (inlined
+            # self.charge(params.copy_time(nbytes)))
+            st.busy_until = busy = busy + nbytes / world._copy_bw
+            world._inject(msg, busy, same_node)
+            msg.done = True
+            msg.complete_time = busy
+            if notify is not None:
+                notify(msg, busy)
+        else:
+            st.n_active += 1
+            st.open[msg] = None
+            # RTS control message: latency only
+            _heappush(world._sim_heap, (busy + link.alpha, next(world._sim_seq),
+                                        world._on_rts_arrival, (msg,)))
+            world._ranks[wdst].inbound += 1
+        return msg
 
     def irecv(
         self,
@@ -517,17 +582,85 @@ class MPIContext:
         nbytes: int = 0,
         tag: int = 0,
         comm: Optional[SimComm] = None,
-        notify: Optional[Callable[[Waitable, float], None]] = None,
+        buf: Optional[np.ndarray] = None,
+        notify: Optional[Callable[[Waitable, float], Any]] = None,
     ) -> RecvRequest:
-        """Post a non-blocking receive from communicator-local ``source``."""
+        """Post a non-blocking receive from communicator-local ``source``.
+
+        ``buf`` optionally names where the payload lands: a C-contiguous
+        array of exactly ``nbytes`` bytes, which the transport fills at
+        completion and leaves untouched before it (and for good when
+        the receive fails).  Without it the payload is
+        :attr:`RecvRequest.data`.
+        """
+        world = self.world
         if comm is None:
-            comm = self.world.comm_world
+            comm = world.comm_world
         if comm.revoked:
             raise CommRevokedError(
                 f"rank {self.rank}: irecv on revoked communicator {comm.comm_id}"
             )
-        return self.world._post_irecv(self._st, comm.ranks[source], tag,
-                                      comm.comm_id, int(nbytes), notify)
+        nbytes = int(nbytes)
+        if buf is not None:
+            if buf.nbytes != nbytes or not buf.flags.c_contiguous:
+                raise SimulationError(
+                    f"rank {self.rank}: irecv of {nbytes} bytes needs a "
+                    f"C-contiguous {nbytes}-byte buffer, got "
+                    f"{buf.nbytes} bytes"
+                )
+            if buf.dtype is not _U8 or buf.ndim != 1:
+                buf = buf.reshape(-1).view(_U8)
+        wsrc = comm.ranks[source]
+        st = self._st
+        dead = world._dead
+        if dead and wsrc in dead:
+            raise RankFailedError(
+                f"rank {st.id}: irecv from dead rank {wsrc} "
+                f"(t={world.sim.now:.6f}s)", frozenset(dead),
+            )
+        if st.pending_cts or st.pending_data:
+            world._mpi_entry(st)
+        # inlined self.charge(params.o_recv); from here on busy >= now
+        busy = st.busy_until
+        now = world.sim._now
+        st.busy_until = busy = (busy if busy > now else now) + world._o_recv
+        comm_id = comm.comm_id
+        req = RecvRequest(wsrc, tag, nbytes, busy, comm_id, notify, buf)
+        key = (wsrc, tag, comm_id)
+        queue = st.unexpected.get(key)
+        if queue:
+            msg = queue.pop(0)
+            if not queue:
+                del st.unexpected[key]
+            if msg.eager:
+                # late match: pay the unpack copy out of the eager buffer
+                st.busy_until = busy = busy + msg.nbytes / world._copy_bw
+                data = msg.data
+                if data is not None:
+                    if buf is None:
+                        req.data = data
+                    else:
+                        _land(buf, data)
+                req.done = True
+                req.complete_time = busy
+                if notify is not None:
+                    notify(req, busy)
+            else:
+                # unexpected RTS: answer with CTS at this (in-MPI) moment;
+                # no other protocol work is pending, it ran on entry
+                msg.recv_req = req
+                st.n_active += 1
+                st.open[req] = None
+                world._send_cts(st, msg)
+        else:
+            st.n_active += 1
+            st.open[req] = None
+            queue = st.posted.get(key)
+            if queue is None:
+                st.posted[key] = [req]
+            else:
+                queue.append(req)
+        return req
 
 
 # --------------------------------------------------------------------------
@@ -645,10 +778,7 @@ class SimWorld:
         self._send_cts = self._send_cts
         self._wait_try = self._wait_try
         self._inject = self._inject
-        # the message-path entry points are looked up once per posted
-        # send, posted receive and delivered message: cache them too
-        self._post_isend = self._post_isend
-        self._post_irecv = self._post_irecv
+        # looked up once per delivered message: cache it too
         self._complete_recv = self._complete_recv
         #: world ranks killed by a RankCrash fault (authoritative)
         self._dead: set[int] = set()
@@ -1288,7 +1418,7 @@ class SimWorld:
             now = self.sim._now
             t_post = busy if busy > now else now
             for msg in msgs:
-                if msg.send_req.failed is None:
+                if msg.failed is None:
                     self._inject(msg, t_post, msg.same_node)
 
     def _send_cts(self, st: _RankState, msg: _Message) -> None:
@@ -1302,111 +1432,6 @@ class SimWorld:
                   (busy + self._links[msg.same_node].alpha, next(self._sim_seq),
                    self._on_cts_arrival, (msg,)))
         self._ranks[msg.src].inbound += 1
-
-    # ------------------------------------------------------------------
-    # posting
-    # ------------------------------------------------------------------
-
-    def _post_isend(
-        self,
-        st: _RankState,
-        wdst: int,
-        tag: int,
-        comm_id: int,
-        nbytes: int,
-        data: Any,
-        notify: Optional[Callable],
-    ) -> SendRequest:
-        if self._dead and wdst in self._dead:
-            raise RankFailedError(
-                f"rank {st.id}: isend to dead rank {wdst} "
-                f"(t={self.sim.now:.6f}s)", frozenset(self._dead),
-            )
-        if st.pending_cts or st.pending_data:
-            self._mpi_entry(st)  # any MPI call drives pending protocol actions
-        # inlined st.ctx.charge(params.o_send); from here on busy >= now
-        busy = st.busy_until
-        now = self.sim._now
-        st.busy_until = busy = (busy if busy > now else now) + self._o_send
-        req = SendRequest(wdst, tag, nbytes, busy, comm_id, notify)
-        node_of = self._node_of
-        same_node = node_of[st.id] == node_of[wdst]
-        link = self._links[same_node]
-        eager = nbytes <= link.eager_threshold
-        msg = _Message(st.id, wdst, tag, comm_id, nbytes, data, eager,
-                       same_node, req)
-        if self._obs is not None:
-            self._obs.emit(_K_POST, st.id, busy, wdst, tag, nbytes, eager)
-        if eager:
-            # the library copies the payload into an internal buffer,
-            # then the NIC drains it without further CPU help (inlined
-            # ctx.charge(params.copy_time(nbytes)))
-            st.busy_until = busy = busy + nbytes / self._copy_bw
-            self._inject(msg, busy, same_node)
-            req.done = True
-            req.complete_time = busy
-            if notify is not None:
-                notify(req, busy)
-        else:
-            st.n_active += 1
-            st.open[req] = None
-            # RTS control message: latency only
-            _heappush(self._sim_heap, (busy + link.alpha, next(self._sim_seq),
-                                       self._on_rts_arrival, (msg,)))
-            self._ranks[wdst].inbound += 1
-        return req
-
-    def _post_irecv(
-        self,
-        st: _RankState,
-        wsrc: int,
-        tag: int,
-        comm_id: int,
-        nbytes: int,
-        notify: Optional[Callable],
-    ) -> RecvRequest:
-        if self._dead and wsrc in self._dead:
-            raise RankFailedError(
-                f"rank {st.id}: irecv from dead rank {wsrc} "
-                f"(t={self.sim.now:.6f}s)", frozenset(self._dead),
-            )
-        if st.pending_cts or st.pending_data:
-            self._mpi_entry(st)
-        # inlined st.ctx.charge(params.o_recv); from here on busy >= now
-        busy = st.busy_until
-        now = self.sim._now
-        st.busy_until = busy = (busy if busy > now else now) + self._o_recv
-        req = RecvRequest(wsrc, tag, nbytes, busy, comm_id, notify)
-        key = (wsrc, tag, comm_id)
-        queue = st.unexpected.get(key)
-        if queue:
-            msg = queue.pop(0)
-            if not queue:
-                del st.unexpected[key]
-            if msg.eager:
-                # late match: pay the unpack copy out of the eager buffer
-                st.busy_until = busy = busy + msg.nbytes / self._copy_bw
-                req.data = msg.data
-                req.done = True
-                req.complete_time = busy
-                if notify is not None:
-                    notify(req, busy)
-            else:
-                # unexpected RTS: answer with CTS at this (in-MPI) moment;
-                # no other protocol work is pending, it ran on entry
-                msg.recv_req = req
-                st.n_active += 1
-                st.open[req] = None
-                self._send_cts(st, msg)
-        else:
-            st.n_active += 1
-            st.open[req] = None
-            queue = st.posted.get(key)
-            if queue is None:
-                st.posted[key] = [req]
-            else:
-                queue.append(req)
-        return req
 
     # ------------------------------------------------------------------
     # network events
@@ -1434,7 +1459,7 @@ class SimWorld:
         link degradation, rail failure and message drops; intra-node
         (shared-memory) transfers are never dropped or degraded.
         """
-        if self._dead and msg.dst in self._dead:
+        if self._dead and msg.peer in self._dead:
             self._dead_letter(msg)
             return
         params = self.params
@@ -1442,7 +1467,7 @@ class SimWorld:
         heap = self._sim_heap
         seq = self._sim_seq
         src = msg.src
-        dst = msg.dst
+        dst = msg.peer
         link = self._links[same_node]
         # inlined link.serialization_time(nbytes)
         ser = link.per_msg + msg.nbytes / link.beta
@@ -1540,13 +1565,13 @@ class SimWorld:
         self._faults.messages_dropped += 1
         msg.attempts += 1
         if self._obs is not None:
-            self._obs.emit(_K_DROP, msg.src, self.sim._now, msg.dst,
+            self._obs.emit(_K_DROP, msg.src, self.sim._now, msg.peer,
                            msg.attempts)
         if not self._reliable:
             return  # the message silently vanishes: the receiver blocks
         if msg.attempts > self._max_retries:
             raise MessageLostError(
-                f"message src={msg.src} dst={msg.dst} tag={msg.tag} "
+                f"message src={msg.src} dst={msg.peer} tag={msg.tag} "
                 f"comm={msg.comm_id} {msg.nbytes}B lost after "
                 f"{self._max_retries} retransmission attempts "
                 f"(t={self.sim.now:.6f}s)"
@@ -1557,7 +1582,7 @@ class SimWorld:
 
     def _retransmit(self, msg: _Message, same_node: bool) -> None:
         if self._obs is not None:
-            self._obs.emit(_K_RETRANSMIT, msg.src, self.sim._now, msg.dst,
+            self._obs.emit(_K_RETRANSMIT, msg.src, self.sim._now, msg.peer,
                            msg.attempts)
         self._inject(msg, self.sim.now, same_node)
 
@@ -1569,32 +1594,32 @@ class SimWorld:
         """
         self.dead_letters += 1
         if self._obs is not None:
-            self._obs.emit(_K_DEAD_LETTER, msg.src, self.sim._now, msg.dst,
+            self._obs.emit(_K_DEAD_LETTER, msg.src, self.sim._now, msg.peer,
                            msg.nbytes)
 
     def _on_send_complete(self, msg: _Message) -> None:
         """Rendezvous data fully injected: the send buffer is reusable."""
         st = self._ranks[msg.src]
         st.inbound -= 1
-        req = msg.send_req
-        if st.dead or req.failed is not None:
+        if st.dead or msg.failed is not None:
             return  # already accounted for by the crash/revoke sweep
         now = self.sim._now
-        req.done = True
-        req.complete_time = now
+        msg.done = True
+        msg.complete_time = now
         st.n_active -= 1
-        del st.open[req]
-        notify = req._notify
+        del st.open[msg]
+        notify = msg._notify
         if notify is not None:
             try:
-                notify(req, now)
+                if notify(msg, now) is False and not st.failed_excs:
+                    return  # no waiter can observe it: skip the retry
             except (RankFailedError, CommRevokedError) as exc:
                 st.failed_excs.append(exc)
         if st.waiting is not None:
             self._wait_try(st)
 
     def _on_rts_arrival(self, msg: _Message) -> None:
-        st = self._ranks[msg.dst]
+        st = self._ranks[msg.peer]
         st.inbound -= 1
         if st.dead:
             self._dead_letter(msg)
@@ -1621,7 +1646,7 @@ class SimWorld:
     def _on_cts_arrival(self, msg: _Message) -> None:
         st = self._ranks[msg.src]
         st.inbound -= 1
-        if st.dead or msg.send_req.failed is not None:
+        if st.dead or msg.failed is not None:
             return
         if st.waiting is None:
             st.pending_data.append(msg)  # noticed at the next MPI entry
@@ -1636,7 +1661,7 @@ class SimWorld:
             self._inject(msg, busy if busy > now else now, msg.same_node)
 
     def _deliver(self, msg: _Message) -> None:
-        st = self._ranks[msg.dst]
+        st = self._ranks[msg.peer]
         st.inbound -= 1
         t = self.sim._now
         if st.dead:
@@ -1662,8 +1687,13 @@ class SimWorld:
             return  # failed by a crash/revoke sweep; message is dropped
         if self._obs is not None:
             self._obs.emit(_K_DELIVER, st.id, t, msg.src, msg.nbytes,
-                           t - msg.send_req.post_time)
-        req.data = msg.data
+                           t - msg.post_time)
+        data = msg.data
+        if data is not None:
+            if req.buf is None:
+                req.data = data
+            else:
+                _land(req.buf, data)
         req.done = True
         req.complete_time = t
         st.n_active -= 1
@@ -1671,7 +1701,8 @@ class SimWorld:
         notify = req._notify
         if notify is not None:
             try:
-                notify(req, t)
+                if notify(req, t) is False and not st.failed_excs:
+                    return  # no waiter can observe it: skip the retry
             except (RankFailedError, CommRevokedError) as exc:
                 st.failed_excs.append(exc)
         if st.waiting is not None:

@@ -60,8 +60,11 @@ class Waitable:
         #: the exception that permanently failed this request (a dead peer,
         #: a revoked communicator), or ``None`` while it can still complete
         self.failed = None
-        #: optional completion callback ``(request, time) -> None`` used by
-        #: the driver to bubble completions up to NBC schedules / waits
+        #: optional completion callback ``(request, time)`` used by the
+        #: driver to bubble completions up to NBC schedules / waits.  It
+        #: may return ``False`` to say that nothing a waiting rank can
+        #: observe has changed (an NBC round still has ops in flight); the
+        #: driver then skips re-evaluating that rank's wait (DESIGN.md §10)
         self._notify = None
 
     def progress(self, ctx: Any) -> None:
@@ -73,7 +76,9 @@ class SendRequest(Waitable):
 
     ``notify`` is the optional completion callback (see :class:`Waitable`).
     The :class:`Waitable` fields are set here directly rather than through
-    ``super().__init__()``: one request is built per message post.
+    ``super().__init__()``: one request is built per message post.  The
+    simulated transport's in-flight message subclasses this class, so a
+    posted send is one object (``peer`` is its destination).
     """
 
     __slots__ = ("peer", "tag", "nbytes", "post_time", "complete_time", "comm_id")
@@ -98,16 +103,19 @@ class SendRequest(Waitable):
 class RecvRequest(Waitable):
     """Handle for a posted non-blocking receive.
 
-    :attr:`data` holds the delivered payload (if the sender attached
-    one) once the request is complete.  ``notify`` is set up as in
-    :class:`SendRequest`.
+    ``buf`` is the optional destination: a flat ``uint8`` view the
+    transport copies the payload into when the receive completes, and
+    never touches before (nor at all when the receive fails).  Without
+    one, :attr:`data` holds the delivered payload (if the sender
+    attached one) once the request is complete.  ``notify`` is set up
+    as in :class:`SendRequest`.
     """
 
     __slots__ = ("peer", "tag", "nbytes", "post_time", "complete_time", "data",
-                 "comm_id")
+                 "comm_id", "buf")
 
     def __init__(self, peer: int, tag: int, nbytes: int, post_time: float,
-                 comm_id: int = 0, notify=None):
+                 comm_id: int = 0, notify=None, buf=None):
         self.done = False
         self.failed = None
         self._notify = notify
@@ -118,6 +126,7 @@ class RecvRequest(Waitable):
         self.complete_time: Optional[float] = None
         self.data: Any = None
         self.comm_id = comm_id
+        self.buf = buf
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "done" if self.done else "pending"

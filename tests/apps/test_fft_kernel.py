@@ -111,6 +111,79 @@ def test_validation_checks_every_iteration(monkeypatch):
     assert res.validated is False
 
 
+def _allclose_check(slab, expected):
+    """The reference predicate ``kernel._slab_matches`` computes."""
+    return bool(np.allclose(np.fft.fft(slab, axis=0), expected, atol=1e-8))
+
+
+def _slab_pair(n=16, L=2, seed=3):
+    """A y-slab and the z-transform it must reach, with magnitudes from
+    about 1e-3 to 30 so both the absolute and the relative tolerance
+    term decide some elements."""
+    rng = np.random.default_rng(seed)
+    shape = (n, L, n)
+    slab = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * np.exp(rng.uniform(-7, 1, shape))
+    return slab, np.fft.fft(slab, axis=0)
+
+
+def _nudge(expected, factor, index):
+    """``expected`` with one element moved ``factor`` tolerances away."""
+    out = expected.copy()
+    tol = 1e-8 + 1e-5 * abs(expected[index])
+    out[index] += factor * tol * np.exp(0.7j)
+    return out
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.5, 0.999, 1.001, 2.0, 1e6])
+@pytest.mark.parametrize("where", ["small", "large"])
+def test_slab_check_matches_allclose_near_the_tolerance(factor, where):
+    slab, expected = _slab_pair()
+    mags = abs(expected).reshape(-1)
+    flat = int(np.argmin(mags) if where == "small" else np.argmax(mags))
+    index = np.unravel_index(flat, expected.shape)
+    moved = _nudge(expected, factor, index)
+    got = kernel._slab_matches(slab, moved)
+    assert got == _allclose_check(slab, moved)
+    # the nudges really straddle the tolerance
+    assert got == (factor < 1.0)
+
+
+def test_slab_check_matches_allclose_on_random_perturbations():
+    """Every element nudged by a random fraction of its tolerance, over
+    many draws straddling 1: the verdicts agree draw by draw."""
+    slab, expected = _slab_pair(seed=5)
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for _ in range(200):
+        tol = 1e-8 + 1e-5 * abs(expected)
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi, expected.shape))
+        moved = expected + rng.uniform(0, 1.0005, expected.shape) * tol * phase
+        got = kernel._slab_matches(slab, moved)
+        assert got == _allclose_check(slab, moved)
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 complex(np.inf, np.nan),
+                                 complex(0.0, -np.inf)])
+def test_slab_check_matches_allclose_on_non_finite_slabs(bad):
+    slab, expected = _slab_pair()
+    slab[3, 1, 5] = bad
+    assert kernel._slab_matches(slab, expected) is False
+    assert _allclose_check(slab, expected) is False
+
+
+def test_slab_check_leaves_its_inputs_alone():
+    slab, expected = _slab_pair()
+    before = slab.copy(), expected.copy()
+    assert kernel._slab_matches(slab, expected)
+    np.testing.assert_array_equal(slab, before[0])
+    np.testing.assert_array_equal(expected, before[1])
+
+
 @pytest.mark.parametrize("method", FFT_METHODS)
 def test_all_methods_run(method):
     cfg = FFTConfig(n=16, nprocs=4, pattern="pipelined", method=method,

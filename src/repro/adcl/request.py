@@ -62,16 +62,6 @@ def make_selector(name: str, fnset: FunctionSet, **kw) -> Selector:
     raise AdclError(f"unknown selector {name!r}; expected one of {SELECTOR_NAMES}")
 
 
-class _DoneHandle(Waitable):
-    """Stand-in handle for blocking functions (already complete)."""
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.done = True
-
-
 class ADCLRequest:
     """A persistent, runtime-tuned collective operation."""
 

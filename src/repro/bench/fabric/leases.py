@@ -103,7 +103,6 @@ class LeaseTable:
         self._leases: Dict[Tuple[int, int], Lease] = {}  # (task, worker)
         self._results: Dict[int, Any] = {}
         self._kills: Dict[int, int] = {}        # task -> worker deaths held
-        self._reassigns: Dict[int, int] = {}    # task -> requeue count
         self._poisoned: Set[int] = set()
         # counters the master mirrors into its metrics registry
         self.leases_issued = 0
@@ -135,17 +134,8 @@ class LeaseTable:
     def outstanding(self) -> List[Lease]:
         return list(self._leases.values())
 
-    def worker_tasks(self, worker: int) -> List[int]:
-        return [l.task for l in self._leases.values() if l.worker == worker]
-
     def kills(self, task: int) -> int:
         return self._kills.get(task, 0)
-
-    def reassignments(self, task: int) -> int:
-        return self._reassigns.get(task, 0)
-
-    def pending_count(self) -> int:
-        return len(self._pending)
 
     # -- assignment ---------------------------------------------------------
 
@@ -270,7 +260,6 @@ class LeaseTable:
     def _requeue(self, task: int) -> None:
         if (task not in self._pending and task not in self._results
                 and task not in self._poisoned):
-            self._reassigns[task] = self._reassigns.get(task, 0) + 1
             self._pending.append(task)
 
     # -- stats --------------------------------------------------------------

@@ -445,8 +445,7 @@ def _print_stats(wall: float, events: int, cache: Optional[ResultCache],
     if engine:
         dispatched = engine.get("events_dispatched", 0)
         print(f"engine loop           {dispatched} "
-              f"dispatched, {engine.get('compactions', 0)} heap "
-              f"compactions, {engine.get('pending', 0)} pending at exit")
+              f"dispatched, {engine.get('pending', 0)} pending at exit")
         batched = engine.get("batched_syscalls", 0)
         if batched:
             print(f"fast lane             {batched} syscalls batched "

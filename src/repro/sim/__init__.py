@@ -10,7 +10,7 @@ Public entry points:
   used by rank programs.
 """
 
-from .engine import Event, Simulator
+from .engine import Simulator
 from .faults import (
     DropRule,
     FaultInjector,
@@ -40,7 +40,6 @@ __all__ = [
     "Compute",
     "ComputeProgressSpan",
     "DropRule",
-    "Event",
     "FaultInjector",
     "FaultPlan",
     "LinkDegradation",

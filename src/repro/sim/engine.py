@@ -1,47 +1,35 @@
 """Discrete-event simulation kernel.
 
 A :class:`Simulator` is a minimal, deterministic event loop over virtual
-time.  Events are kept in a binary heap of ``(time, seq, ...)`` tuples;
-ties on time are broken by insertion order (``seq``) so runs are fully
-reproducible.  Using plain tuples as heap entries keeps every heap
-comparison in C — payloads are never compared during
+time.  Events are kept in a binary heap of ``(time, seq, fn, args)``
+tuples; ties on time are broken by insertion order (``seq``) so runs are
+fully reproducible.  Using plain tuples as heap entries keeps every heap
+comparison in C — ``fn`` and ``args`` are never compared during
 ``heappush``/``heappop`` because ``seq`` is unique.
 
 The kernel knows nothing about MPI, ranks or networks — those live in
 :mod:`repro.sim.mpi` and friends and drive the simulator through
-:meth:`Simulator.at` / :meth:`Simulator.after` /
-:meth:`Simulator.post`.
+:meth:`Simulator.post` and :meth:`Simulator.post_join`.
 
 Fast-path invariants (see DESIGN.md §10)
 ----------------------------------------
-* Two scheduling entry points share one heap: :meth:`at` returns a
-  cancellable :class:`Event` handle (entry ``(time, seq, Event)``);
-  :meth:`post` returns nothing and allocates nothing but the heap tuple
-  ``(time, seq, fn, args)`` — the right call when the caller discards
-  the handle, which is every hot-path event the MPI layer schedules.
-  Both draw from the same ``seq`` counter, so their relative order is
-  exactly insertion order regardless of which entry point was used.
-* ``pending()`` is O(1): ``len(heap)`` minus a count of cancelled
-  entries still in the heap, plus the events that share another's entry
-  (see the joins below).  Only :meth:`Event.cancel`, the lazy skip of a
-  cancelled entry and compaction touch the cancelled count, so
-  scheduling and dispatching a live event do no bookkeeping for it.
-* Cancelled events are lazily deleted; when more than half of a
-  non-trivial heap is cancelled the heap is *compacted* (rebuilt without
-  the dead entries).  Compaction never changes the dispatch order:
-  entries are totally ordered by ``(time, seq)`` and only entries that
-  would have been skipped anyway are removed.
+* One entry shape: ``(time, seq, fn, args)``, where ``fn`` may be the
+  ``_COHORT`` marker of a coalesced entry (see the joins below).  An
+  event cannot be cancelled once scheduled, so the loop never skips an
+  entry and the heap never needs rebuilding.
+* ``pending()`` is O(1): ``len(heap)`` plus the events that share
+  another's entry.
 * The dispatch loop binds its hot names to locals and pops before it
   looks: an entry past the ``until`` horizon is pushed back, which
   leaves the ``(time, seq)`` order untouched.  Event order is
-  bit-identical to the straightforward peek/pop loop.
+  bit-identical to the straightforward peek/pop loop.  ``run(until)``
+  and :meth:`Simulator.halt` are the only stop conditions.
 * **Inline-post protocol** for trusted drivers: a caller that can prove
   ``time >= now`` for every event it schedules may push
   ``(time, next(sim._seq), fn, args)`` onto ``sim._heap`` directly,
   skipping the :meth:`post` call entirely; nothing else needs updating.
-  ``_heap`` is only ever mutated in place (see :meth:`_compact`), so a
-  cached reference stays valid for the simulator's lifetime.  The MPI
-  layer uses this for its message events.
+  ``_heap`` is never rebound, so a cached reference stays valid for the
+  simulator's lifetime.  The MPI layer uses this for its message events.
 * **Same-instant joins** (:meth:`post_join`): the same trusted drivers
   schedule rank continuations through :meth:`post_join`, which may
   *join* the heap entry the previous push created instead of pushing
@@ -55,8 +43,7 @@ Fast-path invariants (see DESIGN.md §10)
   ``(time, seq, _COHORT, [(fn, args), ...])`` dispatches its members in
   order and the event order is bit-identical.  The joining seq is simply
   spent.  Each member counts as one dispatched and one pending event,
-  and ``heap_size`` and the compaction threshold count members, so no
-  observable counter changes.
+  and ``heap_size`` counts members, so no observable counter changes.
 """
 
 from __future__ import annotations
@@ -68,66 +55,16 @@ from typing import Any, Callable, Optional
 from ..errors import SimulationError
 from ..obs.recorder import get_recorder as _get_recorder
 
-__all__ = ["Simulator", "Event"]
+__all__ = ["Simulator"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-#: heap size below which compaction is never attempted (rebuilds of tiny
-#: heaps cost more than the lazy skips they save)
-_COMPACT_MIN_HEAP = 64
 
 #: element 2 of a coalesced entry ``(time, seq, _COHORT, members)``
 _COHORT = object()
 
 #: the member iterator while no coalesced entry is dispatching
 _NO_COHORT = iter(())
-
-
-class Event:
-    """Handle to a scheduled callback.
-
-    Supports cancellation: a cancelled event stays in the heap but is
-    skipped when popped (lazy deletion), which keeps cancellation O(1).
-    The owning simulator counts the cancelled entry so ``pending()``
-    stays exact; once an event has been dispatched the back-reference
-    is dropped and a late ``cancel()`` only sets the flag.
-    """
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
-
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple,
-                 sim: Optional["Simulator"] = None):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing.  Idempotent."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim = self._sim
-        if sim is not None:
-            self._sim = None
-            sim._cancelled += 1
-            # logical size, so compaction fires exactly where it would
-            # in a heap without joins
-            nheap = sim._queued()
-            if nheap > _COMPACT_MIN_HEAP and sim._cancelled * 2 > nheap:
-                sim._compact()
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time:.9f} seq={self.seq}{state} {self.fn!r}>"
 
 
 class Simulator:
@@ -141,18 +78,14 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        #: heap of ``(time, seq, Event)`` / ``(time, seq, fn, args)`` /
-        #: ``(time, seq, _COHORT, members)`` entries (tuples compare in
-        #: C; element 2 is never compared)
+        #: heap of ``(time, seq, fn, args)`` entries, ``fn`` possibly
+        #: ``_COHORT`` (tuples compare in C; element 2 is never compared)
         self._heap: list[tuple] = []
         self._seq = itertools.count()
         self._running = False
         #: cooperative stop flag checked once per dispatched event; set
-        #: by :meth:`halt` from inside a callback (cheaper than a
-        #: ``stop_when`` predicate, which costs a call per event)
+        #: by :meth:`halt` from inside a callback
         self._halted = False
-        #: cancelled entries still in the heap (lazily deleted)
-        self._cancelled = 0
         #: the entry the last :meth:`post_join` push created or joined:
         #: its last seq, its time and its member list
         self._open_seq = -2
@@ -167,11 +100,9 @@ class Simulator:
         #: their own (observability; the ``--stats`` footer prints it)
         self.coalesced = 0
         #: number of events dispatched so far (observability / tests).
-        #: Updated exactly at loop exit by :meth:`run` (and per event by
-        #: :meth:`step`); read it after the loop returns.
+        #: Updated exactly at loop exit by :meth:`run`; read it after
+        #: the loop returns.
         self.events_dispatched = 0
-        #: number of heap compactions performed (observability / tests)
-        self.compactions = 0
         #: syscalls the MPI layer's fast lane processed inline instead of
         #: through a heap event (see DESIGN.md §15); the lane adds the
         #: matching count to :attr:`events_dispatched` so the observable
@@ -185,35 +116,11 @@ class Simulator:
         """Current virtual time in seconds."""
         return self._now
 
-    def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
+    def post(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``.
 
         Scheduling in the past raises :class:`SimulationError` — it is
         always a logic bug in the caller.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at t={time!r} in the past (now={self._now!r})"
-            )
-        seq = next(self._seq)
-        ev = Event(time, seq, fn, args, self)
-        heapq.heappush(self._heap, (time, seq, ev))
-        return ev
-
-    def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        return self.at(self._now + delay, fn, *args)
-
-    def post(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``fn(*args)`` at ``time`` with no cancellation handle.
-
-        The fire-and-forget fast path: semantically identical to
-        :meth:`at` with the returned :class:`Event` discarded, but
-        allocates only the heap tuple.  The simulation's internal
-        machinery schedules hundreds of thousands of events per run and
-        never cancels them, so it uses this entry point.
         """
         if time < self._now:
             raise SimulationError(
@@ -243,114 +150,52 @@ class Simulator:
     def halt(self) -> None:
         """Stop the running loop after the current event's callback.
 
-        Equivalent to a ``stop_when`` predicate that flips to ``True``,
-        but costs an attribute read per event instead of a call.  The
-        flag is cleared on the next :meth:`run`.
+        Costs the loop an attribute read per event.  The flag is
+        cleared on the next :meth:`run`.
         """
         self._halted = True
 
-    def _queued(self) -> int:
-        """Queued events, cancelled shells included: the size the heap
-        would have if every event had its own entry."""
+    def pending(self) -> int:
+        """Number of events still queued: the size the heap would have
+        if every event had its own entry.  O(1)."""
         return (len(self._heap) + self._joined
                 + self._cohort.__length_hint__())
 
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued.  O(1)."""
-        return self._queued() - self._cancelled
-
     def stats(self) -> dict:
         """Kernel observability counters (cheap; safe to poll)."""
+        pending = self.pending()
         return {
             "events_dispatched": self.events_dispatched,
-            "pending": self.pending(),
-            "heap_size": self._queued(),
-            "compactions": self.compactions,
+            "pending": pending,
+            "heap_size": pending,
+            # nothing is cancelled, so the heap is never rebuilt; the key
+            # stays for the trace and metrics readers that report it
+            "compactions": 0,
             "batched_syscalls": self.batched_syscalls,
         }
 
-    # ------------------------------------------------------------------ heap
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and restore the heap invariant.
-
-        Rebuilding keeps the total order ``(time, seq)`` intact, so the
-        dispatch sequence of the surviving events — including ties — is
-        exactly what lazy deletion would have produced.
-        """
-        heap = self._heap
-        # in-place: Simulator.run() holds a local reference to the list
-        heap[:] = [
-            entry for entry in heap
-            if not (type(entry[2]) is Event and entry[2].cancelled)
-        ]
-        heapq.heapify(heap)
-        self._cancelled = 0
-        self.compactions += 1
-
     # ------------------------------------------------------------------ run
 
-    def step(self) -> bool:
-        """Dispatch the next live event.
-
-        Returns ``False`` when the queue is empty, ``True`` otherwise.
-        """
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            ev = entry[2]
-            if ev is _COHORT:
-                members = entry[3]
-                fn, args = members[0]
-                if len(members) > 1:
-                    # the rest go back under the same key: nothing can
-                    # sort between them and the member dispatched now
-                    heapq.heappush(heap, (entry[0], entry[1], _COHORT,
-                                          members[1:]))
-                    self._joined -= 1
-            elif type(ev) is Event:
-                if ev.cancelled:
-                    self._cancelled -= 1
-                    continue
-                ev._sim = None
-                fn, args = ev.fn, ev.args
-            else:
-                fn, args = ev, entry[3]
-            self._now = entry[0]
-            self.events_dispatched += 1
-            fn(*args)
-            return True
-        return False
-
-    def _run_cohort(self, entry: tuple,
-                    stop_when: Optional[Callable[[], bool]]) -> int:
+    def _run_cohort(self, entry: tuple) -> int:
         """Dispatch a coalesced entry's members in order; return how many ran.
 
         ``_now`` is set before each member (the MPI fast lane moves it
         forward) and ``pending()`` stays exact between members: the
-        member iterator counts the ones not yet run.  :meth:`halt` or
-        ``stop_when`` stop it between members and leave ``_halted`` set
-        for :meth:`run`; members not yet run, also after an exception,
-        go back under the same key.
+        member iterator counts the ones not yet run.  :meth:`halt` stops
+        it between members and leaves ``_halted`` set for :meth:`run`;
+        members not yet run, also after an exception, go back under the
+        same key.
         """
         time = entry[0]
         members = entry[3]
         self._joined -= len(members) - 1
         self._cohort = it = iter(members)
         try:
-            if stop_when is None:
-                for fn, args in it:
-                    self._now = time
-                    fn(*args)
-                    if self._halted:
-                        break
-            else:
-                for fn, args in it:
-                    self._now = time
-                    fn(*args)
-                    if self._halted or stop_when():
-                        self._halted = True
-                        break
+            for fn, args in it:
+                self._now = time
+                fn(*args)
+                if self._halted:
+                    break
         except BaseException:
             self.events_dispatched += len(members) - it.__length_hint__()
             raise
@@ -363,29 +208,14 @@ class Simulator:
                 self._joined += rest - 1
         return len(members) - rest
 
-    def _horizon_stop(self, entry: tuple, until: float) -> None:
-        """Push back an entry past the ``until`` horizon and stop there."""
-        _heappush(self._heap, entry)
-        self._now = until
-        # the clock may move back here, so "time > now" no longer proves
-        # that the open entry is still queued
-        self._open_seq = -2
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> float:
-        """Run the event loop.
+    def run(self, until: Optional[float] = None) -> float:
+        """Run the event loop until the queue drains or :meth:`halt`.
 
         Parameters
         ----------
         until:
             Optional virtual-time horizon; the loop stops *before*
             dispatching any event later than this.
-        stop_when:
-            Optional predicate evaluated after every event; the loop
-            stops as soon as it returns ``True``.
 
         Returns
         -------
@@ -402,73 +232,33 @@ class Simulator:
         try:
             heap = self._heap
             pop = _heappop
-            event_cls = Event
             cohort = _COHORT
             run_cohort = self._run_cohort
             # pop first: an entry past the horizon is pushed back, which
             # restores the same (time, seq) order — cheaper than peeking
             # at heap[0] before every dispatch
-            if stop_when is None:
-                # the common loop: one fewer branch per dispatched event
-                while heap:
-                    entry = pop(heap)
-                    ev = entry[2]
-                    cancellable = type(ev) is event_cls
-                    if cancellable and ev.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    time = entry[0]
-                    if time > until_f:
-                        self._horizon_stop(entry, until)
-                        break
-                    if ev is cohort:
-                        dispatched += run_cohort(entry, None)
-                        if self._halted:
-                            break
-                        continue
+            while heap:
+                entry = pop(heap)
+                time = entry[0]
+                if time > until_f:
+                    _heappush(heap, entry)
+                    self._now = until
+                    # the clock may move back here, so "time > now" no
+                    # longer proves that the open entry is still queued
+                    self._open_seq = -2
+                    break
+                fn = entry[2]
+                if fn is cohort:
+                    dispatched += run_cohort(entry)
+                else:
                     self._now = time
                     dispatched += 1
-                    if cancellable:
-                        ev._sim = None
-                        ev.fn(*ev.args)
-                    else:
-                        ev(*entry[3])
-                    if self._halted:
-                        break
-                else:
-                    if until is not None and until > self._now:
-                        self._now = until
+                    fn(*entry[3])
+                if self._halted:
+                    break
             else:
-                while heap:
-                    entry = pop(heap)
-                    ev = entry[2]
-                    cancellable = type(ev) is event_cls
-                    if cancellable and ev.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    time = entry[0]
-                    if time > until_f:
-                        self._horizon_stop(entry, until)
-                        break
-                    if ev is cohort:
-                        dispatched += run_cohort(entry, stop_when)
-                        if self._halted:
-                            break
-                        continue
-                    self._now = time
-                    dispatched += 1
-                    if cancellable:
-                        ev._sim = None
-                        ev.fn(*ev.args)
-                    else:
-                        ev(*entry[3])
-                    if self._halted:
-                        break
-                    if stop_when():
-                        break
-                else:
-                    if until is not None and until > self._now:
-                        self._now = until
+                if until is not None and until > self._now:
+                    self._now = until
         finally:
             self._running = False
             self.events_dispatched += dispatched
@@ -476,10 +266,11 @@ class Simulator:
         # recorder-free so the fast path is untouched when disabled
         rec = _get_recorder()
         if rec.enabled:
+            stats = self.stats()
             rec.instant("engine", "run", -1, self._now,
-                        {"dispatched": dispatched, "pending": self.pending(),
-                         "heap_size": self._queued(),
-                         "compactions": self.compactions,
+                        {"dispatched": dispatched, "pending": stats["pending"],
+                         "heap_size": stats["heap_size"],
+                         "compactions": stats["compactions"],
                          "batched_syscalls": self.batched_syscalls})
             if self.batched_syscalls:
                 rec.instant("engine", "fastlane.batch", -1, self._now,
@@ -487,6 +278,6 @@ class Simulator:
             # fold the kernel counters into the registry as gauges: stats
             # are cumulative, so last-write-wins is the aggregation that
             # stays truthful
-            for field, value in self.stats().items():
+            for field, value in stats.items():
                 rec.metrics.gauge(f"engine.{field}").set(value)
         return self._now

@@ -875,8 +875,7 @@ class SimWorld:
         if not self._launched:
             raise SimulationError("call launch() before run()")
         # completion is signalled via Simulator.halt() at the moment
-        # _n_unfinished drops to zero (cheaper than a stop_when
-        # predicate evaluated after every event)
+        # _n_unfinished drops to zero
         if self._n_unfinished == 0:
             self.sim.halt()  # all ranks dead/finished before run()
         else:
@@ -1048,9 +1047,6 @@ class SimWorld:
         # n_active == 0 throughout the batch, so the progress/wait charge
         # is a constant — the exact float _charge_progress computes
         pcost = self._progress_base + self._progress_per_req * st.n_active
-        # no events dispatch while batching, so the cancelled-entry count
-        # only moves if a pulled syscall cancels an event — snapshot once
-        cancelled = sim._cancelled
         # every scheduling path draws a seq (a joined push too, which
         # leaves the heap length unchanged), so a probe draw per pull
         # reveals any scheduling between yields; spent seqs only leave
@@ -1074,14 +1070,14 @@ class SimWorld:
                 self._push_cont(st.busy_until, self._finish_rank, (st,))
                 break
             probe += 1
-            if (next(seq) != probe or sim._cancelled != cancelled
-                    or st.n_active != 0 or st.busy_until != busy):
+            if (next(seq) != probe or st.n_active != 0
+                    or st.busy_until != busy):
                 # the generator touched the world between yields (posted
-                # a request, charged time, cancelled an event, ...):
+                # a request, charged time, scheduled an event, ...):
                 # replay the pulled syscall at its exact object-mode
                 # time.  pending_cts/pending_data/failed_excs need no
                 # re-check: every path that sets them from program
-                # context also moves one of the four deltas above.
+                # context also moves one of the three deltas above.
                 self._defer(st, syscall)
                 break
             tsc = type(syscall)

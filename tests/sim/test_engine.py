@@ -9,9 +9,9 @@ from repro.sim.engine import Simulator
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []
-    sim.at(2.0, order.append, "b")
-    sim.at(1.0, order.append, "a")
-    sim.at(3.0, order.append, "c")
+    sim.post(2.0, order.append, "b")
+    sim.post(1.0, order.append, "a")
+    sim.post(3.0, order.append, "c")
     sim.run()
     assert order == ["a", "b", "c"]
     assert sim.now == 3.0
@@ -21,52 +21,26 @@ def test_ties_break_by_insertion_order():
     sim = Simulator()
     order = []
     for name in "abc":
-        sim.at(1.0, order.append, name)
+        sim.post(1.0, order.append, name)
     sim.run()
     assert order == ["a", "b", "c"]
 
 
-def test_after_is_relative_to_now():
-    sim = Simulator()
-    seen = []
-
-    def first():
-        sim.after(0.5, lambda: seen.append(sim.now))
-
-    sim.at(1.0, first)
-    sim.run()
-    assert seen == [1.5]
-
-
 def test_scheduling_in_past_raises():
+    """run(until) moves the clock to the horizon, so it bounds post()."""
     sim = Simulator()
-    sim.at(1.0, lambda: None)
-    sim.run()
+    sim.run(until=5.0)
     with pytest.raises(SimulationError):
-        sim.at(0.5, lambda: None)
-
-
-def test_negative_delay_raises():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.after(-1.0, lambda: None)
-
-
-def test_cancelled_event_does_not_fire():
-    sim = Simulator()
-    fired = []
-    ev = sim.at(1.0, fired.append, "x")
-    sim.at(2.0, fired.append, "y")
-    ev.cancel()
-    sim.run()
-    assert fired == ["y"]
+        sim.post(4.0, lambda: None)
+    sim.post(5.0, lambda: None)
+    assert sim.pending() == 1
 
 
 def test_run_until_stops_before_later_events():
     sim = Simulator()
     fired = []
-    sim.at(1.0, fired.append, 1)
-    sim.at(5.0, fired.append, 5)
+    sim.post(1.0, fired.append, 1)
+    sim.post(5.0, fired.append, 5)
     sim.run(until=2.0)
     assert fired == [1]
     assert sim.now == 2.0
@@ -74,41 +48,21 @@ def test_run_until_stops_before_later_events():
     assert fired == [1, 5]
 
 
-def test_stop_when_predicate():
-    sim = Simulator()
-    fired = []
-    for t in (1.0, 2.0, 3.0):
-        sim.at(t, fired.append, t)
-    sim.run(stop_when=lambda: len(fired) >= 2)
-    assert fired == [1.0, 2.0]
-
-
 def test_pending_counts_live_events():
     sim = Simulator()
-    ev = sim.at(1.0, lambda: None)
-    sim.at(2.0, lambda: None)
+    sim.post(1.0, lambda: None)
+    sim.post(2.0, lambda: None)
     assert sim.pending() == 2
-    ev.cancel()
+    sim.run(until=1.5)
     assert sim.pending() == 1
 
 
 def test_events_dispatched_counter():
     sim = Simulator()
     for t in range(5):
-        sim.at(float(t), lambda: None)
+        sim.post(float(t), lambda: None)
     sim.run()
     assert sim.events_dispatched == 5
-
-
-def test_step_dispatches_one_event():
-    sim = Simulator()
-    fired = []
-    sim.at(1.0, fired.append, 1)
-    sim.at(2.0, fired.append, 2)
-    assert sim.step() is True
-    assert fired == [1]
-    assert sim.step() is True
-    assert sim.step() is False
 
 
 def test_chained_scheduling_inside_events():
@@ -118,44 +72,36 @@ def test_chained_scheduling_inside_events():
     def tick(n):
         hits.append(sim.now)
         if n > 0:
-            sim.after(1.0, tick, n - 1)
+            sim.post(sim.now + 1.0, tick, n - 1)
 
-    sim.at(0.0, tick, 3)
+    sim.post(0.0, tick, 3)
     sim.run()
     assert hits == [0.0, 1.0, 2.0, 3.0]
 
 
 # ---------------------------------------------------------------------------
-# the fast-path API: post(), halt(), stats(), compaction
+# the fast-path API: post(), halt(), stats()
 # ---------------------------------------------------------------------------
 
 
 def test_post_dispatches_in_time_order():
+    """post() and post_join() draw from one seq counter, so ties across
+    the two entry points also break by insertion order."""
     sim = Simulator()
     order = []
-    sim.post(2.0, order.append, "b")
+    sim.post(2.0, order.append, "b1")
+    sim.post_join(2.0, order.append, ("b2",))
     sim.post(1.0, order.append, "a")
-    sim.post(3.0, order.append, "c")
+    sim.post(2.0, order.append, "b3")
+    sim.post_join(3.0, order.append, ("c",))
     sim.run()
-    assert order == ["a", "b", "c"]
+    assert order == ["a", "b1", "b2", "b3", "c"]
     assert sim.now == 3.0
-
-
-def test_post_and_at_share_one_seq_counter():
-    """Ties between post() and at() events break by insertion order."""
-    sim = Simulator()
-    order = []
-    sim.post(1.0, order.append, "p1")
-    sim.at(1.0, order.append, "a1")
-    sim.post(1.0, order.append, "p2")
-    sim.at(1.0, order.append, "a2")
-    sim.run()
-    assert order == ["p1", "a1", "p2", "a2"]
 
 
 def test_post_in_past_raises():
     sim = Simulator()
-    sim.at(1.0, lambda: None)
+    sim.post(1.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
         sim.post(0.5, lambda: None)
@@ -164,7 +110,7 @@ def test_post_in_past_raises():
 def test_post_counts_toward_pending():
     sim = Simulator()
     sim.post(1.0, lambda: None)
-    sim.at(2.0, lambda: None)
+    sim.post_join(2.0, lambda: None, ())
     assert sim.pending() == 2
     sim.run()
     assert sim.pending() == 0
@@ -189,25 +135,6 @@ def test_inline_post_protocol_matches_post():
     assert sim.events_dispatched == 2
 
 
-def test_inline_post_alongside_cancelled_events():
-    """Inline pushes and cancelled shells share the heap: pending() is
-    the heap size minus the cancelled entries, before and after the
-    lazy skips."""
-    import heapq
-
-    sim = Simulator()
-    fired = []
-    ev = sim.at(1.0, fired.append, "cancelled")
-    heapq.heappush(sim._heap, (2.0, next(sim._seq), fired.append, ("inline",)))
-    ev.cancel()
-    assert sim.pending() == 1
-    assert sim.stats()["heap_size"] == 2
-    sim.run()
-    assert fired == ["inline"]
-    assert sim.pending() == 0
-    assert sim.stats()["heap_size"] == 0
-
-
 def test_halt_stops_loop_and_preserves_queue():
     sim = Simulator()
     fired = []
@@ -216,8 +143,8 @@ def test_halt_stops_loop_and_preserves_queue():
         fired.append("stop")
         sim.halt()
 
-    sim.at(1.0, stopper)
-    sim.at(2.0, fired.append, "later")
+    sim.post(1.0, stopper)
+    sim.post(2.0, fired.append, "later")
     assert sim.run() == 1.0
     assert fired == ["stop"]
     assert sim.pending() == 1
@@ -226,72 +153,22 @@ def test_halt_stops_loop_and_preserves_queue():
     assert fired == ["stop", "later"]
 
 
-def test_step_decrements_pending():
-    sim = Simulator()
-    sim.at(1.0, lambda: None)
-    sim.post(2.0, lambda: None)
-    assert sim.pending() == 2
-    sim.step()
-    assert sim.pending() == 1
-    sim.step()
-    assert sim.pending() == 0
-
-
-def test_cancel_after_fire_is_a_noop():
-    sim = Simulator()
-    ev = sim.at(1.0, lambda: None)
-    sim.run()
-    assert sim.pending() == 0
-    ev.cancel()  # late cancel: sets the flag, must not count as cancelled
-    assert sim.pending() == 0
-    sim.at(2.0, lambda: None)
-    assert sim.pending() == 1
-    sim.run()
-    assert sim.pending() == 0
-
-
-def test_compaction_triggers_and_preserves_order():
-    """Cancelling most of a large heap rebuilds it without the dead
-    entries and without disturbing the survivors' dispatch order."""
-    sim = Simulator()
-    doomed = [sim.at(float(i), lambda: None) for i in range(150)]
-    keep = []
-    for i in range(50):
-        sim.at(float(i) + 0.5, keep.append, i)
-    for ev in doomed:
-        ev.cancel()
-    assert sim.compactions >= 1
-    assert sim.pending() == 50
-    assert len(sim._heap) < 200  # compaction physically dropped dead entries
-    sim.run()
-    assert keep == list(range(50))
-
-
-def test_small_heaps_never_compact():
-    sim = Simulator()
-    events = [sim.at(float(i), lambda: None) for i in range(10)]
-    for ev in events:
-        ev.cancel()
-    assert sim.compactions == 0
-    assert sim.pending() == 0
-    sim.run()
-
-
 def test_stats_counters():
     sim = Simulator()
-    sim.at(1.0, lambda: None)
+    sim.post(1.0, lambda: None)
     sim.post(2.0, lambda: None)
-    ev = sim.at(3.0, lambda: None)
-    ev.cancel()
+    sim.post_join(3.0, lambda: None, ())
+    sim.post_join(3.0, lambda: None, ())
     s = sim.stats()
-    assert s["pending"] == 2
-    assert s["heap_size"] == 3  # cancelled shell still queued (lazy delete)
+    assert s["pending"] == 4
+    assert s["heap_size"] == 4  # joined members count as their own entries
+    assert len(sim._heap) == 3
     assert s["events_dispatched"] == 0
     sim.run()
     s = sim.stats()
-    assert s["events_dispatched"] == 2
+    assert s["events_dispatched"] == 4
     assert s["pending"] == 0
-    assert s["compactions"] == sim.compactions
+    assert s["compactions"] == 0  # nothing is ever cancelled
 
 
 def test_run_is_not_reentrant():
@@ -304,31 +181,16 @@ def test_run_is_not_reentrant():
         except SimulationError as exc:
             caught.append(str(exc))
 
-    sim.at(1.0, reenter)
+    sim.post(1.0, reenter)
     sim.run()
     assert caught and "reentrant" in caught[0]
 
 
 def test_until_advances_clock_when_queue_drains():
-    """Both specialized loops advance now to the horizon on drain."""
     sim = Simulator()
-    sim.at(1.0, lambda: None)
+    sim.post(1.0, lambda: None)
     assert sim.run(until=5.0) == 5.0
     assert sim.now == 5.0
-
-    sim2 = Simulator()
-    sim2.at(1.0, lambda: None)
-    assert sim2.run(until=5.0, stop_when=lambda: False) == 5.0
-
-
-def test_stop_when_with_until_horizon():
-    sim = Simulator()
-    fired = []
-    for t in (1.0, 2.0, 3.0, 4.0):
-        sim.post(t, fired.append, t)
-    sim.run(until=2.5, stop_when=lambda: len(fired) >= 2)
-    assert fired == [1.0, 2.0]
-    assert sim.now == 2.0  # stop_when fired before the horizon did
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +245,7 @@ def test_halt_mid_cohort_requeues_the_rest():
     sim.post_join(1.0, order.append, ("a",))
     sim.post_join(1.0, stopper, ("b",))
     _join_all(sim, 1.0, "cd", order.append)
-    sim.at(1.0, order.append, "e")
+    sim.post(1.0, order.append, "e")
     assert sim.run() == 1.0
     assert order == ["a", "b"]
     assert sim.events_dispatched == 2
@@ -392,19 +254,6 @@ def test_halt_mid_cohort_requeues_the_rest():
     sim.run()
     assert order == ["a", "b", "c", "d", "e"]
     assert sim.events_dispatched == 5
-    assert sim.pending() == 0
-
-
-def test_stop_when_mid_cohort_requeues_the_rest():
-    sim = Simulator()
-    order = []
-    _join_all(sim, 1.0, "abcd", order.append)
-    sim.run(stop_when=lambda: len(order) == 3)
-    assert order == ["a", "b", "c"]
-    assert sim.pending() == 1
-    sim.run(stop_when=lambda: False)
-    assert order == ["a", "b", "c", "d"]
-    assert sim.events_dispatched == 4
     assert sim.pending() == 0
 
 
@@ -435,21 +284,6 @@ def test_pending_is_exact_inside_cohort_members():
     sim.post(2.0, lambda: None)
     sim.run()
     assert seen == [4, 3, 2, 1]
-
-
-def test_step_runs_one_cohort_member():
-    sim = Simulator()
-    order = []
-    _join_all(sim, 1.0, "abc", order.append)
-    assert sim.step()
-    assert order == ["a"]
-    assert sim.pending() == 2
-    assert sim.events_dispatched == 1
-    sim.post_join(1.0, order.append, ("d",))  # time == now: its own entry
-    while sim.step():
-        pass
-    assert order == ["a", "b", "c", "d"]
-    assert sim.events_dispatched == 4
 
 
 def test_exception_mid_cohort_requeues_the_rest():
@@ -487,20 +321,3 @@ def test_no_join_into_a_popped_entry_after_the_clock_moves_back():
     sim.run()
     assert order == ["a", "c", "b"]
 
-
-def test_compaction_counts_joined_events():
-    """Compaction fires where it would if every joined event had its
-    own heap entry."""
-    sim = Simulator()
-    _join_all(sim, 1.0, range(40), lambda _i: None)
-    handles = [sim.at(2.0 + i, lambda: None) for i in range(40)]
-    for ev in handles[:40]:
-        ev.cancel()
-    # 80 logical entries, 40 cancelled: half, not more than half
-    assert sim.compactions == 0
-    extra = sim.at(3.0, lambda: None)
-    extra.cancel()
-    assert sim.compactions == 1
-    assert sim.pending() == 40
-    sim.run()
-    assert sim.events_dispatched == 40

@@ -15,9 +15,8 @@ request, reconstructing the selection state bit-identically — including
 stateful selectors such as the heuristic one, whose internals are
 reproduced by re-running them, not by serializing them.
 
-The journal length is the request's **decision epoch**: survivors of a
-crash ``agree()`` (min) on their epochs to pick a state every member can
-reach, then all restore the same snapshot.
+The journal length is the request's **decision epoch**; a warm start
+reports the epoch it restored.
 
 :class:`CheckpointStore` persists snapshots keyed by problem signature
 in one JSON file, written with the same crash-safe discipline as the

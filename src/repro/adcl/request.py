@@ -453,8 +453,7 @@ class ADCLRequest:
         """Monotone decision epoch: number of journaled tuning events.
 
         Two replicas of the same request are in the same selection state
-        iff their epochs match — this is the value survivors ``agree()``
-        on after a crash to pick the most advanced usable checkpoint.
+        iff their epochs match.
         """
         return len(self._journal)
 

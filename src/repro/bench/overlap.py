@@ -33,15 +33,9 @@ from ..adcl.request import ADCLRequest
 from ..adcl.resilience import ULFM, Resilience
 from ..adcl.selection.base import FixedSelector, Selector
 from ..adcl.timer import ADCLTimer, TimerRecord
-from ..errors import (
-    CommRevokedError,
-    DeadlockError,
-    MessageLostError,
-    RankFailedError,
-    ReproError,
-    WatchdogTimeout,
-)
+from ..errors import DeadlockError, MessageLostError, ReproError, WatchdogTimeout
 from ..nbc.coll import barrier as nbc_barrier
+from ..nbc.ft import ft_loop
 from ..sim import (
     Barrier,
     ComputeProgressSpan,
@@ -259,10 +253,11 @@ def run_overlap(
       ``max_restarts`` times — with the surviving candidates.  The
       request carries its tuning state across restarts, and its drift
       detector may re-open tuning mid-run.
-    * :class:`ULFM` — ``config.faults`` may crash ranks; the survivors
-      revoke, agree on the decision epoch, shrink, repair the request
-      against the survivor communicator and resume tuning inside the
-      same simulation, then agree on the winner.  The coordinator
+    * :class:`ULFM` — ``config.faults`` may crash ranks; the iterations
+      run inside :func:`repro.nbc.ft.ft_loop`, so the survivors revoke,
+      agree, shrink, repair the request against the survivor
+      communicator and resume tuning inside the same simulation; the
+      loop's finishing agreement yields the winner.  The coordinator
       (lowest live rank) snapshots tuning state into
       ``recovery.checkpoint`` every ``checkpoint_every`` completed
       iterations, and a store already holding this problem's snapshot
@@ -286,6 +281,7 @@ def run_overlap(
     # a fully non-blocking set lets the loop start operations with a
     # plain call instead of a generator delegation per iteration
     nonblocking_set = not any(fn.blocking for fn in fnset)
+    barrier = Barrier()
 
     out = OverlapResult(config=config, records=[], fn_names=[], winner=None,
                         decided_at=None, makespan=0.0, events=0,
@@ -321,85 +317,61 @@ def run_overlap(
         # replicated driver state: a ULFM repair appends a fresh timer
         timers = [ADCLTimer(areq)]
         remaining = config.iterations - len(out.records)
-        repair_state = {"comm_id": spec.comm.comm_id}
         last_ckpt = [0]
 
         def completed() -> int:
             return sum(len(t.records) for t in timers)
 
-        def recover(ctx, comm):
-            """One ULFM recovery round: revoke, agree, shrink, repair."""
-            comm.revoke(ctx)
-            # synchronize on the decision epoch: with replicated tuner
-            # state this is trivially uniform, but the agreement is what
-            # guarantees it — a rank with a diverged epoch shows up here
-            yield from comm.agree(ctx, areq.epoch, op="min")
-            newcomm = comm.shrink()
-            if repair_state["comm_id"] != newcomm.comm_id:
+        def on_repair(newcomm) -> None:
+            if areq.spec.comm is not newcomm:
                 # first survivor through performs the (collective) repair
-                repair_state["comm_id"] = newcomm.comm_id
                 out.repairs += 1
                 areq.repair(newcomm)
                 timers.append(ADCLTimer(areq))
-            return newcomm
 
-        def checkpoint(ctx, comm) -> None:
-            done = completed()
-            live = comm.live_ranks()
-            if (done - last_ckpt[0] >= ulfm.checkpoint_every
-                    and live and ctx.rank == live[0]):
-                last_ckpt[0] = done
+        def iteration(ctx, comm):
+            timers[-1].start(ctx)
+            if nonblocking_set:
+                areq.start_now(ctx)
+            else:
+                yield from areq.start(ctx)
+            # one span replaces the (Compute, Progress) * nprogress pair
+            # stream: bit-identical charges and event schedule, but the
+            # driver steps the chunks internally, which lets the array
+            # engine collapse the post-completion tail (DESIGN.md §15)
+            if nprogress:
+                yield ComputeProgressSpan(chunk, [areq.handle(ctx)],
+                                          nprogress)
+            yield from areq.wait(ctx)
+            timers[-1].stop(ctx)
+            if ulfm is None:
+                # measurement hygiene: re-synchronize ranks so NIC backlog
+                # and phase skew cannot leak between timed iterations (an
+                # idealized MPI_Barrier; see repro.sim.process.Barrier)
+                yield barrier
+                return
+            yield from nbc_barrier(ctx, comm)
+            if (store is not None and ulfm.checkpoint_every
+                    and completed() - last_ckpt[0] >= ulfm.checkpoint_every
+                    and ctx.rank == comm.live_ranks()[0]):
+                # the coordinator (lowest live rank) snapshots tuning state
+                last_ckpt[0] = completed()
                 store.save(config.checkpoint_key, snapshot(areq))
                 out.checkpoints_written += 1
 
         def factory(ctx):
-            comm = world.comm_world
-            barrier = Barrier()
-            started = 0
-            failures = 0
-            while (started if ulfm is None else completed()) < remaining:
-                started += 1
-                try:
-                    timers[-1].start(ctx)
-                    if nonblocking_set:
-                        areq.start_now(ctx)
-                    else:
-                        yield from areq.start(ctx)
-                    # one span replaces the (Compute, Progress) * nprogress
-                    # pair stream: bit-identical charges and event
-                    # schedule, but the driver steps the chunks
-                    # internally, which lets the array engine collapse
-                    # the post-completion tail (DESIGN.md §15)
-                    if nprogress:
-                        yield ComputeProgressSpan(chunk, [areq.handle(ctx)],
-                                                  nprogress)
-                    yield from areq.wait(ctx)
-                    timers[-1].stop(ctx)
-                    if ulfm is None:
-                        # measurement hygiene: re-synchronize ranks so NIC
-                        # backlog and phase skew cannot leak between timed
-                        # iterations (an idealized MPI_Barrier; see
-                        # repro.sim.process.Barrier)
-                        yield barrier
-                        continue
-                    yield from nbc_barrier(ctx, comm)
-                except (RankFailedError, CommRevokedError):
-                    failures += 1
-                    if ulfm is None or (ulfm.max_repairs is not None
-                                        and failures > ulfm.max_repairs):
-                        raise
-                    comm = yield from recover(ctx, comm)
-                    continue
-                # only ULFM iterations get here
-                if store is not None and ulfm.checkpoint_every:
-                    checkpoint(ctx, comm)
-            if ulfm is not None:
-                # uniform decision: every survivor reports the agreed winner
-                mine = areq.selector.winner if areq.decided else None
-                w = yield from comm.agree(
-                    ctx, mine if mine is not None else -1, op="min"
-                )
-                out.agreed_winner[ctx.rank] = fnset[w].name if w >= 0 else None
+            if ulfm is None:
+                for _ in range(remaining):
+                    yield from iteration(ctx, world.comm_world)
+                return
+            # uniform decision: every survivor reports the agreed winner
+            w, _, _ = yield from ft_loop(
+                ctx, world.comm_world, iteration,
+                lambda comm: completed() >= remaining,
+                lambda: areq.selector.winner if areq.decided else -1,
+                on_repair, ulfm.max_repairs,
+            )
+            out.agreed_winner[ctx.rank] = fnset[w].name if w >= 0 else None
 
         world.launch(factory)
         aborted = None

@@ -240,7 +240,11 @@ class _AgreeHandle(Waitable):
     sticky failure-notification machinery skips ranks blocked on one.
     """
 
-    __slots__ = ()
+    __slots__ = ("comm", "inst", "state")
+
+    def __init__(self, comm: "SimComm", inst: int, state: "_AgreeState"):
+        super().__init__()
+        self.comm, self.inst, self.state = comm, inst, state
 
 
 class _AgreeState:
@@ -406,7 +410,7 @@ class SimComm:
                 f"others used {state.op!r}"
             )
         state.contrib[ctx.rank] = int(value)
-        handle = _AgreeHandle()
+        handle = _AgreeHandle(self, inst, state)
         ctx.charge(self.world.params.o_send)  # entering the protocol
         self.world._agree_join(self, state, ctx.rank, handle)
         yield Wait(handle)
@@ -968,6 +972,11 @@ class SimWorld:
             note = " [peer DEAD]" if item.peer in self._dead else ""
             return (f"{kind}({prep}={item.peer}, tag={item.tag}, "
                     f"comm={item.comm_id}, {item.nbytes}B){note}")
+        if isinstance(item, _AgreeHandle):
+            live = item.comm.live_ranks()
+            have = sum(1 for r in live if r in item.state.contrib)
+            return (f"agree(comm={item.comm.comm_id}, instance={item.inst}, "
+                    f"op={item.state.op}, {have}/{len(live)} live contributed)")
         return repr(item)
 
     # ------------------------------------------------------------------

@@ -6,6 +6,8 @@ being fault-free — give the same result with the fast lane on and off
 (``REPRO_ARRAY_ENGINE=0``): the recovery policy never changes how a
 candidate is timed.  Same-instant joins in the engine heap must not move
 a bit either: every fingerprint also matches a run with them disabled.
+A crash axis runs every operation under ``ULFM`` with one rank dying
+mid-run: the survivors repair once, finish the loop and agree.
 """
 
 import heapq
@@ -21,7 +23,7 @@ from repro.bench import (
     function_set_for,
     run_overlap,
 )
-from repro.sim import SimWorld, get_platform
+from repro.sim import FaultPlan, RankCrash, SimWorld, get_platform
 from repro.sim.engine import Simulator
 from repro.units import KiB
 
@@ -80,6 +82,24 @@ def test_driver_matrix(operation, selector, recovery, monkeypatch):
     expected = CollSpec(OPERATION_KINDS[operation], world.comm_world,
                         cfg.nbytes).signature()
     assert signatures == [expected] * 4
+
+
+@pytest.mark.parametrize("operation", sorted(OPERATION_KINDS))
+def test_driver_matrix_crash(operation):
+    cfg = OverlapConfig(platform="whale", nprocs=4, operation=operation,
+                        nbytes=4 * KiB, iterations=24,
+                        faults=FaultPlan(crashes=(RankCrash(3, 0.6),)))
+
+    def run():
+        return run_overlap(cfg, evals_per_function=1, recovery=ULFM())
+
+    res = run()
+    assert res.dead == [3]
+    assert res.repairs == 1
+    assert len(res.records) == 24
+    assert sorted(res.agreed_winner) == res.survivors == [0, 1, 2]
+    assert len(set(res.agreed_winner.values())) == 1
+    assert fingerprint(run()) == fingerprint(res)
 
 
 def test_unknown_operation_with_custom_fnset_is_rejected():

@@ -100,6 +100,33 @@ def test_two_crashes_two_repairs():
     assert len(set(res.agreed_winner.values())) == 1
 
 
+#: crashes inside the last iteration's barrier: some survivors pass it
+#: while others fail it, and the ones that passed must rejoin the repair
+LAST_BARRIER_CRASHES = {
+    "alltoall-p8": (config([RankCrash(5, 0.302224)], iterations=6), 8),
+    **{
+        f"{op}-p4": (OverlapConfig(
+            platform="whale", nprocs=4, operation=op, nbytes=4 * KiB,
+            iterations=24, faults=FaultPlan(crashes=(RankCrash(3, t),)),
+        ), 4)
+        for op, t in [("allreduce", 1.200383), ("bcast", 1.2002508),
+                      ("alltoall_hier", 1.200409),
+                      ("alltoall_ext", 1.200437)]
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAST_BARRIER_CRASHES))
+def test_crash_in_last_barrier_recovers(case):
+    cfg, nprocs = LAST_BARRIER_CRASHES[case]
+    res = run_overlap(cfg, evals_per_function=1, recovery=ULFM())
+    assert res.repairs == 1
+    assert len(res.records) == cfg.iterations
+    assert len(res.survivors) == nprocs - 1
+    assert sorted(res.agreed_winner) == res.survivors
+    assert len(set(res.agreed_winner.values())) == 1
+
+
 class _Built(Exception):
     """Raised once the driver has built its ADCL request."""
 

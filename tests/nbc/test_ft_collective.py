@@ -87,3 +87,25 @@ def test_max_repairs_exhaustion_reraises():
     world.launch(prog)
     with pytest.raises(RankFailedError):
         world.run()
+
+
+def test_late_member_joins_recovery_on_a_revoked_comm():
+    # rank 1 straggles into the second collective after its peers saw
+    # the crash and revoked the communicator: it must join their
+    # agreement on that communicator (shrinking past it deadlocked)
+    plan = FaultPlan(crashes=(RankCrash(5, 0.0032),))
+    world = SimWorld(get_platform("whale"), 8, faults=plan)
+    results = {}
+
+    def prog(ctx):
+        yield Compute(0.002)
+        yield from ft_collective(ctx, ALLTOALL)
+        if ctx.rank == 1:
+            yield Compute(0.05)
+        req, comm, repairs = yield from ft_collective(ctx, ALLTOALL)
+        results[ctx.rank] = (repairs, tuple(comm.ranks))
+
+    world.launch(prog)
+    world.run()
+    assert sorted(results) == [0, 1, 2, 3, 4, 6, 7]
+    assert set(results.values()) == {(1, (0, 1, 2, 3, 4, 6, 7))}

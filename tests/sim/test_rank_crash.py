@@ -116,6 +116,27 @@ def test_true_deadlock_still_reported_with_dead_set():
     assert "dead rank(s): [2]" in str(ei.value)
 
 
+def test_blocked_report_names_a_skipped_agreement():
+    """A live member that skips an ``agree`` stalls the others inside it;
+    the report names the agreement and how many live members joined."""
+    world = make_world(4)
+    comm = world.comm_world
+
+    def prog(ctx):
+        yield Compute(0.001)
+        if ctx.rank != 3:
+            yield from comm.agree(ctx, 1, op="min")
+
+    world.launch(prog)
+    with pytest.raises(DeadlockError) as ei:
+        world.run()
+    agreement = (f"agree(comm={comm.comm_id}, instance=0, op=min, "
+                 f"3/4 live contributed)")
+    for rank in (0, 1, 2):
+        assert f"rank {rank}: waiting on 1 item(s): {agreement}" in str(ei.value)
+    assert "_AgreeHandle" not in str(ei.value)
+
+
 def test_hard_barrier_releases_over_live_ranks():
     world = make_world(3, crashes=[RankCrash(2, 0.001)])
     done = []

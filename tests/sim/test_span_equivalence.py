@@ -5,7 +5,9 @@ docstring promises bit-identical charges, times and event counts.  Each
 case runs one program yielding spans and one yielding the equivalent
 flat pairs, with and without the fast lane, and compares per-rank
 finish times, ``events_dispatched`` and the recorded ``compute`` /
-``progress`` rows.
+``progress`` rows.  Under the lane, a span's later compute halves are
+folded into the progress halves before them; the fold count is checked
+separately.
 """
 
 import pytest
@@ -92,3 +94,27 @@ def test_span_matches_flat_pairs(case, lane, monkeypatch):
     assert rows == flat_rows
     # recording is passive
     assert (rec_times, rec_events) == (times, events)
+
+
+@pytest.mark.parametrize("lane", [True, False], ids=["lane", "nolane"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_lane_folds_every_later_compute_half(case, lane, monkeypatch):
+    """With the lane on (no faults), only each span's first compute half
+    runs ``_charge_compute`` (inline, from the pulling event); the later
+    ones are folded into the progress halves.  Without the lane, or with
+    faults, every chunk's compute half runs it."""
+    calls = []
+    charge = SimWorld._charge_compute
+
+    def counting(self, st, sc, remaining):
+        calls.append(remaining)
+        return charge(self, st, sc, remaining)
+
+    monkeypatch.setattr(SimWorld, "_charge_compute", counting)
+    run(case, True, lane, monkeypatch)
+    spans = 2 * NPROCS
+    if lane and case != "straggler":
+        assert calls == [CHUNKS] * spans
+    else:
+        assert len(calls) == spans * CHUNKS
+        assert sorted(calls) == sorted(list(range(1, CHUNKS + 1)) * spans)

@@ -19,20 +19,18 @@ The journal length is the request's **decision epoch**; a warm start
 reports the epoch it restored.
 
 :class:`CheckpointStore` persists snapshots keyed by problem signature
-in one JSON file, written with the same crash-safe discipline as the
-history store (unique temp file + fsync + atomic rename) — a crash
+in one JSON file through the history store's
+:class:`~repro.adcl.history.JsonRecordFile` (merge under a cross-process
+lock, unique temp file + fsync + atomic rename) — a crash
 mid-checkpoint must never destroy the previous good checkpoint.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Optional
 
 from ..errors import AdclError, CheckpointError
-from ..util.locks import FileLock
-from .history import atomic_write_json
+from .history import JsonRecordFile
 from .request import ADCLRequest
 
 __all__ = ["CheckpointStore", "snapshot", "restore"]
@@ -96,7 +94,7 @@ def restore(areq: ADCLRequest, snap: dict) -> int:
     return areq.epoch
 
 
-class CheckpointStore:
+class CheckpointStore(JsonRecordFile):
     """JSON-file store of tuning-state snapshots, keyed by caller.
 
     Parameters
@@ -104,78 +102,32 @@ class CheckpointStore:
     path:
         File to persist to.  ``None`` keeps checkpoints in memory only
         (a restart within the same process can still restore them).
+        An unreadable store raises :class:`~repro.errors.CheckpointError`.
     """
 
+    error = CheckpointError
+    label = "checkpoint store"
+
     def __init__(self, path: Optional[str] = None):
-        self.path = path
         #: number of snapshots written through this store (telemetry)
         self.writes = 0
-        self._snaps: dict[str, dict] = {}
-        if path is not None and os.path.exists(path):
-            self._load()
-
-    def _load(self) -> None:
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                raise CheckpointError(
-                    f"checkpoint store {self.path!r} is not a JSON object"
-                )
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"cannot read checkpoint store {self.path!r}: {exc}"
-            ) from exc
-        self._snaps = data
-
-    #: seconds a writer waits for the cross-process lock before falling
-    #: back to an unmerged write
-    LOCK_TIMEOUT_S = 5.0
+        super().__init__(path)
 
     def save(self, key: str, snap: dict) -> None:
-        """Store (and persist) one snapshot under ``key``.
-
-        Writers sharing one checkpoint file serialize on a
-        :class:`~repro.util.locks.FileLock` and merge the on-disk state
-        for keys they do not hold, so two tuners checkpointing
-        different problems into the same store never drop each other's
-        snapshots (the same fix as ``HistoryStore._save``).
-        """
-        self._snaps[key] = snap
+        """Store (and persist) one snapshot under ``key``; writers
+        sharing one file merge each other's keys
+        (:meth:`~repro.adcl.history.JsonRecordFile._save`)."""
+        self._records[key] = snap
         self.writes += 1
-        if self.path is None:
-            return
-        lock = FileLock(self.path)
-        locked = lock.acquire(timeout=self.LOCK_TIMEOUT_S)
-        try:
-            if locked and os.path.exists(self.path):
-                try:
-                    with open(self.path, "r", encoding="utf-8") as fh:
-                        disk = json.load(fh)
-                except (OSError, json.JSONDecodeError):
-                    disk = None
-                if isinstance(disk, dict):
-                    for other, osnap in disk.items():
-                        if other != key and other not in self._snaps:
-                            self._snaps[other] = osnap
-            atomic_write_json(self.path, self._snaps)
-        finally:
-            if locked:
-                lock.release()
+        self._save(key)
 
     def load(self, key: str) -> Optional[dict]:
         """The stored snapshot for ``key``, or ``None``."""
-        return self._snaps.get(key)
+        return self._records.get(key)
 
     def epoch(self, key: str) -> int:
         """Epoch of the stored snapshot (0 when absent)."""
-        snap = self._snaps.get(key)
+        snap = self._records.get(key)
         if not snap:
             return 0
         return int(snap.get("epoch", 0))
-
-    def __len__(self) -> int:
-        return len(self._snaps)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._snaps

@@ -109,7 +109,10 @@ def ibcast_function_set(hierarchical: bool = False) -> FunctionSet:
                 maker=maker,
                 attributes={"fanout": fanout, "segsize": segsize},
             ))
-    return FunctionSet("ibcast", functions, attrs)
+    # the hierarchical set is another tuning problem: its own name keeps
+    # its history and checkpoint records apart from the flat set's
+    return FunctionSet("ibcast_hier" if hierarchical else "ibcast",
+                       functions, attrs)
 
 
 def scatter_allgather_function() -> CollFunction:
@@ -165,7 +168,8 @@ def ialltoall_function_set(hierarchical: bool = False) -> FunctionSet:
                      attributes={"algorithm": label})
         for algorithm, label in names.items()
     ]
-    return FunctionSet("ialltoall", functions, attrs)
+    return FunctionSet("ialltoall_hier" if hierarchical else "ialltoall",
+                       functions, attrs)
 
 
 def ialltoall_extended_function_set() -> FunctionSet:

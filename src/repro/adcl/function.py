@@ -49,7 +49,7 @@ class CollSpec:
             raise AdclError(f"root {self.root} out of range")
 
     def signature(self) -> str:
-        """Stable key describing the problem (used by historic learning)."""
+        """Stable key describing the problem (checkpoint snapshots)."""
         return f"{self.kind}:P{self.comm.size}:B{self.nbytes}:R{self.root}"
 
 

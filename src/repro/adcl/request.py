@@ -37,7 +37,7 @@ from ..obs.recorder import get_recorder
 from ..sim.mpi import MPIContext
 from ..sim.process import Wait, Waitable
 from .function import CollSpec, FunctionSet
-from .history import HistoryLike
+from .history import HistoryLike, history_key
 from .resilience import Resilience
 from .selection.base import FixedSelector, Selector
 from .statistics import DriftDetector, filter_outliers
@@ -97,8 +97,7 @@ class ADCLRequest:
         self._tuning_selector = selector
         self._history_key = None
         if history is not None:
-            platform = spec.comm.world.platform.name
-            self._history_key = f"{fnset.name}@{platform}:{spec.signature()}"
+            self._history_key = self._key_for(spec)
             winner = history.lookup(self._history_key)
             if winner is not None:
                 self.selector = FixedSelector(fnset, fnset.index_of(winner))
@@ -530,11 +529,12 @@ class ADCLRequest:
         root = min(spec.root, new_comm.size - 1)
         self.spec = CollSpec(spec.kind, new_comm, spec.nbytes, root)
         if self.history is not None:
-            platform = new_comm.world.platform.name
-            self._history_key = (
-                f"{self.fnset.name}@{platform}:{self.spec.signature()}"
-            )
+            self._history_key = self._key_for(self.spec)
         self.reset_runtime()
+
+    def _key_for(self, spec: CollSpec) -> str:
+        return history_key(self.fnset.name, spec.comm.world.platform.name,
+                           spec.kind, spec.comm.size, spec.nbytes, spec.root)
 
     # ------------------------------------------------------------------
     # introspection

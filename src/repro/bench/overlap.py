@@ -15,9 +15,9 @@ communication that could not be overlapped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 from ..adcl.fnsets import (
     iallgatherv_function_set,
@@ -29,7 +29,7 @@ from ..adcl.fnsets import (
 )
 from ..adcl.checkpoint import restore, snapshot
 from ..adcl.function import CollSpec, FunctionSet
-from ..adcl.request import ADCLRequest
+from ..adcl.request import SELECTOR_NAMES, ADCLRequest
 from ..adcl.resilience import ULFM, Resilience
 from ..adcl.selection.base import FixedSelector, Selector
 from ..adcl.timer import ADCLTimer, TimerRecord
@@ -49,8 +49,10 @@ __all__ = [
     "OverlapConfig",
     "OverlapResult",
     "function_set_for",
+    "normalize_scenario",
     "run_overlap",
     "run_overlap_resilient",
+    "scenario_config",
 ]
 
 
@@ -134,6 +136,68 @@ class OverlapConfig:
             f"B={self.nbytes} compute={self.compute_total}s "
             f"progress={self.nprogress}"
         )
+
+
+#: the dataclass fields of :class:`OverlapConfig`
+_CONFIG_FIELDS = frozenset(f.name for f in fields(OverlapConfig))
+
+
+def normalize_scenario(scenario: Optional[Mapping[str, Any]],
+                       defaults: Mapping[str, Any], error: type,
+                       what: str) -> dict:
+    """Validated tuning scenario with defaults filled, in ``defaults`` order.
+
+    The one schema behind a tuning-service request and a guideline
+    probe: each field takes the type of its default (an ``int`` field
+    rejects ``bool``, a ``float`` field coerces an ``int``),
+    and the values a simulation cannot run are rejected here, as
+    ``error``, instead of deep inside it.  ``what`` names the scenario
+    kind in error messages.
+    """
+    if scenario is None:
+        scenario = {}
+    if not isinstance(scenario, Mapping):
+        raise error(
+            f"{what} must be a mapping, got {type(scenario).__name__}")
+    unknown = sorted(set(scenario) - set(defaults))
+    if unknown:
+        raise error(f"unknown {what} fields: {unknown}")
+    out = {}
+    for name, default in defaults.items():
+        value = scenario.get(name, default)
+        if isinstance(default, float):
+            if not isinstance(value, (int, float)):
+                raise error(f"{what} field {name!r} must be a number, "
+                            f"got {value!r}")
+            value = float(value)
+            if not value >= 0:
+                raise error(f"{name} must be >= 0, got {value}")
+        elif isinstance(default, int):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise error(f"{what} field {name!r} must be an int, "
+                            f"got {value!r}")
+        elif not isinstance(value, str):
+            raise error(f"{what} field {name!r} must be a string, "
+                        f"got {value!r}")
+        out[name] = value
+    for name, allowed in (("operation", tuple(sorted(OPERATION_KINDS))),
+                          ("selector", SELECTOR_NAMES)):
+        if out[name] not in allowed:
+            raise error(f"unknown {what} {name} {out[name]!r}; "
+                        f"expected one of {allowed}")
+    for name, low in (("nprocs", 2), ("nbytes", 1), ("nprogress", 0)):
+        if out[name] < low:
+            raise error(f"{name} must be >= {low}, got {out[name]}")
+    return out
+
+
+def scenario_config(scenario: Mapping[str, Any], seed: int) -> OverlapConfig:
+    """The simulation a normalized tuning scenario describes, run with
+    ``seed`` (the caller decides how the scenario's seed fields map to
+    it)."""
+    kw = {k: v for k, v in scenario.items() if k in _CONFIG_FIELDS}
+    kw["seed"] = seed
+    return OverlapConfig(**kw)
 
 
 @dataclass

@@ -589,20 +589,14 @@ def _finish_fabric(args, fabric) -> None:
         print(f"fabric metrics written to {args.fabric_metrics}")
 
 
-def _serve_request(args) -> dict:
-    """The tuning-service request the scenario flags describe."""
-    return {
-        "platform": args.platform,
-        "operation": args.operation,
-        "nprocs": args.nprocs,
-        "nbytes": args.nbytes,
-        "compute_total": args.compute,
-        "paper_iterations": args.loop_iterations,
-        "iterations": args.iterations,
-        "nprogress": args.nprogress,
-        "selector": getattr(args, "selector", "brute_force"),
-        "evals": getattr(args, "evals", 3),
-    }
+def _serve_request(cfg: OverlapConfig, args) -> dict:
+    """The normalized tuning-service request for scenario ``cfg``."""
+    from .serve.core import REQUEST_DEFAULTS, normalize_request
+
+    req = {k: v for k, v in vars(cfg).items() if k in REQUEST_DEFAULTS}
+    req.update(selector=getattr(args, "selector", "brute_force"),
+               evals=getattr(args, "evals", 3))
+    return normalize_request(req)
 
 
 def cmd_serve(args) -> int:
@@ -646,7 +640,7 @@ def cmd_serve(args) -> int:
 def cmd_tune_serve(args) -> int:
     """``tune --serve``: ask the daemon, degrade locally if it is gone."""
     from .serve import TuningClient
-    from .serve.core import history_key, normalize_request
+    from .serve.core import history_key
 
     for flag in ("resilient", "ft"):
         if getattr(args, flag):
@@ -660,7 +654,7 @@ def cmd_tune_serve(args) -> int:
               "daemon's process)", file=sys.stderr)
         raise SystemExit(2)
     cfg = _overlap_config(args)
-    req = normalize_request(_serve_request(args))
+    req = _serve_request(cfg, args)
     corr = correlation_id(f"tune-serve|{cfg.describe()}|{args.selector}")
     client = TuningClient(args.serve, timeout=args.serve_timeout,
                           correlation=corr)
@@ -709,9 +703,9 @@ def cmd_sweep(args) -> int:
     serve_client = serve_key = None
     if args.serve:
         from .serve import TuningClient
-        from .serve.core import history_key, normalize_request
+        from .serve.core import history_key
 
-        req = normalize_request(_serve_request(args))
+        req = _serve_request(cfg, args)
         serve_client = TuningClient(args.serve, timeout=args.serve_timeout,
                                     correlation=corr)
         serve_key = f"adcl:{history_key(req)}"

@@ -25,9 +25,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..adcl.fnsets import ibcast_mockup_function_set
-from ..adcl.request import SELECTOR_NAMES
-from ..bench.overlap import OPERATION_KINDS, OverlapConfig, run_overlap
+from ..bench.overlap import normalize_scenario, run_overlap, scenario_config
 from ..errors import GuidelineError
+from ..serve.core import REQUEST_DEFAULTS
 from ..util.canonical import canonical_json
 from .rules import RULES, Guideline, rules_by_id
 
@@ -59,13 +59,6 @@ PROBE_DEFAULTS: Dict[str, object] = {
     "tolerance": 0.02,
 }
 
-_INT_FIELDS = frozenset(
-    {"nprocs", "nbytes", "nprogress", "evals", "seed",
-     "paper_iterations", "iterations"})
-_FLOAT_FIELDS = frozenset({"compute_total", "tolerance"})
-_STR_FIELDS = frozenset({"platform", "operation", "selector"})
-_OPERATIONS = tuple(sorted(OPERATION_KINDS))
-
 #: mock-up candidate pools the composition rules can measure
 MOCKUP_SETS = {
     "scatter_allgather": ibcast_mockup_function_set,
@@ -73,47 +66,10 @@ MOCKUP_SETS = {
 
 
 def normalize_probe(fields: Optional[dict]) -> dict:
-    """Validated probe with defaults filled, in canonical field order."""
-    if fields is None:
-        fields = {}
-    if not isinstance(fields, dict):
-        raise GuidelineError(
-            f"guideline probe must be a mapping, got {type(fields).__name__}")
-    unknown = sorted(set(fields) - set(PROBE_DEFAULTS))
-    if unknown:
-        raise GuidelineError(f"unknown guideline-probe fields: {unknown}")
-    probe = dict(PROBE_DEFAULTS)
-    probe.update(fields)
-    for name in _INT_FIELDS:
-        value = probe[name]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise GuidelineError(
-                f"probe field {name!r} must be an int, got {value!r}")
-    for name in _FLOAT_FIELDS:
-        if not isinstance(probe[name], (int, float)):
-            raise GuidelineError(
-                f"probe field {name!r} must be a number, got {probe[name]!r}")
-        probe[name] = float(probe[name])
-    for name in _STR_FIELDS:
-        if not isinstance(probe[name], str):
-            raise GuidelineError(
-                f"probe field {name!r} must be a string, got {probe[name]!r}")
-    if probe["operation"] not in _OPERATIONS:
-        raise GuidelineError(
-            f"unknown probe operation {probe['operation']!r}; "
-            f"expected one of {_OPERATIONS}")
-    if probe["selector"] not in SELECTOR_NAMES:
-        raise GuidelineError(
-            f"unknown probe selector {probe['selector']!r}; "
-            f"expected one of {SELECTOR_NAMES}")
-    if probe["nprocs"] < 2:
-        raise GuidelineError(f"nprocs must be >= 2, got {probe['nprocs']}")
-    if probe["nbytes"] < 1:
-        raise GuidelineError(f"nbytes must be >= 1, got {probe['nbytes']}")
-    if probe["tolerance"] < 0:
-        raise GuidelineError(
-            f"tolerance must be >= 0, got {probe['tolerance']}")
-    return {name: probe[name] for name in PROBE_DEFAULTS}
+    """Validated probe with defaults filled, in canonical field order
+    (the tuning-service request schema, :func:`normalize_scenario`)."""
+    return normalize_scenario(fields, PROBE_DEFAULTS, GuidelineError,
+                              "guideline-probe")
 
 
 def probe_key(probe: dict) -> str:
@@ -132,19 +88,6 @@ class GuidelineEngine:
     def __init__(self) -> None:
         self._memo: Dict[str, dict] = {}
 
-    def _config(self, probe: dict) -> OverlapConfig:
-        return OverlapConfig(
-            platform=probe["platform"],
-            nprocs=probe["nprocs"],
-            operation=probe["operation"],
-            nbytes=probe["nbytes"],
-            compute_total=probe["compute_total"],
-            paper_iterations=probe["paper_iterations"],
-            iterations=probe["iterations"],
-            nprogress=probe["nprogress"],
-            seed=probe["seed"],
-        )
-
     def tuned(self, probe: dict, **overrides) -> dict:
         """Tuned steady-state measurement of ``probe`` (or a variant)."""
         p = normalize_probe({**probe, **overrides})
@@ -152,7 +95,8 @@ class GuidelineEngine:
         hit = self._memo.get(memo_key)
         if hit is not None:
             return hit
-        res = run_overlap(self._config(p), selector=p["selector"],
+        res = run_overlap(scenario_config(p, p["seed"]),
+                          selector=p["selector"],
                           evals_per_function=p["evals"])
         if res.winner is None:
             raise GuidelineError(
@@ -176,7 +120,7 @@ class GuidelineEngine:
             return hit
         # a fixed single-candidate run: the mock-up is measured with the
         # identical harness, circumventing selection entirely
-        res = run_overlap(self._config(p), selector=0,
+        res = run_overlap(scenario_config(p, p["seed"]), selector=0,
                           evals_per_function=1, fnset=builder())
         out = self._measurement(res)
         self._memo[memo_key] = out
@@ -265,10 +209,9 @@ def preset_probes(platforms: Sequence[str],
 # -- knowledge-base cross-check (no simulation) ------------------------------
 
 #: request fields that must match for two stored decisions to be
-#: comparable under a monotonicity guideline
-_KB_CONTEXT_FIELDS = ("platform", "operation", "selector", "evals",
-                      "nprogress", "compute_total", "paper_iterations",
-                      "iterations", "seed", "epoch")
+#: comparable under a monotonicity guideline: all but the geometry
+_KB_CONTEXT_FIELDS = tuple(f for f in REQUEST_DEFAULTS
+                           if f not in ("nprocs", "nbytes"))
 
 
 def _kb_cost(record: dict) -> Optional[float]:

@@ -20,7 +20,14 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional
 
-from ..bench.overlap import OverlapConfig, function_set_for, run_overlap
+from ..adcl.history import history_key as adcl_history_key
+from ..bench.overlap import (
+    OPERATION_KINDS,
+    function_set_for,
+    normalize_scenario,
+    run_overlap,
+    scenario_config,
+)
 from ..errors import ServeError
 from ..util.canonical import canonical_json
 
@@ -53,49 +60,16 @@ REQUEST_DEFAULTS: Dict[str, Any] = {
     "epoch": 0,
 }
 
-_INT_FIELDS = frozenset(
-    {"nprocs", "nbytes", "paper_iterations", "iterations", "nprogress",
-     "evals", "seed", "epoch"})
-_FLOAT_FIELDS = frozenset({"compute_total"})
-_STR_FIELDS = frozenset({"platform", "operation", "selector"})
-
 
 def normalize_request(fields: Optional[dict]) -> dict:
     """Validated request with defaults filled, in canonical field order.
 
-    Raises :class:`~repro.errors.ServeError` on unknown fields or
-    type mismatches — the daemon turns that into a typed ``err`` reply
-    rather than computing garbage.
+    Raises :class:`~repro.errors.ServeError` on unknown fields, type
+    mismatches or values no simulation can run — the daemon turns that
+    into a typed ``err`` reply rather than computing garbage.
     """
-    if fields is None:
-        fields = {}
-    if not isinstance(fields, dict):
-        raise ServeError(
-            f"tuning request must be a mapping, got {type(fields).__name__}")
-    unknown = sorted(set(fields) - set(REQUEST_DEFAULTS))
-    if unknown:
-        raise ServeError(f"unknown tuning-request fields: {unknown}")
-    req = dict(REQUEST_DEFAULTS)
-    req.update(fields)
-    for name in _INT_FIELDS:
-        value = req[name]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ServeError(f"request field {name!r} must be an int, "
-                             f"got {value!r}")
-    for name in _FLOAT_FIELDS:
-        if not isinstance(req[name], (int, float)):
-            raise ServeError(f"request field {name!r} must be a number, "
-                             f"got {req[name]!r}")
-        req[name] = float(req[name])
-    for name in _STR_FIELDS:
-        if not isinstance(req[name], str):
-            raise ServeError(f"request field {name!r} must be a string, "
-                             f"got {req[name]!r}")
-    if req["nprocs"] < 2:
-        raise ServeError(f"nprocs must be >= 2, got {req['nprocs']}")
-    if req["nbytes"] < 1:
-        raise ServeError(f"nbytes must be >= 1, got {req['nbytes']}")
-    return {name: req[name] for name in REQUEST_DEFAULTS}
+    return normalize_scenario(fields, REQUEST_DEFAULTS, ServeError,
+                              "tuning-request")
 
 
 def request_key(req: dict) -> str:
@@ -112,26 +86,10 @@ def history_key(req: dict) -> str:
     request's decision would be stored under by a local tuner
     (``fnset@platform:kind:P..:B..:R..``) — the bridge between the
     service's knowledge base and ADCL historic learning."""
-    fnset = function_set_for(req["operation"])
-    kind = "bcast" if req["operation"] == "bcast" else "alltoall"
-    root = 0
-    return (f"{fnset.name}@{req['platform']}:"
-            f"{kind}:P{req['nprocs']}:B{req['nbytes']}:R{root}")
-
-
-def overlap_config(req: dict) -> OverlapConfig:
-    """The simulation scenario a normalized request describes."""
-    return OverlapConfig(
-        platform=req["platform"],
-        nprocs=req["nprocs"],
-        operation=req["operation"],
-        nbytes=req["nbytes"],
-        compute_total=req["compute_total"],
-        paper_iterations=req["paper_iterations"],
-        iterations=req["iterations"],
-        nprogress=req["nprogress"],
-        seed=req["seed"] + 0x5EED * req["epoch"],
-    )
+    op = req["operation"]
+    return adcl_history_key(function_set_for(op).name, req["platform"],
+                            OPERATION_KINDS[op], req["nprocs"],
+                            req["nbytes"], 0)
 
 
 def compute_decision(req: dict) -> dict:
@@ -144,7 +102,9 @@ def compute_decision(req: dict) -> dict:
     a decision (too few iterations for the candidate count), because a
     knowledge base must never cache "no answer" as an answer.
     """
-    res = run_overlap(overlap_config(req), selector=req["selector"],
+    # a drift re-tune (epoch > 0) re-measures under a fresh seed
+    cfg = scenario_config(req, req["seed"] + 0x5EED * req["epoch"])
+    res = run_overlap(cfg, selector=req["selector"],
                       evals_per_function=req["evals"])
     if res.winner is None:
         fnset = function_set_for(req["operation"])

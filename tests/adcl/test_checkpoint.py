@@ -168,6 +168,15 @@ def test_checkpoint_store_rejects_corrupt_file(tmp_path):
         CheckpointStore(str(path))
 
 
+def test_two_checkpoint_stores_sharing_a_file_keep_both(tmp_path):
+    path = str(tmp_path / "ckpt.json")
+    a, b = CheckpointStore(path), CheckpointStore(path)
+    a.save("problem-a", {"epoch": 3})
+    b.save("problem-b", {"epoch": 5})  # b never saw a's write
+    fresh = CheckpointStore(path)
+    assert (fresh.epoch("problem-a"), fresh.epoch("problem-b")) == (3, 5)
+
+
 def test_atomic_write_survives_failed_writer(tmp_path):
     path = str(tmp_path / "store.json")
     atomic_write_json(path, {"good": 1})

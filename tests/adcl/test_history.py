@@ -1,10 +1,12 @@
 """Unit tests for the historic-learning store."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.adcl import HistoryStore
+from repro.bench.overlap import OverlapConfig, function_set_for, run_overlap
 from repro.errors import HistoryError
 
 
@@ -131,3 +133,23 @@ def test_concurrent_writers_many_keys(tmp_path):
     for i in range(12):
         assert fresh.lookup(f"key-{i}") == f"winner-{i}"
     assert len(fresh) == 12
+
+
+@pytest.mark.parametrize("flat,hier", [("alltoall", "alltoall_hier"),
+                                       ("bcast", "bcast_hier")])
+def test_hierarchical_winner_never_pins_the_flat_set(flat, hier):
+    # the flat and hierarchical sets are distinct tuning problems: a
+    # leader-based winner recorded for one must not be looked up (and
+    # fail to resolve) in the other
+    hist = HistoryStore()
+    hier_set = function_set_for(hier)
+    winner = next(f.name for f in hier_set if f.name.startswith("hier"))
+    cfg = OverlapConfig(nprocs=8, operation=hier, nbytes=1024,
+                        iterations=2, compute_total=1.0)
+    run_overlap(cfg, selector=hier_set.index_of(winner),
+                evals_per_function=1, history=hist)
+    flat_cfg = dataclasses.replace(
+        cfg, operation=flat, iterations=len(function_set_for(flat)) + 1)
+    res = run_overlap(flat_cfg, evals_per_function=1, history=hist)
+    assert res.winner in {f.name for f in function_set_for(flat)}
+    assert len(hist) == 2

@@ -1,5 +1,7 @@
 """Checker-engine tests: probe normalization, memoization, KB checks."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import GuidelineError
@@ -32,6 +34,8 @@ def test_normalize_fills_defaults_in_canonical_order():
     {"nbytes": True},
     {"platform": 7},
     {"bogus_field": 1},
+    {"compute_total": -1.0},
+    {"nprogress": -1},
 ])
 def test_normalize_rejects_bad_probes(bad):
     with pytest.raises(GuidelineError):
@@ -43,6 +47,19 @@ def test_probe_key_is_canonical():
     k2 = probe_key(normalize_probe({"nprocs": 4, "nbytes": 4096}))
     assert k1 == k2
     assert k1.startswith("guideline:")
+
+
+def test_preset_probe_keys_are_pinned():
+    # defect fingerprints and audit records are keyed by probe_key
+    keys = [probe_key(p) for p in preset_probes(
+        ["bluegene_p", "crill", "whale", "whale_tcp"])]
+    assert keys[0] == (
+        'guideline:{"compute_total":50.0,"evals":2,"iterations":46,'
+        '"nbytes":4096,"nprocs":4,"nprogress":5,"operation":"alltoall",'
+        '"paper_iterations":1000,"platform":"bluegene_p","seed":0,'
+        '"selector":"brute_force","tolerance":0.02}')
+    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == (
+        "0590708d7748af395e539bb10073bd9a0cd362202f2980d6424ee690ba2e0ff7")
 
 
 def test_engine_memoizes_identical_scenarios():

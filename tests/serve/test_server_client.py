@@ -10,6 +10,7 @@ import pytest
 
 from repro.adcl.history import HistoryStore
 from repro.bench.fabric.protocol import recv_frame, send_frame
+from repro.bench.overlap import OPERATION_KINDS, run_overlap, scenario_config
 from repro.errors import ServeError, ServiceUnavailable
 from repro.serve import (
     ServeConfig,
@@ -17,7 +18,9 @@ from repro.serve import (
     TuningClient,
     TuningServer,
     compute_decision,
+    history_key,
     normalize_request,
+    request_key,
 )
 
 FIELDS = {"operation": "alltoall", "nprocs": 4, "nbytes": 1024,
@@ -250,6 +253,55 @@ def test_drift_report_triggers_background_retune(tmp_path):
         assert srv.metrics.counter("serve.retune.ok").value >= 1
     finally:
         srv.stop()
+
+
+@pytest.mark.parametrize("fields,match", [
+    ({"operation": "scan"}, "unknown tuning-request operation"),
+    ({"selector": "oracle"}, "unknown tuning-request selector"),
+    ({"compute_total": -1.0}, "compute_total must be >= 0"),
+    ({"nprogress": -1}, "nprogress must be >= 0"),
+])
+def test_unrunnable_requests_fail_at_normalization(fields, match):
+    # typed request errors before the daemon spends a compute slot
+    with pytest.raises(ServeError, match=match):
+        normalize_request(fields)
+
+
+def test_request_key_is_pinned():
+    # the knowledge-base / WAL identity of the default request: moving
+    # it orphans every stored decision
+    assert request_key(normalize_request({})) == (
+        'tune:{"compute_total":10.0,"epoch":0,"evals":3,"iterations":20,'
+        '"nbytes":65536,"nprocs":16,"nprogress":5,"operation":"alltoall",'
+        '"paper_iterations":1000,"platform":"whale","seed":0,'
+        '"selector":"brute_force"}')
+
+
+class _KeySpy:
+    """History that records the keys an ADCLRequest looks up."""
+
+    def __init__(self):
+        self.keys = []
+
+    def lookup(self, key):
+        self.keys.append(key)
+
+    def record(self, key, winner, decided_at):
+        pass
+
+    def forget(self, key):
+        pass
+
+
+@pytest.mark.parametrize("operation", sorted(OPERATION_KINDS))
+def test_history_key_is_the_key_a_tuner_looks_up(operation):
+    # what `sweep --serve` records must be where a ServiceHistory-backed
+    # tuner of the same scenario looks
+    req = normalize_request({"operation": operation, "nprocs": 4,
+                             "nbytes": 1024, "iterations": 1})
+    spy = _KeySpy()
+    run_overlap(scenario_config(req, req["seed"]), history=spy)
+    assert spy.keys == [history_key(req)]
 
 
 def test_service_history_adapter_round_trip(server):

@@ -11,7 +11,10 @@
 selectors, and searches the **cross-product** of their function-sets —
 each timed window executes one *combination* of implementations, and
 the winner is the jointly fastest combination rather than the product
-of individually fastest choices.
+of individually fastest choices.  It is an
+:class:`~repro.adcl.timer.ADCLTimer` — same windows, same max-over-ranks
+gather, same reports — whose finished windows feed the combination
+search instead of one request.
 
 Usage::
 
@@ -36,13 +39,17 @@ from ..errors import AdclError
 from ..sim.mpi import MPIContext
 from .request import ADCLRequest
 from .selection.base import MeasurementLog, Selector
-from .timer import TimerRecord
+from .timer import ADCLTimer, TimerRecord
 
 __all__ = ["CoTuner"]
 
 
 class _SlavedSelector(Selector):
-    """Per-request selector view delegating to the shared CoTuner."""
+    """Per-request selector view of the shared CoTuner.
+
+    The schedule comes from the tuner; the tuner assigns ``winner`` and
+    ``decided_at`` when it decides, so the base class answers the rest.
+    """
 
     def __init__(self, tuner: "CoTuner", index: int, fnset):
         super().__init__(fnset, evals_per_function=1)
@@ -56,36 +63,14 @@ class _SlavedSelector(Selector):
         # measurements flow through the CoTuner, never per request
         pass
 
-    @property
-    def decided(self) -> bool:  # type: ignore[override]
-        return self._tuner.decided
 
-    @property
-    def winner(self) -> Optional[int]:  # type: ignore[override]
-        if not self._tuner.decided:
-            return None
-        return self._tuner.winner_combo[self._index]
+class CoTuner(ADCLTimer):
+    """Joint brute-force tuner + timer for a group of ADCL requests.
 
-    @winner.setter
-    def winner(self, value) -> None:  # Selector.__init__ assigns None
-        pass
-
-    @property
-    def winner_name(self) -> Optional[str]:  # type: ignore[override]
-        w = self.winner
-        return None if w is None else self.fnset[w].name
-
-    @property
-    def decided_at(self) -> Optional[int]:  # type: ignore[override]
-        return self._tuner.decided_at
-
-    @decided_at.setter
-    def decided_at(self, value) -> None:
-        pass
-
-
-class CoTuner:
-    """Joint brute-force tuner + timer for a group of ADCL requests."""
+    The timed windows, their max-over-ranks gather and the reports are
+    :class:`~repro.adcl.timer.ADCLTimer`'s; a finished window is logged
+    against its combination instead of fed to one request.
+    """
 
     def __init__(self, requests: Sequence[ADCLRequest],
                  evals_per_combo: int = 3, filter_method: str = "cluster"):
@@ -103,11 +88,14 @@ class CoTuner:
         self.decided_at: Optional[int] = None
         for i, req in enumerate(self.requests):
             req.selector = _SlavedSelector(self, i, req.fnset)
-            req._attach_timer(self)  # we play the timer role for each
-        self._t0: dict[int, float] = {}
-        self._counts: dict[int, int] = {}
-        self._pending: dict[int, dict[int, float]] = {}
-        self.records: list[TimerRecord] = []
+        # the timer role for every request: the first one's communicator
+        # sizes the gather, and each pins its windows to this tuner
+        super().__init__(self.requests[0])
+        for req in self.requests[1:]:
+            req._attach_timer(self)
+        # untraced: a combination window runs several candidates, so the
+        # timer's per-candidate iteration spans would misname it
+        self._obs = None
 
     # ------------------------------------------------------------------
     # combination schedule
@@ -152,49 +140,19 @@ class CoTuner:
             return self.combos[0]
         self._winner_idx = self._log.best(measured)
         self.decided_at = it
+        for req, fn_idx in zip(self.requests, self.combos[self._winner_idx]):
+            req.selector.winner = fn_idx
+            req.selector.decided_at = it
         return self.combos[self._winner_idx]
 
     # ------------------------------------------------------------------
-    # timer interface (used directly by programs and by the requests)
+    # finished windows
     # ------------------------------------------------------------------
 
-    def window_index(self, rank: int) -> int:
-        """Current timed-window index of ``rank`` (requests pin their
-        implementation choice to this)."""
-        return self._counts.get(rank, 0)
-
-    def start(self, ctx: MPIContext) -> None:
-        if ctx.rank in self._t0:
-            raise AdclError(f"rank {ctx.rank}: CoTuner timer started twice")
-        self._t0[ctx.rank] = ctx.now
-
-    def stop(self, ctx: MPIContext) -> None:
-        try:
-            t0 = self._t0.pop(ctx.rank)
-        except KeyError:
-            raise AdclError(f"rank {ctx.rank}: CoTuner stop without start")
-        it = self._counts.get(ctx.rank, 0)
-        self._counts[ctx.rank] = it + 1
-        per_rank = self._pending.setdefault(it, {})
-        per_rank[ctx.rank] = ctx.now - t0
-        size = self.requests[0].spec.comm.size
-        if len(per_rank) == size:
-            del self._pending[it]
-            seconds = max(per_rank.values())
-            learning = not self.decided
-            combo = self.combo_for_iteration(it)
-            combo_idx = self.combos.index(combo)
-            if not self.decided or combo_idx == self._winner_idx:
-                self._log.add(combo_idx, seconds)
-            self.records.append(TimerRecord(it, combo_idx, seconds, learning))
-
-    # reporting --------------------------------------------------------
-
-    def total_time(self) -> float:
-        return sum(r.seconds for r in self.records)
-
-    def learning_time(self) -> float:
-        return sum(r.seconds for r in self.records if r.learning)
-
-    def time_excluding_learning(self) -> float:
-        return sum(r.seconds for r in self.records if not r.learning)
+    def _window_done(self, ctx: MPIContext, it: int, seconds: float) -> None:
+        learning = not self.decided
+        combo = self.combo_for_iteration(it)
+        combo_idx = self.combos.index(combo)
+        if not self.decided or combo_idx == self._winner_idx:
+            self._log.add(combo_idx, seconds)
+        self.records.append(TimerRecord(it, combo_idx, seconds, learning))

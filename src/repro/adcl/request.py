@@ -21,7 +21,8 @@ same implementation for the same iteration.
 
 Timing: if no :class:`~repro.adcl.timer.ADCLTimer` is attached, each
 iteration is self-timed from ``start`` to ``wait`` completion and the
-per-iteration maximum over the ranks is fed to the selector.  Attaching
+per-iteration maximum over the ranks (the timer's
+:func:`~repro.adcl.timer.gather_max`) is fed to the selector.  Attaching
 a timer (§III-D) moves the measurement boundary to arbitrary code
 locations — the paper's solution for timing non-blocking operations.
 """
@@ -44,6 +45,7 @@ from .statistics import DriftDetector, filter_outliers
 from .selection.brute_force import BruteForceSelector
 from .selection.factorial import FactorialSelector
 from .selection.heuristic import HeuristicSelector
+from .timer import gather_max
 
 __all__ = ["ADCLRequest", "make_selector", "SELECTOR_NAMES"]
 
@@ -177,20 +179,9 @@ class ADCLRequest:
         if rs is None:
             rs = self._rstate[ctx.rank] = {"it": 0, "handles": []}
         it = self._current_iteration(ctx, rs)
-        if it > self._max_it:
-            self._max_it = it
         fn_idx = self._iter_fn.get(it)
         if fn_idx is None:
-            rel = max(it - self._epoch_start, 0)
-            fn_idx = self.selector.function_for_iteration(rel)
-            if self.resilience is not None:
-                fn_idx = self.selector.substitute(fn_idx)
-            self._iter_fn[it] = fn_idx
-            self._journal.append(["iter", it, fn_idx])
-            if self.audit is not None:
-                self._audit_check_decision()
-                self.audit.selection(it, fn_idx, self.fnset[fn_idx].name,
-                                     not self.selector.decided)
+            fn_idx = self._select(it)
         fn = self.fnset[fn_idx]
         if fn.blocking and not allow_blocking:
             raise AdclError(
@@ -200,6 +191,35 @@ class ADCLRequest:
         handle = fn.make(ctx, self.spec, buffers)
         rs["handles"].append((handle, it, fn_idx, ctx.now))
         return handle, fn.blocking
+
+    def _select(self, it: int, journaled: Optional[int] = None) -> int:
+        """Choose iteration ``it``'s implementation (live and replay).
+
+        ``journaled`` is the index a replayed journal recorded; a
+        selector that chooses otherwise raises before anything is
+        recorded.
+        """
+        if it > self._max_it:
+            self._max_it = it
+        rel = max(it - self._epoch_start, 0)
+        fn_idx = self.selector.function_for_iteration(rel)
+        if self.resilience is not None:
+            fn_idx = self.selector.substitute(fn_idx)
+        if journaled is not None and fn_idx != journaled:
+            raise AdclError(
+                f"journal replay diverged at iteration {it}: "
+                f"journal says function {journaled}, selector "
+                f"chose {fn_idx} — checkpoint does not match this "
+                f"request's configuration"
+            )
+        self._iter_fn[it] = fn_idx
+        if not self._replaying:
+            self._journal.append(["iter", it, fn_idx])
+        if self.audit is not None:
+            self._audit_check_decision()
+            self.audit.selection(it, fn_idx, self.fnset[fn_idx].name,
+                                 not self.selector.decided)
+        return fn_idx
 
     def start(self, ctx: MPIContext,
               buffers: Optional[Mapping[str, np.ndarray]] = None):
@@ -270,19 +290,14 @@ class ADCLRequest:
             yield Wait(handle)
         rs["it"] += 1
         if self._timer is None:
-            self._record_self_time(ctx, it, fn_idx, ctx.now - t0)
+            seconds = gather_max(self._self_times, it, ctx.rank,
+                                 ctx.now - t0, self.spec.comm.size)
+            if seconds is not None:
+                self._feed(it, fn_idx, seconds)
 
     # ------------------------------------------------------------------
     # measurement feeding
     # ------------------------------------------------------------------
-
-    def _record_self_time(self, ctx: MPIContext, it: int, fn_idx: int,
-                          seconds: float) -> None:
-        per_rank = self._self_times.setdefault(it, {})
-        per_rank[ctx.rank] = seconds
-        if len(per_rank) == self.spec.comm.size:
-            del self._self_times[it]
-            self._feed(it, fn_idx, max(per_rank.values()))
 
     def _feed(self, it: int, fn_idx: int, seconds: float) -> None:
         """One aggregated (max-over-ranks) measurement for iteration ``it``."""
@@ -465,11 +480,13 @@ class ADCLRequest:
 
         Must be called on a *fresh* request (epoch 0) built with the same
         function-set and selector configuration that produced the
-        journal.  Events run through the live code paths — the selector
-        sees the exact sequence of selections, measurements and
-        quarantines of the original run, so the reconstructed state is
-        bit-identical — with persistence side effects (history writes)
-        suppressed.
+        journal.  Events run through the live methods — ``iter`` through
+        :meth:`_select` (checked against the journaled index), ``feed``
+        through :meth:`_feed`, ``quar`` through :meth:`quarantine` — so
+        the selector sees the exact sequence of selections, measurements
+        and quarantines of the original run and the reconstructed state
+        (audit trail included) is bit-identical.  Persistence side
+        effects (journal appends, history writes) are suppressed.
         """
         if self._journal:
             raise AdclError("replay() requires a fresh request (epoch 0)")
@@ -479,33 +496,13 @@ class ADCLRequest:
                 tag = ev[0]
                 if tag == "iter":
                     _, it, fn_idx = ev
-                    if it > self._max_it:
-                        self._max_it = it
-                    rel = max(it - self._epoch_start, 0)
-                    got = self.selector.function_for_iteration(rel)
-                    if self.resilience is not None:
-                        got = self.selector.substitute(got)
-                    if got != fn_idx:
-                        raise AdclError(
-                            f"journal replay diverged at iteration {it}: "
-                            f"journal says function {fn_idx}, selector "
-                            f"chose {got} — checkpoint does not match this "
-                            f"request's configuration"
-                        )
-                    self._iter_fn[it] = fn_idx
-                    if self.audit is not None:
-                        self._audit_check_decision()
-                        self.audit.selection(it, fn_idx,
-                                             self.fnset[fn_idx].name,
-                                             not self.selector.decided)
+                    self._select(it, journaled=fn_idx)
                 elif tag == "feed":
                     _, it, fn_idx, seconds = ev
                     self._feed(it, fn_idx, seconds)
                 elif tag == "quar":
                     _, fn_idx, reason, sticky = ev
-                    self.selector.quarantine(fn_idx, reason, sticky=sticky)
-                    if self.audit is not None:
-                        self._audit_sync_quarantines()
+                    self.quarantine(fn_idx, reason, sticky=sticky)
                 else:
                     raise AdclError(f"unknown journal event {ev!r}")
         finally:

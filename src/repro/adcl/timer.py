@@ -11,18 +11,28 @@ request used in that iteration.
 Aggregation follows ADCL: an iteration's time is the **maximum over all
 ranks** (the straggler defines the cost of a collective), recorded once
 the last rank has called :meth:`ADCLTimer.stop` for that iteration.
+This module holds the only copy of that bookkeeping: the per-rank
+windows and :func:`gather_max` serve :class:`ADCLTimer`, the
+:class:`~repro.adcl.cotuning.CoTuner` (a timer that feeds a combination
+search instead of one request) and an untimed request's self-timing;
+:class:`RecordSummary` is the one report over their records (and
+:class:`RunSummary` its form for finished runs' results).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import AdclError
 from ..obs.recorder import declare, get_recorder
-from ..sim.mpi import MPIContext
-from .request import ADCLRequest
 
-__all__ = ["ADCLTimer", "TimerRecord"]
+if TYPE_CHECKING:
+    from ..sim.mpi import MPIContext
+    from .request import ADCLRequest
+
+__all__ = ["ADCLTimer", "RecordSummary", "RunSummary", "TimerRecord",
+           "gather_max"]
 
 _K_ITERATION = declare("X", "tuning", "iteration", "fn:O it:i learning:?")
 
@@ -37,7 +47,52 @@ class TimerRecord:
     learning: bool
 
 
-class ADCLTimer:
+def gather_max(pending: dict[int, dict[int, float]], it: int, rank: int,
+               seconds: float, size: int) -> Optional[float]:
+    """Add ``rank``'s time for iteration ``it``; the max once all ``size``
+    ranks reported (None before)."""
+    per_rank = pending.setdefault(it, {})
+    per_rank[rank] = seconds
+    if len(per_rank) < size:
+        return None
+    del pending[it]
+    return max(per_rank.values())
+
+
+class RecordSummary:
+    """Sums over ``self.records`` (completion order), learning split."""
+
+    def learning_time(self) -> float:
+        """Sum over iterations that were part of the learning phase."""
+        return sum(r.seconds for r in self.records if r.learning)
+
+    def time_excluding_learning(self) -> float:
+        """Sum over iterations run *after* the selection decision.
+
+        This is the paper's Fig. 11/12 breakdown separating the learning
+        phase from steady-state execution.
+        """
+        return sum(r.seconds for r in self.records if not r.learning)
+
+
+class RunSummary(RecordSummary):
+    """:class:`RecordSummary` of a finished run: totals are properties."""
+
+    @property
+    def total_time(self) -> float:
+        return sum(r.seconds for r in self.records)
+
+    @property
+    def mean_iteration(self) -> float:
+        return self.total_time / len(self.records)
+
+    def mean_after_learning(self) -> float:
+        """Mean iteration time once the decision has been made."""
+        tail = [r.seconds for r in self.records if not r.learning]
+        return sum(tail) / len(tail) if tail else self.mean_iteration
+
+
+class ADCLTimer(RecordSummary):
     """Times arbitrary code sections on behalf of an :class:`ADCLRequest`."""
 
     def __init__(self, request: ADCLRequest):
@@ -73,54 +128,56 @@ class ADCLTimer:
         self._t0[ctx.rank] = ctx.now
 
     def stop(self, ctx: MPIContext) -> None:
-        """End timing; feeds the selector once every rank has stopped."""
+        """End timing; completes the window once every rank has stopped."""
         try:
             t0 = self._t0.pop(ctx.rank)
         except KeyError:
             raise AdclError(f"rank {ctx.rank}: timer stopped without start")
         it = self._counts.get(ctx.rank, 0)
         self._counts[ctx.rank] = it + 1
-        per_rank = self._pending.setdefault(it, {})
-        per_rank[ctx.rank] = ctx.now - t0
-        obs = self._obs
-        if obs is not None:
+        if self._obs is not None:
             # per-rank iteration span (cat "tuning"): the timed window of
             # one candidate on one rank — the denominator of the overlap
             # ratio `repro report` computes per candidate
             span_it = self.request._iter_base + it
             span_fn = self.request.function_used(span_it)
-            obs.emit_obj((self.request.fnset[span_fn].name
-                          if span_fn is not None else "?"),
-                         _K_ITERATION, ctx.rank, t0, ctx.now - t0, span_it,
-                         not self.request.decided)
-        if len(per_rank) == self.request.spec.comm.size:
-            del self._pending[it]
-            seconds = max(per_rank.values())
-            # the request numbers iterations absolutely (restart-safe);
-            # translate this timer's local window index
-            abs_it = self.request._iter_base + it
-            fn_idx = self.request.function_used(abs_it)
-            if fn_idx is None:
-                raise AdclError(
-                    f"timer iteration {abs_it} completed but the request "
-                    f"never started that iteration"
-                )
-            learning = not self.request.decided
-            before_retunes = self.request.retunes
-            self.request._feed(abs_it, fn_idx, seconds)
-            if obs is not None:
-                if learning and self.request.decided:
-                    obs.instant("tuning", "tune.decide", -1, ctx.now,
-                                {"winner": self.request.winner_name,
-                                 "it": abs_it})
-                    obs.instant("tuning", "tune.epoch", -1, ctx.now,
-                                {"phase": "close", "it": abs_it})
-                elif self.request.retunes > before_retunes:
-                    obs.instant("tuning", "tune.reopen", -1, ctx.now,
-                                {"it": abs_it})
-                    obs.instant("tuning", "tune.epoch", -1, ctx.now,
-                                {"phase": "open", "it": abs_it + 1})
-            self.records.append(TimerRecord(abs_it, fn_idx, seconds, learning))
+            self._obs.emit_obj((self.request.fnset[span_fn].name
+                                if span_fn is not None else "?"),
+                               _K_ITERATION, ctx.rank, t0, ctx.now - t0,
+                               span_it, not self.request.decided)
+        seconds = gather_max(self._pending, it, ctx.rank, ctx.now - t0,
+                             self.request.spec.comm.size)
+        if seconds is not None:
+            self._window_done(ctx, it, seconds)
+
+    def _window_done(self, ctx: MPIContext, it: int, seconds: float) -> None:
+        """Window ``it`` closed on every rank: feed the request."""
+        # the request numbers iterations absolutely (restart-safe);
+        # translate this timer's local window index
+        abs_it = self.request._iter_base + it
+        fn_idx = self.request.function_used(abs_it)
+        if fn_idx is None:
+            raise AdclError(
+                f"timer iteration {abs_it} completed but the request "
+                f"never started that iteration"
+            )
+        learning = not self.request.decided
+        before_retunes = self.request.retunes
+        self.request._feed(abs_it, fn_idx, seconds)
+        obs = self._obs
+        if obs is not None:
+            if learning and self.request.decided:
+                obs.instant("tuning", "tune.decide", -1, ctx.now,
+                            {"winner": self.request.winner_name,
+                             "it": abs_it})
+                obs.instant("tuning", "tune.epoch", -1, ctx.now,
+                            {"phase": "close", "it": abs_it})
+            elif self.request.retunes > before_retunes:
+                obs.instant("tuning", "tune.reopen", -1, ctx.now,
+                            {"it": abs_it})
+                obs.instant("tuning", "tune.epoch", -1, ctx.now,
+                            {"phase": "open", "it": abs_it + 1})
+        self.records.append(TimerRecord(abs_it, fn_idx, seconds, learning))
 
     # ------------------------------------------------------------------
     # reporting helpers used by the benchmark harness
@@ -129,18 +186,6 @@ class ADCLTimer:
     def total_time(self) -> float:
         """Sum of all completed iteration times."""
         return sum(r.seconds for r in self.records)
-
-    def time_excluding_learning(self) -> float:
-        """Sum over iterations run *after* the selection decision.
-
-        This is the paper's Fig. 11/12 breakdown separating the learning
-        phase from steady-state execution.
-        """
-        return sum(r.seconds for r in self.records if not r.learning)
-
-    def learning_time(self) -> float:
-        """Sum over iterations that were part of the learning phase."""
-        return sum(r.seconds for r in self.records if r.learning)
 
     def iterations_completed(self) -> int:
         return len(self.records)

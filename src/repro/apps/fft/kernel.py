@@ -43,7 +43,7 @@ from ...adcl.fnsets import ialltoall_extended_function_set, ialltoall_function_s
 from ...adcl.function import CollSpec
 from ...adcl.request import ADCLRequest
 from ...adcl.selection.base import FixedSelector
-from ...adcl.timer import ADCLTimer, TimerRecord
+from ...adcl.timer import ADCLTimer, RunSummary, TimerRecord
 from ...errors import ReproError
 from ...nbc.coll import start_ialltoall
 from ...sim import Barrier, Compute, NoiseModel, Progress, SimWorld, Wait, get_platform
@@ -118,7 +118,7 @@ class FFTConfig:
 
 
 @dataclass
-class FFTResult:
+class FFTResult(RunSummary):
     """Outcome of one kernel execution."""
 
     config: FFTConfig
@@ -129,24 +129,6 @@ class FFTResult:
     validated: Optional[bool]
     #: simulator events dispatched over the whole run
     events: int = 0
-
-    @property
-    def total_time(self) -> float:
-        return sum(r.seconds for r in self.records)
-
-    @property
-    def mean_iteration(self) -> float:
-        return self.total_time / len(self.records)
-
-    def learning_time(self) -> float:
-        return sum(r.seconds for r in self.records if r.learning)
-
-    def time_excluding_learning(self) -> float:
-        return sum(r.seconds for r in self.records if not r.learning)
-
-    def mean_after_learning(self) -> float:
-        tail = [r.seconds for r in self.records if not r.learning]
-        return sum(tail) / len(tail) if tail else self.mean_iteration
 
 
 def _make_request(config: FFTConfig, world: SimWorld, m: int) -> ADCLRequest:

@@ -32,7 +32,7 @@ from ..adcl.function import CollSpec, FunctionSet
 from ..adcl.request import SELECTOR_NAMES, ADCLRequest
 from ..adcl.resilience import ULFM, Resilience
 from ..adcl.selection.base import FixedSelector, Selector
-from ..adcl.timer import ADCLTimer, TimerRecord
+from ..adcl.timer import ADCLTimer, RunSummary, TimerRecord
 from ..errors import DeadlockError, MessageLostError, ReproError, WatchdogTimeout
 from ..nbc.coll import barrier as nbc_barrier
 from ..nbc.ft import ft_loop
@@ -201,7 +201,7 @@ def scenario_config(scenario: Mapping[str, Any], seed: int) -> OverlapConfig:
 
 
 @dataclass
-class OverlapResult:
+class OverlapResult(RunSummary):
     """Outcome of one micro-benchmark execution."""
 
     config: OverlapConfig
@@ -251,14 +251,6 @@ class OverlapResult:
         """Iterations spent in the learning phase."""
         return sum(1 for r in self.records if r.learning)
 
-    @property
-    def total_time(self) -> float:
-        return sum(r.seconds for r in self.records)
-
-    @property
-    def mean_iteration(self) -> float:
-        return self.total_time / len(self.records)
-
     def robust_mean_iteration(self, method: str = "cluster") -> float:
         """Outlier-filtered mean iteration time (what ADCL itself sees)."""
         from ..adcl.statistics import robust_mean
@@ -267,14 +259,14 @@ class OverlapResult:
 
     def mean_after_learning(self, robust: bool = False) -> float:
         """Mean iteration time once the decision has been made."""
+        if not robust:
+            return super().mean_after_learning()
         tail = [r.seconds for r in self.records if not r.learning]
         if not tail:
             return self.mean_iteration
-        if robust:
-            from ..adcl.statistics import robust_mean
+        from ..adcl.statistics import robust_mean
 
-            return robust_mean(tail)
-        return sum(tail) / len(tail)
+        return robust_mean(tail)
 
     def projected_total(self) -> float:
         """Extrapolate to the paper's full iteration count.

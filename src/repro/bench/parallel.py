@@ -370,8 +370,7 @@ def _fft_worker(payload) -> dict:
     res = run_fft(config)
     out = _records_summary(res)
     out["method"] = method
-    tail = [r.seconds for r in res.records if not r.learning]
-    steady = sum(tail) / len(tail) if tail else res.mean_iteration
+    steady = res.mean_after_learning()
     out["mean_after_learning"] = steady
     out["mean_after_learning_hex"] = float(steady).hex()
     return out

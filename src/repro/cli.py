@@ -77,6 +77,7 @@ from .bench import (
     run_overlap,
     sweep_implementations,
 )
+from .errors import FaultError
 from .nbc.schedule import schedule_cache_stats
 from .obs import (
     TraceRecorder,
@@ -89,7 +90,7 @@ from .obs import (
     render_report,
 )
 from .obs.report import validate_or_errors
-from .sim import FaultPlan, RankCrash, available_platforms, get_platform
+from .sim import FaultPlan, available_platforms, get_platform
 from .units import fmt_time, parse_size
 
 __all__ = ["main", "build_parser"]
@@ -103,28 +104,13 @@ def _parse_fault_plan(spec: str) -> FaultPlan:
 
 
 def _parse_crashes(spec: str) -> tuple:
-    """Parse the ``--crash`` mini-language: ``RANK@T[:RESPAWN][,...]``."""
-    crashes = []
-    for clause in spec.split(","):
-        clause = clause.strip()
-        if not clause:
-            continue
-        rank, _, when = clause.partition("@")
-        if not when:
-            raise argparse.ArgumentTypeError(
-                f"crash clause {clause!r} must look like RANK@T[:RESPAWN]"
-            )
-        parts = when.split(":")
-        try:
-            respawn = float(parts[1]) if len(parts) > 1 else None
-            crashes.append(RankCrash(int(rank), float(parts[0]), respawn))
-        except Exception as exc:
-            raise argparse.ArgumentTypeError(
-                f"bad crash clause {clause!r}: {exc}"
-            ) from exc
-    if not crashes:
+    """Parse ``--crash``: comma-separated ``RANK@T[:RESPAWN]``, each the
+    value of one ``crash=`` clause of the ``--faults`` mini-language."""
+    plan = _parse_fault_plan(",".join(
+        f"crash={c.strip()}" for c in spec.split(",") if c.strip()))
+    if not plan.crashes:
         raise argparse.ArgumentTypeError("empty --crash specification")
-    return tuple(crashes)
+    return plan.crashes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="S",
                          help="server-side cap on one request's wait for "
                               "its computation")
-    p_serve.add_argument("--cache-size", type=int, default=256,
-                         help="LRU decision-cache entries")
     p_serve.add_argument("--checkpoint-every", type=int, default=32,
                          metavar="N",
                          help="committed decisions between automatic shard "
@@ -521,7 +505,12 @@ def _overlap_config(args) -> OverlapConfig:
     crashes = getattr(args, "crash", None)
     if crashes:
         base = faults if faults is not None else FaultPlan()
-        faults = dataclasses.replace(base, crashes=base.crashes + crashes)
+        try:
+            faults = dataclasses.replace(base, crashes=base.crashes + crashes)
+        except FaultError as exc:
+            print(f"error: --crash does not combine with --faults: {exc}",
+                  file=sys.stderr)
+            raise SystemExit(2)
     return OverlapConfig(
         platform=args.platform,
         nprocs=args.nprocs,
@@ -611,7 +600,6 @@ def cmd_serve(args) -> int:
         workers=args.workers,
         queue_capacity=args.queue_capacity,
         request_timeout=args.request_timeout,
-        cache_size=args.cache_size,
         checkpoint_every=args.checkpoint_every,
         metrics_path=args.metrics,
         audit_path=args.audit,

@@ -18,7 +18,7 @@ ladder and failure matrix.
 
 from .breaker import CircuitBreaker, RetuneScheduler
 from .client import ServiceHistory, TuningClient
-from .coalesce import Coalescer, LRUCache
+from .coalesce import Coalescer
 from .core import (
     REQUEST_DEFAULTS,
     compute_decision,
@@ -34,7 +34,6 @@ __all__ = [
     "CircuitBreaker",
     "Coalescer",
     "KnowledgeBase",
-    "LRUCache",
     "PROTOCOL_VERSION",
     "REQUEST_DEFAULTS",
     "RetuneScheduler",

@@ -1,73 +1,22 @@
-"""Request coalescing and the LRU decision cache.
+"""Request coalescing: identical in-flight requests share one computation.
 
-Two halves of the daemon's duplicate-suppression story:
+The first arrival for a key becomes the **leader** and owns enqueueing
+the work; every later arrival becomes a **follower** waiting on the same
+entry.  One simulation, N replies — the classic thundering-herd guard
+for a service whose misses cost a whole tuning run.  Exact hits never
+get here: they read the knowledge base's in-memory shards.
 
-* :class:`LRUCache` — a bounded map of the hottest decision records, in
-  front of the sharded knowledge base, so the steady-state exact-hit
-  path never touches a shard lock;
-* :class:`Coalescer` — identical *in-flight* requests share one
-  computation.  The first arrival for a key becomes the **leader** and
-  owns enqueueing the work; every later arrival becomes a **follower**
-  waiting on the same entry.  One simulation, N replies — the classic
-  thundering-herd guard for a service whose misses cost a whole tuning
-  run.
-
-Both are plain thread-safe data structures with no policy of their
-own; the server wires them to the admission queue and decides what a
-timeout or a shed looks like on the wire.
+:class:`Coalescer` is a plain thread-safe data structure with no policy
+of its own; the server wires it to the admission queue and decides what
+a timeout or a shed looks like on the wire.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
-__all__ = ["Coalescer", "LRUCache"]
-
-
-class LRUCache:
-    """Thread-safe bounded LRU map (hits/misses/evictions counted)."""
-
-    def __init__(self, maxsize: int = 256):
-        self.maxsize = max(maxsize, 1)
-        self._lock = threading.Lock()
-        self._store: "OrderedDict[str, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: str) -> Optional[Any]:
-        with self._lock:
-            value = self._store.get(key)
-            if value is None:
-                self.misses += 1
-                return None
-            self._store.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key: str, value: Any) -> None:
-        with self._lock:
-            self._store[key] = value
-            self._store.move_to_end(key)
-            while len(self._store) > self.maxsize:
-                self._store.popitem(last=False)
-                self.evictions += 1
-
-    def invalidate(self, key: str) -> None:
-        with self._lock:
-            self._store.pop(key, None)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {"size": len(self._store), "maxsize": self.maxsize,
-                    "hits": self.hits, "misses": self.misses,
-                    "evictions": self.evictions}
+__all__ = ["Coalescer"]
 
 
 class _Entry:

@@ -12,7 +12,7 @@ A request is a plain JSON-able dict of scenario fields
 (:data:`REQUEST_DEFAULTS`); :func:`normalize_request` fills defaults,
 validates types and rejects unknown fields, and :func:`request_key`
 derives the canonical string identity used for knowledge-base
-sharding, WAL records, coalescing and the LRU decision cache.
+sharding, WAL records and coalescing.
 """
 
 from __future__ import annotations

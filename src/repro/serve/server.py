@@ -16,8 +16,8 @@ failure-first:
   never parks a client on an unbounded backlog, and a client is never
   left hanging (every code path ends in a reply or a closed socket);
 * **coalescing** — identical in-flight requests share one simulation
-  (:mod:`repro.serve.coalesce`), with an LRU record cache in front of
-  the shards for the steady-state exact-hit path;
+  (:mod:`repro.serve.coalesce`); exact hits read the in-memory shards
+  directly, so a committed re-tune is visible to the very next get;
 * **warm starts** — an exact miss can be answered with the
   nearest-geometry neighbor's decision (``warm`` op) while the real
   answer computes;
@@ -50,7 +50,7 @@ from ..errors import ServeError
 from ..obs.audit import AuditLog
 from ..obs.metrics import SERVICE_BUCKETS, MetricsRegistry
 from .breaker import CircuitBreaker, RetuneScheduler
-from .coalesce import Coalescer, LRUCache
+from .coalesce import Coalescer
 from .core import compute_decision, normalize_request, request_key
 from .endpoint import bind_listener
 from .shards import KnowledgeBase
@@ -83,7 +83,6 @@ class ServeConfig:
     #: server-side cap on one request's wait for its (possibly
     #: coalesced) computation; exceeding it sheds with ``busy``
     request_timeout: float = 30.0
-    cache_size: int = 256
     #: committed decisions between automatic shard checkpoints
     checkpoint_every: int = 32
     #: connection-thread recv tick (shutdown latency bound)
@@ -117,7 +116,6 @@ class TuningServer:
         self.metrics = MetricsRegistry()
         self.audit = AuditLog()
         self.kb = KnowledgeBase(config.data_dir, nshards=config.shards)
-        self.cache = LRUCache(config.cache_size)
         self.coalescer = Coalescer()
         self.retunes = RetuneScheduler(CircuitBreaker(
             failure_threshold=config.retune_failure_threshold,
@@ -385,14 +383,9 @@ class TuningServer:
         self._note_correlation(corr)
         req = normalize_request(fields)
         key = request_key(req)
-        record = self.cache.get(key)
-        if record is not None:
-            self.metrics.counter("serve.hits.cache").inc()
-            return ("ok", record)
         record = self.kb.get(key)
         if record is not None and record.get("decision") is not None:
             self.metrics.counter("serve.hits.kb").inc()
-            self.cache.put(key, record)
             return ("ok", record)
         if self._shutdown.is_set():
             self.metrics.counter("serve.shed.draining").inc()
@@ -448,7 +441,6 @@ class TuningServer:
                 f"record decision must be a dict with a 'winner': "
                 f"{decision!r}")
         record = self.kb.put(key, dict(decision), source="client")
-        self.cache.invalidate(key)
         self.metrics.counter("serve.records.client").inc()
         return ("ok", record)
 
@@ -457,7 +449,6 @@ class TuningServer:
         if not isinstance(key, str):
             raise ServeError(f"forget key must be a string, got {key!r}")
         removed = self.kb.forget(key)
-        self.cache.invalidate(key)
         return ("ok", {"removed": removed})
 
     def _op_stats(self, corr=None) -> tuple:
@@ -466,7 +457,6 @@ class TuningServer:
         return ("ok", {
             "metrics": self.metrics.snapshot(),
             "kb": self.kb.stats(),
-            "cache": self.cache.stats(),
             "retune_breaker": self.retunes.breaker.state,
             "audit": self.audit.to_json(),
         })
@@ -477,7 +467,6 @@ class TuningServer:
     def _sync_derived_metrics(self) -> None:
         self.metrics.gauge("serve.kb.records").set(len(self.kb))
         self.metrics.gauge("serve.coalesced").set(self.coalescer.coalesced)
-        self.metrics.gauge("serve.cache.hits").set(self.cache.hits)
         self.metrics.gauge("serve.retune.trips").set(
             self.retunes.breaker.trips)
         self.metrics.gauge("serve.queue.depth").set(self._queue.qsize())
@@ -496,7 +485,6 @@ class TuningServer:
                 decision = self._compute(req)
                 record = self.kb.put(key, decision, source="computed",
                                      request=req)
-                self.cache.put(key, record)
                 self._after_commit()
                 self.coalescer.complete(key, result=record)
             except BaseException as exc:  # noqa: BLE001 - wake waiters
@@ -558,9 +546,7 @@ class TuningServer:
             req["epoch"] = int(req.get("epoch", 0)) + 1
             req = normalize_request(req)
             decision = self._compute(req)
-            new_record = self.kb.put(key, decision, source="retune",
-                                     request=req)
-            self.cache.put(key, new_record)
+            self.kb.put(key, decision, source="retune", request=req)
             with self._drift_lock:
                 self._drift.pop(key, None)  # fresh baseline from here on
             self._after_commit()

@@ -51,6 +51,43 @@ def test_cotuner_searches_full_cross_product():
     assert len(tuner.records) == iterations
 
 
+def test_slaved_selectors_mirror_the_joint_decision():
+    """Every slaved selector reports the tuner's decision at every step."""
+    world, req_a, req_b, tuner = build(evals=1)
+    iterations = tuner.learning_iterations + 4
+    seen = []
+
+    def check():
+        combo = tuner.winner_combo
+        for i, req in enumerate((req_a, req_b)):
+            sel = req.selector
+            winner = None if combo is None else combo[i]
+            seen.append((sel.decided, sel.winner, sel.winner_name,
+                         sel.decided_at) == (
+                combo is not None, winner,
+                None if winner is None else req.fnset[winner].name,
+                tuner.decided_at))
+
+    inner = cotuned_program(tuner, req_a, req_b, iterations)
+
+    def factory(ctx):
+        gen = inner(ctx)
+        value = None
+        while True:
+            check()
+            try:
+                value = yield gen.send(value)
+            except StopIteration:
+                break
+        check()
+
+    world.launch(factory)
+    world.run()
+    assert tuner.decided
+    assert len(seen) > 4 * iterations
+    assert all(seen)
+
+
 def test_every_combination_visited_during_learning():
     world, req_a, req_b, tuner = build(evals=1)
     iterations = tuner.learning_iterations + 2

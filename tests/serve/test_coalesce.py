@@ -1,26 +1,8 @@
-"""Coalescer + LRU cache: leaders, followers, abandons, eviction."""
+"""Coalescer: leaders, followers, abandons."""
 
 import threading
 
-from repro.serve.coalesce import Coalescer, LRUCache
-
-
-def test_lru_basics():
-    cache = LRUCache(maxsize=2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.get("a") == 1  # refreshes "a"
-    cache.put("c", 3)  # evicts "b", the least recently used
-    assert cache.get("b") is None
-    assert cache.get("a") == 1
-    assert cache.get("c") == 3
-    stats = cache.stats()
-    assert stats["evictions"] == 1
-    assert stats["hits"] == 3
-    assert stats["misses"] == 1
-    cache.invalidate("a")
-    assert cache.get("a") is None
-    assert len(cache) == 1
+from repro.serve.coalesce import Coalescer
 
 
 def test_leader_then_followers():

@@ -92,7 +92,40 @@ def test_exact_hits_skip_recomputation(server):
     for _ in range(3):
         assert c.decide(FIELDS)["decision"]["winner"]
     assert server.metrics.counter("serve.miss.computed").value == computed
-    assert server.metrics.counter("serve.hits.cache").value >= 3
+    assert server.metrics.counter("serve.hits.kb").value >= 3
+
+
+def test_retune_committed_during_a_get_is_served_afterwards(tmp_path):
+    """A re-tune that commits version N+1 while a get is between its
+    shard read and its reply must not leave later exact hits on N."""
+    cfg = ServeConfig(endpoint=f"unix:{tmp_path}/t.sock",
+                      data_dir=str(tmp_path / "kb"), workers=1)
+    srv = TuningServer(cfg, compute=lambda req: {
+        "winner": "linear", "epoch": req["epoch"]})
+    req = normalize_request(FIELDS)
+    key = request_key(req)
+    srv.kb.put(key, {"winner": "linear", "epoch": 0}, source="computed",
+               request=req)
+    kb_get = srv.kb.get
+    raced = []
+
+    def get_then_retune(k):
+        record = kb_get(k)
+        if not raced:
+            raced.append(record["version"])
+            srv._retune(k, record)  # commits the next version
+        return record
+
+    srv.kb.get = get_then_retune
+    srv.start()
+    try:
+        c = _client(srv)
+        assert c.decide(FIELDS)["version"] == 1  # read before the re-tune
+        assert raced == [1]
+        assert kb_get(key)["version"] == 2
+        assert c.decide(FIELDS)["version"] == 2
+    finally:
+        srv.stop()
 
 
 def test_warm_start_nearest_geometry(server):

@@ -346,3 +346,27 @@ def test_tune_ft_warm_starts_from_its_checkpoint(capsys, tmp_path):
     assert "warm start" not in first
     assert main(argv) == 0
     assert "warm start: restored tuning state" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", ["5@0.015", "5@0.015:1.0,2@0.02"])
+def test_crash_flag_and_faults_crash_clause_build_equal_plans(spec):
+    from repro.cli import _overlap_config
+
+    parser = build_parser()
+    via_crash = parser.parse_args(["tune", "--crash", spec])
+    clauses = ",".join(f"crash={c}" for c in spec.split(","))
+    via_faults = parser.parse_args(["tune", "--faults", clauses])
+    assert via_crash.crash == via_faults.faults.crashes
+    assert _overlap_config(via_crash).faults == \
+        _overlap_config(via_faults).faults
+
+
+@pytest.mark.parametrize("flags", [
+    ["--crash", "3@0.1,3@0.2"],
+    ["--faults", "crash=3@0.1", "--crash", "3@0.2"],
+])
+def test_tune_rejects_a_rank_crashing_twice(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--ft", "--nprocs", "8", "--iterations", "3", *flags])
+    assert exc.value.code == 2
+    assert "rank 3 crashes more than once" in capsys.readouterr().err

@@ -5,8 +5,8 @@ collective operations.  Main concepts:
 
 * :class:`~repro.adcl.function.FunctionSet` /
   :class:`~repro.adcl.function.CollFunction` — an operation and its pool
-  of candidate implementations, optionally characterized by
-  :class:`~repro.adcl.attributes.Attribute` values;
+  of candidate implementations, each optionally characterized by
+  attribute values (the set derives its attribute domains from them);
 * :class:`~repro.adcl.request.ADCLRequest` — a persistent collective
   whose implementation is selected at run time;
 * :class:`~repro.adcl.timer.ADCLTimer` — decoupled timing of code
@@ -17,7 +17,6 @@ collective operations.  Main concepts:
   executions.
 """
 
-from .attributes import Attribute, AttributeSet
 from .checkpoint import CheckpointStore, restore, snapshot
 from .cotuning import CoTuner
 from .fnsets import (
@@ -45,8 +44,6 @@ from .timer import ADCLTimer, TimerRecord
 __all__ = [
     "ADCLRequest",
     "ADCLTimer",
-    "Attribute",
-    "AttributeSet",
     "BruteForceSelector",
     "CheckpointStore",
     "CoTuner",

@@ -8,6 +8,12 @@ lookup, peer binding, scratch buffers).  A maker only maps the per-call
 buffer dict (``"send"``/``"recv"``/``"data"``) onto that function's
 buffer keywords.
 
+Each family has one module-level maker; a candidate binds its
+algorithm parameters to it with :func:`functools.partial` and states
+its name, attribute values and blocking flag once, in one
+:class:`~repro.adcl.function.CollFunction`.  The set's attribute
+domains are derived from those values.
+
 * :func:`ibcast_function_set` — the paper's 21-function ``Ibcast`` set:
   fan-out ∈ {0 linear, 1 chain, 2..5, binomial} x segment size
   ∈ {32 KB, 64 KB, 128 KB};
@@ -28,8 +34,8 @@ buffer keywords.
 
 from __future__ import annotations
 
-
-from typing import Optional
+from functools import partial
+from typing import Mapping, Optional, Sequence
 
 from ..nbc.coll import (
     start_iallgather,
@@ -49,7 +55,6 @@ from ..nbc.ireduce_scatter import REDUCE_SCATTER_ALGORITHMS
 from ..nbc.request import NBCRequest
 from ..sim.mpi import MPIContext
 from ..units import KiB
-from .attributes import Attribute, AttributeSet
 from .function import CollFunction, CollSpec, FunctionSet
 
 __all__ = [
@@ -83,6 +88,86 @@ def _fanout_label(fanout) -> str:
     return {0: "linear", 1: "chain", BINOMIAL: "binomial"}.get(fanout, f"{fanout}ary")
 
 
+def _seg_label(segsize: int) -> str:
+    return "noseg" if segsize == 0 else f"seg{segsize // KiB}KB"
+
+
+# -- makers: ``partial(maker, *params)(ctx, spec, buffers) -> NBCRequest`` --
+
+
+def _ibcast(fanout, segsize: int, ctx: MPIContext, spec: CollSpec,
+            buffers) -> NBCRequest:
+    return start_ibcast(ctx, spec.nbytes, spec.root, fanout, segsize,
+                        comm=spec.comm, buf=(buffers or {}).get("data"))
+
+
+def _ireduce(algorithm: str, segsize: int, ctx: MPIContext, spec: CollSpec,
+             buffers) -> NBCRequest:
+    return start_ireduce(ctx, spec.nbytes, spec.root, algorithm,
+                         comm=spec.comm, buf=(buffers or {}).get("data"),
+                         segsize=segsize)
+
+
+def _ialltoall(algorithm: str, ctx: MPIContext, spec: CollSpec,
+               buffers) -> NBCRequest:
+    buffers = buffers or {}
+    return start_ialltoall(ctx, spec.nbytes, algorithm, comm=spec.comm,
+                           sendbuf=buffers.get("send"),
+                           recvbuf=buffers.get("recv"))
+
+
+def _iallgather(algorithm: str, ctx: MPIContext, spec: CollSpec,
+                buffers) -> NBCRequest:
+    buffers = buffers or {}
+    return start_iallgather(ctx, spec.nbytes, algorithm, comm=spec.comm,
+                            sendbuf=buffers.get("send"),
+                            recvbuf=buffers.get("recv"))
+
+
+def _iallgatherv(algorithm: str, ctx: MPIContext, spec: CollSpec,
+                 buffers) -> NBCRequest:
+    buffers = buffers or {}
+    return start_iallgatherv(
+        ctx, balanced_counts(spec.nbytes, spec.comm.size), algorithm,
+        comm=spec.comm, sendbuf=buffers.get("send"),
+        recvbuf=buffers.get("recv"))
+
+
+def _ireduce_scatter(algorithm: str, ctx: MPIContext, spec: CollSpec,
+                     buffers) -> NBCRequest:
+    buffers = buffers or {}
+    return start_ireduce_scatter(ctx, spec.nbytes, algorithm, comm=spec.comm,
+                                 sendbuf=buffers.get("data"),
+                                 recvbuf=buffers.get("recv"))
+
+
+def _iallreduce(algorithm: str, ctx: MPIContext, spec: CollSpec,
+                buffers) -> NBCRequest:
+    return start_iallreduce(ctx, spec.nbytes, algorithm, comm=spec.comm,
+                            buf=(buffers or {}).get("data"))
+
+
+def _scatter_allgather(ctx: MPIContext, spec: CollSpec,
+                       buffers) -> NBCRequest:
+    comm = spec.comm
+    rank = comm.local_rank(ctx.rank)
+    sched = compiled_scatter_allgather(comm.size, rank, spec.root, spec.nbytes)
+    return start_plan(ctx, comm, rank, sched,
+                      data=(buffers or {}).get("data"))
+
+
+def _algorithm_set(name: str, maker, algorithms: Sequence[str],
+                   labels: Optional[Mapping[str, str]] = None) -> FunctionSet:
+    """One candidate per algorithm, its one attribute the algorithm's
+    label (``labels`` renames an algorithm; default: its own name)."""
+    labels = labels or {}
+    return FunctionSet(name, [
+        CollFunction(name=labels.get(a, a), maker=partial(maker, a),
+                     attributes={"algorithm": labels.get(a, a)})
+        for a in algorithms
+    ])
+
+
 def ibcast_function_set(hierarchical: bool = False) -> FunctionSet:
     """The 21-function non-blocking broadcast set (7 fan-outs x 3 segments).
 
@@ -91,28 +176,15 @@ def ibcast_function_set(hierarchical: bool = False) -> FunctionSet:
     first-class candidates the selection logic can pick.
     """
     fanouts = IBCAST_FANOUTS + ((HIER_FANOUT,) if hierarchical else ())
-    attrs = AttributeSet([
-        Attribute("fanout", fanouts),
-        Attribute("segsize", IBCAST_SEGSIZES),
-    ])
-    functions = []
-    for fanout in fanouts:
-        for segsize in IBCAST_SEGSIZES:
-            def maker(ctx: MPIContext, spec: CollSpec, buffers,
-                      fanout=fanout, segsize=segsize) -> NBCRequest:
-                return start_ibcast(ctx, spec.nbytes, spec.root, fanout,
-                                    segsize, comm=spec.comm,
-                                    buf=(buffers or {}).get("data"))
-
-            functions.append(CollFunction(
-                name=f"{_fanout_label(fanout)}_seg{segsize // KiB}KB",
-                maker=maker,
-                attributes={"fanout": fanout, "segsize": segsize},
-            ))
     # the hierarchical set is another tuning problem: its own name keeps
     # its history and checkpoint records apart from the flat set's
-    return FunctionSet("ibcast_hier" if hierarchical else "ibcast",
-                       functions, attrs)
+    return FunctionSet("ibcast_hier" if hierarchical else "ibcast", [
+        CollFunction(name=f"{_fanout_label(fanout)}_seg{segsize // KiB}KB",
+                     maker=partial(_ibcast, fanout, segsize),
+                     attributes={"fanout": fanout, "segsize": segsize})
+        for fanout in fanouts
+        for segsize in IBCAST_SEGSIZES
+    ])
 
 
 def scatter_allgather_function() -> CollFunction:
@@ -127,30 +199,12 @@ def scatter_allgather_function() -> CollFunction:
     :func:`~repro.nbc.coll.start_plan` bind step as the library's
     candidates, so a mock-up that wins can be adopted as one.
     """
-    def maker(ctx: MPIContext, spec: CollSpec, buffers) -> NBCRequest:
-        comm = spec.comm
-        rank = comm.local_rank(ctx.rank)
-        sched = compiled_scatter_allgather(comm.size, rank, spec.root,
-                                           spec.nbytes)
-        return start_plan(ctx, comm, rank, sched,
-                          data=(buffers or {}).get("data"))
-
-    return CollFunction(name="scatter_allgather", maker=maker)
+    return CollFunction(name="scatter_allgather", maker=_scatter_allgather)
 
 
 def ibcast_mockup_function_set() -> FunctionSet:
     """Single-function set holding the scatter+allgather bcast mock-up."""
     return FunctionSet("ibcast_mockup", [scatter_allgather_function()])
-
-
-def _alltoall_maker(algorithm: str):
-    def maker(ctx: MPIContext, spec: CollSpec, buffers) -> NBCRequest:
-        buffers = buffers or {}
-        return start_ialltoall(ctx, spec.nbytes, algorithm, comm=spec.comm,
-                               sendbuf=buffers.get("send"),
-                               recvbuf=buffers.get("recv"))
-
-    return maker
 
 
 def ialltoall_function_set(hierarchical: bool = False) -> FunctionSet:
@@ -159,17 +213,9 @@ def ialltoall_function_set(hierarchical: bool = False) -> FunctionSet:
     ``hierarchical=True`` adds the leader-based two-level candidate
     (gather / inter-leader pairwise exchange / scatter).
     """
-    names = {**_A2A_NAME, "hier": "hier"} if hierarchical else _A2A_NAME
-    attrs = AttributeSet([
-        Attribute("algorithm", tuple(names.values())),
-    ])
-    functions = [
-        CollFunction(name=label, maker=_alltoall_maker(algorithm),
-                     attributes={"algorithm": label})
-        for algorithm, label in names.items()
-    ]
-    return FunctionSet("ialltoall_hier" if hierarchical else "ialltoall",
-                       functions, attrs)
+    algorithms = tuple(_A2A_NAME) + (("hier",) if hierarchical else ())
+    return _algorithm_set("ialltoall_hier" if hierarchical else "ialltoall",
+                          _ialltoall, algorithms, _A2A_NAME)
 
 
 def ialltoall_extended_function_set() -> FunctionSet:
@@ -180,21 +226,14 @@ def ialltoall_extended_function_set() -> FunctionSet:
     decides at run time whether the code section benefits from
     overlapping at all.
     """
-    attrs = AttributeSet([
-        Attribute("algorithm", tuple(_A2A_NAME.values())),
-        Attribute("blocking", (False, True)),
+    return FunctionSet("ialltoall_ext", [
+        CollFunction(name=("blocking_" if blocking else "") + label,
+                     maker=partial(_ialltoall, algorithm),
+                     attributes={"algorithm": label, "blocking": blocking},
+                     blocking=blocking)
+        for blocking in (False, True)
+        for algorithm, label in _A2A_NAME.items()
     ])
-    functions = []
-    for blocking in (False, True):
-        for algorithm, label in _A2A_NAME.items():
-            prefix = "blocking_" if blocking else ""
-            functions.append(CollFunction(
-                name=f"{prefix}{label}",
-                maker=_alltoall_maker(algorithm),
-                attributes={"algorithm": label, "blocking": blocking},
-                blocking=blocking,
-            ))
-    return FunctionSet("ialltoall_ext", functions, attrs)
 
 
 def iallgather_function_set(size: Optional[int] = None) -> FunctionSet:
@@ -203,44 +242,18 @@ def iallgather_function_set(size: Optional[int] = None) -> FunctionSet:
     algos = ["ring", "linear"]
     if size is None or (size > 0 and size & (size - 1) == 0):
         algos.append("recursive_doubling")
-    attrs = AttributeSet([Attribute("algorithm", tuple(algos))])
-    functions = []
-    for algorithm in algos:
-        def maker(ctx, spec, buffers, algorithm=algorithm):
-            buffers = buffers or {}
-            return start_iallgather(ctx, spec.nbytes, algorithm,
-                                    comm=spec.comm,
-                                    sendbuf=buffers.get("send"),
-                                    recvbuf=buffers.get("recv"))
-
-        functions.append(CollFunction(
-            name=algorithm, maker=maker, attributes={"algorithm": algorithm},
-        ))
-    return FunctionSet("iallgather", functions, attrs)
+    return _algorithm_set("iallgather", _iallgather, algos)
 
 
 def ireduce_function_set(segsizes=(0, 64 * KiB)) -> FunctionSet:
     """Reduce set: binomial tree plus (segmented) chain pipelines."""
-    attrs = AttributeSet([
-        Attribute("algorithm", ("binomial", "chain")),
-        Attribute("segsize", tuple(segsizes)),
+    return FunctionSet("ireduce", [
+        CollFunction(name=f"{algorithm}_{_seg_label(segsize)}",
+                     maker=partial(_ireduce, algorithm, segsize),
+                     attributes={"algorithm": algorithm, "segsize": segsize})
+        for algorithm in ("binomial", "chain")
+        for segsize in segsizes
     ])
-    functions = []
-    for algorithm in ("binomial", "chain"):
-        for segsize in segsizes:
-            def maker(ctx, spec, buffers, algorithm=algorithm, segsize=segsize):
-                return start_ireduce(ctx, spec.nbytes, spec.root, algorithm,
-                                     comm=spec.comm,
-                                     buf=(buffers or {}).get("data"),
-                                     segsize=segsize)
-
-            seg_label = "noseg" if segsize == 0 else f"seg{segsize // KiB}KB"
-            functions.append(CollFunction(
-                name=f"{algorithm}_{seg_label}",
-                maker=maker,
-                attributes={"algorithm": algorithm, "segsize": segsize},
-            ))
-    return FunctionSet("ireduce", functions, attrs)
 
 
 def iallgatherv_function_set() -> FunctionSet:
@@ -251,20 +264,7 @@ def iallgatherv_function_set() -> FunctionSet:
     split (uneven whenever P does not divide the total), so the
     variable-count paths are exercised on every run.
     """
-    attrs = AttributeSet([Attribute("algorithm", ALLGATHERV_ALGORITHMS)])
-    functions = []
-    for algorithm in ALLGATHERV_ALGORITHMS:
-        def maker(ctx, spec, buffers, algorithm=algorithm):
-            buffers = buffers or {}
-            return start_iallgatherv(
-                ctx, balanced_counts(spec.nbytes, spec.comm.size), algorithm,
-                comm=spec.comm, sendbuf=buffers.get("send"),
-                recvbuf=buffers.get("recv"))
-
-        functions.append(CollFunction(
-            name=algorithm, maker=maker, attributes={"algorithm": algorithm},
-        ))
-    return FunctionSet("iallgatherv", functions, attrs)
+    return _algorithm_set("iallgatherv", _iallgatherv, ALLGATHERV_ALGORITHMS)
 
 
 def ireduce_scatter_function_set() -> FunctionSet:
@@ -274,20 +274,8 @@ def ireduce_scatter_function_set() -> FunctionSet:
     ``P * nbytes`` in ``"data"`` and receives its reduced block in
     ``"recv"``), mirroring the all-to-all's bytes-per-pair convention.
     """
-    attrs = AttributeSet([Attribute("algorithm", REDUCE_SCATTER_ALGORITHMS)])
-    functions = []
-    for algorithm in REDUCE_SCATTER_ALGORITHMS:
-        def maker(ctx, spec, buffers, algorithm=algorithm):
-            buffers = buffers or {}
-            return start_ireduce_scatter(ctx, spec.nbytes, algorithm,
-                                         comm=spec.comm,
-                                         sendbuf=buffers.get("data"),
-                                         recvbuf=buffers.get("recv"))
-
-        functions.append(CollFunction(
-            name=algorithm, maker=maker, attributes={"algorithm": algorithm},
-        ))
-    return FunctionSet("ireduce_scatter", functions, attrs)
+    return _algorithm_set("ireduce_scatter", _ireduce_scatter,
+                          REDUCE_SCATTER_ALGORITHMS)
 
 
 def iallreduce_function_set() -> FunctionSet:
@@ -296,15 +284,4 @@ def iallreduce_function_set() -> FunctionSet:
     ``spec.nbytes`` is the full vector each rank contributes in
     ``"data"`` (also the in-place result buffer).
     """
-    attrs = AttributeSet([Attribute("algorithm", ALLREDUCE_ALGORITHMS)])
-    functions = []
-    for algorithm in ALLREDUCE_ALGORITHMS:
-        def maker(ctx, spec, buffers, algorithm=algorithm):
-            return start_iallreduce(ctx, spec.nbytes, algorithm,
-                                    comm=spec.comm,
-                                    buf=(buffers or {}).get("data"))
-
-        functions.append(CollFunction(
-            name=algorithm, maker=maker, attributes={"algorithm": algorithm},
-        ))
-    return FunctionSet("iallreduce", functions, attrs)
+    return _algorithm_set("iallreduce", _iallreduce, ALLREDUCE_ALGORITHMS)

@@ -4,7 +4,9 @@
   (e.g. the non-blocking all-to-all),
 * a **function** is one concrete implementation in that set (e.g. the
   pairwise-exchange algorithm),
-* each function may carry attribute values describing it.
+* each function may carry attribute values describing it; the set
+  derives its attribute domains from them
+  (:attr:`FunctionSet.attribute_set`).
 
 A function is *non-blocking* (separate init/wait — the normal case) or
 *blocking* (the wait pointer left empty; the init performs the whole
@@ -22,7 +24,6 @@ import numpy as np
 from ..errors import AdclError
 from ..nbc.request import NBCRequest
 from ..sim.mpi import MPIContext, SimComm
-from .attributes import AttributeSet
 
 __all__ = ["CollSpec", "CollFunction", "FunctionSet"]
 
@@ -76,25 +77,29 @@ class CollFunction:
 
 
 class FunctionSet:
-    """An operation with its pool of candidate implementations."""
+    """An operation with its pool of candidate implementations.
 
-    def __init__(
-        self,
-        name: str,
-        functions: Sequence[CollFunction],
-        attribute_set: Optional[AttributeSet] = None,
-    ):
+    ``attribute_set`` maps each attribute name to the tuple of its
+    values, both in order of first appearance among the candidates; it
+    is ``None`` unless every candidate names the same attributes (an
+    attribute-less or mixed set).
+    """
+
+    def __init__(self, name: str, functions: Sequence[CollFunction]):
         if not functions:
             raise AdclError(f"function-set {name!r} needs at least one function")
         names = [f.name for f in functions]
         if len(set(names)) != len(names):
             raise AdclError(f"duplicate function names in {name!r}: {names}")
-        if attribute_set is not None:
-            for f in functions:
-                attribute_set.validate_values(f.attributes)
         self.name = name
         self.functions = tuple(functions)
-        self.attribute_set = attribute_set
+        self.attribute_set: Optional[dict[str, tuple]] = None
+        keys = functions[0].attributes.keys()
+        if keys and all(f.attributes.keys() == keys for f in functions):
+            self.attribute_set = {
+                k: tuple(dict.fromkeys(f.attributes[k] for f in functions))
+                for k in keys
+            }
 
     def __len__(self) -> int:
         return len(self.functions)

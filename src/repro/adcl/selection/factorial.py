@@ -2,9 +2,10 @@
 
 Unlike the one-attribute-at-a-time heuristic, the factorial design can
 prune a search space with **correlated** parameters: it evaluates every
-combination of two extreme *levels* (low/high) per attribute — ``2^k``
-corner points — and computes per-attribute main effects plus the winner
-corner.  Each attribute is then pinned to its better level (judged by
+combination of two extreme *levels* (low/high) per attribute — the
+first and last value of its derived domain, ``2^k`` corner points — and
+computes per-attribute main effects plus the winner corner.  Each
+attribute is then pinned to its better level (judged by
 the mean over the corners containing it), and the function matching the
 chosen levels wins; if the exact combination does not exist in the set,
 the measured corner with the lowest time wins instead.
@@ -33,19 +34,19 @@ class FactorialSelector(Selector):
                  filter_method: str = "cluster"):
         super().__init__(fnset, evals_per_function, filter_method)
         aset = fnset.attribute_set
-        if aset is None or len(aset) == 0:
+        if not aset:
             raise SelectionError(
                 "FactorialSelector needs a function-set with attributes"
             )
         self._levels: dict[str, tuple[Any, Any]] = {
-            a.name: (a.values[0], a.values[-1]) for a in aset
+            name: (values[0], values[-1]) for name, values in aset.items()
         }
         self._corners: list[int] = []
         self._corner_values: list[dict[str, Any]] = []
         for bits in itertools.product((0, 1), repeat=len(aset)):
             values = {
                 name: self._levels[name][b]
-                for name, b in zip(aset.names, bits)
+                for name, b in zip(aset, bits)
             }
             matches = fnset.subset_where(**values)
             if matches:

@@ -2,7 +2,8 @@
 
 Assumption: the fastest implementation also has the optimal value for
 every attribute *independently*.  The heuristic therefore decides one
-attribute at a time:
+attribute at a time, in the order of the set's derived attribute
+domains (:attr:`~repro.adcl.function.FunctionSet.attribute_set`):
 
 * round *i* evaluates the functions that share the already-decided
   attribute values (and baseline values for the not-yet-considered
@@ -32,12 +33,8 @@ class HeuristicSelector(Selector):
     def __init__(self, fnset: FunctionSet, evals_per_function: int = 5,
                  filter_method: str = "cluster"):
         super().__init__(fnset, evals_per_function, filter_method)
-        aset = fnset.attribute_set
-        if aset is None or len(aset) == 0:
-            # no attributes: degenerate to evaluating every function once
-            self._attr_order = []
-        else:
-            self._attr_order = list(aset.names)
+        # no attributes: degenerate to evaluating every function once
+        self._attr_order = list(fnset.attribute_set or ())
         self._baseline = dict(fnset[0].attributes)
         self._decided_values: dict[str, object] = {}
         #: per-iteration plan of function indices, extended round by round

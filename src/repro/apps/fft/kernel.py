@@ -53,7 +53,16 @@ from .patterns import get_pattern
 
 __all__ = ["FFTConfig", "FFTResult", "run_fft", "FFT_METHODS"]
 
-FFT_METHODS = ("libnbc", "adcl", "adcl_ext", "mpi")
+#: method -> (its function-set factory, the candidate a fixed method
+#: always runs; ``None`` tunes the set by brute force)
+_METHODS = {
+    "libnbc": (ialltoall_function_set, "linear"),
+    "adcl": (ialltoall_function_set, None),
+    "adcl_ext": (ialltoall_extended_function_set, None),
+    "mpi": (ialltoall_extended_function_set, "blocking_pairwise"),
+}
+
+FFT_METHODS = tuple(_METHODS)
 
 
 @dataclass(frozen=True)
@@ -133,18 +142,10 @@ class FFTResult(RunSummary):
 
 def _make_request(config: FFTConfig, world: SimWorld, m: int) -> ADCLRequest:
     spec = CollSpec("alltoall", world.comm_world, m)
-    if config.method == "libnbc":
-        fnset = ialltoall_function_set()
-        selector = FixedSelector(fnset, fnset.index_of("linear"))
-    elif config.method == "mpi":
-        fnset = ialltoall_extended_function_set()
-        selector = FixedSelector(fnset, fnset.index_of("blocking_pairwise"))
-    elif config.method == "adcl":
-        fnset = ialltoall_function_set()
-        selector = "brute_force"
-    else:  # adcl_ext
-        fnset = ialltoall_extended_function_set()
-        selector = "brute_force"
+    factory, fixed = _METHODS[config.method]
+    fnset = factory()
+    selector = ("brute_force" if fixed is None
+                else FixedSelector(fnset, fnset.index_of(fixed)))
     return ADCLRequest(fnset, spec, selector=selector,
                        evals_per_function=config.evals_per_function)
 

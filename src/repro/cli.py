@@ -64,8 +64,9 @@ except ImportError:  # pragma: no cover - not available on Windows
     resource = None
 
 from .adcl.checkpoint import CheckpointStore
+from .adcl.request import SELECTOR_NAMES
 from .adcl.resilience import ULFM, Resilience
-from .apps.fft import FFTConfig
+from .apps.fft import FFT_METHODS, PATTERNS, FFTConfig
 from .bench import (
     OPERATION_KINDS,
     OverlapConfig,
@@ -219,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf_flags(p_tune, parallel=False)
     obs_flags(p_tune)
     p_tune.add_argument("--selector", default="brute_force",
-                        choices=["brute_force", "heuristic", "factorial"])
+                        choices=SELECTOR_NAMES)
     p_tune.add_argument("--evals", type=int, default=3,
                         help="measurements per candidate implementation")
     mode = p_tune.add_mutually_exclusive_group()
@@ -254,11 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fft.add_argument("--nprocs", type=int, default=16)
     p_fft.add_argument("--n", type=int, default=160, help="FFT size (N^3)")
     p_fft.add_argument("--pattern", default="window_tiled",
-                       choices=["pipelined", "tiled", "windowed", "window_tiled"])
+                       choices=tuple(PATTERNS))
     p_fft.add_argument("--iterations", type=int, default=12)
     p_fft.add_argument("--methods", nargs="+",
                        default=["libnbc", "adcl", "mpi"],
-                       choices=["libnbc", "adcl", "adcl_ext", "mpi"])
+                       choices=FFT_METHODS)
     perf_flags(p_fft)
 
     p_serve = sub.add_parser(

@@ -22,7 +22,6 @@ import itertools
 import random
 from typing import List, Sequence, Tuple
 
-from ..adcl.attributes import Attribute, AttributeSet
 from ..adcl.function import CollFunction, FunctionSet
 from ..adcl.request import make_selector
 from ..errors import GuidelineError
@@ -74,9 +73,6 @@ def synthetic_function_set(
     planted_index = rng.randrange(len(cells))
     costs[planted_index] = PLANT_FACTOR * min(costs)
 
-    attrs = AttributeSet([
-        Attribute(f"a{i}", tuple(range(n))) for i, n in enumerate(levels)
-    ])
     functions = [
         CollFunction(
             name="cand_" + "_".join(f"a{i}{v}" for i, v in enumerate(cell)),
@@ -85,8 +81,7 @@ def synthetic_function_set(
         )
         for cell in cells
     ]
-    return FunctionSet("guideline_mockup", functions, attrs), costs, \
-        planted_index
+    return FunctionSet("guideline_mockup", functions), costs, planted_index
 
 
 def plant_and_select(probe: dict) -> dict:

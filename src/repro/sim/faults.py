@@ -315,9 +315,6 @@ class FaultInjector:
         self._failed_rails: set[tuple[int, int]] = set()
         self._stragglers: dict[int, float] = dict(plan.stragglers)
         self._installed = False
-        #: world ranks the plan has killed so far (observability mirror of
-        #: the authoritative set kept by :class:`~repro.sim.mpi.SimWorld`)
-        self.dead: set[int] = set()
         #: callback invoked when a crash fires; SimWorld wires this to its
         #: crash handler before calling :meth:`install`
         self.on_rank_crash = None
@@ -399,9 +396,6 @@ class FaultInjector:
         self._window("rail", False, {"node": rf.node, "rail": rf.rail})
 
     def _crash(self, crash: RankCrash) -> None:
-        if crash.rank in self.dead:
-            return
-        self.dead.add(crash.rank)
         self.ranks_crashed += 1
         if self.on_rank_crash is not None:
             self.on_rank_crash(crash)

@@ -26,11 +26,9 @@ from repro.units import KiB
 def test_ibcast_set_has_paper_shape():
     fnset = ibcast_function_set()
     assert len(fnset) == 21  # 7 fan-outs x 3 segment sizes
-    aset = fnset.attribute_set
-    assert aset.names == ("fanout", "segsize")
-    assert aset.get("fanout").values == IBCAST_FANOUTS
-    assert aset.get("segsize").values == IBCAST_SEGSIZES
-    assert aset.cardinality() == 21
+    assert fnset.attribute_set == {
+        "fanout": IBCAST_FANOUTS, "segsize": IBCAST_SEGSIZES}
+    assert list(fnset.attribute_set) == ["fanout", "segsize"]
     # every combination appears exactly once
     for fanout in IBCAST_FANOUTS:
         for segsize in IBCAST_SEGSIZES:
@@ -59,8 +57,7 @@ def test_extended_set_adds_blocking_variants():
     assert blocking == {
         "blocking_linear", "blocking_dissemination", "blocking_pairwise"
     }
-    aset = fnset.attribute_set
-    assert set(aset.names) == {"algorithm", "blocking"}
+    assert set(fnset.attribute_set) == {"algorithm", "blocking"}
 
 
 def test_iallgather_set_respects_power_of_two():
@@ -73,7 +70,7 @@ def test_iallgather_set_respects_power_of_two():
 def test_ireduce_set_cross_product():
     fnset = ireduce_function_set()
     assert len(fnset) == 4  # 2 algorithms x 2 segment settings
-    assert fnset.attribute_set.cardinality() == 4
+    assert [len(v) for v in fnset.attribute_set.values()] == [2, 2]
 
 
 def test_index_of_and_errors():

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.adcl import (
-    Attribute,
-    AttributeSet,
     BruteForceSelector,
     CollFunction,
     FactorialSelector,
@@ -22,13 +20,12 @@ def _dummy_maker(ctx, spec, buffers):  # pragma: no cover - never invoked
 
 def grid_fnset(avals=(1, 2, 3), bvals=("x", "y")):
     """A full cross-product function-set with synthetic attributes."""
-    attrs = AttributeSet([Attribute("a", avals), Attribute("b", bvals)])
     fns = [
         CollFunction(f"f_a{a}_b{b}", _dummy_maker, {"a": a, "b": b})
         for a in avals
         for b in bvals
     ]
-    return FunctionSet("grid", fns, attrs)
+    return FunctionSet("grid", fns)
 
 
 def drive(selector, cost_fn, max_iters=500):
@@ -173,12 +170,11 @@ def test_heuristic_on_sparse_set_stays_within_reachable_functions():
     explore: pinning b='x' while varying 'a' only ever reaches f1, so f2
     is invisible even if cheaper — the documented limitation of the
     one-attribute-at-a-time assumption."""
-    attrs = AttributeSet([Attribute("a", (1, 2)), Attribute("b", ("x", "y"))])
     fns = [
         CollFunction("f1", _dummy_maker, {"a": 1, "b": "x"}),
         CollFunction("f2", _dummy_maker, {"a": 2, "b": "y"}),
     ]
-    fnset = FunctionSet("sparse", fns, attrs)
+    fnset = FunctionSet("sparse", fns)
     sel = HeuristicSelector(fnset, evals_per_function=1)
     drive(sel, lambda i: 1.0 if i == 0 else 0.1)
     assert sel.winner == 0

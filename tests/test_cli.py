@@ -370,3 +370,23 @@ def test_tune_rejects_a_rank_crashing_twice(flags, capsys):
         main(["tune", "--ft", "--nprocs", "8", "--iterations", "3", *flags])
     assert exc.value.code == 2
     assert "rank 3 crashes more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,option,registry", [
+    ("tune", "--selector", "SELECTOR_NAMES"),
+    ("fft", "--methods", "FFT_METHODS"),
+    ("fft", "--pattern", "PATTERNS"),
+])
+def test_choices_are_the_registries(command, option, registry):
+    import argparse
+
+    from repro.adcl import SELECTOR_NAMES
+    from repro.apps.fft import FFT_METHODS, PATTERNS
+
+    expected = {"SELECTOR_NAMES": SELECTOR_NAMES, "FFT_METHODS": FFT_METHODS,
+                "PATTERNS": PATTERNS}[registry]
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions
+                  if option in a.option_strings)
+    assert list(action.choices) == list(expected)

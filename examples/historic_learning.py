@@ -25,37 +25,37 @@ def main() -> None:
         compute_total=10.0, paper_iterations=1000,
         iterations=30, nprogress=5,
     )
-    path = os.path.join(tempfile.mkdtemp(prefix="repro-history-"),
-                        "history.json")
-    store = HistoryStore(path)
+    with tempfile.TemporaryDirectory(prefix="repro-history-") as tmp:
+        path = os.path.join(tmp, "history.json")
+        store = HistoryStore(path)
 
-    print("first execution (cold store): full learning phase")
-    first = run_overlap(cfg, selector="brute_force",
-                        evals_per_function=5, history=store)
-    learn = sum(r.seconds for r in first.records if r.learning)
-    print(f"  winner {first.winner!r} decided at iteration "
-          f"{first.decided_at}; learning cost {fmt_time(learn)}; "
-          f"total {fmt_time(first.total_time)}")
+        print("first execution (cold store): full learning phase")
+        first = run_overlap(cfg, selector="brute_force",
+                            evals_per_function=5, history=store)
+        learn = sum(r.seconds for r in first.records if r.learning)
+        print(f"  winner {first.winner!r} decided at iteration "
+              f"{first.decided_at}; learning cost {fmt_time(learn)}; "
+              f"total {fmt_time(first.total_time)}")
 
-    print(f"\nhistory store now holds {len(store)} record(s) at {path}")
+        print(f"\nhistory store now holds {len(store)} record(s) at {path}")
 
-    print("\nsecond execution (warm store): learning skipped entirely")
-    second = run_overlap(cfg, selector="brute_force",
-                         evals_per_function=5, history=store)
-    print(f"  every iteration uses {second.winner!r} from the store; "
-          f"total {fmt_time(second.total_time)}")
+        print("\nsecond execution (warm store): learning skipped entirely")
+        second = run_overlap(cfg, selector="brute_force",
+                             evals_per_function=5, history=store)
+        print(f"  every iteration uses {second.winner!r} from the store; "
+              f"total {fmt_time(second.total_time)}")
 
-    saved = first.total_time - second.total_time
-    print(f"\n-> the warm run is {fmt_time(saved)} "
-          f"({100 * saved / first.total_time:.1f}%) cheaper for the same "
-          f"{cfg.iterations} iterations.")
+        saved = first.total_time - second.total_time
+        print(f"\n-> the warm run is {fmt_time(saved)} "
+              f"({100 * saved / first.total_time:.1f}%) cheaper for the same "
+              f"{cfg.iterations} iterations.")
 
-    print("\na different message size is a different tuning problem:")
-    other = OverlapConfig(**{**cfg.__dict__, "nbytes": 1 * KiB})
-    third = run_overlap(other, selector="brute_force",
-                        evals_per_function=5, history=store)
-    print(f"  1KB run learned from scratch and chose {third.winner!r}; "
-          f"store now holds {len(store)} records")
+        print("\na different message size is a different tuning problem:")
+        other = OverlapConfig(**{**cfg.__dict__, "nbytes": 1 * KiB})
+        third = run_overlap(other, selector="brute_force",
+                            evals_per_function=5, history=store)
+        print(f"  1KB run learned from scratch and chose {third.winner!r}; "
+              f"store now holds {len(store)} records")
 
 
 if __name__ == "__main__":

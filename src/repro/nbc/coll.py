@@ -43,7 +43,13 @@ from .ibcast import BINOMIAL, compiled_ibcast
 from .ireduce import compiled_ireduce
 from .ireduce_scatter import compiled_ireduce_scatter
 from .request import NBCRequest, make_buffers
-from .schedule import SCHEDULE_CACHE, CompiledSchedule, Schedule, identity_peers
+from .schedule import (
+    SCHEDULE_CACHE,
+    CompiledSchedule,
+    Schedule,
+    identity_peers,
+    rotation_peers,
+)
 
 __all__ = [
     "start_plan",
@@ -131,9 +137,11 @@ def start_ialltoall(
     if algorithm == "hier":
         g = _partition(ctx, comm, groups)
         sched = compiled_hier_ialltoall(comm.size, rank, m, g)
+        peers = None
     else:
-        sched = compiled_ialltoall(comm.size, rank, m, algorithm)
-    return start_plan(ctx, comm, rank, sched, send=sendbuf, recv=recvbuf)
+        sched, peers = compiled_ialltoall(comm.size, rank, m, algorithm)
+    return start_plan(ctx, comm, rank, sched, peers, send=sendbuf,
+                      recv=recvbuf)
 
 
 def start_ibcast(
@@ -172,8 +180,9 @@ def start_iallgather(
 ) -> NBCRequest:
     """Post a non-blocking all-gather of ``m`` bytes per rank."""
     comm, rank = _local_rank(ctx, comm)
-    sched = compiled_iallgather(comm.size, rank, m, algorithm)
-    return start_plan(ctx, comm, rank, sched, send=sendbuf, recv=recvbuf)
+    sched, peers = compiled_iallgather(comm.size, rank, m, algorithm)
+    return start_plan(ctx, comm, rank, sched, peers, send=sendbuf,
+                      recv=recvbuf)
 
 
 def start_ireduce(
@@ -226,9 +235,10 @@ def start_ireduce_scatter(
     reduced ``m``-byte block lands in ``recvbuf``.
     """
     comm, rank = _local_rank(ctx, comm)
-    sched = compiled_ireduce_scatter(comm.size, rank, m, algorithm,
-                                     dtype=dtype, op=op)
-    return start_plan(ctx, comm, rank, sched, data=sendbuf, recv=recvbuf)
+    sched, peers = compiled_ireduce_scatter(comm.size, rank, m, algorithm,
+                                            dtype=dtype, op=op)
+    return start_plan(ctx, comm, rank, sched, peers, data=sendbuf,
+                      recv=recvbuf)
 
 
 def start_iallreduce(
@@ -249,15 +259,16 @@ def start_iallreduce(
     return start_plan(ctx, comm, rank, sched, data=buf)
 
 
-def _barrier_schedule(size: int, rank: int) -> Schedule:
-    """Dissemination barrier: ceil(log2 P) zero-byte exchange rounds."""
+def _barrier_schedule(size: int) -> Schedule:
+    """Dissemination barrier: ceil(log2 P) zero-byte exchange rounds,
+    round *k* with ranks ``rank -/+ 2^k`` (a rotation template)."""
     sched = Schedule(name="ibarrier[dissemination]")
     nrounds = math.ceil(math.log2(size)) if size > 1 else 0
     for k in range(nrounds):
         d = 1 << k
         sched.round()
-        sched.recv((rank - d) % size, 0, tagoff=k)
-        sched.send((rank + d) % size, 0, tagoff=k)
+        sched.recv(size - d, 0, tagoff=k)
+        sched.send(d, 0, tagoff=k)
     return sched
 
 
@@ -265,10 +276,11 @@ def start_ibarrier(ctx: MPIContext, comm: Optional[SimComm] = None) -> NBCReques
     """Post a non-blocking dissemination barrier."""
     comm, rank = _local_rank(ctx, comm)
     sched = SCHEDULE_CACHE.get(
-        ("barrier", "dissemination", comm.size, rank, 0, 0, 0),
-        lambda: _barrier_schedule(comm.size, rank),
+        ("barrier", "dissemination", comm.size),
+        lambda: _barrier_schedule(comm.size),
     )
-    return start_plan(ctx, comm, rank, sched)
+    return start_plan(ctx, comm, rank, sched,
+                      rotation_peers(comm.size, rank))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,13 @@ provide the three classic algorithms so the library is complete:
   chunk each time (requires a power-of-two process count);
 * **linear** — everybody sends its block to everybody in one round.
 
+Ring and linear name every peer, and every ``"recv"`` block, by rank
+offset, so each compiles one *rotation template* (rank 0's plan, slot
+*s* meaning rank ``(rank + s) % P``) bound per request to
+:func:`~repro.nbc.schedule.rotation_peers`.  Recursive doubling pairs
+``rank XOR 2^k``, which is no rotation: it stays one plan per rank,
+bound to :func:`~repro.nbc.schedule.identity_peers`.
+
 Buffers: ``"send"`` is this rank's contribution (``m`` bytes), ``"recv"``
 is the full ``P x m`` result.
 """
@@ -18,47 +25,54 @@ from __future__ import annotations
 import math
 
 from ..errors import ScheduleError
-from .schedule import SCHEDULE_CACHE, Schedule
+from .schedule import (
+    SCHEDULE_CACHE,
+    Schedule,
+    identity_peers,
+    peer_block,
+    rotation_peers,
+)
 
 __all__ = ["ALLGATHER_ALGORITHMS", "build_iallgather", "compiled_iallgather"]
 
 ALLGATHER_ALGORITHMS = ("ring", "recursive_doubling", "linear")
 
 
-def _block(idx: int, m: int) -> tuple[str, int, int]:
-    return ("recv", idx * m, m)
-
-
 def build_iallgather(size: int, rank: int, m: int, algorithm: str) -> Schedule:
-    """Build this rank's schedule for an all-gather of ``m`` bytes/rank."""
+    """Build the plan ``rank`` runs for an all-gather of ``m`` bytes/rank.
+
+    Ring and linear build their rotation template, the same for every
+    rank (bind it to ``rotation_peers(size, rank)``); recursive doubling
+    builds this rank's own plan (bind it to ``identity_peers(size)``).
+    :func:`compiled_iallgather` returns the plan with its table.
+    """
     if size <= 0 or not 0 <= rank < size:
         raise ScheduleError(f"bad allgather geometry size={size} rank={rank}")
     if m < 0:
         raise ScheduleError(f"negative block size {m}")
     if algorithm == "ring":
-        return _ring(size, rank, m)
+        return _ring(size, m)
     if algorithm == "recursive_doubling":
         return _recursive_doubling(size, rank, m)
     if algorithm == "linear":
-        return _linear(size, rank, m)
+        return _linear(size, m)
     raise ScheduleError(
         f"unknown allgather algorithm {algorithm!r}; "
         f"expected one of {ALLGATHER_ALGORITHMS}"
     )
 
 
-def _ring(size: int, rank: int, m: int) -> Schedule:
+def _ring(size: int, m: int) -> Schedule:
     sched = Schedule(name="iallgather[ring]")
     sched.round()
-    sched.copy(m, src=("send", 0, m), dst=_block(rank, m))
-    right = (rank + 1) % size
-    left = (rank - 1) % size
+    sched.copy(m, src=("send", 0, m), dst=peer_block("recv", 0, m, size))
+    # round r forwards block rank - r to the right (rank + 1) and
+    # receives block rank - r - 1 from the left (rank - 1)
     for r in range(size - 1):
-        outgoing = (rank - r) % size
-        incoming = (rank - r - 1) % size
         sched.round()
-        sched.recv(left, m, tagoff=r, dst=_block(incoming, m))
-        sched.send(right, m, tagoff=r, src=_block(outgoing, m))
+        sched.recv(size - 1, m, tagoff=r,
+                   dst=peer_block("recv", (-r - 1) % size, m, size))
+        sched.send(1, m, tagoff=r, src=peer_block("recv", -r % size, m, size))
     return sched
 
 
@@ -69,7 +83,7 @@ def _recursive_doubling(size: int, rank: int, m: int) -> Schedule:
         )
     sched = Schedule(name="iallgather[rdbl]")
     sched.round()
-    sched.copy(m, src=("send", 0, m), dst=_block(rank, m))
+    sched.copy(m, src=("send", 0, m), dst=("recv", rank * m, m))
     nrounds = int(math.log2(size)) if size > 1 else 0
     for k in range(nrounds):
         d = 1 << k
@@ -85,22 +99,29 @@ def _recursive_doubling(size: int, rank: int, m: int) -> Schedule:
     return sched
 
 
-def _linear(size: int, rank: int, m: int) -> Schedule:
+def _linear(size: int, m: int) -> Schedule:
     sched = Schedule(name="iallgather[linear]")
     sched.round()
-    sched.copy(m, src=("send", 0, m), dst=_block(rank, m))
-    for i in range(1, size):
-        peer = (rank + i) % size
-        sched.recv(peer, m, tagoff=0, dst=_block(peer, m))
-    for i in range(1, size):
-        peer = (rank + i) % size
-        sched.send(peer, m, tagoff=0, src=("send", 0, m))
+    sched.copy(m, src=("send", 0, m), dst=peer_block("recv", 0, m, size))
+    for s in range(1, size):
+        sched.recv(s, m, tagoff=0, dst=peer_block("recv", s, m, size))
+    for s in range(1, size):
+        sched.send(s, m, tagoff=0, src=("send", 0, m))
     return sched
 
 
 def compiled_iallgather(size: int, rank: int, m: int, algorithm: str):
-    """Cached compiled plan for :func:`build_iallgather` (same arguments)."""
-    return SCHEDULE_CACHE.get(
-        ("allgather", algorithm, size, rank, m, 0, 0),
-        lambda: build_iallgather(size, rank, m, algorithm),
-    )
+    """``(plan, peers)`` for :func:`build_iallgather` (same arguments):
+    the cached rotation template with ``rank``'s rotation table, or the
+    cached per-rank plan with the identity table."""
+    if not 0 <= rank < size:
+        raise ScheduleError(f"bad allgather geometry size={size} rank={rank}")
+    if algorithm == "recursive_doubling":
+        key = ("allgather", algorithm, size, rank, m)
+        peers = identity_peers(size)
+    else:
+        key = ("allgather", algorithm, size, m)
+        peers = rotation_peers(size, rank)
+    plan = SCHEDULE_CACHE.get(
+        key, lambda: build_iallgather(size, rank, m, algorithm))
+    return plan, peers

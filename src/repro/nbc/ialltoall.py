@@ -13,10 +13,17 @@ The paper's ``Ialltoall`` function-set contains three algorithms
   latency dominates, loses for large ones because it moves
   ``log2(P)/2`` times the data.
 
+Every algorithm names its peers by rank offset, so one *rotation
+template* per algorithm serves all ranks: the plan rank 0 runs, with
+peer slot *s* meaning rank ``(rank + s) % P``, bound per request to
+:func:`~repro.nbc.schedule.rotation_peers`.
+
 Buffers: ``"send"`` and ``"recv"`` are the user buffers (``P x m``
-bytes); Bruck additionally uses ``"tmp"`` (``P x m``) and the staging
-areas ``"so"`` / ``"si"`` (the largest round's block count ``x m``).
-The compiled plan derives those sizes from its own ops
+bytes), addressed by peer through slot-relative
+:data:`~repro.nbc.schedule.SlotSpec` blocks; Bruck additionally uses
+``"tmp"`` (``P x m``) and the staging areas ``"so"`` / ``"si"`` (the
+largest round's block count ``x m``).  The compiled plan derives those
+sizes from its own ops
 (:attr:`~repro.nbc.schedule.CompiledSchedule.scratch`).
 """
 
@@ -25,7 +32,7 @@ from __future__ import annotations
 import math
 
 from ..errors import ScheduleError
-from .schedule import SCHEDULE_CACHE, Schedule
+from .schedule import SCHEDULE_CACHE, Schedule, peer_block, rotation_peers
 
 __all__ = [
     "ALLTOALL_ALGORITHMS",
@@ -43,18 +50,22 @@ def bruck_final_source(size: int, rank: int, j: int) -> int:
     return (rank - j) % size
 
 
-def build_ialltoall(size: int, rank: int, m: int, algorithm: str) -> Schedule:
-    """Build this rank's schedule for an all-to-all of ``m`` bytes/pair."""
-    if size <= 0 or not 0 <= rank < size:
-        raise ScheduleError(f"bad alltoall geometry size={size} rank={rank}")
+def build_ialltoall(size: int, m: int, algorithm: str) -> Schedule:
+    """Build the rotation template of an all-to-all of ``m`` bytes/pair.
+
+    Run it bound to ``rotation_peers(size, rank)``
+    (:func:`compiled_ialltoall` returns the pair).
+    """
+    if size <= 0:
+        raise ScheduleError(f"bad alltoall geometry size={size}")
     if m < 0:
         raise ScheduleError(f"negative block size {m}")
     if algorithm == "linear":
-        return _linear(size, rank, m)
+        return _linear(size, m)
     if algorithm == "pairwise":
-        return _pairwise(size, rank, m)
+        return _pairwise(size, m)
     if algorithm == "bruck":
-        return _bruck(size, rank, m)
+        return _bruck(size, m)
     raise ScheduleError(
         f"unknown alltoall algorithm {algorithm!r}; "
         f"expected one of {ALLTOALL_ALGORITHMS}"
@@ -65,55 +76,53 @@ def _block(name: str, idx: int, m: int) -> tuple[str, int, int]:
     return (name, idx * m, m)
 
 
-def _linear(size: int, rank: int, m: int) -> Schedule:
+def _linear(size: int, m: int) -> Schedule:
     sched = Schedule(name="ialltoall[linear]")
     sched.round()
-    sched.copy(m, src=_block("send", rank, m), dst=_block("recv", rank, m))
+    sched.copy(m, src=peer_block("send", 0, m, size),
+               dst=peer_block("recv", 0, m, size))
     # stagger peers so all ranks do not hammer rank 0 first
-    for i in range(1, size):
-        peer = (rank + i) % size
-        sched.recv(peer, m, tagoff=0, dst=_block("recv", peer, m))
-    for i in range(1, size):
-        peer = (rank + i) % size
-        sched.send(peer, m, tagoff=0, src=_block("send", peer, m))
+    for s in range(1, size):
+        sched.recv(s, m, tagoff=0, dst=peer_block("recv", s, m, size))
+    for s in range(1, size):
+        sched.send(s, m, tagoff=0, src=peer_block("send", s, m, size))
     return sched
 
 
-def _pairwise(size: int, rank: int, m: int) -> Schedule:
+def _pairwise(size: int, m: int) -> Schedule:
     sched = Schedule(name="ialltoall[pairwise]")
     sched.round()
-    sched.copy(m, src=_block("send", rank, m), dst=_block("recv", rank, m))
+    sched.copy(m, src=peer_block("send", 0, m, size),
+               dst=peer_block("recv", 0, m, size))
     for r in range(1, size):
         sched.round()
-        sendto = (rank + r) % size
-        recvfrom = (rank - r) % size
-        sched.recv(recvfrom, m, tagoff=r, dst=_block("recv", recvfrom, m))
-        sched.send(sendto, m, tagoff=r, src=_block("send", sendto, m))
+        # receive from rank - r, send to rank + r
+        sched.recv(size - r, m, tagoff=r,
+                   dst=peer_block("recv", size - r, m, size))
+        sched.send(r, m, tagoff=r, src=peer_block("send", r, m, size))
     return sched
 
 
-def _bruck(size: int, rank: int, m: int) -> Schedule:
+def _bruck(size: int, m: int) -> Schedule:
     sched = Schedule(name="ialltoall[bruck]")
     # phase 1: local rotation tmp[j] = send[(rank + j) % size]
     sched.round()
     for j in range(size):
-        sched.copy(m, src=_block("send", (rank + j) % size, m),
+        sched.copy(m, src=peer_block("send", j, m, size),
                    dst=_block("tmp", j, m))
-    # phase 2: log2(P) exchange rounds
+    # phase 2: log2(P) exchange rounds with ranks rank + d and rank - d
     nrounds = math.ceil(math.log2(size)) if size > 1 else 0
     for k in range(nrounds):
         d = 1 << k
         blocks = [j for j in range(size) if j & d]
-        sendto = (rank + d) % size
-        recvfrom = (rank - d) % size
         total = len(blocks) * m
         sched.round()
         # pack the selected blocks into the staging-out buffer
         for i, j in enumerate(blocks):
             sched.copy(m, src=_block("tmp", j, m), dst=_block("so", i, m))
         sched.round()
-        sched.recv(recvfrom, total, tagoff=k + 1, dst=("si", 0, total))
-        sched.send(sendto, total, tagoff=k + 1, src=("so", 0, total))
+        sched.recv(size - d, total, tagoff=k + 1, dst=("si", 0, total))
+        sched.send(d, total, tagoff=k + 1, src=("so", 0, total))
         # unpack received blocks back into tmp at the same positions
         sched.round()
         for i, j in enumerate(blocks):
@@ -122,13 +131,17 @@ def _bruck(size: int, rank: int, m: int) -> Schedule:
     sched.round()
     for j in range(size):
         sched.copy(m, src=_block("tmp", j, m),
-                   dst=_block("recv", (rank - j) % size, m))
+                   dst=peer_block("recv", -j % size, m, size))
     return sched
 
 
 def compiled_ialltoall(size: int, rank: int, m: int, algorithm: str):
-    """Cached compiled plan for :func:`build_ialltoall` (same arguments)."""
-    return SCHEDULE_CACHE.get(
-        ("alltoall", algorithm, size, rank, m, 0, 0),
-        lambda: build_ialltoall(size, rank, m, algorithm),
+    """``(template, peers)``: the cached :func:`build_ialltoall` template
+    and ``rank``'s :func:`~repro.nbc.schedule.rotation_peers` table."""
+    if not 0 <= rank < size:
+        raise ScheduleError(f"bad alltoall geometry size={size} rank={rank}")
+    plan = SCHEDULE_CACHE.get(
+        ("alltoall", algorithm, size, m),
+        lambda: build_ialltoall(size, m, algorithm),
     )
+    return plan, rotation_peers(size, rank)

@@ -13,6 +13,13 @@ byte vector in ``"data"``; rank *i* ends with the fully reduced *i*-th
   blocks.  Moves ``log2(P)`` times the data but pipelines well on fat
   links; also the guideline bound the pairwise candidate must beat.
 
+Pairwise names every peer, and every ``"data"`` block, by rank offset,
+so it compiles one *rotation template* (rank 0's plan, slot *s* meaning
+rank ``(rank + s) % P``) bound per request to
+:func:`~repro.nbc.schedule.rotation_peers`; reduce_then_scatter is
+rooted at rank 0 and stays one plan per rank, bound to
+:func:`~repro.nbc.schedule.identity_peers`.
+
 Extra buffers: ``"acc"`` and ``"in"`` staging, sized by the plan from
 its own ops (``m`` bytes for pairwise, ``P*m`` for
 reduce_then_scatter).  Like all reductions, the combine order is
@@ -24,7 +31,13 @@ from __future__ import annotations
 
 from ..errors import ScheduleError
 from .ireduce import build_ireduce
-from .schedule import SCHEDULE_CACHE, Schedule
+from .schedule import (
+    SCHEDULE_CACHE,
+    Schedule,
+    identity_peers,
+    peer_block,
+    rotation_peers,
+)
 
 __all__ = [
     "REDUCE_SCATTER_ALGORITHMS",
@@ -43,14 +56,20 @@ def build_ireduce_scatter(
     dtype: str = "float64",
     op: str = "sum",
 ) -> Schedule:
-    """Build this rank's schedule for an equal-block reduce-scatter."""
+    """Build the plan ``rank`` runs for an equal-block reduce-scatter.
+
+    Pairwise builds its rotation template, the same for every rank (bind
+    it to ``rotation_peers(size, rank)``); reduce_then_scatter builds
+    this rank's own plan (bind it to ``identity_peers(size)``).
+    :func:`compiled_ireduce_scatter` returns the plan with its table.
+    """
     if size <= 0 or not 0 <= rank < size:
         raise ScheduleError(
             f"bad reduce_scatter geometry size={size} rank={rank}")
     if m < 0:
         raise ScheduleError(f"negative block size {m}")
     if algorithm == "pairwise":
-        return _pairwise(size, rank, m, dtype, op)
+        return _pairwise(size, m, dtype, op)
     if algorithm == "reduce_then_scatter":
         return _reduce_then_scatter(size, rank, m, dtype, op)
     raise ScheduleError(
@@ -58,17 +77,16 @@ def build_ireduce_scatter(
         f"expected one of {REDUCE_SCATTER_ALGORITHMS}")
 
 
-def _pairwise(size: int, rank: int, m: int, dtype: str, op: str) -> Schedule:
+def _pairwise(size: int, m: int, dtype: str, op: str) -> Schedule:
     sched = Schedule(name="ireduce_scatter[pairwise]")
     sched.uniform_tag_span = max(1, size - 1)
     sched.round()
-    sched.copy(m, src=("data", rank * m, m), dst=("acc", 0, m))
+    sched.copy(m, src=peer_block("data", 0, m, size), dst=("acc", 0, m))
     for r in range(1, size):
-        sendto = (rank + r) % size
-        recvfrom = (rank - r) % size
+        # send rank + r its block, combine the one from rank - r
         sched.round()
-        sched.recv(recvfrom, m, tagoff=r - 1, dst=("in", 0, m))
-        sched.send(sendto, m, tagoff=r - 1, src=("data", sendto * m, m))
+        sched.recv(size - r, m, tagoff=r - 1, dst=("in", 0, m))
+        sched.send(r, m, tagoff=r - 1, src=peer_block("data", r, m, size))
         sched.round()
         sched.combine(m, src=("in", 0, m), dst=("acc", 0, m),
                       dtype=dtype, op=op)
@@ -98,9 +116,19 @@ def _reduce_then_scatter(size: int, rank: int, m: int, dtype: str,
 
 def compiled_ireduce_scatter(size: int, rank: int, m: int, algorithm: str,
                              dtype: str = "float64", op: str = "sum"):
-    """Cached compiled plan for :func:`build_ireduce_scatter`."""
-    return SCHEDULE_CACHE.get(
-        ("reduce_scatter", algorithm, size, rank, m, 0, 0, dtype, op),
-        lambda: build_ireduce_scatter(size, rank, m, algorithm,
-                                      dtype=dtype, op=op),
-    )
+    """``(plan, peers)`` for :func:`build_ireduce_scatter` (same
+    arguments): the cached rotation template with ``rank``'s rotation
+    table, or the cached per-rank plan with the identity table."""
+    if not 0 <= rank < size:
+        raise ScheduleError(
+            f"bad reduce_scatter geometry size={size} rank={rank}")
+    if algorithm == "reduce_then_scatter":
+        key = ("reduce_scatter", algorithm, size, rank, m, dtype, op)
+        peers = identity_peers(size)
+    else:
+        key = ("reduce_scatter", algorithm, size, m, dtype, op)
+        peers = rotation_peers(size, rank)
+    plan = SCHEDULE_CACHE.get(
+        key, lambda: build_ireduce_scatter(size, rank, m, algorithm,
+                                           dtype=dtype, op=op))
+    return plan, peers

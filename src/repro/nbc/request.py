@@ -27,7 +27,7 @@ from ..errors import ScheduleError
 from ..obs.recorder import declare
 from ..sim.mpi import MPIContext, SimComm
 from ..sim.process import Waitable
-from .schedule import BufSpec, CompiledSchedule, Schedule
+from .schedule import CompiledSchedule, Schedule
 
 __all__ = ["NBCRequest", "make_buffers"]
 
@@ -61,12 +61,18 @@ def make_buffers(**arrays) -> dict[str, Optional[np.ndarray]]:
     return out
 
 
-def _view(buffers: dict, spec: Optional[BufSpec]) -> Optional[np.ndarray]:
-    """The ``uint8`` view ``spec`` names, unchecked (``start_plan``
-    checked the buffers), or None when the op or its buffer has no data."""
+def _view(buffers: dict, spec, peers: tuple[int, ...]) -> Optional[np.ndarray]:
+    """The ``uint8`` view a :data:`~repro.nbc.schedule.BufSpec` names (or
+    a :data:`~repro.nbc.schedule.SlotSpec`, block ``peers[slot]``),
+    unchecked (``start_plan`` checked the buffers), or None when the op
+    or its buffer has no data."""
     if spec is None:
         return None
-    name, off, n = spec
+    if len(spec) == 4:
+        name, slot, n, _ = spec
+        off = peers[slot] * n
+    else:
+        name, off, n = spec
     buf = buffers[name]
     return None if buf is None else buf[off:off + n]
 
@@ -88,8 +94,11 @@ class NBCRequest(Waitable):
         This process's rank within ``comm``.
     peers:
         The peer table: a send or receive on slot *s* targets
-        communicator-local rank ``peers[s]``.  A role template binds
-        this rank's ``(parent, *children)``; a per-rank plan binds
+        communicator-local rank ``peers[s]``, and a slot-relative
+        buffer block names block ``peers[s]``.  A role template binds
+        this rank's ``(parent, *children)``, a rotation template
+        :func:`~repro.nbc.schedule.rotation_peers` (slot *s* is rank
+        ``(rank + s) % P``) and a per-rank plan
         :func:`~repro.nbc.schedule.identity_peers`.
     buffers:
         Optional buffer dict (see :func:`make_buffers`); ``None`` runs
@@ -253,24 +262,24 @@ class NBCRequest(Waitable):
             if kind == "send":
                 self._pending += 1
                 ctx.isend(peers[op.peer], op.nbytes, tag_base + op.tagoff,
-                          comm, _view(buffers, op.src), child_done)
+                          comm, _view(buffers, op.src, peers), child_done)
             elif kind == "recv":
                 self._pending += 1
                 # the transport copies the payload into this view when
                 # the receive completes
                 ctx.irecv(peers[op.peer], op.nbytes, tag_base + op.tagoff,
-                          comm, _view(buffers, op.dst), child_done)
+                          comm, _view(buffers, op.dst, peers), child_done)
             elif kind == "copy":
                 ctx.charge_copy(op.nbytes)
-                src = _view(buffers, op.src)
-                dst = _view(buffers, op.dst)
+                src = _view(buffers, op.src, peers)
+                dst = _view(buffers, op.dst, peers)
                 if src is not None and dst is not None:
                     dst[:] = src
             elif kind == "combine":
                 # a combine reads + writes the destination: ~2 copies of CPU
                 ctx.charge_copy(2 * op.nbytes)
-                src = _view(buffers, op.src)
-                dst = _view(buffers, op.dst)
+                src = _view(buffers, op.src, peers)
+                dst = _view(buffers, op.dst, peers)
                 if src is not None and dst is not None:
                     op.apply(src, dst)
             else:  # pragma: no cover - schedule.validate() prevents this

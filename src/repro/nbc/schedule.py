@@ -38,14 +38,27 @@ expose ``compiled_*`` entry points that go through the process-global
 
 Peers are named by **slot**: a send or receive targets
 ``peers[op.peer]``, where ``peers`` is the table the request is bound
-to.  That makes a plan rank-independent wherever the op list is.  The
-tree broadcasts (flat and hierarchical) compile one *template* per tree
-role — ``(has_parent, nchildren)``, with slot 0 the parent and slots
-1.. the children, as LibNBC builds its trees on root-relative virtual
-ranks — and bind each rank's ``(parent, *children)`` when the request is
-made: a P=1024 hierarchical broadcast needs about ten plans instead of
-1,024.  Every other family still compiles one plan per rank whose slots
-are ranks, bound to the shared :func:`identity_peers` table.
+to.  That makes a plan rank-independent wherever the op list is, in
+three shapes:
+
+* **Role templates.**  The tree broadcasts (flat and hierarchical)
+  compile one template per tree role — ``(has_parent, nchildren)``,
+  with slot 0 the parent and slots 1.. the children, as LibNBC builds
+  its trees on root-relative virtual ranks — and bind each rank's
+  ``(parent, *children)``: a P=1024 hierarchical broadcast needs about
+  ten plans instead of 1,024.
+* **Rotation templates.**  Linear, pairwise and Bruck all-to-all, ring
+  and linear all-gather, pairwise reduce-scatter and the dissemination
+  barrier name every peer, and every buffer block chosen by peer, by a
+  rank offset.  One template per algorithm (rank 0's plan) serves all
+  ranks, bound to :func:`rotation_peers`: slot *s* is rank
+  ``(rank + s) % P``.  A peer-indexed block is a slot-relative
+  :data:`SlotSpec` resolved against the same table.
+* **Per-rank plans.**  Every other family (recursive doubling, the
+  reduce trees, all-reduce, all-gather-v, the hierarchical all-to-all,
+  reduce-then-scatter and the scatter+allgather mock-up) compiles one
+  plan per rank whose slots are ranks, bound to the shared
+  :func:`identity_peers` table.
 """
 
 from __future__ import annotations
@@ -59,6 +72,7 @@ from ..errors import ScheduleError
 
 __all__ = [
     "BufSpec",
+    "SlotSpec",
     "SendOp",
     "RecvOp",
     "CopyOp",
@@ -69,6 +83,8 @@ __all__ = [
     "SCHEDULE_CACHE",
     "schedule_cache_stats",
     "identity_peers",
+    "rotation_peers",
+    "peer_block",
     "resolve",
     "USER_BUFFERS",
 ]
@@ -76,20 +92,37 @@ __all__ = [
 #: symbolic byte-range into a named buffer: ``(buffer_name, offset, nbytes)``
 BufSpec = tuple[str, int, int]
 
+#: slot-relative block of a rotation template: ``(buffer_name, slot,
+#: nbytes, size)`` names block ``peers[slot]`` of a buffer of ``size``
+#: blocks of ``nbytes`` each, i.e. byte offset ``peers[slot] * nbytes``
+SlotSpec = tuple[str, int, int, int]
+
 #: buffer names the caller supplies; every other referenced name is scratch
 USER_BUFFERS = ("send", "recv", "data")
 
 
+def peer_block(name: str, slot: int, nbytes: int, size: int) -> SlotSpec:
+    """The :data:`SlotSpec` of the ``nbytes`` block that belongs to the
+    rank in peer slot ``slot``, in a buffer of ``size`` such blocks."""
+    return (name, slot, nbytes, size)
+
+
 def _extents(rounds, user: bool) -> dict[str, int]:
     """Buffer name -> largest end offset any op reaches in it, over the
-    user buffers (``user=True``) or the scratch ones."""
+    user buffers (``user=True``) or the scratch ones.  A slot-relative
+    spec may name any of its buffer's blocks, so it reaches the end."""
     out: dict[str, int] = {}
     for rnd in rounds:
         for op in rnd:
             for spec in (getattr(op, "src", None), getattr(op, "dst", None)):
                 if spec is not None and (spec[0] in USER_BUFFERS) == user:
-                    name, offset, nbytes = spec
-                    out[name] = max(out.get(name, 0), offset + nbytes)
+                    if len(spec) == 4:
+                        name, _, nbytes, size = spec
+                        end = size * nbytes
+                    else:
+                        name, offset, nbytes = spec
+                        end = offset + nbytes
+                    out[name] = max(out.get(name, 0), end)
     return out
 
 
@@ -100,6 +133,19 @@ def identity_peers(size: int) -> tuple[int, ...]:
     One shared tuple per communicator size.
     """
     return tuple(range(size))
+
+
+@lru_cache(maxsize=4096)
+def rotation_peers(size: int, rank: int) -> tuple[int, ...]:
+    """The peer table of a rotation template bound on ``rank``: slot *s*
+    is rank ``(rank + s) % size``.
+
+    One shared tuple per (size, rank), built from the
+    :func:`identity_peers` tuple so every table of a size shares its
+    int objects.
+    """
+    ranks = identity_peers(size)
+    return ranks[rank:] + ranks[:rank]
 
 
 def resolve(buffers: Optional[dict], spec: Optional[BufSpec]) -> Optional[np.ndarray]:
@@ -214,7 +260,8 @@ class CombineOp:
 
 
 class Schedule:
-    """The per-rank plan of one collective operation.
+    """The plan of one collective operation: one rank's, one tree role's
+    or one rotation template (see the module docstring).
 
     Build one with :meth:`round` + the add methods, or via the algorithm
     builders in :mod:`repro.nbc`.  ``tag_span`` is the number of distinct
@@ -414,8 +461,10 @@ class ScheduleCache:
     it would exceed ``maxsize`` distinct keys it is flushed wholesale.
     Tree-broadcast plans are per role, not per rank, so the 21-candidate
     Ibcast brute force holds 84 of them at P=256 and 93 at P=1024 (a
-    binomial tree has ``log2(P) + 1`` roles, the others at most four);
-    the other families still hold one plan per rank and candidate.  The
+    binomial tree has ``log2(P) + 1`` roles, the others at most four).
+    Rotation templates are one per algorithm and geometry, so the
+    3-candidate Ialltoall brute force holds 3 plans at any P; the
+    per-rank families hold one plan per rank and candidate.  The
     default bound holds those working sets with room to spare, so a
     flush signals key churn, not a working set worth LRU bookkeeping.
     """

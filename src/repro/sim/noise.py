@@ -14,7 +14,12 @@ seeded, reproducible model:
   stealing the core mid-measurement.
 
 A ``sigma`` of 0 and ``outlier_prob`` of 0 gives a perfectly
-deterministic simulation, which the unit tests rely on.
+deterministic simulation, which the unit tests rely on.  Such a model
+never draws, so it creates no :class:`numpy.random.Generator` (a
+noise-free P=1024 world would otherwise build 1,026 of them, and load
+``numpy.random`` in a process that never uses it); the seeds
+:meth:`NoiseModel.spawn` and :meth:`NoiseModel.jitter_only` derive do
+not depend on that, so a noisy model draws the same values either way.
 """
 
 from __future__ import annotations
@@ -46,7 +51,9 @@ class NoiseModel:
     outlier_lo, outlier_hi:
         Uniform range of the outlier multiplier.
     seed:
-        Seed for the underlying :class:`numpy.random.Generator`.
+        Seed for the underlying :class:`numpy.random.Generator`, which
+        only a model that perturbs (``sigma > 0`` or
+        ``outlier_prob > 0``) creates.
     """
 
     sigma: float = 0.0
@@ -62,9 +69,11 @@ class NoiseModel:
             raise ValueError("outlier_prob must be in [0, 1]")
         if self.outlier_lo > self.outlier_hi:
             raise ValueError("outlier_lo must be <= outlier_hi")
-        self._rng = np.random.default_rng(self.seed)
         # hot-path flag: perturb() runs once per simulated duration
         self._deterministic = self.sigma == 0.0 and self.outlier_prob == 0.0
+        if self._deterministic:
+            return
+        self._rng = np.random.default_rng(self.seed)
         # bound methods, bypassing two attribute lookups per draw.
         # standard_normal()*sigma is bit-identical to normal(0, sigma)
         # (the latter computes loc + scale*standard_normal internally)

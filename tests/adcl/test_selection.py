@@ -188,16 +188,20 @@ def test_heuristic_on_sparse_set_stays_within_reachable_functions():
 def test_factorial_tests_only_corners():
     fnset = grid_fnset(avals=(1, 2, 3), bvals=("x", "y"))
     sel = FactorialSelector(fnset, evals_per_function=2)
-    visited = set()
-    it = drive(sel, lambda i: 1.0 + i * 0.01, max_iters=100)
-    for k in range(it):
-        visited.add(sel.function_for_iteration(k))
-    # corners: a in {1,3} x b in {x,y} -> 4 functions
-    corner_attrs = {(fnset[i].attributes["a"], fnset[i].attributes["b"])
-                    for i in visited if i != sel.winner} | {
-        (fnset[sel.winner].attributes["a"], fnset[sel.winner].attributes["b"])
-    }
-    assert all(a in (1, 3) for a, _ in corner_attrs if a is not None) or True
+    learned = []
+    for it in range(100):
+        idx = sel.function_for_iteration(it)
+        if sel.decided:
+            break
+        learned.append(idx)
+        sel.feed(it, idx, 1.0 + idx * 0.01)
+    else:
+        raise AssertionError("selector never decided")
+    # corners: a in {1,3} x b in {x,y} -> 4 functions, 2 evaluations each
+    corners = [(fnset[i].attributes["a"], fnset[i].attributes["b"])
+               for i in learned]
+    assert all(a in (1, 3) for a, _ in corners)
+    assert set(corners) == {(1, "x"), (1, "y"), (3, "x"), (3, "y")}
     assert it == 4 * 2
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nbc.schedule import Schedule
 from repro.sim import SimWorld, Wait, get_platform
 
 
@@ -45,18 +46,57 @@ def alltoall_expected(rank, size, m):
     return np.concatenate(blocks)
 
 
+def byte_range(spec, peers):
+    """A buffer spec as the absolute ``(name, offset, nbytes)`` range it
+    names when bound to ``peers`` (a slot-relative spec names block
+    ``peers[slot]``)."""
+    if spec is None or len(spec) == 3:
+        return spec
+    name, slot, nbytes, _ = spec
+    return (name, peers[slot] * nbytes, nbytes)
+
+
 def bound_rounds(sched, peers):
-    """A schedule's rounds with every peer slot resolved through ``peers``.
+    """A schedule's rounds bound to ``peers`` (see :func:`bind`), as
+    plain tuples.
 
     Two plans that bind to equal results post the same operations, in
-    the same order, to the same ranks.
+    the same order, to the same ranks, on the same bytes.
     """
     return [
-        [(op.kind, peers[op.peer], op.nbytes, op.tagoff, op.src)
+        [(op.kind, op.peer, op.nbytes, op.tagoff, op.src)
          if op.kind == "send" else
-         (op.kind, peers[op.peer], op.nbytes, op.tagoff, op.dst)
+         (op.kind, op.peer, op.nbytes, op.tagoff, op.dst)
          if op.kind == "recv" else
          (op.kind, op.nbytes, op.src, op.dst)
          for op in rnd]
-        for rnd in sched.rounds
+        for rnd in bind(sched, peers).rounds
     ]
+
+
+def bind(plan, peers) -> Schedule:
+    """One rank's concrete schedule: ``plan`` bound to ``peers``.
+
+    Every peer slot becomes the rank it names and every slot-relative
+    block its absolute byte range, so per-rank properties (who sends
+    what to whom) read straight off the ops.  Tests that need one
+    rank's ops of a template bind it through here.
+    """
+    out = Schedule(plan.name)
+    out.uniform_tag_span = plan.tag_span
+    for rnd in plan.rounds:
+        out.round()
+        for op in rnd:
+            if op.kind == "send":
+                out.send(peers[op.peer], op.nbytes, op.tagoff,
+                         byte_range(op.src, peers))
+            elif op.kind == "recv":
+                out.recv(peers[op.peer], op.nbytes, op.tagoff,
+                         byte_range(op.dst, peers))
+            elif op.kind == "copy":
+                out.copy(op.nbytes, byte_range(op.src, peers),
+                         byte_range(op.dst, peers))
+            else:
+                out.combine(op.nbytes, byte_range(op.src, peers),
+                            byte_range(op.dst, peers), op.dtype, op.op)
+    return out

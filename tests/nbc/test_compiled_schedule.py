@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 from repro.errors import ScheduleError
-from repro.nbc.ialltoall import build_ialltoall
+from repro.nbc.ialltoall import build_ialltoall, compiled_ialltoall
 from repro.nbc.ibcast import build_ibcast, compiled_ibcast
 from repro.nbc.schedule import (
     SCHEDULE_CACHE,
@@ -16,7 +16,7 @@ from repro.nbc.schedule import (
     identity_peers,
 )
 
-from .conftest import bound_rounds
+from .conftest import bind, bound_rounds
 
 
 @pytest.fixture
@@ -48,15 +48,19 @@ def test_compile_freezes_structure():
 
 
 @pytest.mark.parametrize("rank", range(5))
-def test_plan_derives_its_scratch_layout(rank):
+def test_plan_derives_its_scratch_layout(global_cache, rank):
     """Bruck at P=5: ``tmp`` holds all five blocks, the staging areas the
-    largest round's two; ``send``/``recv`` are the caller's."""
-    sched = build_ialltoall(5, rank, 8, "bruck")
-    plan = sched.compile()
+    largest round's two; ``send``/``recv`` are the caller's, and the
+    template's slot-relative blocks reach all five on every rank."""
+    plan, peers = compiled_ialltoall(5, rank, 8, "bruck")
     assert plan.scratch == {"tmp": 40, "so": 16, "si": 16}
+    assert plan.user_extents == {"send": 40, "recv": 40}
     assert not set(plan.scratch) & set(USER_BUFFERS)
-    assert sched.scratch == plan.scratch
-    assert build_ialltoall(5, rank, 8, "pairwise").compile().scratch == {}
+    assert build_ialltoall(5, 8, "bruck").scratch == plan.scratch
+    bound = bind(plan, peers)
+    assert bound.scratch == plan.scratch
+    assert bound.user_extents == plan.user_extents
+    assert compiled_ialltoall(5, rank, 8, "pairwise")[0].scratch == {}
 
 
 def test_compile_validates_first():

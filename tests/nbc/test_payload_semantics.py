@@ -345,9 +345,9 @@ def test_missing_user_buffer_fails_before_any_post(monkeypatch):
 
     def body(ctx):
         if ctx.rank == 0:
-            plan = nbc.compiled_ialltoall(P, 0, M, "linear")
+            plan, peers = nbc.compiled_ialltoall(P, 0, M, "linear")
             with pytest.raises(ScheduleError, match="not passed"):
-                nbc.start_plan(ctx, ctx.comm_world, 0, plan,
+                nbc.start_plan(ctx, ctx.comm_world, 0, plan, peers,
                                send=np.zeros(P * M, dtype=np.uint8))
         yield Compute(0.0)
 

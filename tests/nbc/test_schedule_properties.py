@@ -23,11 +23,13 @@ from repro.nbc import (
     BINOMIAL,
     IBCAST_FANOUTS,
     bcast_tree,
-    build_iallgather,
-    build_ialltoall,
     build_ibcast,
     build_ireduce,
+    compiled_iallgather,
+    compiled_ialltoall,
 )
+
+from .conftest import bind
 
 sizes = st.integers(2, 17)
 blocks = st.integers(1, 4096)
@@ -59,7 +61,8 @@ def assert_sends_match_recvs(schedules):
 @settings(max_examples=40, deadline=None)
 @given(size=sizes, m=blocks, algorithm=st.sampled_from(["linear", "pairwise", "bruck"]))
 def test_alltoall_sends_match_recvs(size, m, algorithm):
-    schedules = [build_ialltoall(size, r, m, algorithm) for r in range(size)]
+    schedules = [bind(*compiled_ialltoall(size, r, m, algorithm))
+                 for r in range(size)]
     assert_sends_match_recvs(schedules)
 
 
@@ -68,7 +71,7 @@ def test_alltoall_sends_match_recvs(size, m, algorithm):
 def test_alltoall_direct_algorithms_move_exactly_p_minus_1_blocks(size, m):
     for algorithm in ("linear", "pairwise"):
         for rank in range(size):
-            sched = build_ialltoall(size, rank, m, algorithm)
+            sched = bind(*compiled_ialltoall(size, rank, m, algorithm))
             assert sched.count_ops("send") == size - 1
             assert sched.count_ops("recv") == size - 1
             assert sched.total_send_bytes() == (size - 1) * m
@@ -82,7 +85,7 @@ def test_bruck_round_count_and_volume(size, m):
         len([j for j in range(size) if j & (1 << k)]) * m for k in range(nrounds)
     )
     for rank in range(size):
-        sched = build_ialltoall(size, rank, m, "bruck")
+        sched = bind(*compiled_ialltoall(size, rank, m, "bruck"))
         assert sched.count_ops("send") == nrounds
         assert sched.total_send_bytes() == expected_bytes
 
@@ -90,7 +93,7 @@ def test_bruck_round_count_and_volume(size, m):
 @settings(max_examples=30, deadline=None)
 @given(size=sizes, m=blocks)
 def test_pairwise_rounds_have_one_exchange_each(size, m):
-    sched = build_ialltoall(size, 0, m, "pairwise")
+    sched, _ = compiled_ialltoall(size, 0, m, "pairwise")
     exchange_rounds = [
         rnd for rnd in sched.rounds
         if any(op.kind in ("send", "recv") for op in rnd)
@@ -171,7 +174,8 @@ def test_binomial_tree_depth_is_logarithmic(size):
 @settings(max_examples=30, deadline=None)
 @given(size=sizes, m=blocks, algorithm=st.sampled_from(["ring", "linear"]))
 def test_allgather_sends_match_recvs(size, m, algorithm):
-    schedules = [build_iallgather(size, r, m, algorithm) for r in range(size)]
+    schedules = [bind(*compiled_iallgather(size, r, m, algorithm))
+                 for r in range(size)]
     assert_sends_match_recvs(schedules)
     for sched in schedules:
         assert sum(
@@ -184,7 +188,8 @@ def test_allgather_sends_match_recvs(size, m, algorithm):
 def test_allgather_recursive_doubling_matches(exp, m):
     size = 1 << exp
     schedules = [
-        build_iallgather(size, r, m, "recursive_doubling") for r in range(size)
+        bind(*compiled_iallgather(size, r, m, "recursive_doubling"))
+        for r in range(size)
     ]
     assert_sends_match_recvs(schedules)
 
@@ -222,13 +227,13 @@ def test_tag_span_is_rank_independent_for_every_builder(size, nbytes):
     nbytes = max(nbytes, 8)
     m = max(nbytes // size, 1)
     builders = [
-        lambda r: build_ialltoall(size, r, m, "linear"),
-        lambda r: build_ialltoall(size, r, m, "pairwise"),
-        lambda r: build_ialltoall(size, r, m, "bruck"),
+        lambda r: compiled_ialltoall(size, r, m, "linear")[0],
+        lambda r: compiled_ialltoall(size, r, m, "pairwise")[0],
+        lambda r: compiled_ialltoall(size, r, m, "bruck")[0],
         lambda r: build_ibcast(size, r, 0, nbytes, BINOMIAL, 1 << 15),
         lambda r: build_ibcast(size, r, 0, nbytes, 0, 1 << 15),
-        lambda r: build_iallgather(size, r, m, "ring"),
-        lambda r: build_iallgather(size, r, m, "linear"),
+        lambda r: compiled_iallgather(size, r, m, "ring")[0],
+        lambda r: compiled_iallgather(size, r, m, "linear")[0],
         lambda r: build_ireduce(size, r, 0, nbytes, "binomial"),
         lambda r: build_ireduce(size, r, 0, nbytes, "chain", segsize=1 << 14),
     ]

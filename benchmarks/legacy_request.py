@@ -1,8 +1,10 @@
 # The seed-revision snapshot of repro.nbc.request, kept verbatim for A/B
 # benchmarking by test_perf_engine.py. Only imports were adapted
-# (absolute paths; the seed event loop comes from legacy_engine), and
-# the constructor takes the ``peers`` table today's schedules name
-# their peers through (a send/recv on slot s targets ``peers[s]``).
+# (absolute paths; the seed event loop comes from legacy_engine; the
+# seed's ``resolve`` from repro.nbc.schedule now lives here, its last
+# user), and the constructor takes the ``peers`` table today's
+# schedules name their peers through (a send/recv on slot s targets
+# ``peers[s]``).
 # Do not "improve" this file.
 """Execution of collective schedules: the NBC request & progress engine.
 
@@ -32,9 +34,29 @@ import numpy as np
 from repro.errors import ScheduleError
 from repro.sim.mpi import MPIContext, SimComm
 from repro.sim.process import RecvRequest, Waitable
-from repro.nbc.schedule import Schedule, resolve
+from repro.nbc.schedule import BufSpec, Schedule
 
 __all__ = ["NBCRequest", "make_buffers"]
+
+
+def resolve(buffers: Optional[dict], spec: Optional[BufSpec]) -> Optional[np.ndarray]:
+    """Resolve a :data:`BufSpec` to a ``uint8`` view, or None in size-only mode."""
+    if buffers is None or spec is None:
+        return None
+    name, offset, nbytes = spec
+    try:
+        buf = buffers[name]
+    except KeyError:
+        raise ScheduleError(f"schedule references unknown buffer {name!r}") from None
+    if buf is None:
+        return None
+    view = buf[offset : offset + nbytes]
+    if view.nbytes != nbytes:
+        raise ScheduleError(
+            f"buffer {name!r} too small: need [{offset}:{offset + nbytes}), "
+            f"have {buf.nbytes} bytes"
+        )
+    return view
 
 
 def make_buffers(**arrays) -> dict[str, Optional[np.ndarray]]:

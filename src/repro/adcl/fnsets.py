@@ -151,8 +151,9 @@ def _scatter_allgather(ctx: MPIContext, spec: CollSpec,
                        buffers) -> NBCRequest:
     comm = spec.comm
     rank = comm.local_rank(ctx.rank)
-    sched = compiled_scatter_allgather(comm.size, rank, spec.root, spec.nbytes)
-    return start_plan(ctx, comm, rank, sched,
+    sched, peers = compiled_scatter_allgather(comm.size, rank, spec.root,
+                                              spec.nbytes)
+    return start_plan(ctx, comm, rank, sched, peers,
                       data=(buffers or {}).get("data"))
 
 

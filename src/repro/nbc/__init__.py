@@ -79,7 +79,6 @@ from .schedule import (
     ScheduleCache,
     SendOp,
     identity_peers,
-    resolve,
     schedule_cache_stats,
 )
 
@@ -135,7 +134,6 @@ __all__ = [
     "make_buffers",
     "partition_for_comm",
     "reduce",
-    "resolve",
     "schedule_cache_stats",
     "start_iallgather",
     "start_iallgatherv",

@@ -43,13 +43,7 @@ from .ibcast import BINOMIAL, compiled_ibcast
 from .ireduce import compiled_ireduce
 from .ireduce_scatter import compiled_ireduce_scatter
 from .request import NBCRequest, make_buffers
-from .schedule import (
-    SCHEDULE_CACHE,
-    CompiledSchedule,
-    Schedule,
-    identity_peers,
-    rotation_peers,
-)
+from .schedule import SCHEDULE_CACHE, CompiledSchedule, Schedule, rotation_peers
 
 __all__ = [
     "start_plan",
@@ -76,17 +70,18 @@ def _local_rank(ctx: MPIContext, comm: Optional[SimComm]) -> tuple[SimComm, int]
 
 def start_plan(ctx: MPIContext, comm: SimComm, rank: int,
                plan: Union[Schedule, CompiledSchedule],
-               peers: Optional[tuple[int, ...]] = None,
+               peers: tuple[int, ...],
                **arrays: Optional[np.ndarray]) -> NBCRequest:
     """Bind ``plan`` to this rank and post it.
 
-    ``peers`` is the plan's peer table (default: the identity table of a
-    per-rank plan).  ``arrays`` are the caller's buffers by schedule
-    name (``send=``, ``recv=``, ``data=``); when any is given, the
-    plan's scratch is allocated next to them, otherwise the request runs
-    size-only.  Each array is checked once against the bytes the plan's
-    ops reach in it (:attr:`~repro.nbc.schedule.CompiledSchedule.user_extents`),
-    so a bad buffer raises :class:`~repro.errors.ScheduleError` here,
+    ``peers`` is the plan's peer table, as every ``compiled_*`` entry
+    point returns it next to the plan.  ``arrays`` are the caller's
+    buffers by schedule name (``send=``, ``recv=``, ``data=``); when
+    any is given, the plan's scratch is allocated next to them,
+    otherwise the request runs size-only.  Each array is checked once
+    against the bytes the plan's ops reach in it
+    (:attr:`~repro.nbc.schedule.CompiledSchedule.user_extents`), so a
+    bad buffer raises :class:`~repro.errors.ScheduleError` here,
     before any message is posted, and the rounds can slice views
     unchecked.  A ``None`` array runs the ops that name it without data.
     """
@@ -107,8 +102,6 @@ def start_plan(ctx: MPIContext, comm: SimComm, rank: int,
                 )
         for name, nbytes in plan.scratch.items():
             buffers[name] = np.empty(nbytes, dtype=np.uint8)
-    if peers is None:
-        peers = identity_peers(comm.size)
     return NBCRequest(plan, comm, rank, peers, buffers).start(ctx)
 
 
@@ -136,8 +129,7 @@ def start_ialltoall(
     comm, rank = _local_rank(ctx, comm)
     if algorithm == "hier":
         g = _partition(ctx, comm, groups)
-        sched = compiled_hier_ialltoall(comm.size, rank, m, g)
-        peers = None
+        sched, peers = compiled_hier_ialltoall(comm.size, rank, m, g)
     else:
         sched, peers = compiled_ialltoall(comm.size, rank, m, algorithm)
     return start_plan(ctx, comm, rank, sched, peers, send=sendbuf,
@@ -198,9 +190,9 @@ def start_ireduce(
 ) -> NBCRequest:
     """Post a non-blocking reduction of ``nbytes`` to ``root``."""
     comm, rank = _local_rank(ctx, comm)
-    sched = compiled_ireduce(comm.size, rank, root, nbytes, algorithm,
-                             dtype=dtype, op=op, segsize=segsize)
-    return start_plan(ctx, comm, rank, sched, data=buf)
+    sched, peers = compiled_ireduce(comm.size, rank, root, nbytes, algorithm,
+                                    dtype=dtype, op=op, segsize=segsize)
+    return start_plan(ctx, comm, rank, sched, peers, data=buf)
 
 
 def start_iallgatherv(
@@ -215,8 +207,10 @@ def start_iallgatherv(
     """Post a non-blocking all-gather-v; rank *i* contributes ``counts[i]``."""
     comm, rank = _local_rank(ctx, comm)
     g = _partition(ctx, comm, groups) if algorithm == "hier" else ()
-    sched = compiled_iallgatherv(comm.size, rank, tuple(counts), algorithm, g)
-    return start_plan(ctx, comm, rank, sched, send=sendbuf, recv=recvbuf)
+    sched, peers = compiled_iallgatherv(comm.size, rank, tuple(counts),
+                                        algorithm, g)
+    return start_plan(ctx, comm, rank, sched, peers, send=sendbuf,
+                      recv=recvbuf)
 
 
 def start_ireduce_scatter(
@@ -254,9 +248,9 @@ def start_iallreduce(
     """Post a non-blocking all-reduce over ``buf`` (in place)."""
     comm, rank = _local_rank(ctx, comm)
     g = _partition(ctx, comm, groups) if algorithm == "hier" else ()
-    sched = compiled_iallreduce(comm.size, rank, nbytes, algorithm,
-                                dtype=dtype, op=op, groups=g)
-    return start_plan(ctx, comm, rank, sched, data=buf)
+    sched, peers = compiled_iallreduce(comm.size, rank, nbytes, algorithm,
+                                       dtype=dtype, op=op, groups=g)
+    return start_plan(ctx, comm, rank, sched, peers, data=buf)
 
 
 def _barrier_schedule(size: int) -> Schedule:

@@ -23,7 +23,7 @@ makes the comparison fair.
 from __future__ import annotations
 
 from ..errors import ScheduleError
-from .schedule import SCHEDULE_CACHE, Schedule
+from .schedule import SCHEDULE_CACHE, Schedule, identity_peers
 
 __all__ = ["build_scatter_allgather", "compiled_scatter_allgather"]
 
@@ -86,8 +86,10 @@ def build_scatter_allgather(size: int, rank: int, root: int,
 
 
 def compiled_scatter_allgather(size: int, rank: int, root: int, nbytes: int):
-    """Cached compiled plan for :func:`build_scatter_allgather`."""
-    return SCHEDULE_CACHE.get(
+    """``(plan, peers)`` for :func:`build_scatter_allgather`: the cached
+    per-rank plan with the identity table."""
+    plan = SCHEDULE_CACHE.get(
         ("bcast", "scatter+allgather", size, rank, nbytes, 0, 0, root),
         lambda: build_scatter_allgather(size, rank, root, nbytes),
     )
+    return plan, identity_peers(size)

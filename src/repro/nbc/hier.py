@@ -32,18 +32,12 @@ plain ``groups`` tuple or a :class:`Partition`.
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from typing import Union
 
 from ..errors import ScheduleError
-from .ibcast import (
-    BINOMIAL,
-    bcast_tree,
-    check_bcast_geometry,
-    compiled_bcast_role,
-    emit_pipelined_bcast,
-    segment_bounds,
-)
-from .schedule import SCHEDULE_CACHE, Schedule
+from .ibcast import BINOMIAL, bcast_schedule, bcast_tree, check_bcast_geometry
+from .schedule import SCHEDULE_CACHE, Schedule, compiled_role, identity_peers
 
 __all__ = [
     "Partition",
@@ -213,13 +207,8 @@ def build_hier_ibcast(
     tuning candidates.
     """
     check_bcast_geometry(size, rank, root)
-    part = as_partition(groups, size)
-    seg_bounds = segment_bounds(nbytes, segsize)
-    sched = Schedule(name=f"ibcast[hier,seg={segsize}]")
-    if size == 1:
-        return sched
-    peers = part.bcast_peers(root)[rank]
-    return emit_pipelined_bcast(sched, peers[0], list(peers[1:]), seg_bounds)
+    parent, *children = as_partition(groups, size).bcast_peers(root)[rank]
+    return bcast_schedule("hier", nbytes, segsize, parent, children)
 
 
 def compiled_hier_ibcast(size: int, rank: int, root: int, nbytes: int,
@@ -227,8 +216,9 @@ def compiled_hier_ibcast(size: int, rank: int, root: int, nbytes: int,
     """``(template, peers)`` for :func:`build_hier_ibcast`: the role
     template of ``rank`` in the two-level tree, bound to its peers."""
     check_bcast_geometry(size, rank, root)
-    peers = as_partition(groups, size).bcast_peers(root)[rank]
-    return compiled_bcast_role("hier", size, nbytes, segsize, peers)
+    return compiled_role(("bcast", "hier", size, nbytes, segsize),
+                         as_partition(groups, size).bcast_peers(root)[rank],
+                         partial(bcast_schedule, "hier", nbytes, segsize))
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +330,11 @@ def build_hier_ialltoall(size: int, rank: int, m: int,
 
 def compiled_hier_ialltoall(size: int, rank: int, m: int,
                             groups: Union[Groups, Partition]):
-    """Cached compiled plan for :func:`build_hier_ialltoall`."""
+    """``(plan, peers)`` for :func:`build_hier_ialltoall`: the cached
+    per-rank plan with the identity table."""
     part = as_partition(groups, size)
-    return SCHEDULE_CACHE.get(
+    plan = SCHEDULE_CACHE.get(
         ("alltoall", "hier", size, rank, m, 0, part),
         lambda: build_hier_ialltoall(size, rank, m, part),
     )
+    return plan, identity_peers(size)

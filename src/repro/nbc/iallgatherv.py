@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from ..errors import ScheduleError
 from .hier import Groups, as_partition
-from .schedule import SCHEDULE_CACHE, Schedule
+from .schedule import SCHEDULE_CACHE, Schedule, identity_peers
 
 __all__ = [
     "ALLGATHERV_ALGORITHMS",
@@ -190,7 +190,8 @@ def _hier(size: int, rank: int, counts, part) -> Schedule:
 
 def compiled_iallgatherv(size: int, rank: int, counts, algorithm: str,
                          groups: Groups = ()):
-    """Cached compiled plan for :func:`build_iallgatherv`.
+    """``(plan, peers)`` for :func:`build_iallgatherv`: the cached
+    per-rank plan with the identity table.
 
     ``groups`` enters the key as its interned partition (see
     :func:`~repro.nbc.hier.as_partition`).
@@ -198,7 +199,8 @@ def compiled_iallgatherv(size: int, rank: int, counts, algorithm: str,
     counts = tuple(counts)
     if groups:
         groups = as_partition(groups, size)
-    return SCHEDULE_CACHE.get(
+    plan = SCHEDULE_CACHE.get(
         ("allgatherv", algorithm, size, rank, counts, 0, groups),
         lambda: build_iallgatherv(size, rank, counts, algorithm, groups),
     )
+    return plan, identity_peers(size)

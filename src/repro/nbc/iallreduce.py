@@ -16,6 +16,12 @@ Three candidates spanning the latency/bandwidth/topology trade-offs:
   result flows back down — the full vector crosses the network
   ``2*(nnodes-1)`` times total instead of ``2*(P-1)``.
 
+The two tree candidates depend on the rank only through its tree role
+(has a parent, number of children), so each compiles one *role
+template* per role, bound per request to the rank's ``(parent,
+*children)`` (:func:`~repro.nbc.schedule.compiled_role`); ring stays
+one plan per rank, bound to :func:`~repro.nbc.schedule.identity_peers`.
+
 Extra buffers: ``"acc"`` (``nbytes``) and, on every rank that combines
 an incoming contribution, ``"in"`` (at most ``nbytes``); the compiled
 plan derives both from its ops, so a tree leaf allocates no ``"in"``.
@@ -25,13 +31,15 @@ candidates; exactness tests should use integer-valued payloads.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..errors import ScheduleError
 from .hier import Groups, as_partition
 from .iallgatherv import balanced_counts
-from .ibcast import BINOMIAL, bcast_tree
-from .schedule import SCHEDULE_CACHE, Schedule
+from .ibcast import BINOMIAL, tree_peers
+from .schedule import SCHEDULE_CACHE, Schedule, compiled_role, identity_peers
 
 __all__ = [
     "ALLREDUCE_ALGORITHMS",
@@ -40,6 +48,29 @@ __all__ = [
 ]
 
 ALLREDUCE_ALGORITHMS = ("reduce_bcast", "ring", "hier")
+
+
+def _peers(size: int, rank: int, nbytes: int, algorithm: str,
+           groups) -> tuple[int, ...]:
+    """``(parent, *children)`` of ``rank`` in a tree algorithm's tree:
+    the binomial tree rooted at rank 0, or the two-level tree rooted at
+    the first group's leader."""
+    _check(size, rank, nbytes)
+    if algorithm == "reduce_bcast":
+        return tree_peers(size, 0, BINOMIAL)[rank]
+    if algorithm == "hier":
+        part = as_partition(groups, size)
+        return part.bcast_peers(part.groups[0][0])[rank]
+    raise ScheduleError(
+        f"unknown allreduce algorithm {algorithm!r}; "
+        f"expected one of {ALLREDUCE_ALGORITHMS}")
+
+
+def _check(size: int, rank: int, nbytes: int) -> None:
+    if size <= 0 or not 0 <= rank < size:
+        raise ScheduleError(f"bad allreduce geometry size={size} rank={rank}")
+    if nbytes < 0:
+        raise ScheduleError(f"negative payload {nbytes}")
 
 
 def build_iallreduce(
@@ -51,38 +82,32 @@ def build_iallreduce(
     op: str = "sum",
     groups: Groups = (),
 ) -> Schedule:
-    """Build this rank's schedule for an all-reduce of ``nbytes``."""
-    if size <= 0 or not 0 <= rank < size:
-        raise ScheduleError(f"bad allreduce geometry size={size} rank={rank}")
-    if nbytes < 0:
-        raise ScheduleError(f"negative payload {nbytes}")
-    if algorithm == "reduce_bcast":
-        parent, children_v = bcast_tree(size, rank, BINOMIAL)
-        return _tree(size, rank, parent, list(children_v), nbytes, dtype, op,
-                     name="iallreduce[reduce_bcast]")
+    """Build this rank's schedule for an all-reduce of ``nbytes``.
+
+    Peers are real ranks (run it bound to
+    :func:`~repro.nbc.schedule.identity_peers`): this is the per-rank
+    reference the role templates of :func:`compiled_iallreduce` equal.
+    """
     if algorithm == "ring":
+        _check(size, rank, nbytes)
         return _ring(size, rank, nbytes, dtype, op)
-    if algorithm == "hier":
-        part = as_partition(groups, size)
-        peers = part.bcast_peers(part.groups[0][0])[rank]
-        return _tree(size, rank, peers[0], list(peers[1:]), nbytes, dtype, op,
-                     name="iallreduce[hier]")
-    raise ScheduleError(
-        f"unknown allreduce algorithm {algorithm!r}; "
-        f"expected one of {ALLREDUCE_ALGORITHMS}")
+    parent, *children = _peers(size, rank, nbytes, algorithm, groups)
+    return _tree(algorithm, nbytes, dtype, op, parent, children)
 
 
-def _tree(size: int, rank: int, parent: int, children: list[int],
-          nbytes: int, dtype: str, op: str, name: str) -> Schedule:
+def _tree(algorithm: str, nbytes: int, dtype: str, op: str, parent: int,
+          children: list[int]) -> Schedule:
     """Reduce up, then broadcast down, an arbitrary spanning tree.
 
     The tree shape is the only degree of freedom — a binomial tree gives
     the flat candidate, the two-level leader tree the hierarchical one.
-    Children are combined in reverse declaration order so that (for the
-    hierarchical tree) the cheap same-node members fold in while the
-    deeper leader subtrees are still in flight.
+    ``parent``/``children`` are real ranks or role-template slots, as in
+    :func:`~repro.nbc.ireduce.emit_reduce`.  Children are combined in
+    reverse declaration order so that (for the hierarchical tree) the
+    cheap same-node members fold in while the deeper leader subtrees
+    are still in flight.
     """
-    sched = Schedule(name=name)
+    sched = Schedule(name=f"iallreduce[{algorithm}]")
     sched.uniform_tag_span = 2  # tagoff 0 = reduce up, 1 = result down
     sched.round()
     sched.copy(nbytes, src=("data", 0, nbytes), dst=("acc", 0, nbytes))
@@ -166,15 +191,14 @@ def _ring(size: int, rank: int, nbytes: int, dtype: str, op: str) -> Schedule:
 def compiled_iallreduce(size: int, rank: int, nbytes: int, algorithm: str,
                         dtype: str = "float64", op: str = "sum",
                         groups: Groups = ()):
-    """Cached compiled plan for :func:`build_iallreduce`.
-
-    ``groups`` enters the key as its interned partition (see
-    :func:`~repro.nbc.hier.as_partition`).
-    """
-    if groups:
-        groups = as_partition(groups, size)
-    return SCHEDULE_CACHE.get(
-        ("allreduce", algorithm, size, rank, nbytes, 0, groups, dtype, op),
-        lambda: build_iallreduce(size, rank, nbytes, algorithm,
-                                 dtype=dtype, op=op, groups=groups),
-    )
+    """``(plan, peers)`` for :func:`build_iallreduce` (same arguments):
+    the tree algorithms' role template of ``rank`` bound to its tree
+    peers, or ring's cached per-rank plan with the identity table."""
+    if algorithm == "ring":
+        plan = SCHEDULE_CACHE.get(
+            ("allreduce", algorithm, size, rank, nbytes, dtype, op),
+            lambda: build_iallreduce(size, rank, nbytes, algorithm, dtype, op))
+        return plan, identity_peers(size)
+    return compiled_role(("allreduce", algorithm, size, nbytes, dtype, op),
+                         _peers(size, rank, nbytes, algorithm, groups),
+                         partial(_tree, algorithm, nbytes, dtype, op))

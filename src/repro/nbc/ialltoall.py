@@ -38,16 +38,10 @@ __all__ = [
     "ALLTOALL_ALGORITHMS",
     "build_ialltoall",
     "compiled_ialltoall",
-    "bruck_final_source",
 ]
 
 #: algorithm names accepted by :func:`build_ialltoall`
 ALLTOALL_ALGORITHMS = ("linear", "pairwise", "bruck")
-
-
-def bruck_final_source(size: int, rank: int, j: int) -> int:
-    """After Bruck's exchange phase, ``tmp[j]`` holds data from this rank."""
-    return (rank - j) % size
 
 
 def build_ialltoall(size: int, m: int, algorithm: str) -> Schedule:

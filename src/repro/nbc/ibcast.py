@@ -22,14 +22,14 @@ the paper.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from ..errors import ScheduleError
-from .schedule import SCHEDULE_CACHE, Schedule
+from .schedule import Schedule, compiled_role
 
 __all__ = ["BINOMIAL", "build_ibcast", "compiled_ibcast", "bcast_tree",
-           "bcast_peers", "check_bcast_geometry", "compiled_bcast_role",
-           "emit_pipelined_bcast", "segment_bounds", "IBCAST_FANOUTS"]
+           "bcast_peers", "bcast_schedule", "check_bcast_geometry",
+           "segment_bounds", "tree_peers", "IBCAST_FANOUTS"]
 
 #: sentinel fan-out value selecting the binomial tree (the paper's "N")
 BINOMIAL = -1
@@ -91,36 +91,36 @@ def segment_bounds(nbytes: int, segsize: int) -> list[tuple[int, int]]:
     ]
 
 
-def emit_pipelined_bcast(
-    sched: Schedule,
-    parent: int,
-    children: list[int],
-    seg_bounds: list[tuple[int, int]],
-    tag0: int = 0,
-) -> Schedule:
-    """Emit this rank's rounds of a segmented tree broadcast.
+def bcast_schedule(label: str, nbytes: int, segsize: int, parent: int,
+                   children: list[int]) -> Schedule:
+    """One rank's or one tree role's segmented tree broadcast.
 
+    ``label`` names the tree shape (``"binomial"``, ``"hier"``, ...).
     ``parent``/``children`` are the peers the ops name (``parent == -1``
     on the root): real ranks in a per-rank schedule, slots in a role
-    template (:func:`compiled_bcast_role`).  The tree shape is entirely
-    the caller's — flat k-ary/binomial trees (:func:`build_ibcast`) and the
-    two-level hierarchical tree (:mod:`repro.nbc.hier`) share these
-    exact rounds.  Segment *s* uses tag offset ``tag0 + s``; round *k*
-    receives segment *k* from the parent while forwarding segment *k−1*
-    to the children, so a depth-*d* tree with *S* segments completes in
-    ``d + S - 1`` forwarding steps.
+    template (:func:`~repro.nbc.schedule.compiled_role`).  The tree
+    shape is entirely the caller's — flat k-ary/binomial trees
+    (:func:`build_ibcast`) and the two-level hierarchical tree
+    (:mod:`repro.nbc.hier`) share these exact rounds.  Segment *s* uses
+    tag offset *s*; round *k* receives segment *k* from the parent while
+    forwarding segment *k−1* to the children, so a depth-*d* tree with
+    *S* segments completes in ``d + S - 1`` forwarding steps.
     """
+    sched = Schedule(name=f"ibcast[{label},seg={segsize}]")
+    seg_bounds = segment_bounds(nbytes, segsize)
+    if parent == -1 and not children:  # a one-rank communicator
+        return sched
     if parent == -1:
         # root: one round per segment, sending to all children
         for s, (off, length) in enumerate(seg_bounds):
             sched.round()
             for c in children:
-                sched.send(c, length, tagoff=tag0 + s, src=("data", off, length))
+                sched.send(c, length, tagoff=s, src=("data", off, length))
     elif not children:
         # leaf: one receive per segment
         for s, (off, length) in enumerate(seg_bounds):
             sched.round()
-            sched.recv(parent, length, tagoff=tag0 + s, dst=("data", off, length))
+            sched.recv(parent, length, tagoff=s, dst=("data", off, length))
     else:
         # interior node: recv segment k while forwarding segment k-1
         nseg = len(seg_bounds)
@@ -128,12 +128,11 @@ def emit_pipelined_bcast(
             sched.round()
             if k < nseg:
                 off, length = seg_bounds[k]
-                sched.recv(parent, length, tagoff=tag0 + k,
-                           dst=("data", off, length))
+                sched.recv(parent, length, tagoff=k, dst=("data", off, length))
             if k > 0:
                 off, length = seg_bounds[k - 1]
                 for c in children:
-                    sched.send(c, length, tagoff=tag0 + k - 1,
+                    sched.send(c, length, tagoff=k - 1,
                                src=("data", off, length))
     return sched
 
@@ -142,7 +141,7 @@ def check_bcast_geometry(size: int, rank: int, root: int) -> None:
     """Raise :class:`ScheduleError` unless ``rank`` and ``root`` lie in
     a communicator of ``size`` ranks."""
     if size <= 0 or not 0 <= rank < size or not 0 <= root < size:
-        raise ScheduleError(f"bad bcast geometry size={size} rank={rank} root={root}")
+        raise ScheduleError(f"bad rooted geometry size={size} rank={rank} root={root}")
 
 
 def bcast_peers(size: int, rank: int, root: int,
@@ -150,7 +149,7 @@ def bcast_peers(size: int, rank: int, root: int,
     """``(parent, *children)`` of ``rank`` as real communicator ranks.
 
     The parent is ``-1`` on the root.  This is the peer table a tree
-    template (:func:`compiled_bcast_role`) is bound to.
+    template is bound to.
     """
     check_bcast_geometry(size, rank, root)
     parent_v, children_v = bcast_tree(size, (rank - root) % size, fanout)
@@ -159,7 +158,7 @@ def bcast_peers(size: int, rank: int, root: int,
 
 
 @lru_cache(maxsize=16)
-def _tree_peers(size: int, root: int, fanout: int) -> tuple[tuple[int, ...], ...]:
+def tree_peers(size: int, root: int, fanout: int) -> tuple[tuple[int, ...], ...]:
     """Every rank's :func:`bcast_peers`, indexed by rank.
 
     A tuning run starts the same few trees (one per fan-out) thousands
@@ -188,47 +187,13 @@ def build_ibcast(
     The broadcast buffer is the schedule buffer named ``"data"`` (on
     every rank; the root's content is distributed into everyone else's).
     Peers are real ranks (run it bound to
-    :func:`~repro.nbc.schedule.identity_peers`).
-
-    The schedule pipelines segments: round *k* receives segment *k* from
-    the parent and simultaneously forwards segment *k−1* to the
-    children, so a depth-*d* tree with *S* segments completes in
-    ``d + S - 1`` forwarding steps.
+    :func:`~repro.nbc.schedule.identity_peers`): this is the per-rank
+    reference the role templates of :func:`compiled_ibcast` equal.
+    See :func:`bcast_schedule` for the pipelined rounds.
     """
-    seg_bounds = segment_bounds(nbytes, segsize)
-    peers = bcast_peers(size, rank, root, fanout)
-    sched = Schedule(name=f"ibcast[{_fanout_name(fanout)},seg={segsize}]")
-    if size == 1:
-        return sched
-    return emit_pipelined_bcast(sched, peers[0], list(peers[1:]), seg_bounds)
-
-
-def compiled_bcast_role(label: str, size: int, nbytes: int, segsize: int,
-                        peers: tuple[int, ...]):
-    """The cached role template for a tree-broadcast rank, with its peers.
-
-    The template depends on the rank only through its role — whether it
-    has a parent, and how many children — so all ranks of one role share
-    it: slot 0 is the parent, slots ``1..nchildren`` the children, in
-    the order of ``peers = (parent, *children)``.  ``label`` names the
-    tree shape (``"binomial"``, ``"hier"``, ...) in the cache key and the
-    schedule name.  Returns ``(template, peers)``, ready for
-    :class:`~repro.nbc.request.NBCRequest`.
-    """
-    has_parent = peers[0] != -1
-    nchildren = len(peers) - 1
-
-    def build() -> Schedule:
-        seg_bounds = segment_bounds(nbytes, segsize)
-        sched = Schedule(name=f"ibcast[{label},seg={segsize}]")
-        if not has_parent and not nchildren:  # a single-rank communicator
-            return sched
-        return emit_pipelined_bcast(sched, 0 if has_parent else -1,
-                                    list(range(1, nchildren + 1)), seg_bounds)
-
-    plan = SCHEDULE_CACHE.get(
-        ("bcast", label, size, nbytes, segsize, has_parent, nchildren), build)
-    return plan, peers
+    parent, *children = bcast_peers(size, rank, root, fanout)
+    return bcast_schedule(_fanout_name(fanout), nbytes, segsize, parent,
+                          children)
 
 
 def compiled_ibcast(
@@ -239,7 +204,10 @@ def compiled_ibcast(
     fanout: int,
     segsize: int,
 ):
-    """``(template, peers)`` for :func:`build_ibcast` (same arguments)."""
+    """``(template, peers)`` for :func:`build_ibcast` (same arguments):
+    the role template of ``rank`` in the tree, bound to its peers."""
     check_bcast_geometry(size, rank, root)
-    return compiled_bcast_role(_fanout_name(fanout), size, nbytes, segsize,
-                               _tree_peers(size, root, fanout)[rank])
+    label = _fanout_name(fanout)
+    return compiled_role(("bcast", label, size, nbytes, segsize),
+                         tree_peers(size, root, fanout)[rank],
+                         partial(bcast_schedule, label, nbytes, segsize))

@@ -8,6 +8,14 @@ two classic shapes:
 * **chain** — a pipeline along the rank line, segmented like the
   broadcast (good for very large payloads).
 
+Each is a broadcast tree of :mod:`repro.nbc.ibcast` — the binomial one
+and the fan-out-1 chain — walked from the leaves up by one emitter,
+:func:`emit_reduce`.  A rank's plan depends on it only through its
+role (has a parent, number of children, and the step ``k`` it sends
+up on), so :func:`compiled_ireduce` compiles one *role template* per
+role and binds each rank's ``(parent, *children)``
+(:func:`~repro.nbc.schedule.compiled_role`).
+
 Buffers: ``"data"`` is this rank's contribution (also the result buffer
 on the root), ``"acc"`` the local accumulator, and ``"in"`` the staging
 area for incoming contributions.  All three are ``nbytes`` long.
@@ -15,14 +23,90 @@ area for incoming contributions.  All three are ``nbytes`` long.
 
 from __future__ import annotations
 
-import math
+from functools import partial
 
 from ..errors import ScheduleError
-from .schedule import SCHEDULE_CACHE, Schedule
+from .ibcast import BINOMIAL, check_bcast_geometry, segment_bounds, tree_peers
+from .schedule import Schedule, compiled_role
 
-__all__ = ["REDUCE_ALGORITHMS", "build_ireduce", "compiled_ireduce"]
+__all__ = ["REDUCE_ALGORITHMS", "build_ireduce", "compiled_ireduce",
+           "emit_reduce", "parent_step"]
 
 REDUCE_ALGORITHMS = ("binomial", "chain")
+
+#: the broadcast tree each algorithm reduces along
+_FANOUT = {"binomial": BINOMIAL, "chain": 1}
+
+
+def _peers(size: int, rank: int, root: int,
+           algorithm: str) -> tuple[int, ...]:
+    """``(parent, *children)`` of ``rank`` in the algorithm's tree."""
+    if algorithm not in _FANOUT:
+        raise ScheduleError(
+            f"unknown reduce algorithm {algorithm!r}; "
+            f"expected one of {REDUCE_ALGORITHMS}")
+    check_bcast_geometry(size, rank, root)
+    return tree_peers(size, root, _FANOUT[algorithm])[rank]
+
+
+def parent_step(size: int, rank: int, parent: int) -> int:
+    """``log2((rank - parent) mod size)``: the combining step on which
+    ``rank`` hands its partial result up a binomial tree (0 in a chain
+    and on the root)."""
+    return 0 if parent == -1 else ((rank - parent) % size).bit_length() - 1
+
+
+def emit_reduce(sched: Schedule, parent: int, children: list[int],
+                seg_bounds: list[tuple[int, int]], k: int, dtype: str,
+                op: str) -> Schedule:
+    """Emit this rank's rounds of a segmented tree reduction.
+
+    ``parent``/``children`` are the peers the ops name (``parent == -1``
+    on the root): real ranks in a per-rank schedule, slots in a role
+    template, as in :func:`~repro.nbc.ibcast.bcast_schedule`.
+    Segment *s* of child *j* arrives on tag offset ``s + j`` and is
+    combined in order; the partial result goes up on ``s + k``, where
+    ``k`` is :func:`parent_step` (a child's index in its parent's
+    binomial children).  A one-rank communicator posts nothing.
+    """
+    if parent == -1 and not children:
+        return sched
+    nbytes = seg_bounds[-1][0] + seg_bounds[-1][1]
+    sched.round()
+    sched.copy(nbytes, src=("data", 0, nbytes), dst=("acc", 0, nbytes))
+    for s, (off, length) in enumerate(seg_bounds):
+        for j, child in enumerate(children):
+            sched.round()
+            sched.recv(child, length, tagoff=s + j, dst=("in", off, length))
+            sched.round()
+            sched.combine(length, src=("in", off, length),
+                          dst=("acc", off, length), dtype=dtype, op=op)
+        if parent != -1:
+            sched.round()
+            sched.send(parent, length, tagoff=s + k, src=("acc", off, length))
+    if parent == -1:
+        sched.round()
+        sched.copy(nbytes, src=("acc", 0, nbytes), dst=("data", 0, nbytes))
+    return sched
+
+
+def _reduce_schedule(algorithm: str, size: int, nbytes: int, segsize: int,
+                     dtype: str, op: str, k: int, parent: int,
+                     children: list[int]) -> Schedule:
+    """One rank's or one tree role's reduction (see :func:`emit_reduce`)."""
+    # binomial, and chain without segmentation, move one segment
+    if algorithm == "chain" and segsize > 0:
+        seg_bounds = segment_bounds(nbytes, segsize)
+    else:
+        seg_bounds = [(0, nbytes)]
+    sched = Schedule(name=f"ireduce[{algorithm}]")
+    if size > 1:
+        # leaves use fewer tag offsets than interior nodes, so pin the
+        # reservation to the rank-independent maximum
+        sched.uniform_tag_span = ((size - 1).bit_length()
+                                  if algorithm == "binomial"
+                                  else len(seg_bounds))
+    return emit_reduce(sched, parent, children, seg_bounds, k, dtype, op)
 
 
 def build_ireduce(
@@ -38,95 +122,13 @@ def build_ireduce(
     """Build this rank's schedule for a reduction to ``root``.
 
     ``segsize`` only affects the chain algorithm (0 = no segmentation).
+    Peers are real ranks (run it bound to
+    :func:`~repro.nbc.schedule.identity_peers`): this is the per-rank
+    reference the role templates of :func:`compiled_ireduce` equal.
     """
-    if size <= 0 or not 0 <= rank < size or not 0 <= root < size:
-        raise ScheduleError(f"bad reduce geometry size={size} rank={rank} root={root}")
-    if algorithm == "binomial":
-        return _binomial(size, rank, root, nbytes, dtype, op)
-    if algorithm == "chain":
-        return _chain(size, rank, root, nbytes, dtype, op, segsize)
-    raise ScheduleError(
-        f"unknown reduce algorithm {algorithm!r}; expected one of {REDUCE_ALGORITHMS}"
-    )
-
-
-def _binomial(size: int, rank: int, root: int, nbytes: int,
-              dtype: str, op: str) -> Schedule:
-    sched = Schedule(name="ireduce[binomial]")
-    # tag offsets are per combining step; leaves use fewer than interior
-    # nodes, so pin the reservation to the rank-independent maximum
-    sched.uniform_tag_span = max(1, math.ceil(math.log2(size))) if size > 1 else 1
-    if size == 1:
-        return sched
-    vrank = (rank - root) % size
-    to_real = lambda v: (v + root) % size  # noqa: E731
-
-    # local accumulator starts as own contribution
-    sched.round()
-    sched.copy(nbytes, src=("data", 0, nbytes), dst=("acc", 0, nbytes))
-
-    # combine children bottom-up: at step k the partner differs in bit k
-    mask = 1
-    step = 0
-    while mask < size:
-        if vrank & mask:
-            # send accumulated value to parent, then done
-            sched.round()
-            sched.send(to_real(vrank - mask), nbytes, tagoff=step,
-                       src=("acc", 0, nbytes))
-            break
-        child = vrank + mask
-        if child < size:
-            sched.round()
-            sched.recv(to_real(child), nbytes, tagoff=step, dst=("in", 0, nbytes))
-            sched.round()
-            sched.combine(nbytes, src=("in", 0, nbytes), dst=("acc", 0, nbytes),
-                          dtype=dtype, op=op)
-        mask <<= 1
-        step += 1
-    if vrank == 0:
-        sched.round()
-        sched.copy(nbytes, src=("acc", 0, nbytes), dst=("data", 0, nbytes))
-    return sched
-
-
-def _chain(size: int, rank: int, root: int, nbytes: int,
-           dtype: str, op: str, segsize: int) -> Schedule:
-    sched = Schedule(name="ireduce[chain]")
-    if size == 1:
-        return sched
-    if segsize <= 0:
-        segsize = nbytes
-    # every rank reserves one tag per segment regardless of its position
-    sched.uniform_tag_span = max(1, math.ceil(nbytes / segsize))
-    vrank = (rank - root) % size
-    to_real = lambda v: (v + root) % size  # noqa: E731
-    # the chain runs from the highest virtual rank down to the root:
-    # each process receives the partial result from vrank+1, combines
-    # its own data, and forwards to vrank-1
-    prev_v = vrank + 1  # upstream neighbour (contributes to us)
-    next_v = vrank - 1  # downstream neighbour (we contribute to them)
-    nseg = max(1, math.ceil(nbytes / segsize))
-    seg_bounds = [
-        (s * segsize, min(segsize, nbytes - s * segsize)) for s in range(nseg)
-    ]
-
-    sched.round()
-    sched.copy(nbytes, src=("data", 0, nbytes), dst=("acc", 0, nbytes))
-    for s, (off, length) in enumerate(seg_bounds):
-        if prev_v < size:
-            sched.round()
-            sched.recv(to_real(prev_v), length, tagoff=s, dst=("in", off, length))
-            sched.round()
-            sched.combine(length, src=("in", off, length), dst=("acc", off, length),
-                          dtype=dtype, op=op)
-        if next_v >= 0:
-            sched.round()
-            sched.send(to_real(next_v), length, tagoff=s, src=("acc", off, length))
-    if vrank == 0:
-        sched.round()
-        sched.copy(nbytes, src=("acc", 0, nbytes), dst=("data", 0, nbytes))
-    return sched
+    parent, *children = _peers(size, rank, root, algorithm)
+    return _reduce_schedule(algorithm, size, nbytes, segsize, dtype, op,
+                            parent_step(size, rank, parent), parent, children)
 
 
 def compiled_ireduce(
@@ -139,9 +141,11 @@ def compiled_ireduce(
     op: str = "sum",
     segsize: int = 0,
 ):
-    """Cached compiled plan for :func:`build_ireduce` (same arguments)."""
-    return SCHEDULE_CACHE.get(
-        ("reduce", algorithm, size, rank, nbytes, segsize, 0, root, dtype, op),
-        lambda: build_ireduce(size, rank, root, nbytes, algorithm,
-                              dtype=dtype, op=op, segsize=segsize),
-    )
+    """``(template, peers)`` for :func:`build_ireduce` (same arguments):
+    the role template of ``rank`` in the tree, bound to its peers."""
+    peers = _peers(size, rank, root, algorithm)
+    k = parent_step(size, rank, peers[0])
+    return compiled_role(
+        ("reduce", algorithm, size, nbytes, segsize, dtype, op, k), peers,
+        partial(_reduce_schedule, algorithm, size, nbytes, segsize, dtype,
+                op, k))

@@ -16,8 +16,10 @@ byte vector in ``"data"``; rank *i* ends with the fully reduced *i*-th
 Pairwise names every peer, and every ``"data"`` block, by rank offset,
 so it compiles one *rotation template* (rank 0's plan, slot *s* meaning
 rank ``(rank + s) % P``) bound per request to
-:func:`~repro.nbc.schedule.rotation_peers`; reduce_then_scatter is
-rooted at rank 0 and stays one plan per rank, bound to
+:func:`~repro.nbc.schedule.rotation_peers`.  Reduce_then_scatter runs
+the binomial reduce's emitter (:func:`~repro.nbc.ireduce.emit_reduce`)
+on real ranks and ends in a scatter that only rank 0 sends, so it
+stays one plan per rank, bound to
 :func:`~repro.nbc.schedule.identity_peers`.
 
 Extra buffers: ``"acc"`` and ``"in"`` staging, sized by the plan from
@@ -30,7 +32,8 @@ tests should use integer-valued payloads.
 from __future__ import annotations
 
 from ..errors import ScheduleError
-from .ireduce import build_ireduce
+from .ibcast import BINOMIAL, bcast_peers
+from .ireduce import emit_reduce, parent_step
 from .schedule import (
     SCHEDULE_CACHE,
     Schedule,
@@ -97,13 +100,14 @@ def _pairwise(size: int, m: int, dtype: str, op: str) -> Schedule:
 
 def _reduce_then_scatter(size: int, rank: int, m: int, dtype: str,
                          op: str) -> Schedule:
-    # the binomial reduce leaves the fully reduced vector in rank 0's
-    # "data"; one extra round scatters the blocks
-    sched = build_ireduce(size, rank, 0, size * m, "binomial",
-                          dtype=dtype, op=op)
-    sched.name = "ireduce_scatter[reduce_then_scatter]"
-    span = sched.tag_span
+    # a binomial reduce of the whole vector to rank 0's "data", then one
+    # extra round, on the tag after the reduce's, scatters the blocks
+    sched = Schedule(name="ireduce_scatter[reduce_then_scatter]")
+    span = max(1, (size - 1).bit_length())
     sched.uniform_tag_span = span + 1
+    parent, *children = bcast_peers(size, rank, 0, BINOMIAL)
+    emit_reduce(sched, parent, children, [(0, size * m)],
+                parent_step(size, rank, parent), dtype, op)
     sched.round()
     if rank == 0:
         for peer in range(1, size):

@@ -41,12 +41,15 @@ Peers are named by **slot**: a send or receive targets
 to.  That makes a plan rank-independent wherever the op list is, in
 three shapes:
 
-* **Role templates.**  The tree broadcasts (flat and hierarchical)
+* **Role templates.**  The tree broadcasts (flat and hierarchical),
+  the binomial and chain reduces (the broadcast trees run from the
+  leaves up) and the tree all-reduces (``reduce_bcast`` and ``hier``)
   compile one template per tree role — ``(has_parent, nchildren)``,
   with slot 0 the parent and slots 1.. the children, as LibNBC builds
   its trees on root-relative virtual ranks — and bind each rank's
-  ``(parent, *children)``: a P=1024 hierarchical broadcast needs about
-  ten plans instead of 1,024.
+  ``(parent, *children)`` (:func:`compiled_role`): a P=1024
+  hierarchical broadcast or all-reduce needs about ten plans instead
+  of 1,024.
 * **Rotation templates.**  Linear, pairwise and Bruck all-to-all, ring
   and linear all-gather, pairwise reduce-scatter and the dissemination
   barrier name every peer, and every buffer block chosen by peer, by a
@@ -54,11 +57,14 @@ three shapes:
   ranks, bound to :func:`rotation_peers`: slot *s* is rank
   ``(rank + s) % P``.  A peer-indexed block is a slot-relative
   :data:`SlotSpec` resolved against the same table.
-* **Per-rank plans.**  Every other family (recursive doubling, the
-  reduce trees, all-reduce, all-gather-v, the hierarchical all-to-all,
+* **Per-rank plans.**  Every other family (recursive doubling, ring
+  all-reduce, all-gather-v, the hierarchical all-to-all,
   reduce-then-scatter and the scatter+allgather mock-up) compiles one
   plan per rank whose slots are ranks, bound to the shared
   :func:`identity_peers` table.
+
+Every ``compiled_*`` entry point returns the pair ``(plan, peers)``,
+which :func:`repro.nbc.coll.start_plan` binds.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ __all__ = [
     "identity_peers",
     "rotation_peers",
     "peer_block",
-    "resolve",
+    "compiled_role",
     "USER_BUFFERS",
 ]
 
@@ -148,24 +154,25 @@ def rotation_peers(size: int, rank: int) -> tuple[int, ...]:
     return ranks[rank:] + ranks[:rank]
 
 
-def resolve(buffers: Optional[dict], spec: Optional[BufSpec]) -> Optional[np.ndarray]:
-    """Resolve a :data:`BufSpec` to a ``uint8`` view, or None in size-only mode."""
-    if buffers is None or spec is None:
-        return None
-    name, offset, nbytes = spec
-    try:
-        buf = buffers[name]
-    except KeyError:
-        raise ScheduleError(f"schedule references unknown buffer {name!r}") from None
-    if buf is None:
-        return None
-    view = buf[offset : offset + nbytes]
-    if view.nbytes != nbytes:
-        raise ScheduleError(
-            f"buffer {name!r} too small: need [{offset}:{offset + nbytes}), "
-            f"have {buf.nbytes} bytes"
-        )
-    return view
+def compiled_role(key: tuple, peers: tuple[int, ...],
+                  build: Callable[[int, list[int]], "Schedule"]):
+    """``(template, peers)``: the cached role template of a tree rank.
+
+    ``peers = (parent, *children)`` are the rank's tree neighbours as
+    communicator ranks, the parent ``-1`` on the root.  A tree plan
+    depends on the rank only through its role — whether it has a
+    parent, and how many children — so the ranks of one role share the
+    template cached under ``key + (has_parent, nchildren)``.
+    ``build(parent, children)`` emits it on slots: slot 0 is the parent
+    (``-1`` on the root), slots ``1..nchildren`` the children, in the
+    order of ``peers``.
+    """
+    has_parent = peers[0] != -1
+    nchildren = len(peers) - 1
+    plan = SCHEDULE_CACHE.get(
+        (*key, has_parent, nchildren),
+        lambda: build(0 if has_parent else -1, list(range(1, nchildren + 1))))
+    return plan, peers
 
 
 class SendOp:
@@ -459,9 +466,12 @@ class ScheduleCache:
 
     The store is a plain dict (the lookup is on a tuning hot path); when
     it would exceed ``maxsize`` distinct keys it is flushed wholesale.
-    Tree-broadcast plans are per role, not per rank, so the 21-candidate
-    Ibcast brute force holds 84 of them at P=256 and 93 at P=1024 (a
-    binomial tree has ``log2(P) + 1`` roles, the others at most four).
+    Tree plans are per role, not per rank, so the 21-candidate Ibcast
+    brute force holds 84 of them at P=256 and 93 at P=1024 (a binomial
+    tree has ``log2(P) + 1`` roles, the others at most four), the
+    4-candidate Ireduce set 28 at P=1024 (11 per binomial candidate, 3
+    per chain) and the two tree Iallreduce candidates 21 on a
+    4-core-per-node P=1024 partition.
     Rotation templates are one per algorithm and geometry, so the
     3-candidate Ialltoall brute force holds 3 plans at any P; the
     per-rank families hold one plan per rank and candidate.  The

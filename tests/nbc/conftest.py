@@ -1,5 +1,7 @@
 """Shared helpers for running collectives to completion in a fresh world."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,28 @@ def byte_range(spec, peers):
         return spec
     name, slot, nbytes, _ = spec
     return (name, peers[slot] * nbytes, nbytes)
+
+
+def digest(obj) -> str:
+    """A short stable digest of ``repr(obj)``."""
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def concrete(plan, peers):
+    """Everything one rank's bound plan does, as plain data: its name,
+    tag span, scratch and user extents and, per op, its kind, peer rank,
+    size, tag offset, absolute byte ranges and reduction."""
+    return (
+        plan.name, plan.tag_span,
+        sorted(plan.scratch.items()), sorted(plan.user_extents.items()),
+        [[(op.kind,
+           peers[op.peer] if op.kind in ("send", "recv") else None,
+           op.nbytes, getattr(op, "tagoff", None),
+           byte_range(getattr(op, "src", None), peers),
+           byte_range(getattr(op, "dst", None), peers),
+           getattr(op, "dtype", None), getattr(op, "op", None))
+          for op in rnd] for rnd in plan.rounds],
+    )
 
 
 def bound_rounds(sched, peers):

@@ -151,11 +151,12 @@ def test_partitions_are_interned_and_validated_once():
 
 def test_hier_alltoall_keys_on_the_partition_token(cache):
     groups = ((0, 1, 2), (3, 4))
-    plan = compiled_hier_ialltoall(5, 3, 16, groups)
+    plan, peers = compiled_hier_ialltoall(5, 3, 16, groups)
     # an equal partition spelled as a fresh tuple hits the same plan
-    assert compiled_hier_ialltoall(5, 3, 16, tuple(map(tuple, groups))) is plan
+    assert compiled_hier_ialltoall(5, 3, 16, tuple(map(tuple, groups)))[0] is plan
     assert plan.key[-1] is as_partition(groups)
-    assert (bound_rounds(plan, identity_peers(5))
+    assert peers is identity_peers(5)
+    assert (bound_rounds(plan, peers)
             == bound_rounds(build_hier_ialltoall(5, 3, 16, groups),
                             identity_peers(5)))
 

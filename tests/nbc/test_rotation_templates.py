@@ -14,7 +14,6 @@ and completion time (``float.hex``).  A noisy :class:`NoiseModel` must
 draw the values it drew when every model built a ``Generator``.
 """
 
-import hashlib
 import tracemalloc
 
 import numpy as np
@@ -35,7 +34,7 @@ from repro.nbc.schedule import SCHEDULE_CACHE, rotation_peers
 from repro.sim import SimWorld, Wait, get_platform
 from repro.sim.noise import NoiseModel, NullNoise
 
-from .conftest import alltoall_sendbuf, byte_range
+from .conftest import alltoall_sendbuf, concrete, digest
 
 SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32)
 #: bytes per block: three float64 elements, so reductions stay aligned
@@ -146,25 +145,6 @@ NOISE_DRAWS = {
 }
 
 
-def _digest(obj) -> str:
-    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
-
-
-def _concrete(plan, peers):
-    """Everything one rank's bound plan does, as plain data."""
-    return (
-        plan.name, plan.tag_span,
-        sorted(plan.scratch.items()), sorted(plan.user_extents.items()),
-        [[(op.kind,
-           peers[op.peer] if op.kind in ("send", "recv") else None,
-           op.nbytes, getattr(op, "tagoff", None),
-           byte_range(getattr(op, "src", None), peers),
-           byte_range(getattr(op, "dst", None), peers),
-           getattr(op, "dtype", None), getattr(op, "op", None))
-          for op in rnd] for rnd in plan.rounds],
-    )
-
-
 def _barrier(size, rank):
     return _barrier_schedule(size).compile(), rotation_peers(size, rank)
 
@@ -203,7 +183,7 @@ def _name(family) -> str:
 @pytest.mark.parametrize("family", sorted(PLAN_DIGESTS), ids=_name)
 def test_bound_template_equals_the_per_rank_plan(cache, family):
     bound = BOUND[family]
-    got = {size: _digest([_concrete(*bound(size, rank))
+    got = {size: digest([concrete(*bound(size, rank))
                           for rank in range(size)])
            for size in SIZES}
     assert got == PLAN_DIGESTS[family]
@@ -270,7 +250,7 @@ def test_payload_runs_land_the_same_bytes(family, size):
 
     world.launch(body)
     world.run()
-    got = _digest([out[rank] for rank in range(size)])
+    got = digest([out[rank] for rank in range(size)])
     assert got == PAYLOAD_DIGESTS[family][size]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ScheduleError
-from repro.nbc.schedule import CombineOp, Schedule, resolve
+from repro.nbc.schedule import CombineOp, Schedule
 
 
 def test_round_and_op_construction():
@@ -56,30 +56,6 @@ def test_validate_rejects_negative_size():
     s.round().send(0, -1)
     with pytest.raises(ScheduleError):
         s.validate()
-
-
-def test_resolve_returns_view():
-    buf = np.arange(10, dtype=np.uint8)
-    view = resolve({"b": buf}, ("b", 2, 4))
-    np.testing.assert_array_equal(view, [2, 3, 4, 5])
-    view[:] = 0
-    assert buf[2] == 0  # it is a view, not a copy
-
-
-def test_resolve_size_only_mode():
-    assert resolve(None, ("b", 0, 4)) is None
-    assert resolve({"b": np.zeros(4, np.uint8)}, None) is None
-    assert resolve({"b": None}, ("b", 0, 4)) is None
-
-
-def test_resolve_unknown_buffer_raises():
-    with pytest.raises(ScheduleError):
-        resolve({"b": np.zeros(4, np.uint8)}, ("nope", 0, 1))
-
-
-def test_resolve_out_of_range_raises():
-    with pytest.raises(ScheduleError):
-        resolve({"b": np.zeros(4, np.uint8)}, ("b", 2, 4))
 
 
 @pytest.mark.parametrize(

@@ -17,13 +17,14 @@ operation).  §IV-B exploits the latter to add ``MPI_Alltoall`` to the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from ..errors import AdclError
 from ..nbc.request import NBCRequest
 from ..sim.mpi import MPIContext, SimComm
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["CollSpec", "CollFunction", "FunctionSet"]
 
@@ -56,7 +57,8 @@ class CollSpec:
 
 #: builds + starts the NBC handle for one implementation:
 #: ``maker(ctx, spec, buffers) -> NBCRequest``
-Maker = Callable[[MPIContext, CollSpec, Optional[Mapping[str, np.ndarray]]], NBCRequest]
+Maker = Callable[[MPIContext, CollSpec, Optional[Mapping[str, "np.ndarray"]]],
+                 NBCRequest]
 
 
 @dataclass(frozen=True)

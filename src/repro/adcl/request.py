@@ -29,9 +29,7 @@ locations — the paper's solution for timing non-blocking operations.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from ..errors import AdclError
 from ..obs.recorder import get_recorder
@@ -46,6 +44,9 @@ from .selection.brute_force import BruteForceSelector
 from .selection.factorial import FactorialSelector
 from .selection.heuristic import HeuristicSelector
 from .timer import gather_max
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ADCLRequest", "make_selector", "SELECTOR_NAMES"]
 
@@ -398,8 +399,8 @@ class ADCLRequest:
             if n:
                 kept = filter_outliers(log.samples[i],
                                        method=log.filter_method)
-                entry["kept"] = int(kept.size)
-                entry["discarded"] = n - int(kept.size)
+                entry["kept"] = len(kept)
+                entry["discarded"] = n - len(kept)
                 entry["estimate"] = log.estimate(i)
             if quarantined is not None:
                 entry["quarantined"] = quarantined[0]

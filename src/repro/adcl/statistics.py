@@ -22,8 +22,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..errors import AdclError
 
 __all__ = ["robust_mean", "filter_outliers", "DriftDetector", "FILTER_METHODS"]
@@ -32,31 +30,72 @@ FILTER_METHODS = ("mean", "iqr", "cluster")
 
 
 def filter_outliers(samples: Sequence[float], method: str = "cluster",
-                    rtol: float = 0.25) -> np.ndarray:
-    """Return the subset of ``samples`` the estimator considers clean."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
+                    rtol: float = 0.25) -> list[float]:
+    """Return the subset of ``samples`` the estimator considers clean,
+    as floats in their original order."""
+    vals = [float(v) for v in samples]
+    if not vals:
         raise AdclError("cannot filter an empty sample set")
     if method == "mean":
-        return arr
+        return vals
     if method == "iqr":
-        if arr.size < 4:
-            return arr
+        if len(vals) < 4:
+            return vals
+        import numpy as np
+
+        arr = np.asarray(vals)
         q1, q3 = np.percentile(arr, [25, 75])
         iqr = q3 - q1
         mask = (arr >= q1 - 1.5 * iqr) & (arr <= q3 + 1.5 * iqr)
-        return arr[mask] if mask.any() else arr
+        return arr[mask].tolist() if mask.any() else vals
     if method == "cluster":
-        lo = arr.min()
-        kept = arr[arr <= lo * (1.0 + rtol)]
-        return kept if kept.size else arr
+        cut = min(vals) * (1.0 + rtol)
+        kept = [v for v in vals if v <= cut]
+        # a NaN sample makes numpy's minimum NaN, which keeps nothing
+        if not kept or any(v != v for v in vals):
+            return vals
+        return kept
     raise AdclError(f"unknown filter method {method!r}; expected {FILTER_METHODS}")
+
+
+def _pairwise_sum(vals: list[float], lo: int, n: int) -> float:
+    """Sum of ``vals[lo:lo + n]`` in the order numpy's pairwise summation
+    adds float64 values: a plain loop below 8 values, 8 interleaved
+    partial sums up to 128, and above that the two halves, split at a
+    multiple of 8."""
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += vals[i]
+        return res
+    if n <= 128:
+        end = lo + n - n % 8
+        r = []
+        for j in range(lo, lo + 8):
+            acc = vals[j]
+            for v in vals[j + 8:end:8]:
+                acc += v
+            r.append(acc)
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            res += vals[i]
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(vals, lo, n2) + _pairwise_sum(vals, lo + n2, n - n2)
 
 
 def robust_mean(samples: Sequence[float], method: str = "cluster",
                 rtol: float = 0.25) -> float:
-    """Outlier-filtered mean of a measurement series."""
-    return float(filter_outliers(samples, method=method, rtol=rtol).mean())
+    """Outlier-filtered mean of a measurement series.
+
+    Bit for bit the ``ndarray.mean()`` of the kept samples: numpy adds
+    their pairwise sum to its identity ``0.0`` and divides by the count.
+    Neither builtin ``sum`` (compensated from Python 3.12 on) nor
+    ``math.fsum`` adds in that order.
+    """
+    kept = filter_outliers(samples, method=method, rtol=rtol)
+    return (0.0 + _pairwise_sum(kept, 0, len(kept))) / len(kept)
 
 
 class DriftDetector:

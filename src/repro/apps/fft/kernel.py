@@ -35,9 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from ...adcl.fnsets import ialltoall_extended_function_set, ialltoall_function_set
 from ...adcl.function import CollSpec
@@ -50,6 +48,9 @@ from ...sim import Barrier, Compute, NoiseModel, Progress, SimWorld, Wait, get_p
 from .cost import line_fft_seconds, plane_fft_seconds
 from .decomposition import SlabDecomposition
 from .patterns import get_pattern
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["FFTConfig", "FFTResult", "run_fft", "FFT_METHODS"]
 
@@ -166,6 +167,8 @@ def _slab_matches(slab: np.ndarray, expected: np.ndarray) -> bool:
     ``|d|`` and the boolean result are allocated, each a temporary of
     this call.
     """
+    import numpy as np
+
     d = np.fft.fft(slab, axis=0)
     d -= expected
     err = np.abs(d)
@@ -178,6 +181,8 @@ def _slab_matches(slab: np.ndarray, expected: np.ndarray) -> bool:
 
 def run_fft(config: FFTConfig) -> FFTResult:
     """Execute the kernel and return per-iteration measurements."""
+    import numpy as np
+
     world = SimWorld(
         get_platform(config.platform), config.nprocs,
         noise=config.noise(), placement=config.placement,

@@ -20,9 +20,7 @@ data; omit them for size-only performance runs.
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..errors import ScheduleError
 from ..sim.mpi import MPIContext, SimComm
@@ -44,6 +42,9 @@ from .ireduce import compiled_ireduce
 from .ireduce_scatter import compiled_ireduce_scatter
 from .request import NBCRequest, make_buffers
 from .schedule import SCHEDULE_CACHE, CompiledSchedule, Schedule, rotation_peers
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "start_plan",
@@ -87,6 +88,8 @@ def start_plan(ctx: MPIContext, comm: SimComm, rank: int,
     """
     buffers = None
     if any(arr is not None for arr in arrays.values()):
+        import numpy as np
+
         buffers = make_buffers(**arrays)
         for name, need in plan.user_extents.items():
             if name not in buffers:

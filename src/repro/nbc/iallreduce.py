@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from functools import partial
 
-import numpy as np
-
 from ..errors import ScheduleError
 from .hier import Groups, as_partition
 from .iallgatherv import balanced_counts
@@ -48,6 +46,27 @@ __all__ = [
 ]
 
 ALLREDUCE_ALGORITHMS = ("reduce_bcast", "ring", "hier")
+
+#: element byte size of each numpy type name, so a size-only ring plan
+#: compiles without loading numpy
+_ITEMSIZE = {
+    f"{kind}{bits}": bits // 8
+    for kind, widths in (("int", (8, 16, 32, 64)), ("uint", (8, 16, 32, 64)),
+                         ("float", (16, 32, 64)), ("complex", (64, 128)))
+    for bits in widths
+}
+
+
+def itemsize(dtype) -> int:
+    """Byte size of one ``dtype`` element: numpy's sized type names
+    (``"float64"``, ``"int32"``, ...) resolve from a table, any other
+    spelling through ``numpy.dtype``, which rejects an unknown one."""
+    size = _ITEMSIZE.get(dtype) if isinstance(dtype, str) else None
+    if size is None:
+        import numpy as np
+
+        size = np.dtype(dtype).itemsize
+    return size
 
 
 def _peers(size: int, rank: int, nbytes: int, algorithm: str,
@@ -134,7 +153,7 @@ def _tree(algorithm: str, nbytes: int, dtype: str, op: str, parent: int,
 def _ring(size: int, rank: int, nbytes: int, dtype: str, op: str) -> Schedule:
     # block boundaries must fall on element boundaries or the combines
     # would split a value in half
-    item = np.dtype(dtype).itemsize
+    item = itemsize(dtype)
     if nbytes % item:
         raise ScheduleError(
             f"allreduce payload {nbytes} not a multiple of {dtype} size")

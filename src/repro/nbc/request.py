@@ -19,15 +19,16 @@ in single-threaded MPI libraries.
 
 from __future__ import annotations
 
-from typing import Union, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Union, Optional
 
 from ..errors import ScheduleError
 from ..obs.recorder import declare
 from ..sim.mpi import MPIContext, SimComm
 from ..sim.process import Waitable
 from .schedule import CompiledSchedule, Schedule
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["NBCRequest", "make_buffers"]
 
@@ -48,6 +49,8 @@ def make_buffers(**arrays) -> dict[str, Optional[np.ndarray]]:
     >>> bufs["send"].dtype
     dtype('uint8')
     """
+    import numpy as np
+
     out: dict[str, Optional[np.ndarray]] = {}
     for name, arr in arrays.items():
         if arr is None:

@@ -70,11 +70,12 @@ which :func:`repro.nbc.coll.start_plan` binds.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import ScheduleError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BufSpec",
@@ -239,11 +240,12 @@ class CombineOp:
     __slots__ = ("nbytes", "src", "dst", "dtype", "op")
     kind = "combine"
 
+    #: op name -> name of the numpy ufunc that applies it
     _OPS = {
-        "sum": np.add,
-        "prod": np.multiply,
-        "max": np.maximum,
-        "min": np.minimum,
+        "sum": "add",
+        "prod": "multiply",
+        "max": "maximum",
+        "min": "minimum",
     }
 
     def __init__(self, nbytes: int, src: Optional[BufSpec], dst: Optional[BufSpec],
@@ -258,9 +260,11 @@ class CombineOp:
 
     def apply(self, src_view: np.ndarray, dst_view: np.ndarray) -> None:
         """Perform the combine on resolved uint8 views."""
+        import numpy as np
+
         a = dst_view.view(self.dtype)
         b = src_view.view(self.dtype)
-        self._OPS[self.op](a, b, out=a)
+        getattr(np, self._OPS[self.op])(a, b, out=a)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Combine({self.op}, {self.nbytes}B, {self.dtype})"

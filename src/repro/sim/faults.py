@@ -50,8 +50,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..errors import FaultError
 
 __all__ = [
@@ -307,6 +305,8 @@ class FaultInjector:
     """
 
     def __init__(self, plan: FaultPlan):
+        import numpy as np
+
         self.plan = plan
         self._rng = np.random.default_rng((plan.seed * 1_000_003) ^ _FAULT_STREAM)
         self._active_drops: list[DropRule] = []

@@ -29,9 +29,7 @@ from __future__ import annotations
 import math
 import os
 from heapq import heappush as _heappush
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, Union
 
 from ..errors import (
     CommRevokedError,
@@ -61,6 +59,9 @@ from .process import (
     Waitable,
 )
 from .topology import Topology
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SimWorld", "SimComm", "MPIContext", "RunResult", "INCAST_DEPTH_CAP"]
 
@@ -138,11 +139,24 @@ class _Message(SendRequest):
         self.attempts = 0
 
 
-_U8 = np.dtype(np.uint8)
+#: numpy and its uint8 dtype, bound by the first payload post
+#: (:func:`_load_numpy`): a size-only world never imports numpy, and a
+#: payload pays a global read per message instead of an import
+_np: Any = None
+_U8: Any = None
+
+
+def _load_numpy() -> Any:
+    global _np, _U8
+    import numpy
+
+    _np, _U8 = numpy, numpy.dtype(numpy.uint8)
+    return numpy
 
 
 def _land(buf: np.ndarray, data: Any) -> None:
     """Copy a delivered payload's bytes into a receive's byte view."""
+    np = _np or _load_numpy()
     if not isinstance(data, np.ndarray):
         payload = np.frombuffer(data, dtype=_U8)
     elif data.dtype is _U8 and data.ndim == 1:
@@ -524,7 +538,7 @@ class MPIContext:
                 f"rank {self.rank}: isend on revoked communicator {comm.comm_id}"
             )
         if data is not None:
-            is_array = isinstance(data, np.ndarray)
+            is_array = isinstance(data, (_np or _load_numpy()).ndarray)
             size = data.nbytes if is_array else len(data)
             if nbytes is None:
                 nbytes = size
@@ -606,6 +620,8 @@ class MPIContext:
             )
         nbytes = int(nbytes)
         if buf is not None:
+            if _np is None:
+                _load_numpy()
             if buf.nbytes != nbytes or not buf.flags.c_contiguous:
                 raise SimulationError(
                     f"rank {self.rank}: irecv of {nbytes} bytes needs a "

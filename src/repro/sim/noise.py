@@ -16,8 +16,9 @@ seeded, reproducible model:
 A ``sigma`` of 0 and ``outlier_prob`` of 0 gives a perfectly
 deterministic simulation, which the unit tests rely on.  Such a model
 never draws, so it creates no :class:`numpy.random.Generator` (a
-noise-free P=1024 world would otherwise build 1,026 of them, and load
-``numpy.random`` in a process that never uses it); the seeds
+noise-free P=1024 world would otherwise build 1,026 of them) and does
+not import numpy at all: this module imports it only when a perturbing
+model is built, so a noise-free process never loads it.  The seeds
 :meth:`NoiseModel.spawn` and :meth:`NoiseModel.jitter_only` derive do
 not depend on that, so a noisy model draws the same values either way.
 """
@@ -25,8 +26,6 @@ not depend on that, so a noisy model draws the same values either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["NoiseModel", "NullNoise"]
 
@@ -73,6 +72,8 @@ class NoiseModel:
         self._deterministic = self.sigma == 0.0 and self.outlier_prob == 0.0
         if self._deterministic:
             return
+        import numpy as np
+
         self._rng = np.random.default_rng(self.seed)
         # bound methods, bypassing two attribute lookups per draw.
         # standard_normal()*sigma is bit-identical to normal(0, sigma)

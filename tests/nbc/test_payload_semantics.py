@@ -118,6 +118,25 @@ def test_eager_late_match_lands_at_post():
     np.testing.assert_array_equal(landed, payload)
 
 
+@pytest.mark.parametrize("make", [bytearray, lambda n: memoryview(bytearray(n))],
+                         ids=["bytearray", "memoryview"])
+@pytest.mark.parametrize("platform", list(PLATFORMS))
+def test_bytes_like_buffer_is_filled_in_place(make, platform):
+    payload = bytes(range(48))
+    buf = make(len(payload))
+
+    def program(ctx):
+        if ctx.rank == 0:
+            yield Wait(ctx.isend(1, tag=6, data=payload))
+        else:
+            yield Wait(ctx.irecv(0, nbytes=len(payload), tag=6, buf=buf))
+
+    world = SimWorld(PLATFORMS[platform], 2)
+    world.launch(program)
+    world.run()
+    assert bytes(buf) == payload
+
+
 def test_rendezvous_message_lands_only_at_delivery():
     payload = np.arange(64 * KiB, dtype=np.uint8) % 251
     seen = {"pending_polls": 0, "touched_early": False}
@@ -190,6 +209,11 @@ def test_transport_rejects_payload_size_mismatch():
                 lambda: ctx.irecv(1, nbytes=16, tag=1, buf=np.zeros(8, np.uint8)),
                 lambda: ctx.irecv(1, nbytes=16, tag=1,
                                   buf=np.zeros((4, 4), np.uint8)[:, :2]),
+                # bytes-like buffers: read-only, mis-sized, non-contiguous
+                lambda: ctx.irecv(1, nbytes=16, tag=1, buf=bytes(16)),
+                lambda: ctx.irecv(1, nbytes=16, tag=1, buf=bytearray(8)),
+                lambda: ctx.irecv(1, nbytes=16, tag=1,
+                                  buf=memoryview(bytearray(32))[::2]),
             ):
                 with pytest.raises(SimulationError):
                     post()
@@ -200,7 +224,8 @@ def test_transport_rejects_payload_size_mismatch():
 
     world.launch(program)
     world.run()
-    assert len(rejected) == 3 and clock == [0.0]
+    assert len(rejected) == 6 and clock == [0.0]
+    assert not world.context(0)._st.open
 
 
 def test_payload_larger_than_its_receive_view_is_a_matching_error():

@@ -44,7 +44,7 @@ from repro.bench.overlap import (
     run_overlap,
 )
 from repro.bench.parallel import ResultCache, sweep_implementations
-from repro.nbc.schedule import SCHEDULE_CACHE, Schedule
+from repro.nbc.schedule import SCHEDULE_CACHE
 from repro.sim import Wait, get_platform
 from repro.sim.engine import Simulator
 
@@ -159,6 +159,7 @@ def test_baseline_stack_reaches_the_maker_path(operation):
     family that bypasses the shared bind step, would let the speedup
     gate below time the optimized stack against itself."""
     kind, function_set = _MAKER_SETS[operation]
+    lookups = SCHEDULE_CACHE.hits + SCHEDULE_CACHE.misses
     with baseline_stack():
         world = legacy_mpi.SimWorld(get_platform("whale"), 4)
         spec = CollSpec(kind, world.comm_world, 8 * 1024)
@@ -173,9 +174,11 @@ def test_baseline_stack_reaches_the_maker_path(operation):
         world.run()
     assert made and all(type(req) is legacy_request.NBCRequest
                         for req in made)
-    # a freshly built raw schedule per request: no plan came from the cache
-    assert all(type(req.schedule) is Schedule for req in made)
+    # a freshly built plan per request, never compiled (a compiled plan's
+    # rounds are tuples), and no lookup reached the cache
+    assert all(isinstance(req.schedule.rounds, list) for req in made)
     assert len({id(req.schedule) for req in made}) == len(made)
+    assert SCHEDULE_CACHE.hits + SCHEDULE_CACHE.misses == lookups
 
 
 def test_sweep_speedup_vs_seed_stack():

@@ -193,7 +193,7 @@ def scatter_allgather_function() -> CollFunction:
 
     A performance-guideline *mock-up candidate* (Hunold): a broadcast
     implemented as a linear scatter followed by a ring all-gather
-    (:func:`repro.nbc.compose.build_scatter_allgather`).  It is not part
+    (:func:`repro.nbc.compose.compiled_scatter_allgather`).  It is not part
     of the shipped :func:`ibcast_function_set` — the guideline checker
     measures it stand-alone and asserts the tuned broadcast decision is
     never slower than this composition.  It posts through the same

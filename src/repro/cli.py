@@ -91,6 +91,7 @@ from .obs import (
     render_report,
 )
 from .obs.report import validate_or_errors
+from .serve.core import REQUEST_DEFAULTS
 from .sim import FaultPlan, available_platforms, get_platform
 from .units import fmt_time, parse_size
 
@@ -123,20 +124,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("platforms", help="list simulated machine presets")
 
+    # the scenario flags default to the tuning service's request
+    # defaults, so a flag-less `tune --serve` asks for the default request
+    defaults = REQUEST_DEFAULTS
+
     def common(p):
-        p.add_argument("--platform", default="whale",
+        p.add_argument("--platform", default=defaults["platform"],
                        help="machine preset (see `platforms`)")
-        p.add_argument("--nprocs", type=int, default=16)
-        p.add_argument("--nbytes", type=parse_size, default="64KB",
+        p.add_argument("--nprocs", type=int, default=defaults["nprocs"])
+        p.add_argument("--nbytes", type=parse_size,
+                       default=defaults["nbytes"],
                        help="message size, e.g. 1KB / 128KB / 2MB")
-        p.add_argument("--compute", type=float, default=10.0,
+        p.add_argument("--compute", type=float,
+                       default=defaults["compute_total"],
                        help="total loop compute seconds (paper convention)")
-        p.add_argument("--loop-iterations", type=int, default=1000,
+        p.add_argument("--loop-iterations", type=int,
+                       default=defaults["paper_iterations"],
                        help="paper loop length the compute is spread over")
-        p.add_argument("--iterations", type=int, default=20,
+        p.add_argument("--iterations", type=int,
+                       default=defaults["iterations"],
                        help="iterations actually simulated")
-        p.add_argument("--nprogress", type=int, default=5)
-        p.add_argument("--operation", default="alltoall",
+        p.add_argument("--nprogress", type=int, default=defaults["nprogress"])
+        p.add_argument("--operation", default=defaults["operation"],
                        choices=sorted(OPERATION_KINDS))
         p.add_argument("--faults", type=_parse_fault_plan, default=None,
                        metavar="SPEC",
@@ -219,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_tune)
     perf_flags(p_tune, parallel=False)
     obs_flags(p_tune)
-    p_tune.add_argument("--selector", default="brute_force",
+    p_tune.add_argument("--selector", default=defaults["selector"],
                         choices=SELECTOR_NAMES)
-    p_tune.add_argument("--evals", type=int, default=3,
+    p_tune.add_argument("--evals", type=int, default=defaults["evals"],
                         help="measurements per candidate implementation")
     mode = p_tune.add_mutually_exclusive_group()
     mode.add_argument("--resilient", action="store_true",
@@ -581,11 +590,11 @@ def _finish_fabric(args, fabric) -> None:
 
 def _serve_request(cfg: OverlapConfig, args) -> dict:
     """The normalized tuning-service request for scenario ``cfg``."""
-    from .serve.core import REQUEST_DEFAULTS, normalize_request
+    from .serve.core import normalize_request
 
     req = {k: v for k, v in vars(cfg).items() if k in REQUEST_DEFAULTS}
-    req.update(selector=getattr(args, "selector", "brute_force"),
-               evals=getattr(args, "evals", 3))
+    req.update({k: getattr(args, k) for k in ("selector", "evals")
+                if hasattr(args, k)})
     return normalize_request(req)
 
 

@@ -5,14 +5,15 @@ non-blocking collective as a *schedule* — rounds of sends/receives/
 copies separated by local barriers — executed incrementally by a
 progress engine.  This package re-implements that design:
 
-* :mod:`repro.nbc.schedule` — the schedule data structure and the
-  process-global compiled-plan cache,
+* :mod:`repro.nbc.schedule` — the schedule data structure, the
+  process-global compiled-plan cache and the three binders (role,
+  rotation, per-rank) that look plans up in it,
 * :mod:`repro.nbc.request` — the NBC handle / progress engine,
 * :mod:`repro.nbc.ibcast` / :mod:`~repro.nbc.ialltoall` /
   :mod:`~repro.nbc.iallgather` / :mod:`~repro.nbc.iallgatherv` /
   :mod:`~repro.nbc.ireduce` / :mod:`~repro.nbc.ireduce_scatter` /
-  :mod:`~repro.nbc.iallreduce` — algorithm builders (including the
-  paper's 21 Ibcast and 3 Ialltoall variants),
+  :mod:`~repro.nbc.iallreduce` — one algorithm table per family
+  (including the paper's 21 Ibcast and 3 Ialltoall variants),
 * :mod:`repro.nbc.hier` — node partitions and the two-level
   leader-based broadcast and all-to-all,
 * :mod:`repro.nbc.compose` — the scatter+allgather broadcast mock-up of
@@ -50,29 +51,19 @@ from .hier import (
     hier_bcast_tree,
     partition_for_comm,
 )
-from .iallgather import ALLGATHER_ALGORITHMS, build_iallgather, compiled_iallgather
-from .iallgatherv import (
-    ALLGATHERV_ALGORITHMS,
-    balanced_counts,
-    build_iallgatherv,
-    compiled_iallgatherv,
-)
+from .iallgather import ALLGATHER_ALGORITHMS, compiled_iallgather
+from .iallgatherv import ALLGATHERV_ALGORITHMS, balanced_counts, compiled_iallgatherv
 from .iallreduce import ALLREDUCE_ALGORITHMS, build_iallreduce, compiled_iallreduce
-from .ialltoall import ALLTOALL_ALGORITHMS, build_ialltoall, compiled_ialltoall
+from .ialltoall import ALLTOALL_ALGORITHMS, compiled_ialltoall
 from .ibcast import BINOMIAL, IBCAST_FANOUTS, bcast_tree, build_ibcast, compiled_ibcast
 from .ireduce import REDUCE_ALGORITHMS, build_ireduce, compiled_ireduce
-from .ireduce_scatter import (
-    REDUCE_SCATTER_ALGORITHMS,
-    build_ireduce_scatter,
-    compiled_ireduce_scatter,
-)
+from .ireduce_scatter import REDUCE_SCATTER_ALGORITHMS, compiled_ireduce_scatter
 from .request import NBCRequest, make_buffers
 from .schedule import (
     SCHEDULE_CACHE,
     USER_BUFFERS,
     BufSpec,
     CombineOp,
-    CompiledSchedule,
     CopyOp,
     RecvOp,
     Schedule,
@@ -90,7 +81,6 @@ __all__ = [
     "BINOMIAL",
     "BufSpec",
     "CombineOp",
-    "CompiledSchedule",
     "CopyOp",
     "IBCAST_FANOUTS",
     "NBCRequest",
@@ -112,13 +102,9 @@ __all__ = [
     "bcast_tree",
     "build_hier_ialltoall",
     "build_hier_ibcast",
-    "build_iallgather",
-    "build_iallgatherv",
     "build_iallreduce",
-    "build_ialltoall",
     "build_ibcast",
     "build_ireduce",
-    "build_ireduce_scatter",
     "compiled_hier_ialltoall",
     "compiled_hier_ibcast",
     "compiled_iallgather",

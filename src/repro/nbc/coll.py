@@ -5,7 +5,7 @@ These wrap the schedule builders into one-call APIs for rank programs:
 * :func:`start_plan` — the one bind step from a compiled plan to a
   running :class:`~repro.nbc.request.NBCRequest`: it binds the peer
   table, wraps the caller's arrays and allocates the plan's derived
-  :attr:`~repro.nbc.schedule.CompiledSchedule.scratch`;
+  :attr:`~repro.nbc.schedule.Schedule.scratch`;
 * ``start_*`` — look up the plan of a non-blocking collective and post
   it through :func:`start_plan`, returning the request to progress/wait
   on;
@@ -20,7 +20,7 @@ data; omit them for size-only performance runs.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import ScheduleError
 from ..sim.mpi import MPIContext, SimComm
@@ -41,7 +41,7 @@ from .ibcast import BINOMIAL, compiled_ibcast
 from .ireduce import compiled_ireduce
 from .ireduce_scatter import compiled_ireduce_scatter
 from .request import NBCRequest, make_buffers
-from .schedule import SCHEDULE_CACHE, CompiledSchedule, Schedule, rotation_peers
+from .schedule import Schedule, compiled_rotation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,7 +70,7 @@ def _local_rank(ctx: MPIContext, comm: Optional[SimComm]) -> tuple[SimComm, int]
 
 
 def start_plan(ctx: MPIContext, comm: SimComm, rank: int,
-               plan: Union[Schedule, CompiledSchedule],
+               plan: Schedule,
                peers: tuple[int, ...],
                **arrays: Optional[np.ndarray]) -> NBCRequest:
     """Bind ``plan`` to this rank and post it.
@@ -81,7 +81,7 @@ def start_plan(ctx: MPIContext, comm: SimComm, rank: int,
     any is given, the plan's scratch is allocated next to them,
     otherwise the request runs size-only.  Each array is checked once
     against the bytes the plan's ops reach in it
-    (:attr:`~repro.nbc.schedule.CompiledSchedule.user_extents`), so a
+    (:attr:`~repro.nbc.schedule.Schedule.user_extents`), so a
     bad buffer raises :class:`~repro.errors.ScheduleError` here,
     before any message is posted, and the rounds can slice views
     unchecked.  A ``None`` array runs the ops that name it without data.
@@ -272,12 +272,9 @@ def _barrier_schedule(size: int) -> Schedule:
 def start_ibarrier(ctx: MPIContext, comm: Optional[SimComm] = None) -> NBCRequest:
     """Post a non-blocking dissemination barrier."""
     comm, rank = _local_rank(ctx, comm)
-    sched = SCHEDULE_CACHE.get(
-        ("barrier", "dissemination", comm.size),
-        lambda: _barrier_schedule(comm.size),
-    )
-    return start_plan(ctx, comm, rank, sched,
-                      rotation_peers(comm.size, rank))
+    sched, peers = compiled_rotation("barrier", "dissemination", comm.size,
+                                     rank, 0, _barrier_schedule, ())
+    return start_plan(ctx, comm, rank, sched, peers)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ the classic example being
 tuned decision, the tuner's selection for that scenario violates the
 guideline and a defect report is due.
 
-:func:`build_scatter_allgather` emits the composed schedule as one
+:func:`compiled_scatter_allgather` looks up the composed schedule as one
 ordinary :class:`~repro.nbc.schedule.Schedule` over the broadcast
 buffer ``"data"``: a linear scatter of ``ceil(n/P)``-byte blocks from
 the root followed by a ring all-gather of those blocks, all within the
@@ -23,9 +23,9 @@ makes the comparison fair.
 from __future__ import annotations
 
 from ..errors import ScheduleError
-from .schedule import SCHEDULE_CACHE, Schedule, identity_peers
+from .schedule import Schedule, compiled_per_rank
 
-__all__ = ["build_scatter_allgather", "compiled_scatter_allgather"]
+__all__ = ["compiled_scatter_allgather"]
 
 
 def _block_bounds(size: int, nbytes: int) -> list[tuple[int, int]]:
@@ -34,8 +34,8 @@ def _block_bounds(size: int, nbytes: int) -> list[tuple[int, int]]:
     return [(i * m, min(m, nbytes - i * m)) for i in range(size)]
 
 
-def build_scatter_allgather(size: int, rank: int, root: int,
-                            nbytes: int) -> Schedule:
+def _scatter_allgather(size: int, rank: int, nbytes: int,
+                       root: int) -> Schedule:
     """This rank's schedule for the Bcast ≼ Scatter+Allgather mock-up.
 
     Phase 1 (one round): the root sends block ``i`` of ``"data"`` to
@@ -44,9 +44,8 @@ def build_scatter_allgather(size: int, rank: int, root: int,
     ``nbytes >= size`` so every block is non-empty (a zero-byte block
     would leave some rank without a message to forward).
     """
-    if size <= 0 or not 0 <= rank < size or not 0 <= root < size:
-        raise ScheduleError(
-            f"bad geometry size={size} rank={rank} root={root}")
+    if not 0 <= root < size:
+        raise ScheduleError(f"bad bcast root {root} for size={size}")
     if 1 < size > nbytes:
         raise ScheduleError(
             f"scatter+allgather mock-up needs nbytes >= nranks "
@@ -81,15 +80,12 @@ def build_scatter_allgather(size: int, rank: int, root: int,
         sched.recv(left, length, tagoff=r + 1, dst=("data", off, length))
         off, length = bounds[outgoing]
         sched.send(right, length, tagoff=r + 1, src=("data", off, length))
-    sched.uniform_tag_span = size
+    sched.tag_span = size
     return sched
 
 
 def compiled_scatter_allgather(size: int, rank: int, root: int, nbytes: int):
-    """``(plan, peers)`` for :func:`build_scatter_allgather`: the cached
-    per-rank plan with the identity table."""
-    plan = SCHEDULE_CACHE.get(
-        ("bcast", "scatter+allgather", size, rank, nbytes, 0, 0, root),
-        lambda: build_scatter_allgather(size, rank, root, nbytes),
-    )
-    return plan, identity_peers(size)
+    """``(plan, peers)`` of the mock-up (see :func:`_scatter_allgather`):
+    the cached per-rank plan with the identity table."""
+    return compiled_per_rank("bcast", "scatter+allgather", size, rank,
+                             nbytes, _scatter_allgather, (nbytes, root))

@@ -36,8 +36,8 @@ from functools import partial
 from typing import Union
 
 from ..errors import ScheduleError
-from .ibcast import BINOMIAL, bcast_schedule, bcast_tree, check_bcast_geometry
-from .schedule import SCHEDULE_CACHE, Schedule, compiled_role, identity_peers
+from .ibcast import BINOMIAL, bcast_schedule, bcast_tree
+from .schedule import Schedule, check_geometry, compiled_per_rank, compiled_role
 
 __all__ = [
     "Partition",
@@ -191,6 +191,14 @@ def hier_bcast_tree(groups: Union[Groups, Partition], rank: int,
     return peers[0], list(peers[1:])
 
 
+def _hier_role(size: int, rank: int, root: int, nbytes: int,
+               groups: Union[Groups, Partition]) -> tuple[int, ...]:
+    """``rank``'s ``(parent, *children)`` in the two-level tree, once the
+    geometry checked out."""
+    check_geometry("bcast", size, rank, nbytes)
+    return as_partition(groups, size).bcast_peers(root)[rank]
+
+
 def build_hier_ibcast(
     size: int,
     rank: int,
@@ -206,8 +214,7 @@ def build_hier_ibcast(
     so the flat and hierarchical variants are drop-in interchangeable
     tuning candidates.
     """
-    check_bcast_geometry(size, rank, root)
-    parent, *children = as_partition(groups, size).bcast_peers(root)[rank]
+    parent, *children = _hier_role(size, rank, root, nbytes, groups)
     return bcast_schedule("hier", nbytes, segsize, parent, children)
 
 
@@ -215,10 +222,9 @@ def compiled_hier_ibcast(size: int, rank: int, root: int, nbytes: int,
                          segsize: int, groups: Union[Groups, Partition]):
     """``(template, peers)`` for :func:`build_hier_ibcast`: the role
     template of ``rank`` in the two-level tree, bound to its peers."""
-    check_bcast_geometry(size, rank, root)
-    return compiled_role(("bcast", "hier", size, nbytes, segsize),
-                         as_partition(groups, size).bcast_peers(root)[rank],
-                         partial(bcast_schedule, "hier", nbytes, segsize))
+    return compiled_role("bcast", "hier", size,
+                         _hier_role(size, rank, root, nbytes, groups),
+                         partial(bcast_schedule, "hier"), (nbytes, segsize))
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +249,22 @@ def build_hier_ialltoall(size: int, rank: int, m: int,
     Only leaders stage data: ``"gather"`` holds every member's send
     buffer, ``"scatter"`` every member's assembled result, and
     ``"so"``/``"si"`` one inter-leader exchange; the plan's
-    :attr:`~repro.nbc.schedule.CompiledSchedule.scratch` sizes them
-    from these ops.
+    :attr:`~repro.nbc.schedule.Schedule.scratch` sizes them from these
+    ops.
 
     Each payload block crosses the network once per *node pair* instead
     of once per rank pair — the win (and the candidate the tuner should
     pick) when many ranks share a node and per-message latency
     dominates, e.g. small blocks at high core counts.
     """
-    if size <= 0 or not 0 <= rank < size:
-        raise ScheduleError(f"bad alltoall geometry size={size} rank={rank}")
-    if m < 0:
-        raise ScheduleError(f"negative block size {m}")
+    check_geometry("alltoall", size, rank, m)
     part = as_partition(groups, size)
     groups = part.groups
     ngroups = len(groups)
     sched = Schedule(name="ialltoall[hier]")
     # tagoffs: 0 = gather, 1 = scatter, 2+r = inter-leader round r; the
     # span must match on every rank, leader or not
-    sched.uniform_tag_span = 2 + ngroups
+    sched.tag_span = 2 + ngroups
     if size == 1:
         sched.round()
         sched.copy(m, src=("send", 0, m), dst=("recv", 0, m))
@@ -332,9 +335,6 @@ def compiled_hier_ialltoall(size: int, rank: int, m: int,
                             groups: Union[Groups, Partition]):
     """``(plan, peers)`` for :func:`build_hier_ialltoall`: the cached
     per-rank plan with the identity table."""
-    part = as_partition(groups, size)
-    plan = SCHEDULE_CACHE.get(
-        ("alltoall", "hier", size, rank, m, 0, part),
-        lambda: build_hier_ialltoall(size, rank, m, part),
-    )
-    return plan, identity_peers(size)
+    return compiled_per_rank("alltoall", "hier", size, rank, m,
+                             build_hier_ialltoall,
+                             (m, as_partition(groups, size)))

@@ -26,40 +26,14 @@ import math
 
 from ..errors import ScheduleError
 from .schedule import (
-    SCHEDULE_CACHE,
     Schedule,
-    identity_peers,
+    algorithm_row,
+    compiled_per_rank,
+    compiled_rotation,
     peer_block,
-    rotation_peers,
 )
 
-__all__ = ["ALLGATHER_ALGORITHMS", "build_iallgather", "compiled_iallgather"]
-
-ALLGATHER_ALGORITHMS = ("ring", "recursive_doubling", "linear")
-
-
-def build_iallgather(size: int, rank: int, m: int, algorithm: str) -> Schedule:
-    """Build the plan ``rank`` runs for an all-gather of ``m`` bytes/rank.
-
-    Ring and linear build their rotation template, the same for every
-    rank (bind it to ``rotation_peers(size, rank)``); recursive doubling
-    builds this rank's own plan (bind it to ``identity_peers(size)``).
-    :func:`compiled_iallgather` returns the plan with its table.
-    """
-    if size <= 0 or not 0 <= rank < size:
-        raise ScheduleError(f"bad allgather geometry size={size} rank={rank}")
-    if m < 0:
-        raise ScheduleError(f"negative block size {m}")
-    if algorithm == "ring":
-        return _ring(size, m)
-    if algorithm == "recursive_doubling":
-        return _recursive_doubling(size, rank, m)
-    if algorithm == "linear":
-        return _linear(size, m)
-    raise ScheduleError(
-        f"unknown allgather algorithm {algorithm!r}; "
-        f"expected one of {ALLGATHER_ALGORITHMS}"
-    )
+__all__ = ["ALLGATHER_ALGORITHMS", "compiled_iallgather"]
 
 
 def _ring(size: int, m: int) -> Schedule:
@@ -110,18 +84,20 @@ def _linear(size: int, m: int) -> Schedule:
     return sched
 
 
+#: algorithm -> (binder, emitter ``(size, m)`` of a rotation template
+#: or ``(size, rank, m)`` of a per-rank plan)
+_ALGORITHMS = {
+    "ring": (compiled_rotation, _ring),
+    "recursive_doubling": (compiled_per_rank, _recursive_doubling),
+    "linear": (compiled_rotation, _linear),
+}
+
+ALLGATHER_ALGORITHMS = tuple(_ALGORITHMS)
+
+
 def compiled_iallgather(size: int, rank: int, m: int, algorithm: str):
-    """``(plan, peers)`` for :func:`build_iallgather` (same arguments):
-    the cached rotation template with ``rank``'s rotation table, or the
+    """``(plan, peers)`` of an all-gather of ``m`` bytes per rank: the
+    cached rotation template with ``rank``'s rotation table, or the
     cached per-rank plan with the identity table."""
-    if not 0 <= rank < size:
-        raise ScheduleError(f"bad allgather geometry size={size} rank={rank}")
-    if algorithm == "recursive_doubling":
-        key = ("allgather", algorithm, size, rank, m)
-        peers = identity_peers(size)
-    else:
-        key = ("allgather", algorithm, size, m)
-        peers = rotation_peers(size, rank)
-    plan = SCHEDULE_CACHE.get(
-        key, lambda: build_iallgather(size, rank, m, algorithm))
-    return plan, peers
+    bind, emit = algorithm_row(_ALGORITHMS, "allgather", algorithm)
+    return bind("allgather", algorithm, size, rank, m, emit, (m,))

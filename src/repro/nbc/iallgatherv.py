@@ -22,16 +22,13 @@ from __future__ import annotations
 
 from ..errors import ScheduleError
 from .hier import Groups, as_partition
-from .schedule import SCHEDULE_CACHE, Schedule, identity_peers
+from .schedule import Schedule, algorithm_row, compiled_per_rank
 
 __all__ = [
     "ALLGATHERV_ALGORITHMS",
     "balanced_counts",
-    "build_iallgatherv",
     "compiled_iallgatherv",
 ]
-
-ALLGATHERV_ALGORITHMS = ("linear", "ring", "hier")
 
 
 def balanced_counts(total: int, size: int) -> tuple[int, ...]:
@@ -53,37 +50,10 @@ def _offsets(counts) -> list[int]:
     return offs
 
 
-def build_iallgatherv(
-    size: int,
-    rank: int,
-    counts,
-    algorithm: str,
-    groups: Groups = (),
-) -> Schedule:
-    """Build this rank's schedule for an all-gather-v of ``counts`` bytes."""
-    if size <= 0 or not 0 <= rank < size:
-        raise ScheduleError(f"bad allgatherv geometry size={size} rank={rank}")
-    counts = tuple(counts)
-    if len(counts) != size:
-        raise ScheduleError(
-            f"need one count per rank: {len(counts)} counts for {size} ranks")
-    if any(c < 0 for c in counts):
-        raise ScheduleError(f"negative count in {counts!r}")
-    if algorithm == "linear":
-        return _linear(size, rank, counts)
-    if algorithm == "ring":
-        return _ring(size, rank, counts)
-    if algorithm == "hier":
-        return _hier(size, rank, counts, as_partition(groups, size))
-    raise ScheduleError(
-        f"unknown allgatherv algorithm {algorithm!r}; "
-        f"expected one of {ALLGATHERV_ALGORITHMS}")
-
-
-def _linear(size: int, rank: int, counts) -> Schedule:
+def _linear(size: int, rank: int, counts, groups) -> Schedule:
     offs = _offsets(counts)
     sched = Schedule(name="iallgatherv[linear]")
-    sched.uniform_tag_span = 1
+    sched.tag_span = 1
     sched.round()
     sched.copy(counts[rank], src=("send", 0, counts[rank]),
                dst=("recv", offs[rank], counts[rank]))
@@ -100,10 +70,10 @@ def _linear(size: int, rank: int, counts) -> Schedule:
     return sched
 
 
-def _ring(size: int, rank: int, counts) -> Schedule:
+def _ring(size: int, rank: int, counts, groups) -> Schedule:
     offs = _offsets(counts)
     sched = Schedule(name="iallgatherv[ring]")
-    sched.uniform_tag_span = max(1, size - 1)
+    sched.tag_span = max(1, size - 1)
     sched.round()
     sched.copy(counts[rank], src=("send", 0, counts[rank]),
                dst=("recv", offs[rank], counts[rank]))
@@ -125,7 +95,8 @@ def _ring(size: int, rank: int, counts) -> Schedule:
     return sched
 
 
-def _hier(size: int, rank: int, counts, part) -> Schedule:
+def _hier(size: int, rank: int, counts, groups) -> Schedule:
+    part = as_partition(groups, size)
     offs = _offsets(counts)
     total = offs[-1]
     groups = part.groups
@@ -135,7 +106,7 @@ def _hier(size: int, rank: int, counts, part) -> Schedule:
     # tagoffs: 0 = intra gather, 1 + r*maxg + k = ring round r block k,
     # last = intra replication of the assembled result
     span = 1 + max(0, ngroups - 1) * maxg + 1
-    sched.uniform_tag_span = span
+    sched.tag_span = span
     gidx = part.group_of[rank]
     members = groups[gidx]
     leader = members[0]
@@ -188,19 +159,32 @@ def _hier(size: int, rank: int, counts, part) -> Schedule:
     return sched
 
 
+#: algorithm -> (binder, emitter ``(size, rank, counts, groups)``)
+_ALGORITHMS = {
+    "linear": (compiled_per_rank, _linear),
+    "ring": (compiled_per_rank, _ring),
+    "hier": (compiled_per_rank, _hier),
+}
+
+ALLGATHERV_ALGORITHMS = tuple(_ALGORITHMS)
+
+
 def compiled_iallgatherv(size: int, rank: int, counts, algorithm: str,
                          groups: Groups = ()):
-    """``(plan, peers)`` for :func:`build_iallgatherv`: the cached
-    per-rank plan with the identity table.
+    """``(plan, peers)`` of an all-gather-v in which rank *i*
+    contributes ``counts[i]`` bytes: the cached per-rank plan with the
+    identity table.
 
-    ``groups`` enters the key as its interned partition (see
-    :func:`~repro.nbc.hier.as_partition`).
+    ``groups`` (the ``hier`` algorithm's node partition) enters the key
+    as its interned partition (see :func:`~repro.nbc.hier.as_partition`).
     """
+    bind, emit = algorithm_row(_ALGORITHMS, "allgatherv", algorithm)
     counts = tuple(counts)
+    if len(counts) != size:
+        raise ScheduleError(
+            f"need one count per rank: {len(counts)} counts for {size} ranks")
     if groups:
         groups = as_partition(groups, size)
-    plan = SCHEDULE_CACHE.get(
-        ("allgatherv", algorithm, size, rank, counts, 0, groups),
-        lambda: build_iallgatherv(size, rank, counts, algorithm, groups),
-    )
-    return plan, identity_peers(size)
+    # the smallest count is the payload the binder checks non-negative
+    return bind("allgatherv", algorithm, size, rank, min(counts, default=0),
+                emit, (counts, groups))

@@ -37,15 +37,19 @@ from ..errors import ScheduleError
 from .hier import Groups, as_partition
 from .iallgatherv import balanced_counts
 from .ibcast import BINOMIAL, tree_peers
-from .schedule import SCHEDULE_CACHE, Schedule, compiled_role, identity_peers
+from .schedule import (
+    Schedule,
+    algorithm_row,
+    check_geometry,
+    compiled_per_rank,
+    compiled_role,
+)
 
 __all__ = [
     "ALLREDUCE_ALGORITHMS",
     "build_iallreduce",
     "compiled_iallreduce",
 ]
-
-ALLREDUCE_ALGORITHMS = ("reduce_bcast", "ring", "hier")
 
 #: element byte size of each numpy type name, so a size-only ring plan
 #: compiles without loading numpy
@@ -69,51 +73,6 @@ def itemsize(dtype) -> int:
     return size
 
 
-def _peers(size: int, rank: int, nbytes: int, algorithm: str,
-           groups) -> tuple[int, ...]:
-    """``(parent, *children)`` of ``rank`` in a tree algorithm's tree:
-    the binomial tree rooted at rank 0, or the two-level tree rooted at
-    the first group's leader."""
-    _check(size, rank, nbytes)
-    if algorithm == "reduce_bcast":
-        return tree_peers(size, 0, BINOMIAL)[rank]
-    if algorithm == "hier":
-        part = as_partition(groups, size)
-        return part.bcast_peers(part.groups[0][0])[rank]
-    raise ScheduleError(
-        f"unknown allreduce algorithm {algorithm!r}; "
-        f"expected one of {ALLREDUCE_ALGORITHMS}")
-
-
-def _check(size: int, rank: int, nbytes: int) -> None:
-    if size <= 0 or not 0 <= rank < size:
-        raise ScheduleError(f"bad allreduce geometry size={size} rank={rank}")
-    if nbytes < 0:
-        raise ScheduleError(f"negative payload {nbytes}")
-
-
-def build_iallreduce(
-    size: int,
-    rank: int,
-    nbytes: int,
-    algorithm: str,
-    dtype: str = "float64",
-    op: str = "sum",
-    groups: Groups = (),
-) -> Schedule:
-    """Build this rank's schedule for an all-reduce of ``nbytes``.
-
-    Peers are real ranks (run it bound to
-    :func:`~repro.nbc.schedule.identity_peers`): this is the per-rank
-    reference the role templates of :func:`compiled_iallreduce` equal.
-    """
-    if algorithm == "ring":
-        _check(size, rank, nbytes)
-        return _ring(size, rank, nbytes, dtype, op)
-    parent, *children = _peers(size, rank, nbytes, algorithm, groups)
-    return _tree(algorithm, nbytes, dtype, op, parent, children)
-
-
 def _tree(algorithm: str, nbytes: int, dtype: str, op: str, parent: int,
           children: list[int]) -> Schedule:
     """Reduce up, then broadcast down, an arbitrary spanning tree.
@@ -127,7 +86,7 @@ def _tree(algorithm: str, nbytes: int, dtype: str, op: str, parent: int,
     are still in flight.
     """
     sched = Schedule(name=f"iallreduce[{algorithm}]")
-    sched.uniform_tag_span = 2  # tagoff 0 = reduce up, 1 = result down
+    sched.tag_span = 2  # tagoff 0 = reduce up, 1 = result down
     sched.round()
     sched.copy(nbytes, src=("data", 0, nbytes), dst=("acc", 0, nbytes))
     for c in reversed(children):
@@ -162,7 +121,7 @@ def _ring(size: int, rank: int, nbytes: int, dtype: str, op: str) -> Schedule:
     for c in counts:
         offs.append(offs[-1] + c)
     sched = Schedule(name="iallreduce[ring]")
-    sched.uniform_tag_span = max(1, 2 * (size - 1))
+    sched.tag_span = max(1, 2 * (size - 1))
     sched.round()
     sched.copy(nbytes, src=("data", 0, nbytes), dst=("acc", 0, nbytes))
     right = (rank + 1) % size
@@ -207,17 +166,72 @@ def _ring(size: int, rank: int, nbytes: int, dtype: str, op: str) -> Schedule:
     return sched
 
 
+def _binomial_tree(size: int, groups) -> tuple[tuple[int, ...], ...]:
+    """Every rank's ``(parent, *children)`` in the binomial tree rooted
+    at rank 0."""
+    return tree_peers(size, 0, BINOMIAL)
+
+
+def _two_level_tree(size: int, groups) -> tuple[tuple[int, ...], ...]:
+    """Every rank's ``(parent, *children)`` in the two-level tree rooted
+    at the first group's leader."""
+    part = as_partition(groups, size)
+    return part.bcast_peers(part.groups[0][0])
+
+
+#: algorithm -> (binder, emitter ``(size, rank, nbytes, dtype, op)`` of
+#: a per-rank plan, or the ``(size, groups)`` peer table of the tree a
+#: role template reduces up and broadcasts down)
+_ALGORITHMS = {
+    "reduce_bcast": (compiled_role, _binomial_tree),
+    "ring": (compiled_per_rank, _ring),
+    "hier": (compiled_role, _two_level_tree),
+}
+
+ALLREDUCE_ALGORITHMS = tuple(_ALGORITHMS)
+
+
+def _tree_peers(size: int, rank: int, nbytes: int, tree,
+                groups) -> tuple[int, ...]:
+    """``(parent, *children)`` of ``rank`` in ``tree``, once the
+    geometry checked out."""
+    check_geometry("allreduce", size, rank, nbytes)
+    return tree(size, groups)[rank]
+
+
+def build_iallreduce(
+    size: int,
+    rank: int,
+    nbytes: int,
+    algorithm: str,
+    dtype: str = "float64",
+    op: str = "sum",
+    groups: Groups = (),
+) -> Schedule:
+    """Build this rank's schedule for an all-reduce of ``nbytes``.
+
+    Peers are real ranks (run it bound to
+    :func:`~repro.nbc.schedule.identity_peers`): this is the per-rank
+    reference the role templates of :func:`compiled_iallreduce` equal.
+    """
+    bind, fn = algorithm_row(_ALGORITHMS, "allreduce", algorithm)
+    if bind is compiled_per_rank:
+        check_geometry("allreduce", size, rank, nbytes)
+        return fn(size, rank, nbytes, dtype, op)
+    parent, *children = _tree_peers(size, rank, nbytes, fn, groups)
+    return _tree(algorithm, nbytes, dtype, op, parent, children)
+
+
 def compiled_iallreduce(size: int, rank: int, nbytes: int, algorithm: str,
                         dtype: str = "float64", op: str = "sum",
                         groups: Groups = ()):
     """``(plan, peers)`` for :func:`build_iallreduce` (same arguments):
     the tree algorithms' role template of ``rank`` bound to its tree
     peers, or ring's cached per-rank plan with the identity table."""
-    if algorithm == "ring":
-        plan = SCHEDULE_CACHE.get(
-            ("allreduce", algorithm, size, rank, nbytes, dtype, op),
-            lambda: build_iallreduce(size, rank, nbytes, algorithm, dtype, op))
-        return plan, identity_peers(size)
-    return compiled_role(("allreduce", algorithm, size, nbytes, dtype, op),
-                         _peers(size, rank, nbytes, algorithm, groups),
-                         partial(_tree, algorithm, nbytes, dtype, op))
+    bind, fn = algorithm_row(_ALGORITHMS, "allreduce", algorithm)
+    if bind is compiled_per_rank:
+        return bind("allreduce", algorithm, size, rank, nbytes, fn,
+                    (nbytes, dtype, op))
+    return bind("allreduce", algorithm, size,
+                _tree_peers(size, rank, nbytes, fn, groups),
+                partial(_tree, algorithm), (nbytes, dtype, op))

@@ -16,7 +16,8 @@ The paper's ``Ialltoall`` function-set contains three algorithms
 Every algorithm names its peers by rank offset, so one *rotation
 template* per algorithm serves all ranks: the plan rank 0 runs, with
 peer slot *s* meaning rank ``(rank + s) % P``, bound per request to
-:func:`~repro.nbc.schedule.rotation_peers`.
+:func:`~repro.nbc.schedule.rotation_peers` by
+:func:`~repro.nbc.schedule.compiled_rotation`.
 
 Buffers: ``"send"`` and ``"recv"`` are the user buffers (``P x m``
 bytes), addressed by peer through slot-relative
@@ -24,46 +25,21 @@ bytes), addressed by peer through slot-relative
 ``"tmp"`` (``P x m``) and the staging areas ``"so"`` / ``"si"`` (the
 largest round's block count ``x m``).  The compiled plan derives those
 sizes from its own ops
-(:attr:`~repro.nbc.schedule.CompiledSchedule.scratch`).
+(:attr:`~repro.nbc.schedule.Schedule.scratch`).
 """
 
 from __future__ import annotations
 
 import math
 
-from ..errors import ScheduleError
-from .schedule import SCHEDULE_CACHE, Schedule, peer_block, rotation_peers
+from .schedule import (
+    Schedule,
+    algorithm_row,
+    compiled_rotation,
+    peer_block,
+)
 
-__all__ = [
-    "ALLTOALL_ALGORITHMS",
-    "build_ialltoall",
-    "compiled_ialltoall",
-]
-
-#: algorithm names accepted by :func:`build_ialltoall`
-ALLTOALL_ALGORITHMS = ("linear", "pairwise", "bruck")
-
-
-def build_ialltoall(size: int, m: int, algorithm: str) -> Schedule:
-    """Build the rotation template of an all-to-all of ``m`` bytes/pair.
-
-    Run it bound to ``rotation_peers(size, rank)``
-    (:func:`compiled_ialltoall` returns the pair).
-    """
-    if size <= 0:
-        raise ScheduleError(f"bad alltoall geometry size={size}")
-    if m < 0:
-        raise ScheduleError(f"negative block size {m}")
-    if algorithm == "linear":
-        return _linear(size, m)
-    if algorithm == "pairwise":
-        return _pairwise(size, m)
-    if algorithm == "bruck":
-        return _bruck(size, m)
-    raise ScheduleError(
-        f"unknown alltoall algorithm {algorithm!r}; "
-        f"expected one of {ALLTOALL_ALGORITHMS}"
-    )
+__all__ = ["ALLTOALL_ALGORITHMS", "compiled_ialltoall"]
 
 
 def _block(name: str, idx: int, m: int) -> tuple[str, int, int]:
@@ -129,13 +105,19 @@ def _bruck(size: int, m: int) -> Schedule:
     return sched
 
 
+#: algorithm -> (binder, emitter ``(size, m)``)
+_ALGORITHMS = {
+    "linear": (compiled_rotation, _linear),
+    "pairwise": (compiled_rotation, _pairwise),
+    "bruck": (compiled_rotation, _bruck),
+}
+
+ALLTOALL_ALGORITHMS = tuple(_ALGORITHMS)
+
+
 def compiled_ialltoall(size: int, rank: int, m: int, algorithm: str):
-    """``(template, peers)``: the cached :func:`build_ialltoall` template
-    and ``rank``'s :func:`~repro.nbc.schedule.rotation_peers` table."""
-    if not 0 <= rank < size:
-        raise ScheduleError(f"bad alltoall geometry size={size} rank={rank}")
-    plan = SCHEDULE_CACHE.get(
-        ("alltoall", algorithm, size, m),
-        lambda: build_ialltoall(size, m, algorithm),
-    )
-    return plan, rotation_peers(size, rank)
+    """``(template, peers)`` of an all-to-all of ``m`` bytes per pair:
+    the algorithm's cached rotation template and ``rank``'s
+    :func:`~repro.nbc.schedule.rotation_peers` table."""
+    bind, emit = algorithm_row(_ALGORITHMS, "alltoall", algorithm)
+    return bind("alltoall", algorithm, size, rank, m, emit, (m,))

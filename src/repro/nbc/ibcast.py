@@ -16,7 +16,9 @@ The paper's ``Ibcast`` function-set is parameterized by two attributes
   behind segment *s−1*.
 
 ``7 fan-out values x 3 segment sizes = 21`` implementations, matching
-the paper.
+the paper.  Every fan-out's tree depends on a rank only through its
+role, so each compiles one role template per role
+(:func:`~repro.nbc.schedule.compiled_role`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from functools import lru_cache, partial
 
 from ..errors import ScheduleError
-from .schedule import Schedule, compiled_role
+from .schedule import Schedule, algorithm_row, check_geometry, compiled_role
 
 __all__ = ["BINOMIAL", "build_ibcast", "compiled_ibcast", "bcast_tree",
            "bcast_peers", "bcast_schedule", "check_bcast_geometry",
@@ -34,8 +36,13 @@ __all__ = ["BINOMIAL", "build_ibcast", "compiled_ibcast", "bcast_tree",
 #: sentinel fan-out value selecting the binomial tree (the paper's "N")
 BINOMIAL = -1
 
+#: fan-out -> algorithm name: the paper's function-set, every fan-out
+#: a role template emitted by :func:`bcast_schedule`
+_ALGORITHMS = {0: "linear", 1: "chain", 2: "2-ary", 3: "3-ary", 4: "4-ary",
+               5: "5-ary", BINOMIAL: "binomial"}
+
 #: all fan-out values of the paper's function-set
-IBCAST_FANOUTS = (0, 1, 2, 3, 4, 5, BINOMIAL)
+IBCAST_FANOUTS = tuple(_ALGORITHMS)
 
 
 def bcast_tree(size: int, vrank: int, fanout: int) -> tuple[int, list[int]]:
@@ -167,11 +174,13 @@ def tree_peers(size: int, root: int, fanout: int) -> tuple[tuple[int, ...], ...]
     return tuple(bcast_peers(size, rank, root, fanout) for rank in range(size))
 
 
-_FANOUT_NAMES = {0: "linear", 1: "chain", BINOMIAL: "binomial"}
-
-
-def _fanout_name(fanout) -> str:
-    return _FANOUT_NAMES.get(fanout) or f"{fanout}-ary"
+def _tree_role(size: int, rank: int, root: int, nbytes: int,
+               fanout) -> tuple[str, tuple[int, ...]]:
+    """The algorithm name of ``fanout`` and ``rank``'s ``(parent,
+    *children)`` in its tree, once the geometry checked out."""
+    label = algorithm_row(_ALGORITHMS, "bcast", fanout)
+    check_geometry("bcast", size, rank, nbytes)
+    return label, tree_peers(size, root, fanout)[rank]
 
 
 def build_ibcast(
@@ -191,9 +200,8 @@ def build_ibcast(
     reference the role templates of :func:`compiled_ibcast` equal.
     See :func:`bcast_schedule` for the pipelined rounds.
     """
-    parent, *children = bcast_peers(size, rank, root, fanout)
-    return bcast_schedule(_fanout_name(fanout), nbytes, segsize, parent,
-                          children)
+    label, (parent, *children) = _tree_role(size, rank, root, nbytes, fanout)
+    return bcast_schedule(label, nbytes, segsize, parent, children)
 
 
 def compiled_ibcast(
@@ -206,8 +214,6 @@ def compiled_ibcast(
 ):
     """``(template, peers)`` for :func:`build_ibcast` (same arguments):
     the role template of ``rank`` in the tree, bound to its peers."""
-    check_bcast_geometry(size, rank, root)
-    label = _fanout_name(fanout)
-    return compiled_role(("bcast", label, size, nbytes, segsize),
-                         tree_peers(size, root, fanout)[rank],
-                         partial(bcast_schedule, label, nbytes, segsize))
+    label, peers = _tree_role(size, rank, root, nbytes, fanout)
+    return compiled_role("bcast", label, size, peers,
+                         partial(bcast_schedule, label), (nbytes, segsize))

@@ -25,28 +25,26 @@ from __future__ import annotations
 
 from functools import partial
 
-from ..errors import ScheduleError
-from .ibcast import BINOMIAL, check_bcast_geometry, segment_bounds, tree_peers
-from .schedule import Schedule, compiled_role
+from .ibcast import BINOMIAL, segment_bounds, tree_peers
+from .schedule import Schedule, algorithm_row, check_geometry, compiled_role
 
 __all__ = ["REDUCE_ALGORITHMS", "build_ireduce", "compiled_ireduce",
            "emit_reduce", "parent_step"]
 
-REDUCE_ALGORITHMS = ("binomial", "chain")
+#: algorithm -> the fan-out of the broadcast tree it reduces along,
+#: every algorithm a role template emitted by :func:`emit_reduce`
+_ALGORITHMS = {"binomial": BINOMIAL, "chain": 1}
 
-#: the broadcast tree each algorithm reduces along
-_FANOUT = {"binomial": BINOMIAL, "chain": 1}
+REDUCE_ALGORITHMS = tuple(_ALGORITHMS)
 
 
-def _peers(size: int, rank: int, root: int,
+def _peers(size: int, rank: int, root: int, nbytes: int,
            algorithm: str) -> tuple[int, ...]:
-    """``(parent, *children)`` of ``rank`` in the algorithm's tree."""
-    if algorithm not in _FANOUT:
-        raise ScheduleError(
-            f"unknown reduce algorithm {algorithm!r}; "
-            f"expected one of {REDUCE_ALGORITHMS}")
-    check_bcast_geometry(size, rank, root)
-    return tree_peers(size, root, _FANOUT[algorithm])[rank]
+    """``(parent, *children)`` of ``rank`` in the algorithm's tree, once
+    the geometry checked out."""
+    fanout = algorithm_row(_ALGORITHMS, "reduce", algorithm)
+    check_geometry("reduce", size, rank, nbytes)
+    return tree_peers(size, root, fanout)[rank]
 
 
 def parent_step(size: int, rank: int, parent: int) -> int:
@@ -103,9 +101,8 @@ def _reduce_schedule(algorithm: str, size: int, nbytes: int, segsize: int,
     if size > 1:
         # leaves use fewer tag offsets than interior nodes, so pin the
         # reservation to the rank-independent maximum
-        sched.uniform_tag_span = ((size - 1).bit_length()
-                                  if algorithm == "binomial"
-                                  else len(seg_bounds))
+        sched.tag_span = ((size - 1).bit_length()
+                          if algorithm == "binomial" else len(seg_bounds))
     return emit_reduce(sched, parent, children, seg_bounds, k, dtype, op)
 
 
@@ -126,7 +123,7 @@ def build_ireduce(
     :func:`~repro.nbc.schedule.identity_peers`): this is the per-rank
     reference the role templates of :func:`compiled_ireduce` equal.
     """
-    parent, *children = _peers(size, rank, root, algorithm)
+    parent, *children = _peers(size, rank, root, nbytes, algorithm)
     return _reduce_schedule(algorithm, size, nbytes, segsize, dtype, op,
                             parent_step(size, rank, parent), parent, children)
 
@@ -143,9 +140,8 @@ def compiled_ireduce(
 ):
     """``(template, peers)`` for :func:`build_ireduce` (same arguments):
     the role template of ``rank`` in the tree, bound to its peers."""
-    peers = _peers(size, rank, root, algorithm)
-    k = parent_step(size, rank, peers[0])
-    return compiled_role(
-        ("reduce", algorithm, size, nbytes, segsize, dtype, op, k), peers,
-        partial(_reduce_schedule, algorithm, size, nbytes, segsize, dtype,
-                op, k))
+    peers = _peers(size, rank, root, nbytes, algorithm)
+    return compiled_role("reduce", algorithm, size, peers,
+                         partial(_reduce_schedule, algorithm, size),
+                         (nbytes, segsize, dtype, op,
+                          parent_step(size, rank, peers[0])))

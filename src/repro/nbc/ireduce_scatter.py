@@ -31,58 +31,22 @@ tests should use integer-valued payloads.
 
 from __future__ import annotations
 
-from ..errors import ScheduleError
 from .ibcast import BINOMIAL, bcast_peers
 from .ireduce import emit_reduce, parent_step
 from .schedule import (
-    SCHEDULE_CACHE,
     Schedule,
-    identity_peers,
+    algorithm_row,
+    compiled_per_rank,
+    compiled_rotation,
     peer_block,
-    rotation_peers,
 )
 
-__all__ = [
-    "REDUCE_SCATTER_ALGORITHMS",
-    "build_ireduce_scatter",
-    "compiled_ireduce_scatter",
-]
-
-REDUCE_SCATTER_ALGORITHMS = ("pairwise", "reduce_then_scatter")
-
-
-def build_ireduce_scatter(
-    size: int,
-    rank: int,
-    m: int,
-    algorithm: str,
-    dtype: str = "float64",
-    op: str = "sum",
-) -> Schedule:
-    """Build the plan ``rank`` runs for an equal-block reduce-scatter.
-
-    Pairwise builds its rotation template, the same for every rank (bind
-    it to ``rotation_peers(size, rank)``); reduce_then_scatter builds
-    this rank's own plan (bind it to ``identity_peers(size)``).
-    :func:`compiled_ireduce_scatter` returns the plan with its table.
-    """
-    if size <= 0 or not 0 <= rank < size:
-        raise ScheduleError(
-            f"bad reduce_scatter geometry size={size} rank={rank}")
-    if m < 0:
-        raise ScheduleError(f"negative block size {m}")
-    if algorithm == "pairwise":
-        return _pairwise(size, m, dtype, op)
-    if algorithm == "reduce_then_scatter":
-        return _reduce_then_scatter(size, rank, m, dtype, op)
-    raise ScheduleError(
-        f"unknown reduce_scatter algorithm {algorithm!r}; "
-        f"expected one of {REDUCE_SCATTER_ALGORITHMS}")
+__all__ = ["REDUCE_SCATTER_ALGORITHMS", "compiled_ireduce_scatter"]
 
 
 def _pairwise(size: int, m: int, dtype: str, op: str) -> Schedule:
     sched = Schedule(name="ireduce_scatter[pairwise]")
-    sched.uniform_tag_span = max(1, size - 1)
+    sched.tag_span = max(1, size - 1)
     sched.round()
     sched.copy(m, src=peer_block("data", 0, m, size), dst=("acc", 0, m))
     for r in range(1, size):
@@ -104,7 +68,7 @@ def _reduce_then_scatter(size: int, rank: int, m: int, dtype: str,
     # extra round, on the tag after the reduce's, scatters the blocks
     sched = Schedule(name="ireduce_scatter[reduce_then_scatter]")
     span = max(1, (size - 1).bit_length())
-    sched.uniform_tag_span = span + 1
+    sched.tag_span = span + 1
     parent, *children = bcast_peers(size, rank, 0, BINOMIAL)
     emit_reduce(sched, parent, children, [(0, size * m)],
                 parent_step(size, rank, parent), dtype, op)
@@ -118,21 +82,21 @@ def _reduce_then_scatter(size: int, rank: int, m: int, dtype: str,
     return sched
 
 
+#: algorithm -> (binder, emitter ``(size, m, dtype, op)`` of a rotation
+#: template or ``(size, rank, m, dtype, op)`` of a per-rank plan)
+_ALGORITHMS = {
+    "pairwise": (compiled_rotation, _pairwise),
+    "reduce_then_scatter": (compiled_per_rank, _reduce_then_scatter),
+}
+
+REDUCE_SCATTER_ALGORITHMS = tuple(_ALGORITHMS)
+
+
 def compiled_ireduce_scatter(size: int, rank: int, m: int, algorithm: str,
                              dtype: str = "float64", op: str = "sum"):
-    """``(plan, peers)`` for :func:`build_ireduce_scatter` (same
-    arguments): the cached rotation template with ``rank``'s rotation
+    """``(plan, peers)`` of an equal-block reduce-scatter of ``m`` bytes
+    per rank: the cached rotation template with ``rank``'s rotation
     table, or the cached per-rank plan with the identity table."""
-    if not 0 <= rank < size:
-        raise ScheduleError(
-            f"bad reduce_scatter geometry size={size} rank={rank}")
-    if algorithm == "reduce_then_scatter":
-        key = ("reduce_scatter", algorithm, size, rank, m, dtype, op)
-        peers = identity_peers(size)
-    else:
-        key = ("reduce_scatter", algorithm, size, m, dtype, op)
-        peers = rotation_peers(size, rank)
-    plan = SCHEDULE_CACHE.get(
-        key, lambda: build_ireduce_scatter(size, rank, m, algorithm,
-                                           dtype=dtype, op=op))
-    return plan, peers
+    bind, emit = algorithm_row(_ALGORITHMS, "reduce_scatter", algorithm)
+    return bind("reduce_scatter", algorithm, size, rank, m, emit,
+                (m, dtype, op))

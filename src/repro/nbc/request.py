@@ -19,13 +19,13 @@ in single-threaded MPI libraries.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import ScheduleError
 from ..obs.recorder import declare
 from ..sim.mpi import MPIContext, SimComm
 from ..sim.process import Waitable
-from .schedule import CompiledSchedule, Schedule
+from .schedule import Schedule
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,11 +86,10 @@ class NBCRequest(Waitable):
     Parameters
     ----------
     schedule:
-        The schedule to execute — a mutable
-        :class:`~repro.nbc.schedule.Schedule` or a cached
-        :class:`~repro.nbc.schedule.CompiledSchedule` plan (all per-run
-        state lives in this request, so compiled plans are freely shared
-        across requests, ranks and iterations).
+        The :class:`~repro.nbc.schedule.Schedule` to execute, normally
+        a compiled plan from the cache (all per-run state lives in this
+        request, so compiled plans are freely shared across requests,
+        ranks and iterations).
     comm:
         Communicator the collective runs on.
     local_rank:
@@ -136,7 +135,7 @@ class NBCRequest(Waitable):
 
     def __init__(
         self,
-        schedule: Union[Schedule, CompiledSchedule],
+        schedule: Schedule,
         comm: SimComm,
         local_rank: int,
         peers: tuple[int, ...],

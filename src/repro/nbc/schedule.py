@@ -22,49 +22,59 @@ allocates exactly that when the collective moves data, and checks the
 caller's arrays against :attr:`Schedule.user_extents` (the same map for
 the user buffers) before anything is posted.
 
-Compiled schedules & the schedule cache
----------------------------------------
+Compiled plans & the schedule cache
+-----------------------------------
 Building a schedule is pure: the op list depends only on the problem
 geometry, never on run-time state.  All per-run mutable state (request
 handles, the round cursor, pending-op counts) lives in
 :class:`~repro.nbc.request.NBCRequest`, so one plan can back any number
 of concurrent or successive requests.  A tuning run replays the same
-handful of plans for hundreds of iterations; :class:`CompiledSchedule`
-freezes a built schedule into an immutable, shareable plan (rounds as
-tuples, ``tag_span`` precomputed) and :class:`ScheduleCache` memoizes
-plans under their geometry key with hit/miss statistics.  The builders
-expose ``compiled_*`` entry points that go through the process-global
-:data:`SCHEDULE_CACHE`.
+handful of plans for hundreds of iterations; :meth:`Schedule.compile`
+validates a built schedule and freezes it in place into an immutable,
+shareable plan (rounds as tuples), and :class:`ScheduleCache` memoizes
+plans under their geometry key with hit/miss statistics.
 
 Peers are named by **slot**: a send or receive targets
 ``peers[op.peer]``, where ``peers`` is the table the request is bound
-to.  That makes a plan rank-independent wherever the op list is, in
-three shapes:
-
-* **Role templates.**  The tree broadcasts (flat and hierarchical),
-  the binomial and chain reduces (the broadcast trees run from the
-  leaves up) and the tree all-reduces (``reduce_bcast`` and ``hier``)
-  compile one template per tree role — ``(has_parent, nchildren)``,
-  with slot 0 the parent and slots 1.. the children, as LibNBC builds
-  its trees on root-relative virtual ranks — and bind each rank's
-  ``(parent, *children)`` (:func:`compiled_role`): a P=1024
-  hierarchical broadcast or all-reduce needs about ten plans instead
-  of 1,024.
-* **Rotation templates.**  Linear, pairwise and Bruck all-to-all, ring
-  and linear all-gather, pairwise reduce-scatter and the dissemination
-  barrier name every peer, and every buffer block chosen by peer, by a
-  rank offset.  One template per algorithm (rank 0's plan) serves all
-  ranks, bound to :func:`rotation_peers`: slot *s* is rank
-  ``(rank + s) % P``.  A peer-indexed block is a slot-relative
-  :data:`SlotSpec` resolved against the same table.
-* **Per-rank plans.**  Every other family (recursive doubling, ring
-  all-reduce, all-gather-v, the hierarchical all-to-all,
-  reduce-then-scatter and the scatter+allgather mock-up) compiles one
-  plan per rank whose slots are ranks, bound to the shared
-  :func:`identity_peers` table.
-
-Every ``compiled_*`` entry point returns the pair ``(plan, peers)``,
+to.  Each collective family declares its algorithms once, in one table
+(algorithm name -> plan shape + emitter), and hands each lookup to the
+binder of that shape.  A binder is the only code that builds a plan
+key or picks a peer table; it returns the pair ``(plan, peers)``,
 which :func:`repro.nbc.coll.start_plan` binds.
+
+=================  ==============================  ===================
+binder             key                             peer table
+=================  ==============================  ===================
+compiled_role      family, algorithm, P, *params,  (parent, *children)
+                   has_parent, nchildren
+compiled_rotation  family, algorithm, P, *params   rotation_peers
+compiled_per_rank  family, algorithm, P, rank,     identity_peers
+                   *params
+=================  ==============================  ===================
+
+* **Role templates** (:func:`compiled_role`): the tree broadcasts (flat
+  and hierarchical), the binomial and chain reduces (the broadcast trees
+  run from the leaves up) and the tree all-reduces (``reduce_bcast`` and
+  ``hier``).  Slot 0 is the parent, slots 1.. the children, as LibNBC
+  builds its trees on root-relative virtual ranks: a P=1024
+  hierarchical broadcast or all-reduce needs about ten plans instead of
+  1,024.  The family's tree function checks the rooted geometry.
+* **Rotation templates** (:func:`compiled_rotation`): linear, pairwise
+  and Bruck all-to-all, ring and linear all-gather, pairwise
+  reduce-scatter and the dissemination barrier name every peer, and
+  every buffer block chosen by peer, by a rank offset.  The template is
+  rank 0's plan; slot *s* is rank ``(rank + s) % P``.  A peer-indexed
+  block is a slot-relative :data:`SlotSpec` resolved against the same
+  table.
+* **Per-rank plans** (:func:`compiled_per_rank`): recursive doubling,
+  ring all-reduce, all-gather-v, the hierarchical all-to-all,
+  reduce-then-scatter and the scatter+allgather mock-up; slots are
+  ranks.
+
+The rotation and per-rank binders check the geometry themselves
+(:func:`check_geometry`); :func:`algorithm_row` rejects an unknown
+algorithm before any lookup.  A plan whose emitter raises is never
+cached, so every lookup of a bad geometry raises the same error.
 """
 
 from __future__ import annotations
@@ -85,14 +95,17 @@ __all__ = [
     "CopyOp",
     "CombineOp",
     "Schedule",
-    "CompiledSchedule",
     "ScheduleCache",
     "SCHEDULE_CACHE",
     "schedule_cache_stats",
     "identity_peers",
     "rotation_peers",
     "peer_block",
+    "algorithm_row",
+    "check_geometry",
     "compiled_role",
+    "compiled_rotation",
+    "compiled_per_rank",
     "USER_BUFFERS",
 ]
 
@@ -112,25 +125,6 @@ def peer_block(name: str, slot: int, nbytes: int, size: int) -> SlotSpec:
     """The :data:`SlotSpec` of the ``nbytes`` block that belongs to the
     rank in peer slot ``slot``, in a buffer of ``size`` such blocks."""
     return (name, slot, nbytes, size)
-
-
-def _extents(rounds, user: bool) -> dict[str, int]:
-    """Buffer name -> largest end offset any op reaches in it, over the
-    user buffers (``user=True``) or the scratch ones.  A slot-relative
-    spec may name any of its buffer's blocks, so it reaches the end."""
-    out: dict[str, int] = {}
-    for rnd in rounds:
-        for op in rnd:
-            for spec in (getattr(op, "src", None), getattr(op, "dst", None)):
-                if spec is not None and (spec[0] in USER_BUFFERS) == user:
-                    if len(spec) == 4:
-                        name, _, nbytes, size = spec
-                        end = size * nbytes
-                    else:
-                        name, offset, nbytes = spec
-                        end = offset + nbytes
-                    out[name] = max(out.get(name, 0), end)
-    return out
 
 
 @lru_cache(maxsize=64)
@@ -155,25 +149,80 @@ def rotation_peers(size: int, rank: int) -> tuple[int, ...]:
     return ranks[rank:] + ranks[:rank]
 
 
-def compiled_role(key: tuple, peers: tuple[int, ...],
-                  build: Callable[[int, list[int]], "Schedule"]):
+def algorithm_row(table: dict, family: str, algorithm):
+    """``table[algorithm]``: the row a family's algorithm table declares
+    for ``algorithm``, or :class:`ScheduleError` naming the family's
+    algorithms."""
+    try:
+        return table[algorithm]
+    except KeyError:
+        raise ScheduleError(
+            f"unknown {family} algorithm {algorithm!r}; "
+            f"expected one of {tuple(table)}") from None
+
+
+def check_geometry(family: str, size: int, rank: int, nbytes: int) -> None:
+    """Raise :class:`ScheduleError` unless ``rank`` lies in a
+    communicator of ``size`` ranks and the payload ``nbytes`` is not
+    negative."""
+    if size <= 0 or not 0 <= rank < size:
+        raise ScheduleError(f"bad {family} geometry size={size} rank={rank}")
+    if nbytes < 0:
+        raise ScheduleError(f"negative {family} size {nbytes}")
+
+
+def compiled_role(family: str, algorithm, size: int, peers: tuple[int, ...],
+                  emit: Callable[..., "Schedule"], params: tuple):
     """``(template, peers)``: the cached role template of a tree rank.
 
     ``peers = (parent, *children)`` are the rank's tree neighbours as
-    communicator ranks, the parent ``-1`` on the root.  A tree plan
-    depends on the rank only through its role — whether it has a
+    communicator ranks, the parent ``-1`` on the root; the family's tree
+    function computed them and checked the rooted geometry.  A tree
+    plan depends on the rank only through its role — whether it has a
     parent, and how many children — so the ranks of one role share the
-    template cached under ``key + (has_parent, nchildren)``.
-    ``build(parent, children)`` emits it on slots: slot 0 is the parent
-    (``-1`` on the root), slots ``1..nchildren`` the children, in the
-    order of ``peers``.
+    template cached under ``(family, algorithm, size, *params,
+    has_parent, nchildren)``.  ``emit(*params, parent, children)``
+    builds it on slots: slot 0 is the parent (``-1`` on the root), slots
+    ``1..nchildren`` the children, in the order of ``peers``.
     """
     has_parent = peers[0] != -1
     nchildren = len(peers) - 1
     plan = SCHEDULE_CACHE.get(
-        (*key, has_parent, nchildren),
-        lambda: build(0 if has_parent else -1, list(range(1, nchildren + 1))))
+        (family, algorithm, size, *params, has_parent, nchildren),
+        lambda: emit(*params, 0 if has_parent else -1,
+                     list(range(1, nchildren + 1))))
     return plan, peers
+
+
+def compiled_rotation(family: str, algorithm, size: int, rank: int,
+                      nbytes: int, emit: Callable[..., "Schedule"],
+                      params: tuple):
+    """``(template, rotation_peers(size, rank))``: the cached rotation
+    template of an algorithm.
+
+    Checks the geometry (``nbytes`` is the payload), then looks the
+    template up under ``(family, algorithm, size, *params)``;
+    ``emit(size, *params)`` builds it as rank 0's plan.
+    """
+    check_geometry(family, size, rank, nbytes)
+    plan = SCHEDULE_CACHE.get((family, algorithm, size, *params),
+                              lambda: emit(size, *params))
+    return plan, rotation_peers(size, rank)
+
+
+def compiled_per_rank(family: str, algorithm, size: int, rank: int,
+                      nbytes: int, emit: Callable[..., "Schedule"],
+                      params: tuple):
+    """``(plan, identity_peers(size))``: the cached plan of one rank.
+
+    Checks the geometry (``nbytes`` is the payload), then looks the plan
+    up under ``(family, algorithm, size, rank, *params)``;
+    ``emit(size, rank, *params)`` builds it on real ranks.
+    """
+    check_geometry(family, size, rank, nbytes)
+    plan = SCHEDULE_CACHE.get((family, algorithm, size, rank, *params),
+                              lambda: emit(size, rank, *params))
+    return plan, identity_peers(size)
 
 
 class SendOp:
@@ -274,29 +323,41 @@ class Schedule:
     """The plan of one collective operation: one rank's, one tree role's
     or one rotation template (see the module docstring).
 
-    Build one with :meth:`round` + the add methods, or via the algorithm
-    builders in :mod:`repro.nbc`.  ``tag_span`` is the number of distinct
-    tag offsets the schedule uses; the executing request reserves that
-    many tags on the communicator.
+    Build one with :meth:`round` + the add methods, or through the
+    algorithm tables in :mod:`repro.nbc`, then :meth:`compile` it.
+    The add methods keep three derived fields current:
+
+    * ``tag_span`` — the number of distinct tag offsets the plan uses
+      (the largest tag offset + 1); the executing request reserves that
+      many tags on the communicator.  A builder whose per-rank plans
+      use different numbers of offsets (e.g. reduce trees: leaves only
+      send once) raises it to the rank-independent span, since all
+      ranks must reserve the *same* span per collective or their tag
+      counters diverge;
+    * ``scratch`` and ``user_extents`` — the scratch and the user
+      buffers the ops name, each mapped to the largest end offset any
+      op reaches in it (a slot-relative spec reaches its buffer's end).
     """
 
-    __slots__ = ("rounds", "name", "_open", "uniform_tag_span")
+    __slots__ = ("name", "rounds", "tag_span", "scratch", "user_extents",
+                 "key", "_open")
 
     def __init__(self, name: str = "coll"):
         self.name = name
         self.rounds: list[list] = []
         self._open = False
-        #: rank-independent tag span, set by algorithm builders whose
-        #: per-rank schedules use different numbers of tag offsets
-        #: (e.g. reduce trees: leaves only send once).  All ranks must
-        #: reserve the *same* span per collective or their tag counters
-        #: diverge and later collectives mismatch.
-        self.uniform_tag_span: Optional[int] = None
+        self.tag_span = 1
+        self.scratch: dict[str, int] = {}
+        self.user_extents: dict[str, int] = {}
+        #: the cache key this plan was compiled under (None if uncached)
+        self.key: Optional[tuple] = None
 
     # -- construction ---------------------------------------------------
 
     def round(self) -> "Schedule":
         """Start a new round (implicit local barrier before it)."""
+        if type(self.rounds) is tuple:
+            raise ScheduleError(f"{self.name}: a compiled plan is frozen")
         self.rounds.append([])
         self._open = True
         return self
@@ -305,6 +366,19 @@ class Schedule:
         if not self._open:
             self.round()
         self.rounds[-1].append(op)
+        if op.kind in ("send", "recv") and op.tagoff >= self.tag_span:
+            self.tag_span = op.tagoff + 1
+        for spec in (getattr(op, "src", None), getattr(op, "dst", None)):
+            if spec is not None:
+                if len(spec) == 4:
+                    name, _, nbytes, size = spec
+                    end = size * nbytes
+                else:
+                    name, offset, nbytes = spec
+                    end = offset + nbytes
+                extents = (self.user_extents if name in USER_BUFFERS
+                           else self.scratch)
+                extents[name] = max(extents.get(name, 0), end)
 
     def send(self, peer: int, nbytes: int, tagoff: int = 0,
              src: Optional[BufSpec] = None) -> "Schedule":
@@ -332,35 +406,6 @@ class Schedule:
     @property
     def nrounds(self) -> int:
         return len(self.rounds)
-
-    @property
-    def scratch(self) -> dict[str, int]:
-        """Scratch buffer name -> bytes the ops reach in it (see
-        :attr:`CompiledSchedule.scratch`)."""
-        return _extents(self.rounds, user=False)
-
-    @property
-    def user_extents(self) -> dict[str, int]:
-        """User buffer name -> bytes the ops reach in it (see
-        :attr:`CompiledSchedule.user_extents`)."""
-        return _extents(self.rounds, user=True)
-
-    @property
-    def tag_span(self) -> int:
-        """Tag offsets to reserve on the communicator.
-
-        Uses :attr:`uniform_tag_span` when the builder provided one;
-        otherwise the local maximum tagoff + 1 (correct whenever the
-        algorithm uses the same offsets on every rank).
-        """
-        if self.uniform_tag_span is not None:
-            return self.uniform_tag_span
-        span = 1
-        for rnd in self.rounds:
-            for op in rnd:
-                if op.kind in ("send", "recv") and op.tagoff + 1 > span:
-                    span = op.tagoff + 1
-        return span
 
     def count_ops(self, kind: Optional[str] = None) -> int:
         """Total operations (optionally of one kind) across all rounds."""
@@ -391,14 +436,21 @@ class Schedule:
                 if op.kind in ("send", "recv") and op.peer < 0:
                     raise ScheduleError(f"{self.name}: negative peer in {op!r}")
 
-    def compile(self, key: Optional[tuple] = None) -> "CompiledSchedule":
-        """Freeze this schedule into an immutable :class:`CompiledSchedule`.
+    def compile(self, key: Optional[tuple] = None) -> "Schedule":
+        """Validate this plan, then freeze it in place and return it.
 
-        Validates first — a cached plan is instantiated many times, so a
-        malformed schedule must fail at compile time, not mid-run.
+        A cached plan is instantiated many times, so a malformed one
+        must fail here, not mid-run.  Freezing turns the rounds into
+        tuples of the same op objects, after which :meth:`round` and
+        the add methods raise.  Nothing in the plan mutates at run time,
+        so one compiled plan backs any number of requests across ranks,
+        iterations and simulations.
         """
         self.validate()
-        return CompiledSchedule(self, key=key)
+        self.rounds = tuple(tuple(rnd) for rnd in self.rounds)
+        self._open = False
+        self.key = key
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -407,65 +459,10 @@ class Schedule:
         )
 
 
-class CompiledSchedule:
-    """An immutable, shareable execution plan for one collective.
-
-    Structurally a frozen :class:`Schedule`: the rounds are tuples of
-    the same op objects and ``tag_span``, ``scratch`` (every buffer
-    name outside :data:`USER_BUFFERS` the ops reference, with the
-    largest end offset they reach in it) and ``user_extents`` (the same
-    for the user buffers) are precomputed, so
-    :class:`~repro.nbc.request.NBCRequest` executes either
-    interchangeably (and bit-identically — the ops themselves are
-    read-only during execution).  Because nothing in the plan mutates at
-    run time, a single instance can back any number of requests across
-    ranks, iterations and simulations of the same geometry.
-    """
-
-    __slots__ = ("name", "rounds", "tag_span", "scratch", "user_extents", "key")
-
-    def __init__(self, schedule: Schedule, key: Optional[tuple] = None):
-        self.name = schedule.name
-        self.rounds: tuple[tuple, ...] = tuple(tuple(rnd) for rnd in schedule.rounds)
-        self.tag_span: int = schedule.tag_span
-        self.scratch: dict[str, int] = schedule.scratch
-        self.user_extents: dict[str, int] = schedule.user_extents
-        #: the cache key this plan was compiled under (None if uncached)
-        self.key = key
-
-    @property
-    def nrounds(self) -> int:
-        return len(self.rounds)
-
-    def count_ops(self, kind: Optional[str] = None) -> int:
-        """Total operations (optionally of one kind) across all rounds."""
-        return sum(
-            1
-            for rnd in self.rounds
-            for op in rnd
-            if kind is None or op.kind == kind
-        )
-
-    def total_send_bytes(self) -> int:
-        """Bytes this rank injects into the network over the whole schedule."""
-        return sum(
-            op.nbytes for rnd in self.rounds for op in rnd if op.kind == "send"
-        )
-
-    def validate(self) -> None:
-        """No-op: the plan was validated when compiled."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<CompiledSchedule {self.name!r}: {self.nrounds} rounds, "
-            f"{self.count_ops()} ops>"
-        )
-
-
 class ScheduleCache:
     """Memoizes compiled plans under their geometry key.
 
-    ``get(key, builder)`` returns the cached :class:`CompiledSchedule`
+    ``get(key, builder)`` returns the compiled :class:`Schedule` cached
     for ``key`` or builds, compiles and stores one.
 
     The store is a plain dict (the lookup is on a tuning hot path); when
@@ -487,7 +484,7 @@ class ScheduleCache:
         if maxsize <= 0:
             raise ScheduleError(f"cache maxsize must be positive, got {maxsize}")
         self.maxsize = maxsize
-        self._store: dict[tuple, CompiledSchedule] = {}
+        self._store: dict[tuple, Schedule] = {}
         self.hits = 0
         self.misses = 0
         self.flushes = 0
@@ -552,7 +549,7 @@ class ScheduleCache:
         )
 
 
-#: process-global plan cache used by the ``compiled_*`` builder entry points
+#: process-global plan cache the binders look plans up in
 SCHEDULE_CACHE = ScheduleCache()
 
 

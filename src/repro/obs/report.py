@@ -149,8 +149,8 @@ def render_report(doc: dict, timeline: bool = False, width: int = 100,
     if batched:
         lines.append(f"fast lane: {batched} batched syscall flush(es)")
     else:
-        lines.append("fast lane: 0 batched syscalls (the P>=1024 array "
-                     "fast lane disables itself while tracing)")
+        lines.append("fast lane: 0 batched syscalls (the degenerate-topology "
+                     "fast lane disarms itself while tracing)")
 
     if critical_path:
         lines.append("")

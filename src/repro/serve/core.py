@@ -40,8 +40,9 @@ __all__ = [
     "request_key",
 ]
 
-#: every field a tuning request may carry, with its default (mirrors
-#: the ``repro tune`` CLI defaults so `tune --serve` round-trips)
+#: every field a tuning request may carry, with its default (the
+#: ``repro tune``/``sweep`` scenario flags take their defaults from here,
+#: so a flag-less `tune --serve` asks for the default request)
 REQUEST_DEFAULTS: Dict[str, Any] = {
     "platform": "whale",
     "operation": "alltoall",

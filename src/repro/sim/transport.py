@@ -182,9 +182,10 @@ class MPIContext:
     ) -> SendRequest:
         """Post a non-blocking send to communicator-local rank ``dest``.
 
-        ``data`` optionally attaches a real payload (ndarrays are
-        snapshotted at post time, matching MPI buffer semantics for the
-        simulated program, which may reuse its buffer).  ``nbytes``
+        ``data`` optionally attaches a real payload: an ndarray (copied)
+        or any bytes-like object (kept as ``bytes``), snapshotted at post
+        time, matching MPI buffer semantics for the simulated program,
+        which may reuse its buffer.  ``nbytes``
         defaults to the payload size and must equal it when both are
         given.  The returned request is the in-flight message itself.
         """
@@ -197,6 +198,17 @@ class MPIContext:
             )
         if data is not None:
             is_array = isinstance(data, (_np or _load_numpy()).ndarray)
+            if not is_array:
+                # any other payload is bytes-like: snapshot its bytes, so
+                # the message is sized in bytes and a reused buffer cannot
+                # change what a late receive reads
+                try:
+                    data = memoryview(data).tobytes()
+                except TypeError:
+                    raise SimulationError(
+                        f"rank {self.rank}: isend payload must be an ndarray "
+                        f"or bytes-like, not {type(data).__name__}"
+                    ) from None
             size = data.nbytes if is_array else len(data)
             if nbytes is None:
                 nbytes = size

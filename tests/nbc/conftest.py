@@ -107,7 +107,7 @@ def bind(plan, peers) -> Schedule:
     rank's ops of a template bind it through here.
     """
     out = Schedule(plan.name)
-    out.uniform_tag_span = plan.tag_span
+    out.tag_span = plan.tag_span
     for rnd in plan.rounds:
         out.round()
         for op in rnd:

@@ -1,16 +1,15 @@
-"""Unit tests for CompiledSchedule and the schedule cache."""
+"""Unit tests for compiled plans and the schedule cache."""
 
 from unittest import mock
 
 import pytest
 
 from repro.errors import ScheduleError
-from repro.nbc.ialltoall import build_ialltoall, compiled_ialltoall
+from repro.nbc.ialltoall import compiled_ialltoall
 from repro.nbc.ibcast import build_ibcast, compiled_ibcast
 from repro.nbc.schedule import (
     SCHEDULE_CACHE,
     USER_BUFFERS,
-    CompiledSchedule,
     Schedule,
     ScheduleCache,
     identity_peers,
@@ -32,19 +31,26 @@ def global_cache():
 def test_compile_freezes_structure():
     sched = build_ibcast(size=8, rank=3, root=0, nbytes=64 * 1024,
                          fanout=2, segsize=16 * 1024)
+    original = [list(rnd) for rnd in sched.rounds]
+    facts = (sched.nrounds, sched.tag_span, sched.count_ops(),
+             sched.count_ops("send"), sched.total_send_bytes(),
+             sched.scratch, sched.user_extents)
     plan = sched.compile(key=("k",))
-    assert isinstance(plan, CompiledSchedule)
+    # frozen in place: the same object, its rounds tuples of the *same*
+    # op objects, and every derived fact unchanged
+    assert plan is sched
     assert plan.key == ("k",)
-    assert plan.nrounds == sched.nrounds
-    assert plan.tag_span == sched.tag_span
-    assert plan.count_ops() == sched.count_ops()
-    assert plan.count_ops("send") == sched.count_ops("send")
-    assert plan.total_send_bytes() == sched.total_send_bytes()
-    # frozen: rounds are tuples of the *same* op objects
+    assert (plan.nrounds, plan.tag_span, plan.count_ops(),
+            plan.count_ops("send"), plan.total_send_bytes(), plan.scratch,
+            plan.user_extents) == facts
     assert isinstance(plan.rounds, tuple)
-    for frozen, original in zip(plan.rounds, sched.rounds):
+    for frozen, ops in zip(plan.rounds, original):
         assert isinstance(frozen, tuple)
-        assert list(frozen) == original
+        assert list(frozen) == ops
+    with pytest.raises(ScheduleError, match="frozen"):
+        plan.round()
+    with pytest.raises(ScheduleError, match="frozen"):
+        plan.send(1, 8)
 
 
 @pytest.mark.parametrize("rank", range(5))
@@ -56,7 +62,7 @@ def test_plan_derives_its_scratch_layout(global_cache, rank):
     assert plan.scratch == {"tmp": 40, "so": 16, "si": 16}
     assert plan.user_extents == {"send": 40, "recv": 40}
     assert not set(plan.scratch) & set(USER_BUFFERS)
-    assert build_ialltoall(5, 8, "bruck").scratch == plan.scratch
+    # a schedule not yet compiled derives the same layout on read
     bound = bind(plan, peers)
     assert bound.scratch == plan.scratch
     assert bound.user_extents == plan.user_extents
@@ -81,7 +87,7 @@ def test_cache_hit_returns_same_plan_object():
     first = cache.get(("a",), builder)
     second = cache.get(("a",), builder)
     assert first is second
-    assert isinstance(first, CompiledSchedule)
+    assert isinstance(first.rounds, tuple)
     assert built == [1]
     assert (cache.hits, cache.misses) == (1, 1)
     assert cache.hit_rate == 0.5

@@ -1,5 +1,7 @@
 """Integration tests for the simulated MPI point-to-point layer."""
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,36 @@ def test_send_buffer_snapshot_semantics():
 
     run_programs(world, program)
     np.testing.assert_array_equal(received["data"], np.ones(8))
+
+
+def test_bytes_like_payload_is_snapshotted_and_sized_in_bytes():
+    """A bytes-like payload is copied at post time, like an ndarray, and
+    sized in bytes, not items: reusing a ``bytearray`` after ``Wait``
+    leaves a late receive its old bytes, and two doubles are 16 bytes."""
+    world = make_world()
+    reused = bytearray(b"abcd")
+    doubles = memoryview(array("d", [1.0, 2.0]))
+    got = {}
+
+    def program(ctx):
+        if ctx.rank == 0:
+            sends = [ctx.isend(1, tag=1, data=reused),
+                     ctx.isend(1, tag=2, data=doubles)]
+            got["posted"] = [req.nbytes for req in sends]
+            for req in sends:
+                yield Wait(req)
+            reused[:] = b"XXXX"
+        else:
+            yield Compute(1e-3)  # both messages wait unexpected by now
+            recvs = [ctx.irecv(0, nbytes=4, tag=1),
+                     ctx.irecv(0, nbytes=16, tag=2)]
+            for req in recvs:
+                yield Wait(req)
+            got["received"] = [req.data for req in recvs]
+
+    run_programs(world, program)
+    assert got["posted"] == [4, 16]
+    assert got["received"] == [b"abcd", array("d", [1.0, 2.0]).tobytes()]
 
 
 def test_unexpected_message_matches_late_recv():

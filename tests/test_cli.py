@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _overlap_config, _serve_request, build_parser, main
+from repro.serve.core import normalize_request
 
 
 def test_platforms_command(capsys):
@@ -346,6 +347,13 @@ def test_tune_ft_warm_starts_from_its_checkpoint(capsys, tmp_path):
     assert "warm start" not in first
     assert main(argv) == 0
     assert "warm start: restored tuning state" in capsys.readouterr().out
+
+
+def test_flagless_tune_requests_the_default_scenario():
+    """The scenario flags take their defaults from the service's request
+    defaults: a flag-less ``tune`` asks the daemon the default request."""
+    args = build_parser().parse_args(["tune"])
+    assert _serve_request(_overlap_config(args), args) == normalize_request({})
 
 
 @pytest.mark.parametrize("spec", ["5@0.015", "5@0.015:1.0,2@0.02"])

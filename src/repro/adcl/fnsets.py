@@ -14,6 +14,15 @@ its name, attribute values and blocking flag once, in one
 :class:`~repro.adcl.function.CollFunction`.  The set's attribute
 domains are derived from those values.
 
+A candidate set is its family's algorithm table: every name and order
+comes from the exported tuples of :mod:`repro.nbc` (``ALLTOALL_ALGORITHMS``,
+``BCAST_ALGORITHMS``, ...), so a new table row reaches its set without
+an edit here.  The two-level row (:data:`~repro.nbc.hier.HIER`) joins
+the all-to-all and broadcast sets only when asked for
+(``hierarchical=True``); the only other rules are the paper's
+"dissemination" label for Bruck and that recursive doubling needs a
+power-of-two size.
+
 * :func:`ibcast_function_set` — the paper's 21-function ``Ibcast`` set:
   fan-out ∈ {0 linear, 1 chain, 2..5, binomial} x segment size
   ∈ {32 KB, 64 KB, 128 KB};
@@ -35,7 +44,7 @@ domains are derived from those values.
 from __future__ import annotations
 
 from functools import partial
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..nbc.coll import (
     start_iallgather,
@@ -48,9 +57,13 @@ from ..nbc.coll import (
     start_plan,
 )
 from ..nbc.compose import compiled_scatter_allgather
+from ..nbc.hier import HIER
+from ..nbc.iallgather import ALLGATHER_ALGORITHMS
 from ..nbc.iallgatherv import ALLGATHERV_ALGORITHMS, balanced_counts
 from ..nbc.iallreduce import ALLREDUCE_ALGORITHMS
-from ..nbc.ibcast import BINOMIAL, IBCAST_FANOUTS
+from ..nbc.ialltoall import ALLTOALL_ALGORITHMS
+from ..nbc.ibcast import BCAST_ALGORITHMS, bcast_name
+from ..nbc.ireduce import REDUCE_ALGORITHMS
 from ..nbc.ireduce_scatter import REDUCE_SCATTER_ALGORITHMS
 from ..nbc.request import NBCRequest
 from ..sim.mpi import MPIContext
@@ -59,7 +72,6 @@ from .function import CollFunction, CollSpec, FunctionSet
 
 __all__ = [
     "IBCAST_SEGSIZES",
-    "HIER_FANOUT",
     "ibcast_function_set",
     "ibcast_mockup_function_set",
     "ialltoall_function_set",
@@ -74,18 +86,14 @@ __all__ = [
 #: the paper's three pipeline segment sizes
 IBCAST_SEGSIZES = (32 * KiB, 64 * KiB, 128 * KiB)
 
-#: pseudo fan-out value labelling the hierarchical two-level tree in
-#: the ``Ibcast`` attribute space (distinct from every real fan-out)
-HIER_FANOUT = "hier"
-
-#: paper name for the Bruck algorithm
-_A2A_NAME = {"linear": "linear", "bruck": "dissemination", "pairwise": "pairwise"}
+#: the paper's name for an algorithm, where it differs from the table's
+_LABELS = {"bruck": "dissemination"}
 
 
-def _fanout_label(fanout) -> str:
-    if fanout == HIER_FANOUT:
-        return "hier"
-    return {0: "linear", 1: "chain", BINOMIAL: "binomial"}.get(fanout, f"{fanout}ary")
+def _rows(algorithms: Sequence, hierarchical: bool) -> tuple:
+    """A family's table keys in order, the two-level row only if
+    ``hierarchical``."""
+    return tuple(a for a in algorithms if hierarchical or a != HIER)
 
 
 def _seg_label(segsize: int) -> str:
@@ -157,14 +165,12 @@ def _scatter_allgather(ctx: MPIContext, spec: CollSpec,
                       data=(buffers or {}).get("data"))
 
 
-def _algorithm_set(name: str, maker, algorithms: Sequence[str],
-                   labels: Optional[Mapping[str, str]] = None) -> FunctionSet:
+def _algorithm_set(name: str, maker, algorithms: Sequence[str]) -> FunctionSet:
     """One candidate per algorithm, its one attribute the algorithm's
-    label (``labels`` renames an algorithm; default: its own name)."""
-    labels = labels or {}
+    label (its name in the paper)."""
     return FunctionSet(name, [
-        CollFunction(name=labels.get(a, a), maker=partial(maker, a),
-                     attributes={"algorithm": labels.get(a, a)})
+        CollFunction(name=_LABELS.get(a, a), maker=partial(maker, a),
+                     attributes={"algorithm": _LABELS.get(a, a)})
         for a in algorithms
     ])
 
@@ -173,17 +179,19 @@ def ibcast_function_set(hierarchical: bool = False) -> FunctionSet:
     """The 21-function non-blocking broadcast set (7 fan-outs x 3 segments).
 
     ``hierarchical=True`` adds the three leader-based two-level variants
-    (one per segment size, pseudo fan-out :data:`HIER_FANOUT`) as
-    first-class candidates the selection logic can pick.
+    (one per segment size, pseudo fan-out :data:`~repro.nbc.hier.HIER`)
+    as first-class candidates the selection logic can pick.
     """
-    fanouts = IBCAST_FANOUTS + ((HIER_FANOUT,) if hierarchical else ())
     # the hierarchical set is another tuning problem: its own name keeps
     # its history and checkpoint records apart from the flat set's
     return FunctionSet("ibcast_hier" if hierarchical else "ibcast", [
-        CollFunction(name=f"{_fanout_label(fanout)}_seg{segsize // KiB}KB",
-                     maker=partial(_ibcast, fanout, segsize),
-                     attributes={"fanout": fanout, "segsize": segsize})
-        for fanout in fanouts
+        CollFunction(
+            # "2-ary" -> "2ary_seg32KB"
+            name=f"{bcast_name(fanout).replace('-', '')}_"
+                 f"{_seg_label(segsize)}",
+            maker=partial(_ibcast, fanout, segsize),
+            attributes={"fanout": fanout, "segsize": segsize})
+        for fanout in _rows(BCAST_ALGORITHMS, hierarchical)
         for segsize in IBCAST_SEGSIZES
     ])
 
@@ -214,9 +222,8 @@ def ialltoall_function_set(hierarchical: bool = False) -> FunctionSet:
     ``hierarchical=True`` adds the leader-based two-level candidate
     (gather / inter-leader pairwise exchange / scatter).
     """
-    algorithms = tuple(_A2A_NAME) + (("hier",) if hierarchical else ())
     return _algorithm_set("ialltoall_hier" if hierarchical else "ialltoall",
-                          _ialltoall, algorithms, _A2A_NAME)
+                          _ialltoall, _rows(ALLTOALL_ALGORITHMS, hierarchical))
 
 
 def ialltoall_extended_function_set() -> FunctionSet:
@@ -228,22 +235,22 @@ def ialltoall_extended_function_set() -> FunctionSet:
     overlapping at all.
     """
     return FunctionSet("ialltoall_ext", [
-        CollFunction(name=("blocking_" if blocking else "") + label,
-                     maker=partial(_ialltoall, algorithm),
-                     attributes={"algorithm": label, "blocking": blocking},
+        CollFunction(name=("blocking_" if blocking else "") + f.name,
+                     maker=f.maker,
+                     attributes={**f.attributes, "blocking": blocking},
                      blocking=blocking)
         for blocking in (False, True)
-        for algorithm, label in _A2A_NAME.items()
+        for f in ialltoall_function_set()
     ])
 
 
 def iallgather_function_set(size: Optional[int] = None) -> FunctionSet:
     """All-gather set: ring, linear, and (for power-of-two sizes)
     recursive doubling."""
-    algos = ["ring", "linear"]
-    if size is None or (size > 0 and size & (size - 1) == 0):
-        algos.append("recursive_doubling")
-    return _algorithm_set("iallgather", _iallgather, algos)
+    pow2 = size is None or (size > 0 and size & (size - 1) == 0)
+    return _algorithm_set("iallgather", _iallgather, [
+        a for a in ALLGATHER_ALGORITHMS
+        if pow2 or a != "recursive_doubling"])
 
 
 def ireduce_function_set(segsizes=(0, 64 * KiB)) -> FunctionSet:
@@ -252,7 +259,7 @@ def ireduce_function_set(segsizes=(0, 64 * KiB)) -> FunctionSet:
         CollFunction(name=f"{algorithm}_{_seg_label(segsize)}",
                      maker=partial(_ireduce, algorithm, segsize),
                      attributes={"algorithm": algorithm, "segsize": segsize})
-        for algorithm in ("binomial", "chain")
+        for algorithm in REDUCE_ALGORITHMS
         for segsize in segsizes
     ])
 

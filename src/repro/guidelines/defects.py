@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional
+from typing import List
 
 from ..errors import GuidelineError
 from ..util.canonical import canonical_json, fingerprint

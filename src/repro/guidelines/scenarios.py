@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional
+from typing import List
 
 from ..errors import GuidelineError
 from .checker import normalize_probe

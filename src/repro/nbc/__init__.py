@@ -13,9 +13,10 @@ progress engine.  This package re-implements that design:
   :mod:`~repro.nbc.iallgather` / :mod:`~repro.nbc.iallgatherv` /
   :mod:`~repro.nbc.ireduce` / :mod:`~repro.nbc.ireduce_scatter` /
   :mod:`~repro.nbc.iallreduce` — one algorithm table per family
-  (including the paper's 21 Ibcast and 3 Ialltoall variants),
-* :mod:`repro.nbc.hier` — node partitions and the two-level
-  leader-based broadcast and all-to-all,
+  (including the paper's 21 Ibcast and 3 Ialltoall variants, and the
+  two-level rows keyed :data:`~repro.nbc.hier.HIER`),
+* :mod:`repro.nbc.hier` — the node partitions the two-level
+  (leader-based) rows of the tables run on,
 * :mod:`repro.nbc.compose` — the scatter+allgather broadcast mock-up of
   the guideline checker,
 * :mod:`repro.nbc.coll` — :func:`~repro.nbc.coll.start_plan`, the one
@@ -41,21 +42,20 @@ from .coll import (
     start_plan,
 )
 from .ft import ft_collective
-from .hier import (
-    Partition,
-    as_partition,
-    build_hier_ialltoall,
-    build_hier_ibcast,
-    compiled_hier_ialltoall,
-    compiled_hier_ibcast,
-    hier_bcast_tree,
-    partition_for_comm,
-)
+from .hier import HIER, Partition, as_partition, partition_for_comm
 from .iallgather import ALLGATHER_ALGORITHMS, compiled_iallgather
 from .iallgatherv import ALLGATHERV_ALGORITHMS, balanced_counts, compiled_iallgatherv
 from .iallreduce import ALLREDUCE_ALGORITHMS, build_iallreduce, compiled_iallreduce
 from .ialltoall import ALLTOALL_ALGORITHMS, compiled_ialltoall
-from .ibcast import BINOMIAL, IBCAST_FANOUTS, bcast_tree, build_ibcast, compiled_ibcast
+from .ibcast import (
+    BCAST_ALGORITHMS,
+    BINOMIAL,
+    IBCAST_FANOUTS,
+    bcast_tree,
+    build_ibcast,
+    compiled_ibcast,
+    two_level_tree,
+)
 from .ireduce import REDUCE_ALGORITHMS, build_ireduce, compiled_ireduce
 from .ireduce_scatter import REDUCE_SCATTER_ALGORITHMS, compiled_ireduce_scatter
 from .request import NBCRequest, make_buffers
@@ -78,10 +78,12 @@ __all__ = [
     "ALLGATHERV_ALGORITHMS",
     "ALLREDUCE_ALGORITHMS",
     "ALLTOALL_ALGORITHMS",
+    "BCAST_ALGORITHMS",
     "BINOMIAL",
     "BufSpec",
     "CombineOp",
     "CopyOp",
+    "HIER",
     "IBCAST_FANOUTS",
     "NBCRequest",
     "Partition",
@@ -100,13 +102,9 @@ __all__ = [
     "barrier",
     "bcast",
     "bcast_tree",
-    "build_hier_ialltoall",
-    "build_hier_ibcast",
     "build_iallreduce",
     "build_ibcast",
     "build_ireduce",
-    "compiled_hier_ialltoall",
-    "compiled_hier_ibcast",
     "compiled_iallgather",
     "compiled_iallgatherv",
     "compiled_iallreduce",
@@ -115,7 +113,6 @@ __all__ = [
     "compiled_ireduce",
     "compiled_ireduce_scatter",
     "ft_collective",
-    "hier_bcast_tree",
     "identity_peers",
     "make_buffers",
     "partition_for_comm",
@@ -130,4 +127,5 @@ __all__ = [
     "start_ireduce",
     "start_ireduce_scatter",
     "start_plan",
+    "two_level_tree",
 ]

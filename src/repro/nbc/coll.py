@@ -8,7 +8,10 @@ These wrap the schedule builders into one-call APIs for rank programs:
   :attr:`~repro.nbc.schedule.Schedule.scratch`;
 * ``start_*`` — look up the plan of a non-blocking collective and post
   it through :func:`start_plan`, returning the request to progress/wait
-  on;
+  on.  Each takes the algorithm (or fan-out) as its family's table
+  names it; the one step they add is :func:`_node_groups`, which hands
+  a two-level row the topology's node partition unless the caller
+  passed ``groups``;
 * the module-level generators (``alltoall``, ``bcast``, ...) — blocking
   convenience wrappers (``yield from nbc.alltoall(ctx, ...)``), used for
   the paper's blocking-MPI baselines.
@@ -25,14 +28,7 @@ from typing import TYPE_CHECKING, Optional
 from ..errors import ScheduleError
 from ..sim.mpi import MPIContext, SimComm
 from ..sim.process import Wait
-from .hier import (
-    Groups,
-    Partition,
-    as_partition,
-    compiled_hier_ialltoall,
-    compiled_hier_ibcast,
-    partition_for_comm,
-)
+from .hier import HIER, Groups, partition_for_comm
 from .ialltoall import compiled_ialltoall
 from .iallgather import compiled_iallgather
 from .iallgatherv import compiled_iallgatherv
@@ -108,11 +104,14 @@ def start_plan(ctx: MPIContext, comm: SimComm, rank: int,
     return NBCRequest(plan, comm, rank, peers, buffers).start(ctx)
 
 
-def _partition(ctx: MPIContext, comm: SimComm,
-               groups: Optional[Groups]) -> Partition:
-    if groups is None:
+def _node_groups(ctx: MPIContext, comm: SimComm, algorithm,
+                 groups: Optional[Groups]):
+    """``groups``, or for a two-level row (:data:`~repro.nbc.hier.HIER`)
+    not given one, the node partition of ``comm`` on the topology; the
+    flat rows ignore it, so it is only derived for the two-level one."""
+    if groups is None and algorithm == HIER:
         return partition_for_comm(comm, ctx.topology)
-    return as_partition(groups, comm.size)
+    return groups
 
 
 def start_ialltoall(
@@ -126,15 +125,13 @@ def start_ialltoall(
 ) -> NBCRequest:
     """Post a non-blocking all-to-all of ``m`` bytes per process pair.
 
-    ``algorithm="hier"`` routes through per-node leaders; ``groups``
-    overrides the topology-derived node partition.
+    ``groups`` overrides the topology-derived node partition of the
+    two-level row.
     """
     comm, rank = _local_rank(ctx, comm)
-    if algorithm == "hier":
-        g = _partition(ctx, comm, groups)
-        sched, peers = compiled_hier_ialltoall(comm.size, rank, m, g)
-    else:
-        sched, peers = compiled_ialltoall(comm.size, rank, m, algorithm)
+    sched, peers = compiled_ialltoall(comm.size, rank, m, algorithm,
+                                      _node_groups(ctx, comm, algorithm,
+                                                   groups))
     return start_plan(ctx, comm, rank, sched, peers, send=sendbuf,
                       recv=recvbuf)
 
@@ -151,17 +148,13 @@ def start_ibcast(
 ) -> NBCRequest:
     """Post a non-blocking broadcast of ``nbytes`` from ``root``.
 
-    ``fanout="hier"`` selects the two-level leader tree; ``groups``
-    overrides the topology-derived node partition.
+    ``groups`` overrides the topology-derived node partition of the
+    two-level tree.
     """
     comm, rank = _local_rank(ctx, comm)
-    if fanout == "hier":
-        g = _partition(ctx, comm, groups)
-        sched, peers = compiled_hier_ibcast(comm.size, rank, root, nbytes,
-                                            segsize, g)
-    else:
-        sched, peers = compiled_ibcast(comm.size, rank, root, nbytes, fanout,
-                                       segsize)
+    sched, peers = compiled_ibcast(comm.size, rank, root, nbytes, fanout,
+                                   segsize,
+                                   _node_groups(ctx, comm, fanout, groups))
     return start_plan(ctx, comm, rank, sched, peers, data=buf)
 
 
@@ -209,9 +202,9 @@ def start_iallgatherv(
 ) -> NBCRequest:
     """Post a non-blocking all-gather-v; rank *i* contributes ``counts[i]``."""
     comm, rank = _local_rank(ctx, comm)
-    g = _partition(ctx, comm, groups) if algorithm == "hier" else ()
-    sched, peers = compiled_iallgatherv(comm.size, rank, tuple(counts),
-                                        algorithm, g)
+    sched, peers = compiled_iallgatherv(
+        comm.size, rank, counts, algorithm,
+        _node_groups(ctx, comm, algorithm, groups))
     return start_plan(ctx, comm, rank, sched, peers, send=sendbuf,
                       recv=recvbuf)
 
@@ -250,9 +243,9 @@ def start_iallreduce(
 ) -> NBCRequest:
     """Post a non-blocking all-reduce over ``buf`` (in place)."""
     comm, rank = _local_rank(ctx, comm)
-    g = _partition(ctx, comm, groups) if algorithm == "hier" else ()
-    sched, peers = compiled_iallreduce(comm.size, rank, nbytes, algorithm,
-                                       dtype=dtype, op=op, groups=g)
+    sched, peers = compiled_iallreduce(
+        comm.size, rank, nbytes, algorithm, dtype=dtype, op=op,
+        groups=_node_groups(ctx, comm, algorithm, groups))
     return start_plan(ctx, comm, rank, sched, peers, data=buf)
 
 

@@ -23,6 +23,7 @@ makes the comparison fair.
 from __future__ import annotations
 
 from ..errors import ScheduleError
+from .ibcast import check_bcast_geometry
 from .schedule import Schedule, compiled_per_rank
 
 __all__ = ["compiled_scatter_allgather"]
@@ -44,8 +45,7 @@ def _scatter_allgather(size: int, rank: int, nbytes: int,
     ``nbytes >= size`` so every block is non-empty (a zero-byte block
     would leave some rank without a message to forward).
     """
-    if not 0 <= root < size:
-        raise ScheduleError(f"bad bcast root {root} for size={size}")
+    check_bcast_geometry(size, rank, root)
     if 1 < size > nbytes:
         raise ScheduleError(
             f"scatter+allgather mock-up needs nbytes >= nranks "

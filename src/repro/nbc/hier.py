@@ -1,57 +1,53 @@
-"""Hierarchical (leader-based two-level) collective schedules.
+"""Node partitions for the hierarchical (leader-based two-level) algorithms.
 
 On SMP clusters the network is two-tier: ranks on one node talk through
-shared memory, ranks on different nodes through the interconnect.  The
-flat trees of :mod:`repro.nbc.ibcast` ignore this; the hierarchical
-variants here route all inter-node traffic through one *leader* rank per
-node (Jocksch et al.; the Wickramasinghe & Lumsdaine survey), so each
-payload crosses the network once per node instead of once per rank:
-
-* :func:`build_hier_ibcast` — segmented broadcast down a two-level
-  tree: binomial over the node leaders, then leader → node members;
-* :func:`build_hier_ialltoall` — gather to the leader, pairwise
-  exchange of node-aggregated blocks between leaders, scatter to the
-  members.
+shared memory, ranks on different nodes through the interconnect.  A
+two-level algorithm routes all inter-node traffic through one *leader*
+rank per node (Jocksch et al.; the Wickramasinghe & Lumsdaine survey),
+so each payload crosses the network once per node instead of once per
+rank.  Every family that has one declares it as an ordinary row of its
+algorithm table, keyed :data:`HIER` — the all-to-all
+(:mod:`repro.nbc.ialltoall`), broadcast (:mod:`repro.nbc.ibcast`),
+all-gather-v and all-reduce — and that row is the only one that runs
+on a node partition, passed as ``groups=``.
 
 Groups
 ------
-Every builder takes ``groups``: a partition of the communicator's local
-ranks into per-node tuples, ordered by each group's smallest member.
+``groups`` is a partition of the communicator's local ranks into
+per-node tuples, ordered by each group's smallest member.
 :func:`partition_for_comm` derives it from the simulated topology; tests
 pass hand-made partitions (uneven leaders, non-power-of-two counts)
 directly.
 
 A :class:`Partition` wraps a validated ``groups`` tuple with the tables
-derived from it (rank → group, per-root broadcast peers).  Partitions
+derived from it (rank → group, and the per-root broadcast trees that
+:func:`repro.nbc.ibcast.two_level_tree` memoizes on it).  Partitions
 are interned, so equal partitions are one object: the object itself is
 the partition's token in schedule-cache keys, hashed in O(1) instead of
-rehashing the O(P) nested tuple on every lookup.  Builders accept a
-plain ``groups`` tuple or a :class:`Partition`.
+rehashing the O(P) nested tuple on every lookup.  The entry points
+accept a plain ``groups`` tuple or a :class:`Partition`.
 """
 
 from __future__ import annotations
 
 import weakref
-from functools import partial
 from typing import Union
 
 from ..errors import ScheduleError
-from .ibcast import BINOMIAL, bcast_schedule, bcast_tree
-from .schedule import Schedule, check_geometry, compiled_per_rank, compiled_role
 
 __all__ = [
+    "HIER",
     "Partition",
     "as_partition",
     "partition_for_comm",
     "validate_groups",
-    "hier_bcast_tree",
-    "build_hier_ibcast",
-    "compiled_hier_ibcast",
-    "build_hier_ialltoall",
-    "compiled_hier_ialltoall",
 ]
 
 Groups = tuple[tuple[int, ...], ...]
+
+#: the key of every family's two-level row in its algorithm table (the
+#: broadcast's pseudo fan-out): the only rows that run on a node partition
+HIER = "hier"
 
 
 def validate_groups(size: int, groups: Groups) -> None:
@@ -73,7 +69,7 @@ class Partition:
     and hash by identity.
     """
 
-    __slots__ = ("groups", "size", "group_of", "max_group", "_bcast",
+    __slots__ = ("groups", "size", "group_of", "max_group", "trees",
                  "__weakref__")
 
     def __init__(self, groups: Groups):
@@ -87,41 +83,9 @@ class Partition:
         #: rank -> index of its group
         self.group_of = tuple(group_of)
         self.max_group = max((len(g) for g in groups), default=0)
-        self._bcast: dict[int, tuple] = {}
-
-    def bcast_peers(self, root: int) -> tuple[tuple[int, ...], ...]:
-        """Every rank's ``(parent, *children)`` in the two-level tree.
-
-        Indexed by rank; see :func:`hier_bcast_tree` for the shape.
-        Memoized per root.
-        """
-        table = self._bcast.get(root)
-        if table is None:
-            table = self._bcast[root] = self._bcast_table(root)
-        return table
-
-    def _bcast_table(self, root: int) -> tuple[tuple[int, ...], ...]:
-        if not 0 <= root < self.size:
-            raise ScheduleError(f"root {root} out of range for {self.size} ranks")
-        groups = self.groups
-        ridx = self.group_of[root]
-        leaders = [root if gi == ridx else g[0] for gi, g in enumerate(groups)]
-        nl = len(groups)
-        table: list = [None] * self.size
-        for gi, members in enumerate(groups):
-            leader = leaders[gi]
-            parent_v, children_v = bcast_tree(nl, (gi - ridx) % nl, BINOMIAL)
-            parent = -1 if parent_v == -1 else leaders[(parent_v + ridx) % nl]
-            table[leader] = (
-                parent,
-                *[leaders[(cv + ridx) % nl] for cv in children_v],
-                *[r for r in members if r != leader],
-            )
-            below_leader = (leader,)
-            for r in members:
-                if r != leader:
-                    table[r] = below_leader
-        return tuple(table)
+        #: root -> every rank's ``(parent, *children)`` in the two-level
+        #: broadcast tree (filled by :func:`repro.nbc.ibcast.two_level_tree`)
+        self.trees: dict[int, tuple] = {}
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Partition {len(self.groups)} groups of {self.size} ranks>"
@@ -137,10 +101,15 @@ def as_partition(groups: Union[Groups, Partition],
 
     A :class:`Partition` passes through; a ``groups`` tuple is validated
     the first time it is seen.  With ``size`` given, the partition must
-    cover exactly ``range(size)``.
+    cover exactly ``range(size)``.  No ``groups`` at all (``None`` or
+    ``()``) is the error of a two-level row called without its node
+    partition.
     """
     if isinstance(groups, Partition):
         part = groups
+    elif not groups:
+        raise ScheduleError(
+            f"the {HIER!r} algorithm needs the node partition: pass groups=")
     else:
         part = _PARTITIONS.get(groups)
         if part is None:
@@ -173,168 +142,3 @@ def partition_for_comm(comm, topology) -> Partition:
     part = as_partition(tuple(tuple(members) for members in by_node.values()))
     comm._node_groups = (topology, part)
     return part
-
-
-def hier_bcast_tree(groups: Union[Groups, Partition], rank: int,
-                    root: int) -> tuple[int, list[int]]:
-    """Parent and children of ``rank`` in the two-level broadcast tree.
-
-    The leader of each group is its first member, except the root's
-    group whose leader is the root itself (the data starts there, so
-    promoting it saves one hop).  Leaders form a binomial tree rooted at
-    the root's leader; every other member hangs directly off its
-    leader — within a node the "tree" is flat, shared memory makes a
-    deeper shape pointless.  Leader-children precede member-children so
-    inter-node forwarding (the long pole) is initiated first.
-    """
-    peers = as_partition(groups).bcast_peers(root)[rank]
-    return peers[0], list(peers[1:])
-
-
-def _hier_role(size: int, rank: int, root: int, nbytes: int,
-               groups: Union[Groups, Partition]) -> tuple[int, ...]:
-    """``rank``'s ``(parent, *children)`` in the two-level tree, once the
-    geometry checked out."""
-    check_geometry("bcast", size, rank, nbytes)
-    return as_partition(groups, size).bcast_peers(root)[rank]
-
-
-def build_hier_ibcast(
-    size: int,
-    rank: int,
-    root: int,
-    nbytes: int,
-    segsize: int,
-    groups: Union[Groups, Partition],
-) -> Schedule:
-    """Build this rank's schedule for a hierarchical segmented broadcast.
-
-    Buffer contract is identical to :func:`~repro.nbc.ibcast.build_ibcast`
-    (payload in ``"data"`` on every rank); only the tree shape differs,
-    so the flat and hierarchical variants are drop-in interchangeable
-    tuning candidates.
-    """
-    parent, *children = _hier_role(size, rank, root, nbytes, groups)
-    return bcast_schedule("hier", nbytes, segsize, parent, children)
-
-
-def compiled_hier_ibcast(size: int, rank: int, root: int, nbytes: int,
-                         segsize: int, groups: Union[Groups, Partition]):
-    """``(template, peers)`` for :func:`build_hier_ibcast`: the role
-    template of ``rank`` in the two-level tree, bound to its peers."""
-    return compiled_role("bcast", "hier", size,
-                         _hier_role(size, rank, root, nbytes, groups),
-                         partial(bcast_schedule, "hier"), (nbytes, segsize))
-
-
-# ---------------------------------------------------------------------------
-# hierarchical all-to-all
-# ---------------------------------------------------------------------------
-
-def build_hier_ialltoall(size: int, rank: int, m: int,
-                         groups: Union[Groups, Partition]) -> Schedule:
-    """Build this rank's schedule for a leader-based all-to-all.
-
-    Three phases, all within LibNBC round semantics:
-
-    1. **gather** — every member ships its full ``"send"`` buffer
-       (``P*m`` bytes) to the node leader;
-    2. **exchange** — leaders run a pairwise exchange over the node
-       count: round *r* packs the blocks destined for node ``g+r`` and
-       trades one aggregated ``|g|*|h|*m``-byte message with that node's
-       leader (round 0 is the node-local rearrangement, pure copies);
-    3. **scatter** — the leader returns each member's assembled ``P*m``
-       result, landing in ``"recv"``.
-
-    Only leaders stage data: ``"gather"`` holds every member's send
-    buffer, ``"scatter"`` every member's assembled result, and
-    ``"so"``/``"si"`` one inter-leader exchange; the plan's
-    :attr:`~repro.nbc.schedule.Schedule.scratch` sizes them from these
-    ops.
-
-    Each payload block crosses the network once per *node pair* instead
-    of once per rank pair — the win (and the candidate the tuner should
-    pick) when many ranks share a node and per-message latency
-    dominates, e.g. small blocks at high core counts.
-    """
-    check_geometry("alltoall", size, rank, m)
-    part = as_partition(groups, size)
-    groups = part.groups
-    ngroups = len(groups)
-    sched = Schedule(name="ialltoall[hier]")
-    # tagoffs: 0 = gather, 1 = scatter, 2+r = inter-leader round r; the
-    # span must match on every rank, leader or not
-    sched.tag_span = 2 + ngroups
-    if size == 1:
-        sched.round()
-        sched.copy(m, src=("send", 0, m), dst=("recv", 0, m))
-        return sched
-    gidx = part.group_of[rank]
-    members = groups[gidx]
-    leader = members[0]
-    gsz = len(members)
-    full = size * m
-
-    if rank != leader:
-        sched.round()
-        sched.send(leader, full, tagoff=0, src=("send", 0, full))
-        sched.round()
-        sched.recv(leader, full, tagoff=1, dst=("recv", 0, full))
-        return sched
-
-    # -- phase 1: gather every member's send buffer -----------------------
-    sched.round()
-    sched.copy(full, src=("send", 0, full), dst=("gather", 0, full))
-    for k in range(1, gsz):
-        sched.recv(members[k], full, tagoff=0,
-                   dst=("gather", k * full, full))
-
-    # -- phase 2: pairwise exchange of node-aggregated blocks -------------
-    # gather layout: slot k = member k's send buffer; scatter layout:
-    # slot q = member q's assembled recv buffer
-    for r in range(ngroups):
-        if r == 0:
-            # node-local traffic: rearrange gather -> scatter directly
-            sched.round()
-            for k in range(gsz):
-                for q in range(gsz):
-                    sched.copy(m,
-                               src=("gather", k * full + members[q] * m, m),
-                               dst=("scatter", q * full + members[k] * m, m))
-            continue
-        to_grp = groups[(gidx + r) % ngroups]
-        from_grp = groups[(gidx - r) % ngroups]
-        # pack the blocks every local member addresses to the target node
-        sched.round()
-        for k in range(gsz):
-            for q, j in enumerate(to_grp):
-                sched.copy(m, src=("gather", k * full + j * m, m),
-                           dst=("so", (k * len(to_grp) + q) * m, m))
-        sched.round()
-        sched.recv(from_grp[0], len(from_grp) * gsz * m, tagoff=2 + r,
-                   dst=("si", 0, len(from_grp) * gsz * m))
-        sched.send(to_grp[0], gsz * len(to_grp) * m, tagoff=2 + r,
-                   src=("so", 0, gsz * len(to_grp) * m))
-        # unpack: sender member k2 (rank i) -> local member q
-        sched.round()
-        for k2, i in enumerate(from_grp):
-            for q in range(gsz):
-                sched.copy(m, src=("si", (k2 * gsz + q) * m, m),
-                           dst=("scatter", q * full + i * m, m))
-
-    # -- phase 3: scatter each member's assembled result ------------------
-    sched.round()
-    for q in range(1, gsz):
-        sched.send(members[q], full, tagoff=1,
-                   src=("scatter", q * full, full))
-    sched.copy(full, src=("scatter", 0, full), dst=("recv", 0, full))
-    return sched
-
-
-def compiled_hier_ialltoall(size: int, rank: int, m: int,
-                            groups: Union[Groups, Partition]):
-    """``(plan, peers)`` for :func:`build_hier_ialltoall`: the cached
-    per-rank plan with the identity table."""
-    return compiled_per_rank("alltoall", "hier", size, rank, m,
-                             build_hier_ialltoall,
-                             (m, as_partition(groups, size)))

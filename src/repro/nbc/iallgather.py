@@ -5,9 +5,9 @@ provide the three classic algorithms so the library is complete:
 
 * **ring** — ``P-1`` rounds, each forwarding one block to the right
   neighbour; bandwidth-optimal, latency ``(P-1) * alpha``;
+* **linear** — everybody sends its block to everybody in one round;
 * **recursive doubling** — ``log2 P`` rounds doubling the gathered
-  chunk each time (requires a power-of-two process count);
-* **linear** — everybody sends its block to everybody in one round.
+  chunk each time (requires a power-of-two process count).
 
 Ring and linear name every peer, and every ``"recv"`` block, by rank
 offset, so each compiles one *rotation template* (rank 0's plan, slot
@@ -88,8 +88,8 @@ def _linear(size: int, m: int) -> Schedule:
 #: or ``(size, rank, m)`` of a per-rank plan)
 _ALGORITHMS = {
     "ring": (compiled_rotation, _ring),
-    "recursive_doubling": (compiled_per_rank, _recursive_doubling),
     "linear": (compiled_rotation, _linear),
+    "recursive_doubling": (compiled_per_rank, _recursive_doubling),
 }
 
 ALLGATHER_ALGORITHMS = tuple(_ALGORITHMS)

@@ -7,7 +7,8 @@ all contributions in rank order.  Three candidates:
 * **linear** — everybody sends its block to everybody in one round;
 * **ring** — ``P-1`` rounds forwarding one (variable-size) block to the
   right neighbour; bandwidth-optimal;
-* **hier** — leader-based two-level (see :mod:`repro.nbc.hier`):
+* **hier** — leader-based two-level over a node partition (the
+  :data:`~repro.nbc.hier.HIER` row, see :mod:`repro.nbc.hier`):
   members hand their block to the node leader, leaders run the ring over
   nodes forwarding one node's blocks per round, then each leader
   replicates the assembled result to its members.
@@ -20,8 +21,10 @@ message consistently because ``counts`` is global knowledge.
 
 from __future__ import annotations
 
+from typing import Optional, Union
+
 from ..errors import ScheduleError
-from .hier import Groups, as_partition
+from .hier import HIER, Groups, Partition, as_partition
 from .schedule import Schedule, algorithm_row, compiled_per_rank
 
 __all__ = [
@@ -50,7 +53,7 @@ def _offsets(counts) -> list[int]:
     return offs
 
 
-def _linear(size: int, rank: int, counts, groups) -> Schedule:
+def _linear(size: int, rank: int, counts) -> Schedule:
     offs = _offsets(counts)
     sched = Schedule(name="iallgatherv[linear]")
     sched.tag_span = 1
@@ -70,7 +73,7 @@ def _linear(size: int, rank: int, counts, groups) -> Schedule:
     return sched
 
 
-def _ring(size: int, rank: int, counts, groups) -> Schedule:
+def _ring(size: int, rank: int, counts) -> Schedule:
     offs = _offsets(counts)
     sched = Schedule(name="iallgatherv[ring]")
     sched.tag_span = max(1, size - 1)
@@ -95,8 +98,7 @@ def _ring(size: int, rank: int, counts, groups) -> Schedule:
     return sched
 
 
-def _hier(size: int, rank: int, counts, groups) -> Schedule:
-    part = as_partition(groups, size)
+def _hier(size: int, rank: int, counts, part: Partition) -> Schedule:
     offs = _offsets(counts)
     total = offs[-1]
     groups = part.groups
@@ -159,32 +161,34 @@ def _hier(size: int, rank: int, counts, groups) -> Schedule:
     return sched
 
 
-#: algorithm -> (binder, emitter ``(size, rank, counts, groups)``)
+#: algorithm -> (binder, emitter ``(size, rank, counts)``, or
+#: ``(size, rank, counts, partition)`` for the two-level row)
 _ALGORITHMS = {
     "linear": (compiled_per_rank, _linear),
     "ring": (compiled_per_rank, _ring),
-    "hier": (compiled_per_rank, _hier),
+    HIER: (compiled_per_rank, _hier),
 }
 
 ALLGATHERV_ALGORITHMS = tuple(_ALGORITHMS)
 
 
 def compiled_iallgatherv(size: int, rank: int, counts, algorithm: str,
-                         groups: Groups = ()):
+                         groups: Optional[Union[Groups, Partition]] = None):
     """``(plan, peers)`` of an all-gather-v in which rank *i*
     contributes ``counts[i]`` bytes: the cached per-rank plan with the
     identity table.
 
-    ``groups`` (the ``hier`` algorithm's node partition) enters the key
-    as its interned partition (see :func:`~repro.nbc.hier.as_partition`).
+    ``groups`` is the node partition of the :data:`~repro.nbc.hier.HIER`
+    row, which enters its key as the interned partition (see
+    :func:`~repro.nbc.hier.as_partition`); the flat rows take none.
     """
     bind, emit = algorithm_row(_ALGORITHMS, "allgatherv", algorithm)
     counts = tuple(counts)
     if len(counts) != size:
         raise ScheduleError(
             f"need one count per rank: {len(counts)} counts for {size} ranks")
-    if groups:
-        groups = as_partition(groups, size)
+    params = ((counts, as_partition(groups, size)) if algorithm == HIER
+              else (counts,))
     # the smallest count is the payload the binder checks non-negative
     return bind("allgatherv", algorithm, size, rank, min(counts, default=0),
-                emit, (counts, groups))
+                emit, params)

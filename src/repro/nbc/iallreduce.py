@@ -11,7 +11,8 @@ Three candidates spanning the latency/bandwidth/topology trade-offs:
   near-equal blocks; bandwidth-optimal (each rank moves ``~2*nbytes``
   regardless of P), latency ``2*(P-1)*alpha``;
 * **hier** — the same up-then-down exchange over the leader-based
-  two-level tree of :func:`repro.nbc.hier.hier_bcast_tree`: members
+  two-level tree of :func:`repro.nbc.ibcast.two_level_tree` (the
+  :data:`~repro.nbc.hier.HIER` row, on a node partition): members
   combine into their node leader, leaders combine binomially, and the
   result flows back down — the full vector crosses the network
   ``2*(nnodes-1)`` times total instead of ``2*(P-1)``.
@@ -32,11 +33,12 @@ candidates; exactness tests should use integer-valued payloads.
 from __future__ import annotations
 
 from functools import partial
+from typing import Optional, Union
 
 from ..errors import ScheduleError
-from .hier import Groups, as_partition
+from .hier import HIER, Groups, Partition, as_partition
 from .iallgatherv import balanced_counts
-from .ibcast import BINOMIAL, tree_peers
+from .ibcast import BINOMIAL, tree_peers, two_level_tree
 from .schedule import (
     Schedule,
     algorithm_row,
@@ -176,7 +178,7 @@ def _two_level_tree(size: int, groups) -> tuple[tuple[int, ...], ...]:
     """Every rank's ``(parent, *children)`` in the two-level tree rooted
     at the first group's leader."""
     part = as_partition(groups, size)
-    return part.bcast_peers(part.groups[0][0])
+    return two_level_tree(part, part.groups[0][0])
 
 
 #: algorithm -> (binder, emitter ``(size, rank, nbytes, dtype, op)`` of
@@ -185,7 +187,7 @@ def _two_level_tree(size: int, groups) -> tuple[tuple[int, ...], ...]:
 _ALGORITHMS = {
     "reduce_bcast": (compiled_role, _binomial_tree),
     "ring": (compiled_per_rank, _ring),
-    "hier": (compiled_role, _two_level_tree),
+    HIER: (compiled_role, _two_level_tree),
 }
 
 ALLREDUCE_ALGORITHMS = tuple(_ALGORITHMS)
@@ -206,7 +208,7 @@ def build_iallreduce(
     algorithm: str,
     dtype: str = "float64",
     op: str = "sum",
-    groups: Groups = (),
+    groups: Optional[Union[Groups, Partition]] = None,
 ) -> Schedule:
     """Build this rank's schedule for an all-reduce of ``nbytes``.
 
@@ -224,7 +226,7 @@ def build_iallreduce(
 
 def compiled_iallreduce(size: int, rank: int, nbytes: int, algorithm: str,
                         dtype: str = "float64", op: str = "sum",
-                        groups: Groups = ()):
+                        groups: Optional[Union[Groups, Partition]] = None):
     """``(plan, peers)`` for :func:`build_iallreduce` (same arguments):
     the tree algorithms' role template of ``rank`` bound to its tree
     peers, or ring's cached per-rank plan with the identity table."""

@@ -16,33 +16,44 @@ The paper's ``Ibcast`` function-set is parameterized by two attributes
   behind segment *s−1*.
 
 ``7 fan-out values x 3 segment sizes = 21`` implementations, matching
-the paper.  Every fan-out's tree depends on a rank only through its
-role, so each compiles one role template per role
-(:func:`~repro.nbc.schedule.compiled_role`).
+the paper.  The table's eighth row, pseudo fan-out
+:data:`~repro.nbc.hier.HIER`, is the two-level tree of a node partition
+(:func:`two_level_tree`): a binomial tree over the node leaders, then
+leader → node members.  Every row's tree depends on a rank only through
+its role, so each compiles one role template per role
+(:func:`~repro.nbc.schedule.compiled_role`), and all of them run the
+same pipelined rounds (:func:`bcast_schedule`).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
+from typing import Optional, Union
 
 from ..errors import ScheduleError
+from .hier import HIER, Groups, Partition, as_partition
 from .schedule import Schedule, algorithm_row, check_geometry, compiled_role
 
-__all__ = ["BINOMIAL", "build_ibcast", "compiled_ibcast", "bcast_tree",
-           "bcast_peers", "bcast_schedule", "check_bcast_geometry",
-           "segment_bounds", "tree_peers", "IBCAST_FANOUTS"]
+__all__ = ["BINOMIAL", "BCAST_ALGORITHMS", "build_ibcast", "compiled_ibcast",
+           "bcast_name", "bcast_tree", "bcast_peers", "bcast_schedule",
+           "check_bcast_geometry", "segment_bounds", "tree_peers",
+           "two_level_tree", "IBCAST_FANOUTS"]
 
 #: sentinel fan-out value selecting the binomial tree (the paper's "N")
 BINOMIAL = -1
 
-#: fan-out -> algorithm name: the paper's function-set, every fan-out
-#: a role template emitted by :func:`bcast_schedule`
+#: fan-out -> algorithm name, every row a role template emitted by
+#: :func:`bcast_schedule`: the paper's seven fan-outs, then the
+#: two-level tree of a node partition
 _ALGORITHMS = {0: "linear", 1: "chain", 2: "2-ary", 3: "3-ary", 4: "4-ary",
-               5: "5-ary", BINOMIAL: "binomial"}
+               5: "5-ary", BINOMIAL: "binomial", HIER: "hier"}
 
-#: all fan-out values of the paper's function-set
-IBCAST_FANOUTS = tuple(_ALGORITHMS)
+BCAST_ALGORITHMS = tuple(_ALGORITHMS)
+
+#: the fan-out values of the paper's function-set (every row but the
+#: two-level one)
+IBCAST_FANOUTS = tuple(f for f in BCAST_ALGORITHMS if f != HIER)
 
 
 def bcast_tree(size: int, vrank: int, fanout: int) -> tuple[int, list[int]]:
@@ -106,12 +117,12 @@ def bcast_schedule(label: str, nbytes: int, segsize: int, parent: int,
     ``parent``/``children`` are the peers the ops name (``parent == -1``
     on the root): real ranks in a per-rank schedule, slots in a role
     template (:func:`~repro.nbc.schedule.compiled_role`).  The tree
-    shape is entirely the caller's — flat k-ary/binomial trees
-    (:func:`build_ibcast`) and the two-level hierarchical tree
-    (:mod:`repro.nbc.hier`) share these exact rounds.  Segment *s* uses
-    tag offset *s*; round *k* receives segment *k* from the parent while
-    forwarding segment *k−1* to the children, so a depth-*d* tree with
-    *S* segments completes in ``d + S - 1`` forwarding steps.
+    shape is entirely the caller's — the fan-out trees and the
+    two-level tree (:func:`two_level_tree`) share these exact rounds.
+    Segment *s* uses tag offset *s*; round *k* receives segment *k* from
+    the parent while forwarding segment *k−1* to the children, so a
+    depth-*d* tree with *S* segments completes in ``d + S - 1``
+    forwarding steps.
     """
     sched = Schedule(name=f"ibcast[{label},seg={segsize}]")
     seg_bounds = segment_bounds(nbytes, segsize)
@@ -174,12 +185,59 @@ def tree_peers(size: int, root: int, fanout: int) -> tuple[tuple[int, ...], ...]
     return tuple(bcast_peers(size, rank, root, fanout) for rank in range(size))
 
 
-def _tree_role(size: int, rank: int, root: int, nbytes: int,
-               fanout) -> tuple[str, tuple[int, ...]]:
+def two_level_tree(part: Partition, root: int) -> tuple[tuple[int, ...], ...]:
+    """Every rank's ``(parent, *children)`` in the two-level broadcast
+    tree of ``part`` rooted at ``root``, indexed by rank.
+
+    The leader of each group is its first member, except the root's
+    group whose leader is the root itself (the data starts there, so
+    promoting it saves one hop).  Leaders form a binomial tree rooted at
+    the root's leader; every other member hangs directly off its
+    leader — within a node the "tree" is flat, shared memory makes a
+    deeper shape pointless.  Leader-children precede member-children so
+    inter-node forwarding (the long pole) is initiated first.  Memoized
+    per root on the interned partition.
+    """
+    table = part.trees.get(root)
+    if table is not None:
+        return table
+    check_bcast_geometry(part.size, 0, root)
+    groups = part.groups
+    ridx = part.group_of[root]
+    leaders = [root if gi == ridx else g[0] for gi, g in enumerate(groups)]
+    nl = len(groups)
+    rows: list = [None] * part.size
+    for gi, members in enumerate(groups):
+        leader = leaders[gi]
+        parent_v, children_v = bcast_tree(nl, (gi - ridx) % nl, BINOMIAL)
+        parent = -1 if parent_v == -1 else leaders[(parent_v + ridx) % nl]
+        rows[leader] = (
+            parent,
+            *[leaders[(cv + ridx) % nl] for cv in children_v],
+            *[r for r in members if r != leader],
+        )
+        below_leader = (leader,)
+        for r in members:
+            if r != leader:
+                rows[r] = below_leader
+    table = part.trees[root] = tuple(rows)
+    return table
+
+
+def bcast_name(fanout) -> str:
+    """The algorithm name of a fan-out (``"binomial"``, ``"2-ary"``, ...)."""
+    return algorithm_row(_ALGORITHMS, "bcast", fanout)
+
+
+def _tree_role(size: int, rank: int, root: int, nbytes: int, fanout,
+               groups) -> tuple[str, tuple[int, ...]]:
     """The algorithm name of ``fanout`` and ``rank``'s ``(parent,
     *children)`` in its tree, once the geometry checked out."""
-    label = algorithm_row(_ALGORITHMS, "bcast", fanout)
+    label = bcast_name(fanout)
     check_geometry("bcast", size, rank, nbytes)
+    check_bcast_geometry(size, rank, root)
+    if fanout == HIER:
+        return label, two_level_tree(as_partition(groups, size), root)[rank]
     return label, tree_peers(size, root, fanout)[rank]
 
 
@@ -188,19 +246,23 @@ def build_ibcast(
     rank: int,
     root: int,
     nbytes: int,
-    fanout: int,
+    fanout,
     segsize: int,
+    groups: Optional[Union[Groups, Partition]] = None,
 ) -> Schedule:
     """Build this rank's schedule for a segmented tree broadcast.
 
     The broadcast buffer is the schedule buffer named ``"data"`` (on
     every rank; the root's content is distributed into everyone else's).
-    Peers are real ranks (run it bound to
-    :func:`~repro.nbc.schedule.identity_peers`): this is the per-rank
-    reference the role templates of :func:`compiled_ibcast` equal.
-    See :func:`bcast_schedule` for the pipelined rounds.
+    ``groups`` is the node partition the :data:`~repro.nbc.hier.HIER`
+    row's tree runs on; the fan-out trees take none.  Peers are real
+    ranks (run it bound to :func:`~repro.nbc.schedule.identity_peers`):
+    this is the per-rank reference the role templates of
+    :func:`compiled_ibcast` equal.  See :func:`bcast_schedule` for the
+    pipelined rounds.
     """
-    label, (parent, *children) = _tree_role(size, rank, root, nbytes, fanout)
+    label, (parent, *children) = _tree_role(size, rank, root, nbytes, fanout,
+                                            groups)
     return bcast_schedule(label, nbytes, segsize, parent, children)
 
 
@@ -209,11 +271,12 @@ def compiled_ibcast(
     rank: int,
     root: int,
     nbytes: int,
-    fanout: int,
+    fanout,
     segsize: int,
+    groups: Optional[Union[Groups, Partition]] = None,
 ):
     """``(template, peers)`` for :func:`build_ibcast` (same arguments):
     the role template of ``rank`` in the tree, bound to its peers."""
-    label, peers = _tree_role(size, rank, root, nbytes, fanout)
+    label, peers = _tree_role(size, rank, root, nbytes, fanout, groups)
     return compiled_role("bcast", label, size, peers,
                          partial(bcast_schedule, label), (nbytes, segsize))

@@ -13,12 +13,27 @@ from repro.adcl import (
     ibcast_function_set,
     ireduce_function_set,
 )
-from repro.adcl.fnsets import IBCAST_SEGSIZES
+from repro.adcl.fnsets import (
+    IBCAST_SEGSIZES,
+    iallgatherv_function_set,
+    iallreduce_function_set,
+    ireduce_scatter_function_set,
+)
 from repro.bench.overlap import OPERATION_KINDS, function_set_for
 from repro.errors import AdclError
+from repro.nbc import (
+    ALLGATHER_ALGORITHMS,
+    ALLGATHERV_ALGORITHMS,
+    ALLREDUCE_ALGORITHMS,
+    ALLTOALL_ALGORITHMS,
+    BCAST_ALGORITHMS,
+    HIER,
+    REDUCE_ALGORITHMS,
+    REDUCE_SCATTER_ALGORITHMS,
+)
 from repro.nbc.hier import partition_for_comm
 from repro.nbc.iallgatherv import balanced_counts
-from repro.nbc.ibcast import BINOMIAL, IBCAST_FANOUTS
+from repro.nbc.ibcast import IBCAST_FANOUTS
 from repro.sim import SimWorld, Wait, get_platform
 from repro.units import KiB
 
@@ -71,6 +86,40 @@ def test_ireduce_set_cross_product():
     fnset = ireduce_function_set()
     assert len(fnset) == 4  # 2 algorithms x 2 segment settings
     assert [len(v) for v in fnset.attribute_set.values()] == [2, 2]
+
+
+#: function-set -> (factory, its family's table keys, the rows the set
+#: leaves out on purpose)
+TABLE_SETS = {
+    # the two-level row joins only the hierarchical sets
+    "ialltoall": (ialltoall_function_set, ALLTOALL_ALGORITHMS, {HIER}),
+    "ialltoall_hier": (partial(ialltoall_function_set, hierarchical=True),
+                       ALLTOALL_ALGORITHMS, set()),
+    "ialltoall_ext": (ialltoall_extended_function_set, ALLTOALL_ALGORITHMS,
+                      {HIER}),
+    "ibcast": (ibcast_function_set, BCAST_ALGORITHMS, {HIER}),
+    "ibcast_hier": (partial(ibcast_function_set, hierarchical=True),
+                    BCAST_ALGORITHMS, set()),
+    "iallgather": (partial(iallgather_function_set, size=8),
+                   ALLGATHER_ALGORITHMS, set()),
+    # recursive doubling needs a power-of-two size
+    "iallgather_size5": (partial(iallgather_function_set, size=5),
+                         ALLGATHER_ALGORITHMS, {"recursive_doubling"}),
+    "ireduce": (ireduce_function_set, REDUCE_ALGORITHMS, set()),
+    "iallgatherv": (iallgatherv_function_set, ALLGATHERV_ALGORITHMS, set()),
+    "ireduce_scatter": (ireduce_scatter_function_set,
+                        REDUCE_SCATTER_ALGORITHMS, set()),
+    "iallreduce": (iallreduce_function_set, ALLREDUCE_ALGORITHMS, set()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SETS))
+def test_every_table_row_reaches_its_function_set(name):
+    factory, table, excluded = TABLE_SETS[name]
+    assert excluded <= set(table)
+    # each maker is partial(family maker, algorithm, ...)
+    bound = list(dict.fromkeys(f.maker.args[0] for f in factory()))
+    assert bound == [a for a in table if a not in excluded]
 
 
 def test_index_of_and_errors():

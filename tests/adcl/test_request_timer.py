@@ -13,7 +13,7 @@ from repro.adcl import (
     ialltoall_function_set,
 )
 from repro.errors import AdclError
-from repro.sim import Compute, Progress, SimWorld, Wait, get_platform
+from repro.sim import Compute, Progress, SimWorld, get_platform
 from repro.units import KiB
 
 

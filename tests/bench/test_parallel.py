@@ -8,8 +8,6 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.bench.overlap import OverlapConfig
 from repro.bench.parallel import (
     ResultCache,

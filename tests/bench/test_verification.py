@@ -5,7 +5,6 @@ import pytest
 from repro.bench import (
     CORRECTNESS_TOLERANCE,
     OverlapConfig,
-    VerificationResult,
     run_verification,
 )
 from repro.units import KiB

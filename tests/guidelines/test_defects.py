@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.guidelines import (
     GuidelineEngine,
     check_probe,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nbc.schedule import Schedule
-from repro.sim import SimWorld, Wait, get_platform
+from repro.sim import SimWorld, get_platform
 
 
 @pytest.fixture

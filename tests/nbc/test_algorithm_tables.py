@@ -6,9 +6,12 @@ the binders of :mod:`repro.nbc.schedule`.  These tests enumerate the
 entry points and algorithms rather than sample them: the exported
 algorithm tuples are the tables' keys in their declared order, a bad
 argument raises the same :class:`ScheduleError` through every entry
-point of a family (and caches nothing), and every compiled plan is
-frozen.
+point of a family (and caches nothing), a bad root the same error
+through every rooted one, a two-level row without its node partition
+one error in every family, and every compiled plan is frozen.
 """
+
+from functools import partial
 
 import pytest
 
@@ -18,7 +21,9 @@ from repro.nbc import (
     ALLGATHERV_ALGORITHMS,
     ALLREDUCE_ALGORITHMS,
     ALLTOALL_ALGORITHMS,
+    BCAST_ALGORITHMS,
     BINOMIAL,
+    HIER,
     IBCAST_FANOUTS,
     REDUCE_ALGORITHMS,
     REDUCE_SCATTER_ALGORITHMS,
@@ -42,45 +47,42 @@ from repro.nbc import (
     start_ibarrier,
 )
 from repro.nbc.compose import compiled_scatter_allgather
-from repro.nbc.hier import (
-    build_hier_ialltoall,
-    build_hier_ibcast,
-    compiled_hier_ialltoall,
-    compiled_hier_ibcast,
-)
 from repro.nbc.schedule import SCHEDULE_CACHE
 from repro.sim import SimWorld, Wait, get_platform
 
 P = 4
 GROUPS = ((0, 1), (2, 3))
 
-#: family -> (exported tuple, the table it derives from, the order the
-#: algorithms had before they were declared in tables)
+#: family -> (exported tuple, the table it derives from, its order: the
+#: order of the family's ADCL function-set)
 TABLES = {
     "alltoall": (ALLTOALL_ALGORITHMS, ialltoall._ALGORITHMS,
-                 ("linear", "pairwise", "bruck")),
+                 ("linear", "bruck", "pairwise", "hier")),
     "allgather": (ALLGATHER_ALGORITHMS, iallgather._ALGORITHMS,
-                  ("ring", "recursive_doubling", "linear")),
+                  ("ring", "linear", "recursive_doubling")),
     "allgatherv": (ALLGATHERV_ALGORITHMS, iallgatherv._ALGORITHMS,
                    ("linear", "ring", "hier")),
     "allreduce": (ALLREDUCE_ALGORITHMS, iallreduce._ALGORITHMS,
                   ("reduce_bcast", "ring", "hier")),
-    "bcast": (IBCAST_FANOUTS, ibcast._ALGORITHMS,
-              (0, 1, 2, 3, 4, 5, BINOMIAL)),
+    "bcast": (BCAST_ALGORITHMS, ibcast._ALGORITHMS,
+              (0, 1, 2, 3, 4, 5, BINOMIAL, "hier")),
     "reduce": (REDUCE_ALGORITHMS, ireduce._ALGORITHMS, ("binomial", "chain")),
     "reduce_scatter": (REDUCE_SCATTER_ALGORITHMS, ireduce_scatter._ALGORITHMS,
                        ("pairwise", "reduce_then_scatter")),
 }
 
-#: (family, entry point, its algorithms or None when it takes no
-#: algorithm argument, call(rank, nbytes, algorithm))
+#: the all-to-all's flat rows: its two-level row has an entry of its own
+FLAT_ALLTOALL = tuple(a for a in ALLTOALL_ALGORITHMS if a != HIER)
+
+#: (family, case name, its algorithms or None when it takes no
+#: algorithm argument, call(rank, nbytes, algorithm)); the all-to-all's
+#: and the broadcast's two-level rows (on GROUPS) are the cases named
+#: ``*_hier_*`` after the entry point they call
 ENTRIES = [
-    ("alltoall", "compiled_ialltoall", ALLTOALL_ALGORITHMS,
+    ("alltoall", "compiled_ialltoall", FLAT_ALLTOALL,
      lambda r, n, a: compiled_ialltoall(P, r, n, a)),
     ("alltoall", "compiled_hier_ialltoall", None,
-     lambda r, n, a: compiled_hier_ialltoall(P, r, n, GROUPS)),
-    ("alltoall", "build_hier_ialltoall", None,
-     lambda r, n, a: build_hier_ialltoall(P, r, n, GROUPS)),
+     lambda r, n, a: compiled_ialltoall(P, r, n, HIER, groups=GROUPS)),
     ("allgather", "compiled_iallgather", ALLGATHER_ALGORITHMS,
      lambda r, n, a: compiled_iallgather(P, r, n, a)),
     ("allgatherv", "compiled_iallgatherv", ALLGATHERV_ALGORITHMS,
@@ -94,9 +96,9 @@ ENTRIES = [
     ("bcast", "build_ibcast", IBCAST_FANOUTS,
      lambda r, n, a: build_ibcast(P, r, 1, n, a, 1024)),
     ("bcast", "compiled_hier_ibcast", None,
-     lambda r, n, a: compiled_hier_ibcast(P, r, 1, n, 1024, GROUPS)),
+     lambda r, n, a: compiled_ibcast(P, r, 1, n, HIER, 1024, GROUPS)),
     ("bcast", "build_hier_ibcast", None,
-     lambda r, n, a: build_hier_ibcast(P, r, 1, n, 1024, GROUPS)),
+     lambda r, n, a: build_ibcast(P, r, 1, n, HIER, 1024, GROUPS)),
     ("bcast", "compiled_scatter_allgather", None,
      lambda r, n, a: compiled_scatter_allgather(P, r, 1, n)),
     ("reduce", "compiled_ireduce", REDUCE_ALGORITHMS,
@@ -171,6 +173,88 @@ def test_negative_size_raises_the_familys_error(cache, family, call,
     for _ in range(2):
         assert _error(call, 0, -8, algorithm) == f"negative {family} size -8"
     assert len(cache) == 0
+
+
+#: (case name, its algorithms, call(rank, root, algorithm)): every
+#: entry point that takes a root
+ROOTED = [
+    ("compiled_ibcast", BCAST_ALGORITHMS,
+     lambda r, root, a: compiled_ibcast(P, r, root, 8, a, 1024, GROUPS)),
+    ("build_ibcast", BCAST_ALGORITHMS,
+     lambda r, root, a: build_ibcast(P, r, root, 8, a, 1024, GROUPS)),
+    ("compiled_ireduce", REDUCE_ALGORITHMS,
+     lambda r, root, a: compiled_ireduce(P, r, root, 8, a)),
+    ("build_ireduce", REDUCE_ALGORITHMS,
+     lambda r, root, a: build_ireduce(P, r, root, 8, a)),
+    ("compiled_scatter_allgather", (None,),
+     lambda r, root, a: compiled_scatter_allgather(P, r, root, 8)),
+]
+
+
+@pytest.mark.parametrize("call, algorithm", [
+    pytest.param(call, algorithm, id=f"{name}[{algorithm}]")
+    for name, algorithms, call in ROOTED
+    for algorithm in algorithms
+])
+@pytest.mark.parametrize("root", (-1, P))
+def test_bad_root_raises_one_error_on_every_rooted_path(cache, call,
+                                                        algorithm, root):
+    for rank in (0, 2):
+        for _ in range(2):
+            assert _error(call, rank, root, algorithm) == (
+                f"bad rooted geometry size={P} rank={rank} root={root}")
+    assert len(cache) == 0
+
+
+#: family -> call(groups) of its two-level row, one per entry point
+TWO_LEVEL = [
+    ("alltoall", lambda g: compiled_ialltoall(P, 0, 8, HIER, groups=g)),
+    ("allgatherv",
+     lambda g: compiled_iallgatherv(P, 0, (8,) * P, HIER, groups=g)),
+    ("allreduce", lambda g: compiled_iallreduce(P, 0, 8, HIER, groups=g)),
+    ("allreduce", lambda g: build_iallreduce(P, 0, 8, HIER, groups=g)),
+    ("bcast", lambda g: compiled_ibcast(P, 0, 0, 8, HIER, 1024, groups=g)),
+    ("bcast", lambda g: build_ibcast(P, 0, 0, 8, HIER, 1024, groups=g)),
+]
+
+
+@pytest.mark.parametrize("family, call", TWO_LEVEL,
+                         ids=[f"{family}{i}" for i, (family, _)
+                              in enumerate(TWO_LEVEL)])
+def test_a_two_level_row_without_groups_names_the_missing_partition(
+        cache, family, call):
+    for groups in (None, ()):
+        assert _error(call, groups) == (
+            "the 'hier' algorithm needs the node partition: pass groups=")
+    assert len(cache) == 0
+    call(GROUPS)  # the same call with the partition builds its plan
+
+
+#: (case name, call(groups)) of every flat row of the families that
+#: also have a two-level row
+FLAT_ROWS = [
+    (f"{name}[{a}]", partial(call, a))
+    for name, algorithms, call in (
+        ("compiled_ialltoall", FLAT_ALLTOALL,
+         lambda a, g: compiled_ialltoall(P, 0, 8, a, groups=g)),
+        ("compiled_iallgatherv", ALLGATHERV_ALGORITHMS,
+         lambda a, g: compiled_iallgatherv(P, 0, (8,) * P, a, groups=g)),
+        ("compiled_iallreduce", ALLREDUCE_ALGORITHMS,
+         lambda a, g: compiled_iallreduce(P, 0, 8, a, groups=g)),
+        ("compiled_ibcast", IBCAST_FANOUTS,
+         lambda a, g: compiled_ibcast(P, 0, 0, 8, a, 1024, groups=g)),
+    )
+    for a in algorithms if a != HIER
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in FLAT_ROWS],
+                         ids=[name for name, _ in FLAT_ROWS])
+def test_flat_rows_do_not_key_on_groups(cache, call):
+    plan, peers = call(None)
+    assert call(GROUPS) == (plan, peers)
+    assert call(GROUPS)[0] is plan
+    assert (cache.misses, len(cache)) == (1, 1)
 
 
 def _barrier_plan():

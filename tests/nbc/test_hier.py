@@ -13,7 +13,8 @@ import pytest
 
 from repro import nbc
 from repro.errors import ScheduleError
-from repro.nbc.hier import hier_bcast_tree, validate_groups
+from repro.nbc.hier import as_partition, validate_groups
+from repro.nbc.ibcast import two_level_tree
 from repro.sim import Compute, FaultPlan, RankCrash, SimWorld, Wait, get_platform
 from repro.sim.faults import DropRule
 
@@ -36,10 +37,9 @@ PARTITIONS = {
 def test_hier_bcast_tree_is_a_spanning_tree():
     for size, groups in PARTITIONS.items():
         for root in (0, size - 1):
-            parents = {r: hier_bcast_tree(groups, r, root)[0]
-                       for r in range(size)}
-            children = {r: hier_bcast_tree(groups, r, root)[1]
-                        for r in range(size)}
+            tree = two_level_tree(as_partition(groups), root)
+            parents = {r: tree[r][0] for r in range(size)}
+            children = {r: tree[r][1:] for r in range(size)}
             assert parents[root] == -1
             # every non-root has exactly one parent that lists it as child
             for r in range(size):
@@ -55,10 +55,11 @@ def test_hier_bcast_tree_promotes_root_to_leader():
     groups = ((0, 1, 2, 3), (4, 5))
     # root 2 is not its group's first member, but must still be the
     # global tree root with no intra-node hop above it
-    parent, children = hier_bcast_tree(groups, 2, 2)
+    tree = two_level_tree(as_partition(groups), 2)
+    parent, *children = tree[2]
     assert parent == -1
     assert set(children) >= {0, 1, 3}  # its node members hang off it
-    assert hier_bcast_tree(groups, 0, 2)[0] == 2
+    assert tree[0][0] == 2
 
 
 def test_validate_groups_rejects_non_partitions():

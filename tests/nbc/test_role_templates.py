@@ -15,13 +15,9 @@ import pytest
 
 from repro.adcl.fnsets import IBCAST_SEGSIZES
 from repro.errors import ScheduleError
-from repro.nbc.hier import (
-    as_partition,
-    build_hier_ialltoall,
-    build_hier_ibcast,
-    compiled_hier_ialltoall,
-    compiled_hier_ibcast,
-)
+from repro.nbc import ialltoall
+from repro.nbc.hier import HIER, as_partition
+from repro.nbc.ialltoall import compiled_ialltoall
 from repro.nbc.ibcast import IBCAST_FANOUTS, build_ibcast, compiled_ibcast
 from repro.nbc.schedule import SCHEDULE_CACHE, identity_peers
 
@@ -76,10 +72,10 @@ def test_bound_hier_template_equals_build_hier_ibcast(cache, groups):
     for root in range(size):
         for segsize in (1024, 4096):
             for rank in range(size):
-                plan, peers = compiled_hier_ibcast(size, rank, root, nbytes,
-                                                   segsize, groups)
-                built = build_hier_ibcast(size, rank, root, nbytes, segsize,
-                                          groups)
+                plan, peers = compiled_ibcast(size, rank, root, nbytes,
+                                              HIER, segsize, groups)
+                built = build_ibcast(size, rank, root, nbytes, HIER, segsize,
+                                     groups)
                 assert plan.name == built.name
                 assert plan.tag_span == built.tag_span
                 assert (bound_rounds(plan, peers)
@@ -89,7 +85,7 @@ def test_bound_hier_template_equals_build_hier_ibcast(cache, groups):
 def test_hier_templates_are_per_role_not_per_rank(cache):
     part = as_partition(BGP_1024)
     for rank in range(1024):
-        compiled_hier_ibcast(1024, rank, 0, 1024 * 1024, 32 * 1024, part)
+        compiled_ibcast(1024, rank, 0, 1024 * 1024, HIER, 32 * 1024, part)
     # root, 8 leader roles (1..8 leader children + 3 members), members
     assert len(cache) == 10
     assert cache.families() == {"hier-bcast": 10}
@@ -122,7 +118,7 @@ def test_hier_bcast_plans_at_p1024_hold_under_1mib(cache):
 
     def lookups():
         for rank in range(1024):
-            compiled_hier_ibcast(1024, rank, 0, 1024 * 1024, 32 * 1024, part)
+            compiled_ibcast(1024, rank, 0, 1024 * 1024, HIER, 32 * 1024, part)
 
     assert _traced_plan_bytes(lookups) < 1024 * 1024
 
@@ -151,14 +147,27 @@ def test_partitions_are_interned_and_validated_once():
 
 def test_hier_alltoall_keys_on_the_partition_token(cache):
     groups = ((0, 1, 2), (3, 4))
-    plan, peers = compiled_hier_ialltoall(5, 3, 16, groups)
+    plan, peers = compiled_ialltoall(5, 3, 16, HIER, groups)
     # an equal partition spelled as a fresh tuple hits the same plan
-    assert compiled_hier_ialltoall(5, 3, 16, tuple(map(tuple, groups)))[0] is plan
+    fresh = tuple(map(tuple, groups))
+    assert compiled_ialltoall(5, 3, 16, HIER, fresh)[0] is plan
+    assert plan.key == ("alltoall", "hier", 5, 3, 16, as_partition(groups))
     assert plan.key[-1] is as_partition(groups)
     assert peers is identity_peers(5)
+    _, emit = ialltoall._ALGORITHMS[HIER]
     assert (bound_rounds(plan, peers)
-            == bound_rounds(build_hier_ialltoall(5, 3, 16, groups),
+            == bound_rounds(emit(5, 3, 16, as_partition(groups)),
                             identity_peers(5)))
+
+
+def test_hier_bcast_keys_on_the_role_only(cache):
+    groups = ((0, 1, 2), (3, 4))
+    plan, peers = compiled_ibcast(5, 3, 0, 5000, HIER, 1024, groups)
+    # rank 3 leads the second node: parent 0, one member child
+    assert peers == (0, 4)
+    assert plan.key == ("bcast", "hier", 5, 5000, 1024, True, 1)
+    assert compiled_ibcast(5, 3, 0, 5000, HIER, 1024,
+                           as_partition(groups)) == (plan, peers)
 
 
 def test_partition_for_comm_is_memoized_and_shared_across_worlds():

@@ -11,7 +11,6 @@ from repro.sim import (
     get_platform,
     register_platform,
 )
-from repro.units import KiB
 
 
 def make_link(**kw):

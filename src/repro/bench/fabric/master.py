@@ -89,6 +89,18 @@ class FabricTaskError(RuntimeError):
         self.traceback_text = traceback_text
 
 
+#: a worker still holding a task this many lease lifetimes after issue
+#: is presumed wedged (heartbeat thread alive, main thread stuck) and
+#: recycled.  Deliberately generous: a slow-but-live worker keeps
+#: heartbeating and must be allowed to finish — its expired lease is
+#: merely re-issued elsewhere and deduped.
+HUNG_GRACE_FACTOR = 4.0
+
+#: seconds before the first respawn of a dead worker; it doubles per
+#: respawn (up to 64x)
+RESPAWN_BACKOFF = 0.05
+
+
 @dataclasses.dataclass
 class FabricConfig:
     """Tuning knobs + telemetry sinks for one fabric run.
@@ -105,16 +117,9 @@ class FabricConfig:
     heartbeat_timeout: float = 3.0
     poison_worker_kills: int = 2
     max_clones: int = 2
-    #: a worker still holding a task this many lease lifetimes after
-    #: issue is presumed wedged (heartbeat thread alive, main thread
-    #: stuck) and recycled.  Deliberately generous: a slow-but-live
-    #: worker keeps heartbeating and must be allowed to finish — its
-    #: expired lease is merely re-issued elsewhere and deduped.
-    hung_grace_factor: float = 4.0
     #: leases younger than this are never stolen (avoids duplicating
     #: fast tasks at the sweep tail just because a worker went idle)
     steal_min_age: float = 0.25
-    respawn_backoff: float = 0.05
     max_respawns: int = 8
     #: chaos harness: SIGKILL a random live worker after this many
     #: task completions (0 = off); which worker dies is drawn from a
@@ -377,8 +382,7 @@ class FabricMaster:
         for index in poisoned:
             self._quarantine(index, table)
         if self._respawns < self.config.max_respawns:
-            backoff = self.config.respawn_backoff * (
-                2 ** min(self._respawns, 6))
+            backoff = RESPAWN_BACKOFF * 2 ** min(self._respawns, 6)
             self._respawns += 1
             self._respawn_due.append(now + backoff)
         # with the budget exhausted the loop keeps going on the
@@ -396,7 +400,7 @@ class FabricMaster:
             except OSError:
                 # couldn't respawn: put the slot back with more backoff
                 self._respawn_due.append(
-                    now + self.config.respawn_backoff * 4)
+                    now + RESPAWN_BACKOFF * 4)
 
     def _quarantine(self, index: int, table: LeaseTable) -> None:
         """A poison task: record the defect, then run it inline —
@@ -425,7 +429,7 @@ class FabricMaster:
             # past the lease is presumed hung and recycled.
             if worker.hung_since is None:
                 worker.hung_since = lease.issued_at
-        grace = self.config.hung_grace_factor * table.task_timeout
+        grace = HUNG_GRACE_FACTOR * table.task_timeout
         for worker in list(self._workers.values()):
             if (worker.hung_since is not None
                     and now - worker.hung_since > grace):

@@ -14,72 +14,58 @@ guideline and a defect report is due.
 :func:`compiled_scatter_allgather` looks up the composed schedule as one
 ordinary :class:`~repro.nbc.schedule.Schedule` over the broadcast
 buffer ``"data"``: a linear scatter of ``ceil(n/P)``-byte blocks from
-the root followed by a ring all-gather of those blocks, all within the
-LibNBC round semantics — so the mock-up runs on the exact same progress
-engine, timer and network model as every real candidate, which is what
-makes the comparison fair.
+the root followed by the library's own all-gather-v ring
+(:func:`~repro.nbc.iallgatherv.emit_ring`) over those blocks, all
+within the LibNBC round semantics — so the mock-up runs on the exact
+same progress engine, timer and network model as every real
+candidate, which is what makes the comparison fair.  Any payload size
+works: when ``n`` runs out before the ranks do, the trailing blocks
+are empty and move no message.
 """
 
 from __future__ import annotations
 
-from ..errors import ScheduleError
-from .ibcast import check_bcast_geometry
+from .iallgatherv import emit_ring, offsets
+from .ibcast import check_bcast_geometry, segment_bounds
 from .schedule import Schedule, compiled_per_rank
 
 __all__ = ["compiled_scatter_allgather"]
-
-
-def _block_bounds(size: int, nbytes: int) -> list[tuple[int, int]]:
-    """``(offset, length)`` of each rank's scatter block of ``nbytes``."""
-    m = -(-nbytes // size)  # ceil division
-    return [(i * m, min(m, nbytes - i * m)) for i in range(size)]
 
 
 def _scatter_allgather(size: int, rank: int, nbytes: int,
                        root: int) -> Schedule:
     """This rank's schedule for the Bcast ≼ Scatter+Allgather mock-up.
 
-    Phase 1 (one round): the root sends block ``i`` of ``"data"`` to
-    rank ``i``; phase 2 (``P-1`` rounds): a ring all-gather circulates
-    the blocks until every rank holds the full payload.  Requires
-    ``nbytes >= size`` so every block is non-empty (a zero-byte block
-    would leave some rank without a message to forward).
+    Block *i* is the *i*-th ``ceil(n/P)``-byte segment of ``"data"``,
+    or empty once ``n`` runs out.  Phase 1 (one round): the root sends
+    block *i* to rank *i*; phase 2 (``P-1`` rounds): the all-gather-v
+    ring circulates the blocks.  Empty blocks move no message.
     """
     check_bcast_geometry(size, rank, root)
-    if 1 < size > nbytes:
-        raise ScheduleError(
-            f"scatter+allgather mock-up needs nbytes >= nranks "
-            f"(every block non-empty), got {nbytes} < {size}")
     sched = Schedule(name="ibcast[scatter+allgather]")
     if size == 1:
         return sched
-    bounds = _block_bounds(size, nbytes)
+    counts = [length for _, length
+              in segment_bounds(nbytes, -(-nbytes // size) or 1)]
+    counts += [0] * (size - len(counts))
+    offs = offsets(counts)
 
-    # phase 1: linear scatter from the root (virtual block i -> rank i;
-    # the root keeps its own block, which is already in place)
+    # phase 1: linear scatter from the root (the root keeps its own
+    # block, which is already in place)
     sched.round()
     if rank == root:
         for peer in range(size):
-            if peer == root:
-                continue
-            off, length = bounds[peer]
-            sched.send(peer, length, tagoff=0, src=("data", off, length))
-    else:
-        off, length = bounds[rank]
-        sched.recv(root, length, tagoff=0, dst=("data", off, length))
+            if peer != root and counts[peer]:
+                sched.send(peer, counts[peer], tagoff=0,
+                           src=("data", offs[peer], counts[peer]))
+    elif counts[rank]:
+        sched.recv(root, counts[rank], tagoff=0,
+                   dst=("data", offs[rank], counts[rank]))
+    if not sched.rounds[-1]:
+        sched.copy(0)  # rounds may not be empty
 
-    # phase 2: ring all-gather of the scattered blocks.  Round r
-    # forwards the block received r rounds ago to the right neighbour.
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    for r in range(size - 1):
-        outgoing = (rank - r) % size
-        incoming = (rank - r - 1) % size
-        sched.round()
-        off, length = bounds[incoming]
-        sched.recv(left, length, tagoff=r + 1, dst=("data", off, length))
-        off, length = bounds[outgoing]
-        sched.send(right, length, tagoff=r + 1, src=("data", off, length))
+    # phase 2: ring all-gather of the scattered blocks on tags 1..P-1
+    emit_ring(sched, size, rank, rank, counts, offs, "data", tag0=1)
     sched.tag_span = size
     return sched
 

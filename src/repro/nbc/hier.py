@@ -100,7 +100,8 @@ def as_partition(groups: Union[Groups, Partition],
     """The interned :class:`Partition` of ``groups``.
 
     A :class:`Partition` passes through; a ``groups`` tuple is validated
-    the first time it is seen.  With ``size`` given, the partition must
+    the first time it is seen (lists, which cannot key the intern
+    table, are rejected).  With ``size`` given, the partition must
     cover exactly ``range(size)``.  No ``groups`` at all (``None`` or
     ``()``) is the error of a two-level row called without its node
     partition.
@@ -111,7 +112,12 @@ def as_partition(groups: Union[Groups, Partition],
         raise ScheduleError(
             f"the {HIER!r} algorithm needs the node partition: pass groups=")
     else:
-        part = _PARTITIONS.get(groups)
+        try:
+            part = _PARTITIONS.get(groups)
+        except TypeError:  # lists: the partition must be hashable
+            raise ScheduleError(
+                f"groups must be a tuple of per-node rank tuples, "
+                f"e.g. ((0, 1), (2, 3)); got {groups!r}") from None
         if part is None:
             part = _PARTITIONS[groups] = Partition(groups)
     if size >= 0 and part.size != size:

@@ -5,7 +5,9 @@ provide the three classic algorithms so the library is complete:
 
 * **ring** — ``P-1`` rounds, each forwarding one block to the right
   neighbour; bandwidth-optimal, latency ``(P-1) * alpha``;
-* **linear** — everybody sends its block to everybody in one round;
+* **linear** — everybody sends its block to everybody in one round
+  (:func:`~repro.nbc.ialltoall.linear_exchange`, the all-to-all's
+  emitter, with the whole send buffer going to every peer);
 * **recursive doubling** — ``log2 P`` rounds doubling the gathered
   chunk each time (requires a power-of-two process count).
 
@@ -23,8 +25,10 @@ is the full ``P x m`` result.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from ..errors import ScheduleError
+from .ialltoall import linear_exchange
 from .schedule import (
     Schedule,
     algorithm_row,
@@ -73,22 +77,12 @@ def _recursive_doubling(size: int, rank: int, m: int) -> Schedule:
     return sched
 
 
-def _linear(size: int, m: int) -> Schedule:
-    sched = Schedule(name="iallgather[linear]")
-    sched.round()
-    sched.copy(m, src=("send", 0, m), dst=peer_block("recv", 0, m, size))
-    for s in range(1, size):
-        sched.recv(s, m, tagoff=0, dst=peer_block("recv", s, m, size))
-    for s in range(1, size):
-        sched.send(s, m, tagoff=0, src=("send", 0, m))
-    return sched
-
-
 #: algorithm -> (binder, emitter ``(size, m)`` of a rotation template
 #: or ``(size, rank, m)`` of a per-rank plan)
 _ALGORITHMS = {
     "ring": (compiled_rotation, _ring),
-    "linear": (compiled_rotation, _linear),
+    "linear": (compiled_rotation,
+               partial(linear_exchange, "iallgather[linear]", personal=False)),
     "recursive_doubling": (compiled_per_rank, _recursive_doubling),
 }
 

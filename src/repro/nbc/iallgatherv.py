@@ -17,10 +17,15 @@ Buffers: ``"send"`` is this rank's contribution (``counts[rank]``
 bytes), ``"recv"`` the concatenated result (``sum(counts)`` bytes).
 Zero-length contributions are legal; both sides of a transfer skip the
 message consistently because ``counts`` is global knowledge.
+
+The ring is :func:`emit_ring`, shared with the ring all-reduce and the
+scatter+allgather mock-up.  Op sizes follow ``counts[rank]``, so every
+row stays one plan per rank.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Optional, Union
 
 from ..errors import ScheduleError
@@ -31,6 +36,8 @@ __all__ = [
     "ALLGATHERV_ALGORITHMS",
     "balanced_counts",
     "compiled_iallgatherv",
+    "emit_ring",
+    "offsets",
 ]
 
 
@@ -46,15 +53,44 @@ def balanced_counts(total: int, size: int) -> tuple[int, ...]:
     return tuple(base + (1 if i < extra else 0) for i in range(size))
 
 
-def _offsets(counts) -> list[int]:
-    offs = [0]
-    for c in counts:
-        offs.append(offs[-1] + c)
-    return offs
+def offsets(counts) -> list[int]:
+    """Prefix sums of ``counts``: each block's offset, then the total."""
+    return list(accumulate(counts, initial=0))
+
+
+def emit_ring(sched: Schedule, size: int, rank: int, first: int, counts,
+              offs, buf: str, tag0: int, combine=None) -> None:
+    """Append the ``size - 1`` rounds of a ring over the blocks of
+    ``buf`` (block *i*: ``counts[i]`` bytes at ``offs[i]``).
+
+    Round *r* sends block ``first - r`` right and receives block
+    ``first - r - 1`` from the left on tag ``tag0 + r``; an empty block
+    moves no message.  ``combine=(dtype, op)`` lands each block in
+    ``"in"`` and reduces it into place in a second round.
+    """
+    right = (rank + 1) % size
+    left = (rank - 1) % size
+    for r in range(size - 1):
+        out = (first - r) % size
+        inc = (first - r - 1) % size
+        block = (buf, offs[inc], counts[inc])
+        sched.round()
+        if counts[inc]:
+            sched.recv(left, counts[inc], tagoff=tag0 + r,
+                       dst=("in", 0, counts[inc]) if combine else block)
+        if counts[out]:
+            sched.send(right, counts[out], tagoff=tag0 + r,
+                       src=(buf, offs[out], counts[out]))
+        if not counts[inc] and not counts[out]:
+            sched.copy(0)  # rounds may not be empty
+        if combine:
+            sched.round()
+            sched.combine(counts[inc], src=("in", 0, counts[inc]), dst=block,
+                          dtype=combine[0], op=combine[1])
 
 
 def _linear(size: int, rank: int, counts) -> Schedule:
-    offs = _offsets(counts)
+    offs = offsets(counts)
     sched = Schedule(name="iallgatherv[linear]")
     sched.tag_span = 1
     sched.round()
@@ -74,32 +110,18 @@ def _linear(size: int, rank: int, counts) -> Schedule:
 
 
 def _ring(size: int, rank: int, counts) -> Schedule:
-    offs = _offsets(counts)
+    offs = offsets(counts)
     sched = Schedule(name="iallgatherv[ring]")
     sched.tag_span = max(1, size - 1)
     sched.round()
     sched.copy(counts[rank], src=("send", 0, counts[rank]),
                dst=("recv", offs[rank], counts[rank]))
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    for r in range(size - 1):
-        outgoing = (rank - r) % size
-        incoming = (rank - r - 1) % size
-        sched.round()
-        if counts[incoming]:
-            sched.recv(left, counts[incoming], tagoff=r,
-                       dst=("recv", offs[incoming], counts[incoming]))
-        if counts[outgoing]:
-            sched.send(right, counts[outgoing], tagoff=r,
-                       src=("recv", offs[outgoing], counts[outgoing]))
-        if not counts[incoming] and not counts[outgoing]:
-            # rounds may not be empty; keep the local barrier structure
-            sched.copy(0)
+    emit_ring(sched, size, rank, rank, counts, offs, "recv", tag0=0)
     return sched
 
 
 def _hier(size: int, rank: int, counts, part: Partition) -> Schedule:
-    offs = _offsets(counts)
+    offs = offsets(counts)
     total = offs[-1]
     groups = part.groups
     ngroups = len(groups)

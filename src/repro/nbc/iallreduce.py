@@ -8,8 +8,10 @@ Three candidates spanning the latency/bandwidth/topology trade-offs:
   the result back down the same tree; ``2*log2(P)`` latency terms but
   every hop carries the full vector;
 * **ring** — ring reduce-scatter followed by ring all-gather over
-  near-equal blocks; bandwidth-optimal (each rank moves ``~2*nbytes``
-  regardless of P), latency ``2*(P-1)*alpha``;
+  near-equal blocks, both the all-gather-v ring
+  (:func:`~repro.nbc.iallgatherv.emit_ring`, the first pass combining
+  each arriving block into place); bandwidth-optimal (each rank moves
+  ``~2*nbytes`` regardless of P), latency ``2*(P-1)*alpha``;
 * **hier** — the same up-then-down exchange over the leader-based
   two-level tree of :func:`repro.nbc.ibcast.two_level_tree` (the
   :data:`~repro.nbc.hier.HIER` row, on a node partition): members
@@ -37,7 +39,7 @@ from typing import Optional, Union
 
 from ..errors import ScheduleError
 from .hier import HIER, Groups, Partition, as_partition
-from .iallgatherv import balanced_counts
+from .iallgatherv import balanced_counts, emit_ring, offsets
 from .ibcast import BINOMIAL, tree_peers, two_level_tree
 from .schedule import (
     Schedule,
@@ -119,50 +121,18 @@ def _ring(size: int, rank: int, nbytes: int, dtype: str, op: str) -> Schedule:
         raise ScheduleError(
             f"allreduce payload {nbytes} not a multiple of {dtype} size")
     counts = tuple(c * item for c in balanced_counts(nbytes // item, size))
-    offs = [0]
-    for c in counts:
-        offs.append(offs[-1] + c)
+    offs = offsets(counts)
     sched = Schedule(name="iallreduce[ring]")
     sched.tag_span = max(1, 2 * (size - 1))
     sched.round()
     sched.copy(nbytes, src=("data", 0, nbytes), dst=("acc", 0, nbytes))
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-
-    # phase 1: ring reduce-scatter — after step s this rank holds the
-    # partial sum of s+2 contributions for block (rank - s - 1)
-    for s in range(size - 1):
-        bout = (rank - s) % size
-        bin_ = (rank - s - 1) % size
-        sched.round()
-        if counts[bin_]:
-            sched.recv(left, counts[bin_], tagoff=s,
-                       dst=("in", 0, counts[bin_]))
-        if counts[bout]:
-            sched.send(right, counts[bout], tagoff=s,
-                       src=("acc", offs[bout], counts[bout]))
-        if not counts[bin_] and not counts[bout]:
-            sched.copy(0)
-        sched.round()
-        sched.combine(counts[bin_], src=("in", 0, counts[bin_]),
-                      dst=("acc", offs[bin_], counts[bin_]),
-                      dtype=dtype, op=op)
-
-    # phase 2: ring all-gather of the fully reduced blocks (this rank
-    # finished phase 1 owning block rank+1)
-    for s in range(size - 1):
-        bout = (rank + 1 - s) % size
-        bin_ = (rank - s) % size
-        sched.round()
-        if counts[bin_]:
-            sched.recv(left, counts[bin_], tagoff=(size - 1) + s,
-                       dst=("acc", offs[bin_], counts[bin_]))
-        if counts[bout]:
-            sched.send(right, counts[bout], tagoff=(size - 1) + s,
-                       src=("acc", offs[bout], counts[bout]))
-        if not counts[bin_] and not counts[bout]:
-            sched.copy(0)
-
+    # reduce-scatter: after round r this rank holds the partial sum of
+    # r+2 contributions for block (rank - r - 1), so it ends owning the
+    # fully reduced block rank+1, which the all-gather then circulates
+    emit_ring(sched, size, rank, rank, counts, offs, "acc", tag0=0,
+              combine=(dtype, op))
+    emit_ring(sched, size, rank, rank + 1, counts, offs, "acc",
+              tag0=size - 1)
     sched.round()
     sched.copy(nbytes, src=("acc", 0, nbytes), dst=("data", 0, nbytes))
     return sched

@@ -5,7 +5,8 @@ The paper's ``Ialltoall`` function-set contains three algorithms
 
 * **linear** — a single round posting all ``2(P-1)`` requests at once
   (this is also the only algorithm stock LibNBC provides, which is what
-  the ADCL-vs-LibNBC comparison in §IV-B exploits);
+  the ADCL-vs-LibNBC comparison in §IV-B exploits); its emitter,
+  :func:`linear_exchange`, also builds the linear all-gather;
 * **dissemination (Bruck)** — ``ceil(log2 P)`` rounds moving ``~P/2``
   blocks each, with pack/unpack copies; wins for small messages where
   latency dominates, loses for large ones because it moves
@@ -40,6 +41,7 @@ sizes from its own ops
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional, Union
 
 from .hier import HIER, Groups, Partition, as_partition
@@ -51,23 +53,31 @@ from .schedule import (
     peer_block,
 )
 
-__all__ = ["ALLTOALL_ALGORITHMS", "compiled_ialltoall"]
+__all__ = ["ALLTOALL_ALGORITHMS", "compiled_ialltoall", "linear_exchange"]
 
 
 def _block(name: str, idx: int, m: int) -> tuple[str, int, int]:
     return (name, idx * m, m)
 
 
-def _linear(size: int, m: int) -> Schedule:
-    sched = Schedule(name="ialltoall[linear]")
+def linear_exchange(name: str, size: int, m: int, *,
+                    personal: bool) -> Schedule:
+    """One round: every receive, then every send, by rank offset.
+
+    Slot *s* gets this rank's ``"send"`` block *s* if ``personal`` (the
+    all-to-all), else the whole ``"send"`` buffer (the all-gather).
+    """
+    def outgoing(s):
+        return peer_block("send", s, m, size) if personal else ("send", 0, m)
+
+    sched = Schedule(name=name)
     sched.round()
-    sched.copy(m, src=peer_block("send", 0, m, size),
-               dst=peer_block("recv", 0, m, size))
+    sched.copy(m, src=outgoing(0), dst=peer_block("recv", 0, m, size))
     # stagger peers so all ranks do not hammer rank 0 first
     for s in range(1, size):
         sched.recv(s, m, tagoff=0, dst=peer_block("recv", s, m, size))
     for s in range(1, size):
-        sched.send(s, m, tagoff=0, src=peer_block("send", s, m, size))
+        sched.send(s, m, tagoff=0, src=outgoing(s))
     return sched
 
 
@@ -217,7 +227,8 @@ def _hier(size: int, rank: int, m: int, part: Partition) -> Schedule:
 #: algorithm -> (binder, emitter ``(size, m)`` of a rotation template,
 #: or ``(size, rank, m, partition)`` of the two-level per-rank plan)
 _ALGORITHMS = {
-    "linear": (compiled_rotation, _linear),
+    "linear": (compiled_rotation,
+               partial(linear_exchange, "ialltoall[linear]", personal=True)),
     "bruck": (compiled_rotation, _bruck),
     "pairwise": (compiled_rotation, _pairwise),
     HIER: (compiled_per_rank, _hier),

@@ -155,11 +155,12 @@ def bcast_schedule(label: str, nbytes: int, segsize: int, parent: int,
     return sched
 
 
-def check_bcast_geometry(size: int, rank: int, root: int) -> None:
+def check_bcast_geometry(size: int, rank: Optional[int], root: int) -> None:
     """Raise :class:`ScheduleError` unless ``rank`` and ``root`` lie in
-    a communicator of ``size`` ranks."""
-    if size <= 0 or not 0 <= rank < size or not 0 <= root < size:
-        raise ScheduleError(f"bad rooted geometry size={size} rank={rank} root={root}")
+    a communicator of ``size`` ranks (``rank=None``: the root alone)."""
+    if size <= 0 or not 0 <= root < size or not 0 <= (rank or 0) < size:
+        who = "" if rank is None else f" rank={rank}"
+        raise ScheduleError(f"bad rooted geometry size={size}{who} root={root}")
 
 
 def bcast_peers(size: int, rank: int, root: int,
@@ -182,6 +183,7 @@ def tree_peers(size: int, root: int, fanout: int) -> tuple[tuple[int, ...], ...]
     A tuning run starts the same few trees (one per fan-out) thousands
     of times; the table makes binding a template one index.
     """
+    check_bcast_geometry(size, None, root)
     return tuple(bcast_peers(size, rank, root, fanout) for rank in range(size))
 
 
@@ -201,7 +203,7 @@ def two_level_tree(part: Partition, root: int) -> tuple[tuple[int, ...], ...]:
     table = part.trees.get(root)
     if table is not None:
         return table
-    check_bcast_geometry(part.size, 0, root)
+    check_bcast_geometry(part.size, None, root)
     groups = part.groups
     ridx = part.group_of[root]
     leaders = [root if gi == ridx else g[0] for gi, g in enumerate(groups)]

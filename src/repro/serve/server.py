@@ -26,7 +26,7 @@ failure-first:
   re-opens tuning in a background thread, gated by a circuit breaker
   and a per-key non-concurrency guard (:mod:`repro.serve.breaker`);
 * **drain-then-checkpoint shutdown** — SIGTERM stops the acceptor,
-  lets in-flight work finish (bounded by ``drain_timeout``),
+  lets in-flight work finish (bounded by :data:`DRAIN_TIMEOUT`),
   checkpoints every shard and only then exits;
 * **telemetry** — a PR-4 :class:`~repro.obs.metrics.MetricsRegistry`
   counts every hit/miss/shed/retune (the ``stats`` op and the shutdown
@@ -64,6 +64,13 @@ PROTOCOL_VERSION = 1
 #: so anything close to the fabric-wide 1 GiB cap is garbage
 SERVE_MAX_FRAME = 1 << 20
 
+#: connection-thread recv tick (shutdown latency bound), also the
+#: ``retry_after`` a shed request is told
+IDLE_TICK = 0.25
+
+#: seconds stop() waits for in-flight work before checkpointing
+DRAIN_TIMEOUT = 10.0
+
 
 class _Shed(Exception):
     """Internal signal: the request was shed (becomes a ``busy`` reply)."""
@@ -85,14 +92,8 @@ class ServeConfig:
     request_timeout: float = 30.0
     #: committed decisions between automatic shard checkpoints
     checkpoint_every: int = 32
-    #: connection-thread recv tick (shutdown latency bound)
-    idle_tick: float = 0.25
-    #: seconds stop() waits for in-flight work before checkpointing
-    drain_timeout: float = 10.0
     drift_window: int = 8
     drift_threshold: float = 1.75
-    retune_failure_threshold: int = 3
-    retune_cooldown: float = 5.0
     #: write the metrics snapshot here on shutdown (None = skip)
     metrics_path: Optional[str] = None
     #: write the audit log here on shutdown (None = skip)
@@ -117,10 +118,7 @@ class TuningServer:
         self.audit = AuditLog()
         self.kb = KnowledgeBase(config.data_dir, nshards=config.shards)
         self.coalescer = Coalescer()
-        self.retunes = RetuneScheduler(CircuitBreaker(
-            failure_threshold=config.retune_failure_threshold,
-            cooldown=config.retune_cooldown,
-        ))
+        self.retunes = RetuneScheduler(CircuitBreaker())
         self._queue: "queue.Queue" = queue.Queue(maxsize=config.queue_capacity)
         self._drift: Dict[str, DriftDetector] = {}
         self._drift_lock = threading.Lock()
@@ -192,7 +190,7 @@ class TuningServer:
         if self._listener is not None:
             raise ServeError("server already started")
         self._listener = bind_listener(self.config.endpoint)
-        self._listener.settimeout(self.config.idle_tick)
+        self._listener.settimeout(IDLE_TICK)
         for i in range(self.config.workers):
             t = threading.Thread(target=self._compute_loop,
                                  name=f"serve-compute-{i}", daemon=True)
@@ -230,7 +228,7 @@ class TuningServer:
                 pass
         # let in-flight computations finish (bounded): workers exit on
         # their sentinel after draining whatever was already queued
-        deadline = time.monotonic() + self.config.drain_timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT
         for _ in range(self.config.workers):
             try:
                 self._queue.put(None,
@@ -270,7 +268,7 @@ class TuningServer:
         try:
             self.start()
             while not stop_signal.is_set():
-                stop_signal.wait(self.config.idle_tick)
+                stop_signal.wait(IDLE_TICK)
         finally:
             for sig, old in previous.items():
                 signal.signal(sig, old)
@@ -296,7 +294,7 @@ class TuningServer:
                                   if x.is_alive()]
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        conn.settimeout(self.config.idle_tick)
+        conn.settimeout(IDLE_TICK)
         try:
             while True:
                 try:
@@ -321,7 +319,7 @@ class TuningServer:
                 try:
                     reply = self._dispatch(message)
                 except _Shed:
-                    reply = ("busy", {"retry_after": self.config.idle_tick})
+                    reply = ("busy", {"retry_after": IDLE_TICK})
                     self.metrics.counter("serve.shed.total").inc()
                 except ServeError as exc:
                     self.metrics.counter("serve.errors.request").inc()

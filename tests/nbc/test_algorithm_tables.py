@@ -7,8 +7,9 @@ entry points and algorithms rather than sample them: the exported
 algorithm tuples are the tables' keys in their declared order, a bad
 argument raises the same :class:`ScheduleError` through every entry
 point of a family (and caches nothing), a bad root the same error
-through every rooted one, a two-level row without its node partition
-one error in every family, and every compiled plan is frozen.
+through every rooted one (and a whole-tree table names the root alone),
+a two-level row without its node partition, or given it as lists, one
+error in every family, and every compiled plan is frozen.
 """
 
 from functools import partial
@@ -27,6 +28,7 @@ from repro.nbc import (
     IBCAST_FANOUTS,
     REDUCE_ALGORITHMS,
     REDUCE_SCATTER_ALGORITHMS,
+    as_partition,
     build_iallreduce,
     build_ibcast,
     build_ireduce,
@@ -228,6 +230,27 @@ def test_a_two_level_row_without_groups_names_the_missing_partition(
             "the 'hier' algorithm needs the node partition: pass groups=")
     assert len(cache) == 0
     call(GROUPS)  # the same call with the partition builds its plan
+
+
+@pytest.mark.parametrize("family, call", TWO_LEVEL,
+                         ids=[f"{family}{i}" for i, (family, _)
+                              in enumerate(TWO_LEVEL)])
+def test_a_two_level_row_given_lists_names_the_tuple_form(cache, family,
+                                                          call):
+    for groups in ([[0, 1], [2, 3]], ((0, 1), [2, 3])):
+        assert _error(call, groups) == (
+            "groups must be a tuple of per-node rank tuples, "
+            f"e.g. ((0, 1), (2, 3)); got {groups!r}")
+    assert len(cache) == 0
+
+
+@pytest.mark.parametrize("root", (-1, P))
+def test_a_whole_tree_table_names_the_bad_root_and_no_rank(root):
+    expected = f"bad rooted geometry size={P} root={root}"
+    for fanout in IBCAST_FANOUTS:
+        assert _error(ibcast.tree_peers, P, root, fanout) == expected
+    assert _error(ibcast.two_level_tree, as_partition(GROUPS),
+                  root) == expected
 
 
 #: (case name, call(groups)) of every flat row of the families that

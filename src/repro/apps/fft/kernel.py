@@ -65,6 +65,13 @@ _METHODS = {
 
 FFT_METHODS = tuple(_METHODS)
 
+#: untimed warm-up iterations before measurement starts, so the first
+#: measured implementation gets no cold-start advantage
+WARMUP = 1
+
+#: progress calls inserted per tile's compute phase
+PROGRESS_PER_TILE = 2
+
 
 @dataclass(frozen=True)
 class FFTConfig:
@@ -76,11 +83,6 @@ class FFTConfig:
     pattern: str = "window_tiled"
     method: str = "adcl"
     iterations: int = 20
-    #: untimed warm-up iterations before measurement starts, so the
-    #: first measured implementation gets no cold-start advantage
-    warmup: int = 1
-    #: progress calls inserted per tile's compute phase
-    progress_per_tile: int = 2
     validate: bool = False
     evals_per_function: int = 3
     noise_sigma: float = 0.0
@@ -93,8 +95,6 @@ class FFTConfig:
             raise ReproError(
                 f"unknown method {self.method!r}; expected one of {FFT_METHODS}"
             )
-        if self.progress_per_tile < 1:
-            raise ReproError("progress_per_tile must be >= 1")
         # geometry checks happen here so misconfiguration fails fast
         decomp = SlabDecomposition(self.n, self.nprocs)
         pat = get_pattern(self.pattern)
@@ -200,7 +200,7 @@ def run_fft(config: FFTConfig) -> FFTResult:
     P = config.nprocs
     L = decomp.planes_per_rank
     tile_compute = plane_fft_seconds(n, tile, params)
-    chunk = tile_compute / config.progress_per_tile
+    chunk = tile_compute / PROGRESS_PER_TILE
     final_compute = line_fft_seconds(n, L * n, params)
 
     validation: dict[int, bool] = {}
@@ -254,7 +254,7 @@ def run_fft(config: FFTConfig) -> FFTResult:
         timer.start(ctx)
         for z0, cnt in tiles:
             # 2-D FFTs for this tile, progressing outstanding transposes
-            for _ in range(config.progress_per_tile):
+            for _ in range(PROGRESS_PER_TILE):
                 yield Compute(chunk)
                 yield Progress(areq.handles(ctx))
             if len(window) >= pattern.window:
@@ -283,10 +283,10 @@ def run_fft(config: FFTConfig) -> FFTResult:
         # untimed warm-up with the stock (linear) transpose: fills NIC
         # queues and de-phases ranks the way steady state does, so the
         # first measured function has no cold-start advantage
-        for _ in range(config.warmup):
+        for _ in range(WARMUP):
             warm_window = []
             for _z0, _cnt in tiles:
-                for _ in range(config.progress_per_tile):
+                for _ in range(PROGRESS_PER_TILE):
                     yield Compute(chunk)
                     yield Progress(warm_window)
                 if len(warm_window) >= pattern.window:

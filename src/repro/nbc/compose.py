@@ -20,7 +20,7 @@ within the LibNBC round semantics — so the mock-up runs on the exact
 same progress engine, timer and network model as every real
 candidate, which is what makes the comparison fair.  Any payload size
 works: when ``n`` runs out before the ranks do, the trailing blocks
-are empty and move no message.
+are empty (the empty-block rule of :mod:`repro.nbc.schedule`).
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ def _scatter_allgather(size: int, rank: int, nbytes: int,
     Block *i* is the *i*-th ``ceil(n/P)``-byte segment of ``"data"``,
     or empty once ``n`` runs out.  Phase 1 (one round): the root sends
     block *i* to rank *i*; phase 2 (``P-1`` rounds): the all-gather-v
-    ring circulates the blocks.  Empty blocks move no message.
+    ring circulates the blocks.
     """
     check_bcast_geometry(size, rank, root)
     sched = Schedule(name="ibcast[scatter+allgather]")
-    if size == 1:
-        return sched
     counts = [length for _, length
               in segment_bounds(nbytes, -(-nbytes // size) or 1)]
     counts += [0] * (size - len(counts))
@@ -52,17 +50,14 @@ def _scatter_allgather(size: int, rank: int, nbytes: int,
 
     # phase 1: linear scatter from the root (the root keeps its own
     # block, which is already in place)
-    sched.round()
     if rank == root:
         for peer in range(size):
-            if peer != root and counts[peer]:
+            if peer != root:
                 sched.send(peer, counts[peer], tagoff=0,
                            src=("data", offs[peer], counts[peer]))
-    elif counts[rank]:
+    else:
         sched.recv(root, counts[rank], tagoff=0,
                    dst=("data", offs[rank], counts[rank]))
-    if not sched.rounds[-1]:
-        sched.copy(0)  # rounds may not be empty
 
     # phase 2: ring all-gather of the scattered blocks on tags 1..P-1
     emit_ring(sched, size, rank, rank, counts, offs, "data", tag0=1)

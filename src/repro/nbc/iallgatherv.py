@@ -2,7 +2,8 @@
 
 ``Allgatherv`` generalizes the all-gather: rank *i* contributes
 ``counts[i]`` bytes, and every rank ends up with the concatenation of
-all contributions in rank order.  Three candidates:
+all contributions in rank order.  Zero-length contributions are legal
+(the empty-block rule of :mod:`repro.nbc.schedule`).  Three candidates:
 
 * **linear** — everybody sends its block to everybody in one round;
 * **ring** — ``P-1`` rounds forwarding one (variable-size) block to the
@@ -15,8 +16,6 @@ all contributions in rank order.  Three candidates:
 
 Buffers: ``"send"`` is this rank's contribution (``counts[rank]``
 bytes), ``"recv"`` the concatenated result (``sum(counts)`` bytes).
-Zero-length contributions are legal; both sides of a transfer skip the
-message consistently because ``counts`` is global knowledge.
 
 The ring is :func:`emit_ring`, shared with the ring all-reduce and the
 scatter+allgather mock-up.  Op sizes follow ``counts[rank]``, so every
@@ -64,9 +63,9 @@ def emit_ring(sched: Schedule, size: int, rank: int, first: int, counts,
     ``buf`` (block *i*: ``counts[i]`` bytes at ``offs[i]``).
 
     Round *r* sends block ``first - r`` right and receives block
-    ``first - r - 1`` from the left on tag ``tag0 + r``; an empty block
-    moves no message.  ``combine=(dtype, op)`` lands each block in
-    ``"in"`` and reduces it into place in a second round.
+    ``first - r - 1`` from the left on tag ``tag0 + r``.
+    ``combine=(dtype, op)`` lands each block in ``"in"`` and reduces it
+    into place in a second round.
     """
     right = (rank + 1) % size
     left = (rank - 1) % size
@@ -75,14 +74,10 @@ def emit_ring(sched: Schedule, size: int, rank: int, first: int, counts,
         inc = (first - r - 1) % size
         block = (buf, offs[inc], counts[inc])
         sched.round()
-        if counts[inc]:
-            sched.recv(left, counts[inc], tagoff=tag0 + r,
-                       dst=("in", 0, counts[inc]) if combine else block)
-        if counts[out]:
-            sched.send(right, counts[out], tagoff=tag0 + r,
-                       src=(buf, offs[out], counts[out]))
-        if not counts[inc] and not counts[out]:
-            sched.copy(0)  # rounds may not be empty
+        sched.recv(left, counts[inc], tagoff=tag0 + r,
+                   dst=("in", 0, counts[inc]) if combine else block)
+        sched.send(right, counts[out], tagoff=tag0 + r,
+                   src=(buf, offs[out], counts[out]))
         if combine:
             sched.round()
             sched.combine(counts[inc], src=("in", 0, counts[inc]), dst=block,
@@ -98,14 +93,11 @@ def _linear(size: int, rank: int, counts) -> Schedule:
                dst=("recv", offs[rank], counts[rank]))
     for i in range(1, size):
         peer = (rank + i) % size
-        if counts[peer]:
-            sched.recv(peer, counts[peer], tagoff=0,
-                       dst=("recv", offs[peer], counts[peer]))
+        sched.recv(peer, counts[peer], tagoff=0,
+                   dst=("recv", offs[peer], counts[peer]))
     for i in range(1, size):
-        peer = (rank + i) % size
-        if counts[rank]:
-            sched.send(peer, counts[rank], tagoff=0,
-                       src=("send", 0, counts[rank]))
+        sched.send((rank + i) % size, counts[rank], tagoff=0,
+                   src=("send", 0, counts[rank]))
     return sched
 
 
@@ -136,10 +128,8 @@ def _hier(size: int, rank: int, counts, part: Partition) -> Schedule:
     leader = members[0]
 
     if rank != leader:
-        if counts[rank]:
-            sched.round()
-            sched.send(leader, counts[rank], tagoff=0,
-                       src=("send", 0, counts[rank]))
+        sched.send(leader, counts[rank], tagoff=0,
+                   src=("send", 0, counts[rank]))
         sched.round()
         sched.recv(leader, total, tagoff=span - 1, dst=("recv", 0, total))
         return sched
@@ -149,9 +139,8 @@ def _hier(size: int, rank: int, counts, part: Partition) -> Schedule:
     sched.copy(counts[rank], src=("send", 0, counts[rank]),
                dst=("recv", offs[rank], counts[rank]))
     for member in members[1:]:
-        if counts[member]:
-            sched.recv(member, counts[member], tagoff=0,
-                       dst=("recv", offs[member], counts[member]))
+        sched.recv(member, counts[member], tagoff=0,
+                   dst=("recv", offs[member], counts[member]))
 
     # ring over node leaders: round r forwards the blocks of node
     # (gidx - r) to the right while receiving node (gidx - r - 1)'s
@@ -161,25 +150,17 @@ def _hier(size: int, rank: int, counts, part: Partition) -> Schedule:
         out_grp = groups[(gidx - r) % ngroups]
         in_grp = groups[(gidx - r - 1) % ngroups]
         sched.round()
-        emitted = False
         for k, member in enumerate(in_grp):
-            if counts[member]:
-                emitted = True
-                sched.recv(left, counts[member], tagoff=1 + r * maxg + k,
-                           dst=("recv", offs[member], counts[member]))
+            sched.recv(left, counts[member], tagoff=1 + r * maxg + k,
+                       dst=("recv", offs[member], counts[member]))
         for k, member in enumerate(out_grp):
-            if counts[member]:
-                emitted = True
-                sched.send(right, counts[member], tagoff=1 + r * maxg + k,
-                           src=("recv", offs[member], counts[member]))
-        if not emitted:
-            sched.copy(0)
+            sched.send(right, counts[member], tagoff=1 + r * maxg + k,
+                       src=("recv", offs[member], counts[member]))
 
     # replicate the assembled result to the node members
     sched.round()
     for member in members[1:]:
         sched.send(member, total, tagoff=span - 1, src=("recv", 0, total))
-    sched.copy(0)  # keep the round non-empty for single-member groups
     return sched
 
 

@@ -104,10 +104,9 @@ def _tree(algorithm: str, nbytes: int, dtype: str, op: str, parent: int,
         sched.send(parent, nbytes, tagoff=0, src=("acc", 0, nbytes))
         sched.round()
         sched.recv(parent, nbytes, tagoff=1, dst=("acc", 0, nbytes))
-    if children:
-        sched.round()
-        for c in children:
-            sched.send(c, nbytes, tagoff=1, src=("acc", 0, nbytes))
+    sched.round()
+    for c in children:
+        sched.send(c, nbytes, tagoff=1, src=("acc", 0, nbytes))
     sched.round()
     sched.copy(nbytes, src=("acc", 0, nbytes), dst=("data", 0, nbytes))
     return sched

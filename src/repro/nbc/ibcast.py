@@ -126,8 +126,6 @@ def bcast_schedule(label: str, nbytes: int, segsize: int, parent: int,
     """
     sched = Schedule(name=f"ibcast[{label},seg={segsize}]")
     seg_bounds = segment_bounds(nbytes, segsize)
-    if parent == -1 and not children:  # a one-rank communicator
-        return sched
     if parent == -1:
         # root: one round per segment, sending to all children
         for s, (off, length) in enumerate(seg_bounds):

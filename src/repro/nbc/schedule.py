@@ -22,6 +22,18 @@ allocates exactly that when the collective moves data, and checks the
 caller's arrays against :attr:`Schedule.user_extents` (the same map for
 the user buffers) before anything is posted.
 
+Empty blocks and rounds
+-----------------------
+:class:`Schedule` alone decides what an empty block means, so no emitter
+tests a size: an op that names a 0-byte buffer block (a send, receive,
+copy or combine with a ``src``/``dst`` spec) is not recorded, though
+its tag offset still counts toward :attr:`Schedule.tag_span`.
+:meth:`Schedule.round` only closes the current round and the next
+recorded op opens one, so a round no op lands in never exists.  An
+empty collective therefore posts no message, and its plan has no
+rounds.  A 0-byte message that names no block is a signal (the
+dissemination barrier's) and is kept.
+
 Compiled plans & the schedule cache
 -----------------------------------
 Building a schedule is pure: the op list depends only on the problem
@@ -325,7 +337,8 @@ class Schedule:
 
     Build one with :meth:`round` + the add methods, or through the
     algorithm tables in :mod:`repro.nbc`, then :meth:`compile` it.
-    The add methods keep three derived fields current:
+    The add methods apply the empty-block rule of the module docstring
+    and keep three derived fields current:
 
     * ``tag_span`` — the number of distinct tag offsets the plan uses
       (the largest tag offset + 1); the executing request reserves that
@@ -355,30 +368,38 @@ class Schedule:
     # -- construction ---------------------------------------------------
 
     def round(self) -> "Schedule":
-        """Start a new round (implicit local barrier before it)."""
+        """Close the current round: the next recorded op opens a new one
+        (implicit local barrier before it).  A round no op lands in is
+        never built."""
         if type(self.rounds) is tuple:
             raise ScheduleError(f"{self.name}: a compiled plan is frozen")
-        self.rounds.append([])
-        self._open = True
+        self._open = False
         return self
 
     def _append(self, op) -> None:
         if not self._open:
-            self.round()
-        self.rounds[-1].append(op)
+            self.round()  # raises once the plan is compiled
         if op.kind in ("send", "recv") and op.tagoff >= self.tag_span:
             self.tag_span = op.tagoff + 1
-        for spec in (getattr(op, "src", None), getattr(op, "dst", None)):
-            if spec is not None:
-                if len(spec) == 4:
-                    name, _, nbytes, size = spec
-                    end = size * nbytes
-                else:
-                    name, offset, nbytes = spec
-                    end = offset + nbytes
-                extents = (self.user_extents if name in USER_BUFFERS
-                           else self.scratch)
-                extents[name] = max(extents.get(name, 0), end)
+        specs = [spec for spec in (getattr(op, "src", None),
+                                   getattr(op, "dst", None))
+                 if spec is not None]
+        if specs and not op.nbytes:
+            return  # an empty block moves nothing: the op is not recorded
+        if not self._open:
+            self.rounds.append([])
+            self._open = True
+        self.rounds[-1].append(op)
+        for spec in specs:
+            if len(spec) == 4:
+                name, _, nbytes, size = spec
+                end = size * nbytes
+            else:
+                name, offset, nbytes = spec
+                end = offset + nbytes
+            extents = (self.user_extents if name in USER_BUFFERS
+                       else self.scratch)
+            extents[name] = max(extents.get(name, 0), end)
 
     def send(self, peer: int, nbytes: int, tagoff: int = 0,
              src: Optional[BufSpec] = None) -> "Schedule":
@@ -425,11 +446,9 @@ class Schedule:
     def validate(self) -> None:
         """Sanity-check the schedule structure.
 
-        Raises :class:`ScheduleError` on empty rounds or negative sizes.
+        Raises :class:`ScheduleError` on negative sizes or peers.
         """
-        for i, rnd in enumerate(self.rounds):
-            if not rnd:
-                raise ScheduleError(f"{self.name}: round {i} is empty")
+        for rnd in self.rounds:
             for op in rnd:
                 if op.nbytes < 0:
                     raise ScheduleError(f"{self.name}: negative size in {op!r}")

@@ -9,7 +9,9 @@ argument raises the same :class:`ScheduleError` through every entry
 point of a family (and caches nothing), a bad root the same error
 through every rooted one (and a whole-tree table names the root alone),
 a two-level row without its node partition, or given it as lists, one
-error in every family, and every compiled plan is frozen.
+error in every family, every compiled plan is frozen, and every row
+(and the scatter+allgather mock-up) runs an empty payload without a
+single message.
 """
 
 from functools import partial
@@ -47,9 +49,11 @@ from repro.nbc import (
     ireduce,
     ireduce_scatter,
     start_ibarrier,
+    start_plan,
 )
 from repro.nbc.compose import compiled_scatter_allgather
 from repro.nbc.schedule import SCHEDULE_CACHE
+from repro.obs import recording
 from repro.sim import SimWorld, Wait, get_platform
 
 P = 4
@@ -310,3 +314,59 @@ def test_compiled_plans_are_frozen(cache, plan):
     with pytest.raises(ScheduleError, match="frozen"):
         plan.send(0, 8)
     assert plan.nrounds == len(plan.rounds)
+
+
+#: family -> plan(size, rank, algorithm, groups) of its collective at
+#: an empty payload (rooted ones at root ``size // 2``); the mock-up is
+#: the scatter+allgather broadcast, which has no table
+EMPTY = {
+    "alltoall": lambda p, r, a, g: compiled_ialltoall(p, r, 0, a, g),
+    "allgather": lambda p, r, a, g: compiled_iallgather(p, r, 0, a),
+    "allgatherv": lambda p, r, a, g: compiled_iallgatherv(p, r, (0,) * p, a,
+                                                          g),
+    "allreduce": lambda p, r, a, g: compiled_iallreduce(p, r, 0, a, groups=g),
+    "bcast": lambda p, r, a, g: compiled_ibcast(p, r, p // 2, 0, a, 1024, g),
+    "reduce": lambda p, r, a, g: compiled_ireduce(p, r, p // 2, 0, a,
+                                                  segsize=1024),
+    "reduce_scatter": lambda p, r, a, g: compiled_ireduce_scatter(p, r, 0, a),
+    "mock-up": lambda p, r, a, g: compiled_scatter_allgather(p, r, p // 2, 0),
+}
+
+
+def _empty_cases():
+    """Every row of every table, and the mock-up, for P = 1..8
+    (recursive doubling on powers of two)."""
+    return [
+        pytest.param(plan, size, algorithm, id=f"{family}[{algorithm}]-{size}")
+        for family, plan in EMPTY.items()
+        for algorithm in (TABLES[family][0] if family in TABLES else (None,))
+        for size in range(1, 9)
+        if algorithm != "recursive_doubling" or not size & (size - 1)
+    ]
+
+
+def test_every_family_runs_at_an_empty_payload():
+    assert set(EMPTY) == set(TABLES) | {"mock-up"}
+
+
+@pytest.mark.parametrize("plan, size, algorithm", _empty_cases())
+def test_an_empty_collective_posts_no_message(cache, plan, size, algorithm):
+    # the two-level rows run on nodes of two ranks
+    groups = (tuple(tuple(range(n, min(n + 2, size)))
+                    for n in range(0, size, 2))
+              if algorithm == HIER else None)
+    plans = [plan(size, rank, algorithm, groups) for rank in range(size)]
+    assert [p.rounds for p, _ in plans] == [()] * size
+    done = []
+
+    def body(ctx):
+        yield Wait(start_plan(ctx, ctx.comm_world, ctx.rank,
+                              *plans[ctx.rank]))
+        done.append(ctx.rank)
+
+    with recording() as rec:
+        world = SimWorld(get_platform("whale"), size)
+        world.launch(body)
+        world.run()
+    assert sorted(done) == list(range(size))
+    assert not [ev for ev in rec.events if ev[4] == "msg.post"]

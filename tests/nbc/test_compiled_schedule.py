@@ -71,8 +71,8 @@ def test_plan_derives_its_scratch_layout(global_cache, rank):
 
 def test_compile_validates_first():
     bad = Schedule("bad")
-    bad.round()  # empty round
-    with pytest.raises(ScheduleError):
+    bad.round().send(1, -8)
+    with pytest.raises(ScheduleError, match="negative size"):
         bad.compile()
 
 

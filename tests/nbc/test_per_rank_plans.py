@@ -143,26 +143,26 @@ PER_PARTITION = {
 #: (family, algorithm) -> size -> digest of every rank's plan
 PLAN_DIGESTS = {
     ("allgather", "recursive_doubling"): {
-        1: "3648e63d0d10b198", 2: "bafc0585a7cd3f78", 4: "e529f34fc2081572",
-        8: "f60c7b2839fee029", 16: "d0d606bc76e043af",
+        1: "6d93343f15a80d70", 2: "4db923e9c4810bb3", 4: "fd9c2d4207872b42",
+        8: "ddb61d46b9095cea", 16: "b373e4bf75e669db",
     },
     ("allgatherv", "linear"): {
-        1: "15fa4869dc894d69", 2: "5109e38a9ecb6bb8", 3: "4657da9d4a958222",
-        4: "b69cef7af27874d4", 5: "36f259f0aa76889f", 6: "5e253816f4734da5",
-        7: "b8b37b204ea5f886", 8: "41704704f804ba9d", 9: "61683ca1af5986e7",
-        12: "01be71a1f90fb3d1", 16: "149ae7aca6e119f5",
+        1: "1f17147af80cdddc", 2: "635557e55ef8ebb5", 3: "751b29aae3281875",
+        4: "0a6c328952f72628", 5: "22b2913fe64ee2f0", 6: "6e4f4a463e7e2eed",
+        7: "3cb8ac4c39732224", 8: "47cf1bf421570fed", 9: "ccb4f31e1125ee09",
+        12: "786f9e4a3a7b444e", 16: "79fd4a1cd158df38",
     },
     ("allgatherv", "ring"): {
-        1: "7828ea75cfacb4f5", 2: "f9df760066a24875", 3: "854348f29ca205ce",
-        4: "a63ea9cadf53ed54", 5: "9269e51eb460af98", 6: "46c0ef3788a3df22",
-        7: "5345dfa414d188bb", 8: "e5ee6c0542526a3a", 9: "7578127c269705b7",
-        12: "a45eec86373fdcb6", 16: "557d5b209262e7bb",
+        1: "0780f0728db023d5", 2: "54fc4bc427d55c72", 3: "6d8e0e87de1002d0",
+        4: "d0d549a5ec251afa", 5: "b45b49d7c6c976e9", 6: "a511d923a21e8add",
+        7: "91a29aa71f705d20", 8: "d902392c0eb4252a", 9: "29eda423df68d91e",
+        12: "939ed9042129f7c6", 16: "0abc01caae874d41",
     },
     ("allreduce", "ring"): {
-        1: "e62fe789ebd776d1", 2: "e77d60cbd92617d5", 3: "28eeabb8a76481a4",
-        4: "bc92eeaa6046a9b1", 5: "f7481d5837deaaca", 6: "88fe27329974c139",
-        7: "bf88ba68b8a64787", 8: "44b6d6111c862840", 9: "598eb9d23e136dfc",
-        12: "4667f45e17bd3e1c", 16: "de948147bad86994",
+        1: "fa610af2438fd8fa", 2: "960a5d5a0a2fc49f", 3: "8645149adfc18ded",
+        4: "483322c5c7f60e1f", 5: "56f92c7667e8cbb5", 6: "89480b1975e05940",
+        7: "fa5b3389c3a5804a", 8: "aa2a16e12ab8954e", 9: "c8af11714c9b1d1d",
+        12: "5148a1a564df5a93", 16: "e664578c421a2922",
     },
     ("bcast", "scatter+allgather"): {
         1: "6445794a5af894cc", 2: "880d8f37893f785a", 3: "e4fa6e4455480dbc",
@@ -171,22 +171,22 @@ PLAN_DIGESTS = {
         12: "72f2a176fe68cd8d", 16: "9f0b82430b3de1cd",
     },
     ("reduce_scatter", "reduce_then_scatter"): {
-        1: "1a25cbc0f174c891", 2: "82020d4bcd3f7dc1", 3: "5cbfe23f67f0ed77",
-        4: "f862b7a6feec74a8", 5: "b38e6f8f029c8d7d", 6: "cb3779cd6a8f6a6f",
-        7: "4413733fdb0534c5", 8: "cac79bad212fa6a8", 9: "ba73ec4113acc762",
-        12: "c919f23c0617bf3d", 16: "9d5fd2bb8e08bbc3",
+        1: "1436ec2259483b7d", 2: "0265530974cf3410", 3: "815e788a478e3286",
+        4: "b855e29b7524e775", 5: "180b48308d4928d0", 6: "7b31471a47d2fb28",
+        7: "5852a604cd490483", 8: "96151d4ce5d01553", 9: "9bf30a9109f74e6c",
+        12: "a9dab17bc6b8ccad", 16: "2471077760a89057",
     },
 }
 
 #: (family, algorithm) -> PARTITIONS index -> digest of every rank's plan
 HIER_DIGESTS = {
     ("allgatherv", "hier"): (
-        "c816fe802db0d686", "31fd996a1be6a7ed", "4d38d8c15eb5b5ee",
-        "5c5d9f107fc43edb", "a3ed5fc15107bf8b",
+        "aeb17c9013b66cb8", "9e06b3bdcb918679", "55208603f365618d",
+        "813415ce1e9a62b8", "f7956a436f2b1a1d",
     ),
     ("alltoall", "hier"): (
-        "32eb9abf4058fa8f", "afbb745d1f80f798", "126b0a6ffacef16c",
-        "c07865aa7a411eb0", "31a160dcfeb02ceb",
+        "2eacd26863eee400", "18a734cd9bb48254", "06f44d5ecf3d45a3",
+        "a0cf13af9ff84d95", "5c7568ad3e8b5fd0",
     ),
 }
 

@@ -5,8 +5,9 @@ up, and the tree all-reduces (``reduce_bcast``, ``hier``) reduce up and
 broadcast down one tree.  Each compiles one template per tree role and
 binds each rank's ``(parent, *children)``.
 
-The expected digests were recorded from the per-rank plans these
-templates replaced, with :func:`~.conftest.concrete`: for every rank,
+The expected digests equal the per-rank plans these templates
+replaced (with ops on empty blocks dropped, as every plan drops them),
+recorded with :func:`~.conftest.concrete`: for every rank,
 the plan's name, tag span, scratch and user extents and, per op, its
 kind, peer rank, size, tag offset, byte ranges and reduction.  The
 payload digests hold every rank's result bytes and completion time
@@ -56,38 +57,38 @@ BGP_1024 = tuple(tuple(range(n, n + 4)) for n in range(0, 1024, 4))
 #: x SEGSIZES x DTYPE_OPS
 REDUCE_DIGESTS = {
     "binomial": {
-        1: "a7f3662559584596", 2: "f6c375444006b18e", 3: "6b2b316ca74ceed8",
-        4: "ccecb53d25a722be", 5: "d15c74b6eba9f6e6", 6: "4a1e5f315050ccc1",
-        7: "ad27f2a322c45eb1", 8: "105025a7e21f3193", 9: "2873dbc285d0a0c1",
-        16: "2d75c45c7407ddbb", 32: "3e9bb3f2d123ad8b", 33: "2c0b0f454d3b4bc1",
+        1: "a7f3662559584596", 2: "7ed482901b5b4b2f", 3: "c9df6d2e5f4f44f2",
+        4: "837215223e4cb1b8", 5: "a7c485488730e23c", 6: "88a2eaa92589bcc0",
+        7: "92eede540925dff3", 8: "bbdf1de3728ef110", 9: "0b2d962995f3949c",
+        16: "b31199137a989e27", 32: "ca0e87eb8851e442", 33: "53ee3ca7718547eb",
     },
     "chain": {
-        1: "33c46761e4c55270", 2: "0999d3ac2ef57c46", 3: "fe9322cc1ae82cc1",
-        4: "c65bcca804f490d2", 5: "3e2261a3567c57df", 6: "5f411e2a1ca82677",
-        7: "ca3b410a86d9a883", 8: "6ad4d44ce52f1f74", 9: "ff3f4f81b224c66a",
-        16: "67d37b0d5287c168", 32: "03b217273d25ce72", 33: "5fbc8d17c44ff681",
+        1: "33c46761e4c55270", 2: "36b7bbd0a43430f5", 3: "fbf44cec283d080d",
+        4: "137d3283784972b6", 5: "524b026cb83173a4", 6: "c1507cc97bfb0215",
+        7: "11339d1340ab008c", 8: "997795514a534ff9", 9: "c38b9bacf698598c",
+        16: "5f8e1edef86a7c32", 32: "ede2bcec26dba0cd", 33: "cca1b86891efcfe6",
     },
 }
 
 #: size -> digest of every rank's reduce_bcast plan over NBYTES x DTYPE_OPS
 REDUCE_BCAST_DIGESTS = {
-    1: "8696c170b7b0bb7c", 2: "a1faf3aaa44f62ff", 3: "a8705cbc819584d8",
-    4: "2ba7301e48e8c975", 5: "7c8491cde597e8b4", 6: "6a4b36568cbe6c3d",
-    7: "d66d683e6a7c46d5", 8: "454a985398e5b7a0", 9: "dfbf13cbfd507d1e",
-    16: "d7d99502a3fdbc60", 32: "601d06c9a5d9d1e3", 33: "2e54dbff0d88259c",
+    1: "62e084ce744fcd12", 2: "16c8e9dd57d7f882", 3: "204777f9a0ee3691",
+    4: "e10f6ef1914710ae", 5: "352cc85d505c536e", 6: "6e3d210c3fc2b340",
+    7: "11c388ff966188f6", 8: "8f00f51d12977d53", 9: "5ec116b9e6dddd0b",
+    16: "4c02759a59fa23f3", 32: "b8944d4091747614", 33: "c54232f0de25d770",
 }
 
 #: PARTITIONS index -> digest of every rank's hier all-reduce plan
-HIER_DIGESTS = ("9906344f4163116f", "220f354e8845dad9", "7a034b2f832da308",
-                "947e0b5f16bd8c04", "6fcb60e04d6022ab")
+HIER_DIGESTS = ("2c8ade31ceb97390", "7f23a9aa347fd715", "b0af32245cae1cd2",
+                "655d03b27b669e76", "20dd8d32b4a0540f")
 
 #: size -> digest of every rank's reduce_then_scatter plan over
 #: m in (0, 8, 24) x DTYPE_OPS
 REDUCE_THEN_SCATTER_DIGESTS = {
-    1: "1a25cbc0f174c891", 2: "82020d4bcd3f7dc1", 3: "5cbfe23f67f0ed77",
-    4: "f862b7a6feec74a8", 5: "b38e6f8f029c8d7d", 6: "cb3779cd6a8f6a6f",
-    7: "4413733fdb0534c5", 8: "cac79bad212fa6a8", 9: "ba73ec4113acc762",
-    16: "9d5fd2bb8e08bbc3", 32: "6522189d0984f523", 33: "dc08a499734a859d",
+    1: "1436ec2259483b7d", 2: "0265530974cf3410", 3: "815e788a478e3286",
+    4: "b855e29b7524e775", 5: "180b48308d4928d0", 6: "7b31471a47d2fb28",
+    7: "5852a604cd490483", 8: "96151d4ce5d01553", 9: "9bf30a9109f74e6c",
+    16: "2471077760a89057", 32: "37ca15ea4bd1d242", 33: "00a831848168eded",
 }
 
 #: payload runs: (operation, algorithm, segsize, size, root) -> digest

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ScheduleError
-from repro.nbc.schedule import CombineOp, Schedule
+from repro.nbc.schedule import CombineOp, Schedule, peer_block
 
 
 def test_round_and_op_construction():
@@ -43,12 +43,26 @@ def test_total_send_bytes():
     assert s.total_send_bytes() == 300
 
 
-def test_validate_rejects_empty_round():
-    s = Schedule("bad")
+def test_round_only_closes_the_current_round():
+    s = Schedule()
     s.round()
     s.round().send(0, 1)
-    with pytest.raises(ScheduleError):
-        s.validate()
+    s.round()
+    assert s.nrounds == 1
+
+
+def test_ops_on_empty_blocks_are_not_recorded():
+    s = Schedule()
+    s.round().send(1, 0, tagoff=3, src=("send", 0, 0))
+    s.round().recv(1, 0, dst=("recv", 8, 0))
+    s.round().copy(0, src=("send", 0, 0), dst=peer_block("recv", 1, 0, 4))
+    s.round().combine(0, src=("in", 0, 0), dst=("acc", 0, 0))
+    assert (s.nrounds, s.scratch, s.user_extents) == (0, {}, {})
+    # a dropped op still reserves its tag, so spans stay rank-independent
+    assert s.tag_span == 4
+    # a 0-byte message naming no block is a signal, and stays
+    s.round().send(1, 0).recv(1, 0)
+    assert s.nrounds == 1 and s.count_ops() == 2
 
 
 def test_validate_rejects_negative_size():

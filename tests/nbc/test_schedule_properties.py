@@ -16,18 +16,31 @@ running the simulator:
 import math
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nbc import (
+    ALLGATHER_ALGORITHMS,
+    ALLGATHERV_ALGORITHMS,
+    ALLREDUCE_ALGORITHMS,
+    ALLTOALL_ALGORITHMS,
+    BCAST_ALGORITHMS,
     BINOMIAL,
     IBCAST_FANOUTS,
+    REDUCE_ALGORITHMS,
+    REDUCE_SCATTER_ALGORITHMS,
     bcast_tree,
     build_ibcast,
     build_ireduce,
     compiled_iallgather,
+    compiled_iallgatherv,
+    compiled_iallreduce,
     compiled_ialltoall,
+    compiled_ibcast,
+    compiled_ireduce,
+    compiled_ireduce_scatter,
 )
+from repro.nbc.compose import compiled_scatter_allgather
 
 from .conftest import bind
 
@@ -221,25 +234,50 @@ def test_reduce_sends_match_recvs(size, root, nbytes, algorithm):
 
 
 @settings(max_examples=30, deadline=None)
-@given(size=sizes, nbytes=st.integers(8, 100_000))
-def test_tag_span_is_rank_independent_for_every_builder(size, nbytes):
-    nbytes -= nbytes % 8
-    nbytes = max(nbytes, 8)
-    m = max(nbytes // size, 1)
-    builders = [
-        lambda r: compiled_ialltoall(size, r, m, "linear")[0],
-        lambda r: compiled_ialltoall(size, r, m, "pairwise")[0],
-        lambda r: compiled_ialltoall(size, r, m, "bruck")[0],
-        lambda r: build_ibcast(size, r, 0, nbytes, BINOMIAL, 1 << 15),
-        lambda r: build_ibcast(size, r, 0, nbytes, 0, 1 << 15),
-        lambda r: compiled_iallgather(size, r, m, "ring")[0],
-        lambda r: compiled_iallgather(size, r, m, "linear")[0],
-        lambda r: build_ireduce(size, r, 0, nbytes, "binomial"),
-        lambda r: build_ireduce(size, r, 0, nbytes, "chain", segsize=1 << 14),
+@given(size=sizes, nbytes=st.one_of(st.just(0), st.integers(1, 12_500)),
+       counts=st.lists(st.sampled_from((0, 0, 5, 8, 1001)), min_size=17,
+                       max_size=17),
+       node=st.integers(1, 4), root=st.integers(0, 16))
+@example(size=6, nbytes=0, counts=[0] * 17, node=2, root=3)
+@example(size=5, nbytes=3, counts=[8, 0, 0, 5, 0] + [0] * 12, node=3, root=4)
+def test_tag_span_is_rank_independent_for_every_builder(size, nbytes, counts,
+                                                         node, root):
+    """Every rank of every row of every table, and of the mock-up,
+    reserves the same tag span, also when ranks drop the ops of their
+    empty blocks (an empty payload, or the all-gather-v blocks
+    ``counts`` leaves empty)."""
+    nbytes *= 8
+    m = nbytes // size
+    counts = counts[:size]
+    groups = tuple(tuple(range(n, min(n + node, size)))
+                   for n in range(0, size, node))
+    root %= size
+    rows = [
+        (ALLTOALL_ALGORITHMS,
+         lambda r, a: compiled_ialltoall(size, r, m, a, groups)),
+        (ALLGATHER_ALGORITHMS,
+         lambda r, a: compiled_iallgather(size, r, m, a)),
+        (ALLGATHERV_ALGORITHMS,
+         lambda r, a: compiled_iallgatherv(size, r, counts, a, groups)),
+        (ALLREDUCE_ALGORITHMS,
+         lambda r, a: compiled_iallreduce(size, r, nbytes, a, groups=groups)),
+        (BCAST_ALGORITHMS,
+         lambda r, a: compiled_ibcast(size, r, root, nbytes, a, 1 << 15,
+                                      groups)),
+        (REDUCE_ALGORITHMS,
+         lambda r, a: compiled_ireduce(size, r, root, nbytes, a,
+                                       segsize=1 << 14)),
+        (REDUCE_SCATTER_ALGORITHMS,
+         lambda r, a: compiled_ireduce_scatter(size, r, m - m % 8, a)),
+        ((None,), lambda r, a: compiled_scatter_allgather(size, r, root,
+                                                          nbytes)),
     ]
-    for build in builders:
-        spans = {build(r).tag_span for r in range(size)}
-        assert len(spans) == 1, f"rank-dependent tag span: {spans}"
+    for algorithms, plan in rows:
+        for a in algorithms:
+            if a == "recursive_doubling" and size & (size - 1):
+                continue
+            spans = {plan(r, a)[0].tag_span for r in range(size)}
+            assert len(spans) == 1, f"{a}: rank-dependent tag span {spans}"
 
 
 def test_consecutive_reduces_do_not_mismatch_tags():

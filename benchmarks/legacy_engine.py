@@ -9,10 +9,10 @@ compaction):
 * ``pending()`` scans the whole heap;
 * cancelled events are only ever discarded when popped.
 
-``benchmarks/test_perf_engine.py`` monkeypatches this ``Simulator``
-into :mod:`repro.sim.mpi` to measure the speedup of the current engine
-against the exact baseline it replaced — and to assert that both
-produce bit-identical virtual-time results.  Only the import of
+``benchmarks/test_perf_engine.py``'s engine microbench dispatches the
+same no-op events through this loop and the current one in the same
+process, and asserts the current one is never slower: the loop runs in
+one frame, so no call count can see it slow down.  Only the import of
 ``SimulationError`` was adapted (absolute instead of relative); do not
 "improve" this file.
 """

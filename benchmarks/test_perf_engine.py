@@ -1,30 +1,35 @@
-"""Wall-clock perf harness for the simulation performance layer.
+"""Perf harness for the simulation performance layer.
 
-Runs as pytest (``PYTHONPATH=src python -m pytest benchmarks/test_perf_engine.py``)
-and records every measurement into ``benchmarks/out/BENCH_perf.json`` so
-CI can archive the numbers and gate on regressions
-(``benchmarks/check_perf_regression.py``).
+Runs as pytest (``PYTHONPATH=src:benchmarks python -m pytest
+benchmarks/test_perf_engine.py``) and records every timing into
+``benchmarks/out/BENCH_perf.json``, which
+``benchmarks/check_perf_regression.py`` gates on.
 
-Methodology
------------
-* The baseline is not a guess: ``legacy_engine.py`` / ``legacy_mpi.py`` /
-  ``legacy_request.py`` / ``legacy_noise.py`` / ``legacy_overlap.py`` are
-  verbatim snapshots of the pre-optimization stack (commit c6e9d2f),
-  run with every plan rebuilt on each lookup.  Before any timing, the harness
-  asserts the two stacks produce **bit-identical** virtual-time results
-  (winner, decision point, makespan, first/last iteration times, event
-  count) — the speedup is only meaningful because the answer is
-  unchanged.
-* Wall-clock comparisons interleave the two sides and take the best of
-  ``REPS`` repetitions each: best-of-N is the standard estimator for
-  "how fast can this code run" on a machine with background load.
-* Absolute seconds are machine-dependent and are *recorded*, never
-  asserted; every assertion is a ratio on the same machine in the same
-  process.
+* **Results are pinned.**  The tuning runs in ``RUNS`` reproduce
+  ``FINGERPRINTS`` bit for bit: the results of the pre-optimization
+  seed stack (commit c6e9d2f), which this harness re-ran from a
+  verbatim snapshot up to commit 7a0d002.
+* **Work is counted, not timed.**  One op of each run, after a warm-up
+  op, makes exactly ``CALL_COUNTS`` calls per layer
+  (:mod:`repro.obs.calls`).  Counts follow the code and the
+  interpreter's minor version, not the host, so a layer doing 1% more
+  work fails; on a version without pins the count tests skip.  A count
+  that falls is re-recorded from the failing test's message and stated
+  with the change; one that rises is a defect.  Pins for a new version::
+
+      PYTHONPATH=src:benchmarks python -c "import test_perf_engine as t;
+      print({r: t.layer_calls(c) for r, c in sorted(t.RUNS.items())})"
+
+* **Timings are recorded**, best of ``REPS``; the few assertions on them
+  are ratios measured in one process.  ``legacy_engine.py`` backs the
+  engine microbench: its event loop runs in one frame, where no call
+  count sees a slowdown.
 """
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
 import os
 import sys
@@ -35,32 +40,21 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from repro.adcl.fnsets import ibcast_mockup_function_set
-from repro.adcl.function import CollSpec
-from repro.bench.overlap import (
-    OPERATION_KINDS,
-    OverlapConfig,
-    function_set_for,
-    run_overlap,
-)
+from repro.bench.overlap import OverlapConfig, run_overlap
 from repro.bench.parallel import ResultCache, sweep_implementations
 from repro.nbc.schedule import SCHEDULE_CACHE
-from repro.sim import Wait, get_platform
+from repro.obs.calls import C_CALLS, count_calls
 from repro.sim.engine import Simulator
 
 import legacy_engine
-import legacy_mpi
-import legacy_request
-from legacy_overlap import baseline_stack, run_overlap_legacy
 
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 OUT_PATH = os.path.join(OUT_DIR, "BENCH_perf.json")
 
 #: timed scenario — a 500-iteration Ibcast tuning sweep (brute-force
 #: selection over the paper's 21-function set, 2 evaluations each, 20
-#: progress calls per iteration).  Noise is off so the comparison times
-#: the simulation machinery rather than numpy's RNG, which is identical
-#: on both sides.
+#: progress calls per iteration).  Noise is off so the timing measures
+#: the simulation machinery rather than numpy's RNG.
 PERF_CFG = OverlapConfig(
     platform="whale",
     nprocs=16,
@@ -72,7 +66,7 @@ PERF_CFG = OverlapConfig(
 )
 
 #: identity-check scenario with the stochastic paths enabled: proves the
-#: optimized noise/jitter code draws the exact same RNG stream
+#: noise/jitter code draws the exact same RNG stream
 NOISY_CFG = OverlapConfig(
     platform="whale",
     nprocs=16,
@@ -83,6 +77,18 @@ NOISY_CFG = OverlapConfig(
     noise_sigma=0.02,
     noise_outlier_prob=0.05,
     seed=11,
+)
+
+#: the ``a2a-tcp-p32`` end-to-end workload's op: Gigabit-Ethernet
+#: latencies keep the fast lane off, so message matching and delivery
+#: dominate
+A2A_CFG = OverlapConfig(
+    platform="whale_tcp",
+    nprocs=32,
+    operation="alltoall",
+    nbytes=128 * 1024,
+    iterations=30,
+    nprogress=5,
 )
 
 #: sweep scenario for the parallel-executor tests (21 independent
@@ -98,6 +104,39 @@ SWEEP_CFG = OverlapConfig(
     noise_outlier_prob=0.05,
     seed=7,
 )
+
+#: the tuning runs whose results and call counts are pinned (brute
+#: force, 2 evaluations per candidate)
+RUNS = {"perf": PERF_CFG, "noisy": NOISY_CFG, "a2a": A2A_CFG}
+
+#: run -> (winner, decided_at, makespan, sha256 of the per-iteration
+#: seconds, events), as the seed stack produced them
+FINGERPRINTS = {
+    "perf": ("2ary_seg128KB", 42, "0x1.902859bbdfb30p+4",
+             "6293dc9d4972db681b4b23cf1eb26346ed94184a742e30682a4901783e777bd5",
+             361438),
+    "noisy": ("4ary_seg64KB", 42, "0x1.caa4c054f6874p+5",
+              "96911adafa11d826cf6b7263ad0ccef7a760283e8d22b65da39a428ca67e8faa",
+              155301),
+    "a2a": ("pairwise", 6, "0x1.4645ead519cd6p+3",
+            "64947f68d36178d87f0cf05e4d865757d04f2aa496b5b823481b99a6cb6d430c",
+            123936),
+}
+
+#: the layers whose calls are pinned
+LAYERS = ("repro.sim", "repro.nbc", "repro.adcl", "repro.bench", C_CALLS)
+
+#: (major, minor) -> run -> layer -> calls of one counted op
+CALL_COUNTS = {
+    (3, 11): {
+        "perf": {"repro.sim": 504929, "repro.nbc": 189756,
+                 "repro.adcl": 103500, "repro.bench": 40170, "C": 879320},
+        "noisy": {"repro.sim": 682764, "repro.nbc": 226366,
+                  "repro.adcl": 109883, "repro.bench": 52936, "C": 1174326},
+        "a2a": {"repro.sim": 529560, "repro.nbc": 151680,
+                "repro.adcl": 12986, "repro.bench": 6764, "C": 626454},
+    },
+}
 
 REPS = 5
 
@@ -119,11 +158,12 @@ def _record(section: str, payload: dict) -> None:
 
 def _fingerprint(res) -> tuple:
     """Bit-exact identity of one tuning run's virtual-time results."""
+    seconds = "\n".join(r.seconds.hex() for r in res.records)
     return (
         res.winner,
         res.decided_at,
         res.makespan.hex(),
-        tuple(r.seconds.hex() for r in res.records),
+        hashlib.sha256(seconds.encode()).hexdigest(),
         res.events,
     )
 
@@ -133,92 +173,61 @@ def _run_optimized(cfg: OverlapConfig):
     return run_overlap(cfg, evals_per_function=2)
 
 
-def _run_baseline(cfg: OverlapConfig):
-    with baseline_stack():
-        return run_overlap_legacy(cfg, evals_per_function=2)
+def layer_calls(cfg: OverlapConfig) -> dict:
+    """Calls per pinned layer of one op of ``cfg``, after a warm-up op."""
+    _run_optimized(cfg)  # warm-up: imports, plans, memoized tables
+    gc.collect()  # no garbage of earlier work is freed while counting
+    with count_calls() as counts:
+        run_overlap(cfg, evals_per_function=2)
+    return {layer: counts[layer] for layer in LAYERS}
 
 
 # ---------------------------------------------------------------------------
-# 1. the headline number: single-process tuning-sweep speedup
+# 1. the paper's tuning loop: pinned results, pinned work, recorded time
 # ---------------------------------------------------------------------------
 
 
-#: operation -> (CollSpec kind, function-set factory): every benchmark
-#: operation plus the guideline checker's scatter+allgather mock-up
-_MAKER_SETS = {
-    **{op: (kind, lambda op=op: function_set_for(op))
-       for op, kind in OPERATION_KINDS.items()},
-    "bcast_mockup": ("bcast", ibcast_mockup_function_set),
-}
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_fingerprint_matches_the_seed_stack(run):
+    """The tuning loop reproduces the seed stack's results bit for bit."""
+    assert _fingerprint(_run_optimized(RUNS[run])) == FINGERPRINTS[run], (
+        f"virtual-time results changed for {RUNS[run].describe()}")
 
 
-@pytest.mark.parametrize("operation", sorted(_MAKER_SETS))
-def test_baseline_stack_reaches_the_maker_path(operation):
-    """Inside ``baseline_stack`` the function-set makers build snapshot
-    requests and every plan lookup rebuilds.  A stale patch target, or a
-    family that bypasses the shared bind step, would let the speedup
-    gate below time the optimized stack against itself."""
-    kind, function_set = _MAKER_SETS[operation]
-    lookups = SCHEDULE_CACHE.hits + SCHEDULE_CACHE.misses
-    with baseline_stack():
-        world = legacy_mpi.SimWorld(get_platform("whale"), 4)
-        spec = CollSpec(kind, world.comm_world, 8 * 1024)
-        made = []
-
-        def program(ctx):
-            for fn in function_set():
-                made.append(fn.make(ctx, spec))
-                yield Wait(made[-1])
-
-        world.launch(program)
-        world.run()
-    assert made and all(type(req) is legacy_request.NBCRequest
-                        for req in made)
-    # a freshly built plan per request, never compiled (a compiled plan's
-    # rounds are tuples), and no lookup reached the cache
-    assert all(isinstance(req.schedule.rounds, list) for req in made)
-    assert len({id(req.schedule) for req in made}) == len(made)
-    assert SCHEDULE_CACHE.hits + SCHEDULE_CACHE.misses == lookups
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_call_counts_match_the_pins(run):
+    """One op makes exactly the pinned number of calls in every layer."""
+    version = sys.version_info[:2]
+    python = "Python %d.%d" % version
+    if version not in CALL_COUNTS:
+        pytest.skip(f"no call-count pins for {python}")
+    pins = CALL_COUNTS[version][run]
+    got = layer_calls(RUNS[run])
+    moved = {layer: f"{pins[layer]} -> {got[layer]}"
+             for layer in LAYERS if got[layer] != pins[layer]}
+    assert not moved, (
+        f"{run}: calls per layer moved from the {python} pins: {moved}; "
+        f"a count that fell is re-recorded as {got}, one that rose is a "
+        f"defect")
 
 
-def test_sweep_speedup_vs_seed_stack():
-    """Optimized stack >= 2x the seed stack on the 500-iteration sweep."""
-    # correctness first: both stacks, both scenarios, bit-identical
-    for cfg in (PERF_CFG, NOISY_CFG):
-        assert _fingerprint(_run_optimized(cfg)) == _fingerprint(
-            _run_baseline(cfg)
-        ), f"optimized stack changed virtual-time results for {cfg.describe()}"
-
-    opt_times, base_times = [], []
-    events = None
+def test_sweep_throughput():
+    """Wall-clock of the 500-iteration sweep, recorded for the gate in
+    ``check_perf_regression.py`` and the run history."""
+    times = []
     for _ in range(REPS):
         t = time.perf_counter()
         res = _run_optimized(PERF_CFG)
-        opt_times.append(time.perf_counter() - t)
-        events = res.events
-        t = time.perf_counter()
-        _run_baseline(PERF_CFG)
-        base_times.append(time.perf_counter() - t)
-
-    opt, base = min(opt_times), min(base_times)
-    speedup = base / opt
+        times.append(time.perf_counter() - t)
+    best = min(times)
     _record("sweep_speedup", {
         "scenario": PERF_CFG.describe() + f" iters={PERF_CFG.iterations}",
-        "events": events,
+        "events": res.events,
         "reps": REPS,
-        "optimized_s": opt,
-        "baseline_s": base,
-        "optimized_all_s": opt_times,
-        "baseline_all_s": base_times,
-        "speedup": speedup,
-        "optimized_events_per_s": events / opt,
-        "baseline_events_per_s": events / base,
-        "identical_results": True,
+        "optimized_s": best,
+        "optimized_all_s": times,
+        "optimized_events_per_s": res.events / best,
     })
-    assert speedup >= 2.0, (
-        f"sweep speedup {speedup:.2f}x < 2x "
-        f"(optimized {opt:.3f}s, baseline {base:.3f}s)"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +378,16 @@ def test_recorder_identity_and_overhead():
     (the production default) costs nothing the regression gate can see."""
     from repro.obs import TraceRecorder, install, uninstall
 
-    # identity: a recording run reproduces the plain run bit-for-bit,
-    # including the stochastic paths (recording draws no RNG)
+    # identity: a recording run reproduces the pinned results bit for
+    # bit, including the stochastic paths (recording draws no RNG)
     uninstall()
-    plain = _run_optimized(NOISY_CFG)
     rec = TraceRecorder()
     prev = install(rec)
     try:
         traced = _run_optimized(NOISY_CFG)
     finally:
         install(prev)
-    assert _fingerprint(traced) == _fingerprint(plain)
+    assert _fingerprint(traced) == FINGERPRINTS["noisy"]
     assert len(rec.events) > 0
 
     # wall-clock: recorder off vs on, interleaved best-of-REPS.  The
@@ -431,7 +439,7 @@ def test_recorder_identity_and_overhead():
     # 2.29-2.39x), so 1.9x is that ratio plus 30% headroom.  The
     # *disabled* path is covered by the sections above: every other test
     # in this file runs with no recorder installed, so any disabled-path
-    # cost shows up in sweep_speedup and the <--factor> regression gate.
+    # cost shows up in the call counts and the <--factor> regression gate.
     assert on / off < 1.9, (on, off)
 
 

@@ -129,12 +129,12 @@ LAYERS = ("repro.sim", "repro.nbc", "repro.adcl", "repro.bench", C_CALLS)
 #: (major, minor) -> run -> layer -> calls of one counted op
 CALL_COUNTS = {
     (3, 11): {
-        "perf": {"repro.sim": 504929, "repro.nbc": 189756,
-                 "repro.adcl": 103500, "repro.bench": 40170, "C": 879320},
-        "noisy": {"repro.sim": 682764, "repro.nbc": 226366,
-                  "repro.adcl": 109883, "repro.bench": 52936, "C": 1174326},
-        "a2a": {"repro.sim": 529560, "repro.nbc": 151680,
-                "repro.adcl": 12986, "repro.bench": 6764, "C": 626454},
+        "perf": {"repro.sim": 496379, "repro.nbc": 173756,
+                 "repro.adcl": 103500, "repro.bench": 40170, "C": 879110},
+        "noisy": {"repro.sim": 657233, "repro.nbc": 210366,
+                  "repro.adcl": 109883, "repro.bench": 52936, "C": 1164005},
+        "a2a": {"repro.sim": 447083, "repro.nbc": 151680,
+                "repro.adcl": 12986, "repro.bench": 6764, "C": 587305},
     },
 }
 

@@ -233,9 +233,8 @@ def _tree_role(size: int, rank: int, root: int, nbytes: int, fanout,
                groups) -> tuple[str, tuple[int, ...]]:
     """The algorithm name of ``fanout`` and ``rank``'s ``(parent,
     *children)`` in its tree, once the geometry checked out."""
-    label = bcast_name(fanout)
-    check_geometry("bcast", size, rank, nbytes)
-    check_bcast_geometry(size, rank, root)
+    label = algorithm_row(_ALGORITHMS, "bcast", fanout)
+    check_geometry("bcast", size, rank, nbytes, root)
     if fanout == HIER:
         return label, two_level_tree(as_partition(groups, size), root)[rank]
     return label, tree_peers(size, root, fanout)[rank]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .ibcast import BINOMIAL, check_bcast_geometry, segment_bounds, tree_peers
+from .ibcast import BINOMIAL, segment_bounds, tree_peers
 from .schedule import Schedule, algorithm_row, check_geometry, compiled_role
 
 __all__ = ["REDUCE_ALGORITHMS", "build_ireduce", "compiled_ireduce",
@@ -43,8 +43,7 @@ def _peers(size: int, rank: int, root: int, nbytes: int,
     """``(parent, *children)`` of ``rank`` in the algorithm's tree, once
     the geometry checked out."""
     fanout = algorithm_row(_ALGORITHMS, "reduce", algorithm)
-    check_geometry("reduce", size, rank, nbytes)
-    check_bcast_geometry(size, rank, root)
+    check_geometry("reduce", size, rank, nbytes, root)
     return tree_peers(size, root, fanout)[rank]
 
 

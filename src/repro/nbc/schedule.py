@@ -173,14 +173,18 @@ def algorithm_row(table: dict, family: str, algorithm):
             f"expected one of {tuple(table)}") from None
 
 
-def check_geometry(family: str, size: int, rank: int, nbytes: int) -> None:
-    """Raise :class:`ScheduleError` unless ``rank`` lies in a
+def check_geometry(family: str, size: int, rank: int, nbytes: int,
+                   root: int = 0) -> None:
+    """Raise :class:`ScheduleError` unless ``rank`` and ``root`` lie in a
     communicator of ``size`` ranks and the payload ``nbytes`` is not
-    negative."""
+    negative, checked in that order: rank, payload, root."""
     if size <= 0 or not 0 <= rank < size:
         raise ScheduleError(f"bad {family} geometry size={size} rank={rank}")
     if nbytes < 0:
         raise ScheduleError(f"negative {family} size {nbytes}")
+    if not 0 <= root < size:
+        raise ScheduleError(
+            f"bad rooted geometry size={size} rank={rank} root={root}")
 
 
 def compiled_role(family: str, algorithm, size: int, peers: tuple[int, ...],

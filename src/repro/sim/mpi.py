@@ -115,7 +115,8 @@ class _RankState:
         self.gen_send = None
         self.ctx: Optional["MPIContext"] = None
         self.busy_until = 0.0
-        #: tuple of waited-on items while blocked, else None
+        #: waited-on items while blocked, else None.  While set, both
+        #: pending lists are empty: Wait drains them, arrivals answer inline
         self.waiting: Optional[tuple] = None
         #: rendezvous RTSs matched to a local recv, awaiting our CTS
         self.pending_cts: list[_Message] = []
@@ -353,8 +354,8 @@ class SimWorld(Transport, ULFMWorld):
         # the span halves schedule each other once per chunk
         self._charge_compute = self._charge_compute
         self._charge_progress = self._charge_progress
-        # looked up once per delivered message: cache it too
-        self._complete_recv = self._complete_recv
+        # looked up once per completed request: cache it too
+        self._complete = self._complete
         #: world ranks killed by a RankCrash fault (authoritative)
         self._dead: set[int] = set()
         #: agree instances whose decision has not committed yet

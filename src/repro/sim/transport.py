@@ -3,8 +3,8 @@
 :class:`MPIContext` posts messages; :class:`Transport` carries them: the
 eager and rendezvous (RTS, CTS, data) protocols, rail serialization,
 retransmission, matching and completion.  A rendezvous step that needs a
-rank's CPU runs only while the rank is inside the library (a post, a
-progress call or a wait: :meth:`Transport._mpi_entry`).
+rank's CPU runs only while the rank is inside the library: at once while
+it is blocked in a wait, else at its next post or progress call.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ class MPIContext:
 
     def charge_copy(self, nbytes: int) -> None:
         """Consume the CPU time of a local memcpy of ``nbytes``."""
-        self.charge(self.world.params.copy_time(nbytes))
+        self.charge(nbytes / self.world._copy_bw)
 
     # -- point-to-point ------------------------------------------------
 
@@ -330,7 +330,7 @@ class MPIContext:
             if msg.eager:
                 # late match: pay the unpack copy out of the eager buffer
                 st.busy_until = busy = busy + msg.nbytes / world._copy_bw
-                world._complete_recv(st, req, msg, busy)
+                world._complete(st, req, busy, msg.data)
             else:
                 # unexpected RTS: answer with CTS at this (in-MPI) moment;
                 # no other protocol work is pending, it ran on entry
@@ -354,10 +354,10 @@ class Transport:
     """
 
     def _mpi_entry(self, st: _RankState) -> None:
-        """Process protocol actions that need this rank's CPU.
+        """Process the protocol actions queued while the rank computed.
 
-        Called whenever the rank is inside the MPI library: progress
-        calls, waits (incl. every spin retry), and posts.
+        Called on every MPI entry from program context (a post, a
+        progress call, a wait or a barrier); a blocked rank queues none.
         """
         if st.pending_cts:
             msgs, st.pending_cts = st.pending_cts, []
@@ -549,9 +549,8 @@ class Transport:
         """Rendezvous data fully injected: the send buffer is reusable."""
         st = self._ranks[msg.src]
         st.inbound -= 1
-        if st.dead or msg.failed is not None:
-            return  # already accounted for by the crash/revoke sweep
-        self._complete(st, msg, self.sim._now)
+        if not st.dead:
+            self._complete(st, msg, self.sim._now)
 
     def _on_rts_arrival(self, msg: _Message) -> None:
         st = self._ranks[msg.peer]
@@ -566,11 +565,10 @@ class Transport:
             if not queue:
                 del st.posted[key]
             msg.recv_req = req
-            # answered at the next MPI entry; a rank blocked in Wait is
-            # spinning inside MPI and answers now
-            st.pending_cts.append(msg)
-            if st.waiting is not None:
-                self._mpi_entry(st)
+            if st.waiting is None:
+                st.pending_cts.append(msg)  # answered at the next MPI entry
+            else:  # blocked in Wait == spinning inside MPI: answer now
+                self._send_cts(st, msg)
         else:
             st.unexpected.setdefault(key, []).append(msg)
 
@@ -579,10 +577,12 @@ class Transport:
         st.inbound -= 1
         if st.dead or msg.failed is not None:
             return
-        # the data moves at the next MPI entry, at once if blocked in Wait
-        st.pending_data.append(msg)
-        if st.waiting is not None:
-            self._mpi_entry(st)
+        if st.waiting is None:
+            st.pending_data.append(msg)  # moved at the next MPI entry
+        else:  # blocked in Wait: the data moves now
+            busy = st.busy_until
+            now = self.sim._now
+            self._inject(msg, busy if busy > now else now, msg.same_node)
 
     def _deliver(self, msg: _Message) -> None:
         """A message arrives: its one ``msg.deliver`` row, then matching."""
@@ -596,7 +596,7 @@ class Transport:
             self._obs.emit(_K_DELIVER, st.id, t, msg.src, msg.nbytes,
                            t - msg.post_time)
         if msg.recv_req is not None:
-            self._complete_recv(st, msg.recv_req, msg, t)
+            self._complete(st, msg.recv_req, t, msg.data)
             return
         # eager message: match against posted receives or park it
         key = (msg.src, msg.tag, msg.comm_id)
@@ -605,24 +605,21 @@ class Transport:
             req = queue.pop(0)
             if not queue:
                 del st.posted[key]
-            self._complete_recv(st, req, msg, t)
+            self._complete(st, req, t, msg.data)
         else:
             st.unexpected.setdefault(key, []).append(msg)
 
-    def _complete_recv(self, st: _RankState, req: RecvRequest,
-                       msg: _Message, t: float) -> None:
+    def _complete(self, st: _RankState, req: Waitable, t: float,
+                  data: Any = None) -> None:
+        """Complete an open rendezvous send or receive at time ``t``,
+        landing a receive's payload ``data`` first."""
         if req.failed is not None:
             return  # failed by a crash/revoke sweep; message is dropped
-        data = msg.data
         if data is not None:
             if req.buf is None:
                 req.data = data
             else:
                 _land(req.buf, data)
-        self._complete(st, req, t)
-
-    def _complete(self, st: _RankState, req: Waitable, t: float) -> None:
-        """Complete an open rendezvous send or receive at time ``t``."""
         req.done = True
         req.complete_time = t
         st.n_active -= 1

@@ -181,34 +181,43 @@ def test_negative_size_raises_the_familys_error(cache, family, call,
     assert len(cache) == 0
 
 
-#: (case name, its algorithms, call(rank, root, algorithm)): every
-#: entry point that takes a root
+#: (case name, family, its algorithms, call(rank, root, algorithm,
+#: nbytes)): every entry point that takes a root
 ROOTED = [
-    ("compiled_ibcast", BCAST_ALGORITHMS,
-     lambda r, root, a: compiled_ibcast(P, r, root, 8, a, 1024, GROUPS)),
-    ("build_ibcast", BCAST_ALGORITHMS,
-     lambda r, root, a: build_ibcast(P, r, root, 8, a, 1024, GROUPS)),
-    ("compiled_ireduce", REDUCE_ALGORITHMS,
-     lambda r, root, a: compiled_ireduce(P, r, root, 8, a)),
-    ("build_ireduce", REDUCE_ALGORITHMS,
-     lambda r, root, a: build_ireduce(P, r, root, 8, a)),
-    ("compiled_scatter_allgather", (None,),
-     lambda r, root, a: compiled_scatter_allgather(P, r, root, 8)),
+    ("compiled_ibcast", "bcast", BCAST_ALGORITHMS,
+     lambda r, root, a, n: compiled_ibcast(P, r, root, n, a, 1024, GROUPS)),
+    ("build_ibcast", "bcast", BCAST_ALGORITHMS,
+     lambda r, root, a, n: build_ibcast(P, r, root, n, a, 1024, GROUPS)),
+    ("compiled_ireduce", "reduce", REDUCE_ALGORITHMS,
+     lambda r, root, a, n: compiled_ireduce(P, r, root, n, a)),
+    ("build_ireduce", "reduce", REDUCE_ALGORITHMS,
+     lambda r, root, a, n: build_ireduce(P, r, root, n, a)),
+    ("compiled_scatter_allgather", "bcast", (None,),
+     lambda r, root, a, n: compiled_scatter_allgather(P, r, root, n)),
 ]
 
 
-@pytest.mark.parametrize("call, algorithm", [
-    pytest.param(call, algorithm, id=f"{name}[{algorithm}]")
-    for name, algorithms, call in ROOTED
+@pytest.mark.parametrize("also_bad", (None, "rank", "size"))
+@pytest.mark.parametrize("family, call, algorithm", [
+    pytest.param(family, call, algorithm, id=f"{name}[{algorithm}]")
+    for name, family, algorithms, call in ROOTED
     for algorithm in algorithms
 ])
 @pytest.mark.parametrize("root", (-1, P))
-def test_bad_root_raises_one_error_on_every_rooted_path(cache, call,
-                                                        algorithm, root):
-    for rank in (0, 2):
+def test_bad_root_raises_one_error_on_every_rooted_path(
+        cache, family, call, algorithm, root, also_bad):
+    """A bad root alone raises the rooted error; with a bad rank or a
+    negative size as well, the family's rank or size error comes first."""
+    cases = {
+        None: [(rank, 8, f"bad rooted geometry size={P} rank={rank} "
+                         f"root={root}") for rank in (0, 2)],
+        "rank": [(rank, 8, f"bad {family} geometry size={P} rank={rank}")
+                 for rank in (-1, P)],
+        "size": [(0, -8, f"negative {family} size -8")],
+    }[also_bad]
+    for rank, nbytes, expected in cases:
         for _ in range(2):
-            assert _error(call, rank, root, algorithm) == (
-                f"bad rooted geometry size={P} rank={rank} root={root}")
+            assert _error(call, rank, root, algorithm, nbytes) == expected
     assert len(cache) == 0
 
 

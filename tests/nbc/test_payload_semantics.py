@@ -183,14 +183,14 @@ def test_receive_failed_by_a_crash_never_lands():
             yield Compute(0.01)
 
     world = _pair(program, crashes=[RankCrash(0, 1e-3)])
-    complete_recv = world._complete_recv
+    complete = world._complete
 
-    def spy(st, req, msg, t):
-        if req.failed is not None:
+    def spy(st, req, t, data=None):
+        if data is not None and req.failed is not None:
             failed_deliveries.append(t)
-        complete_recv(st, req, msg, t)
+        complete(st, req, t, data)
 
-    world._complete_recv = spy
+    world._complete = spy
     world.run()
     assert len(caught) == 1 and caught[0][1]
     assert failed_deliveries and failed_deliveries[0] > 1e-3

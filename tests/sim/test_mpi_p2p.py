@@ -5,8 +5,19 @@ from array import array
 import numpy as np
 import pytest
 
-from repro.errors import DeadlockError
-from repro.sim import Compute, NoiseModel, Progress, SimWorld, Wait, get_platform
+from repro.errors import CommRevokedError, DeadlockError, RankFailedError
+from repro.nbc.coll import start_ialltoall
+from repro.sim import (
+    Compute,
+    DropRule,
+    FaultPlan,
+    NoiseModel,
+    Progress,
+    RankCrash,
+    SimWorld,
+    Wait,
+    get_platform,
+)
 from repro.units import KiB, MiB
 
 
@@ -363,3 +374,93 @@ def test_fastlane_raw_pairs_then_message_barrier_match_evented(monkeypatch):
         return sorted(starts), [t.hex() for t in res.finish_times], res.events
 
     assert run(lane=True) == run(lane=False)
+
+
+# -- a rank blocked in Wait answers RTS and CTS on arrival --------------------
+
+
+def _guard_blocked_arrivals(world):
+    """Wrap ``world``'s RTS and CTS arrival handlers with the invariant
+    the inline answer relies on: a rank blocked in Wait has no queued
+    protocol work.  Returns the kinds (``"RTS"``/``"CTS"``) of the
+    arrivals that reached a blocked rank."""
+    checked = []
+
+    def guard(handler, end, kind):
+        def arrival(msg):
+            st = world._ranks[getattr(msg, end)]
+            if st.waiting is not None:
+                assert not st.pending_cts and not st.pending_data, (
+                    f"rank {st.id} is blocked in Wait with queued work: "
+                    f"{len(st.pending_cts)} CTS, {len(st.pending_data)} data")
+                checked.append(kind)
+            handler(msg)
+        return arrival
+
+    world._on_rts_arrival = guard(world._on_rts_arrival, "peer", "RTS")
+    world._on_cts_arrival = guard(world._on_cts_arrival, "src", "CTS")
+    return checked
+
+
+def _compute_through_arrivals(ctx):
+    """Rank 0 exchanges a rendezvous message each way with every other
+    rank, then computes: the RTSs and CTSs of ranks 1 and 2 arrive
+    while it computes and are queued, rank 3's once it blocks in Wait."""
+    nbytes = 256 * KiB
+    if ctx.rank == 0:
+        reqs = [ctx.isend(r, nbytes, tag=0) for r in (1, 2, 3)]
+        reqs += [ctx.irecv(r, nbytes, tag=1) for r in (1, 2, 3)]
+        yield Compute(2.5e-4)
+    else:
+        reqs = [ctx.irecv(0, nbytes, tag=0)]
+        yield Compute(ctx.rank * 1e-4)
+        reqs.append(ctx.isend(0, nbytes, tag=1))
+    yield Wait(reqs)
+
+
+def _alltoall(ctx):
+    req = start_ialltoall(ctx, 64 * KiB, "pairwise")
+    yield Compute(1e-4)
+    yield Progress([req])
+    yield Compute(1e-4)
+    yield Wait(req)
+
+
+def _ulfm_ring(ctx):
+    """A rendezvous ring that loses rank 2, then repairs by revoke, agree
+    and shrink and runs the ring again on the survivors."""
+    comm = ctx.comm_world
+    for _ in range(2):
+        me = comm.local_rank(ctx.rank)
+        try:
+            r = ctx.irecv((me - 1) % comm.size, 256 * KiB, tag=5, comm=comm)
+            s = ctx.isend((me + 1) % comm.size, 256 * KiB, tag=5, comm=comm)
+            yield Compute(1e-4)
+            yield Wait([r, s])
+            ok = 1
+        except (RankFailedError, CommRevokedError):
+            ok = 0
+            comm.revoke(ctx)
+        yield from comm.agree(ctx, ok)
+        comm = comm.shrink()
+
+
+@pytest.mark.parametrize("program, nprocs, faults", [
+    (_alltoall, 8, None),
+    (_compute_through_arrivals, 4, None),
+    (_compute_through_arrivals, 4,
+     FaultPlan(drops=(DropRule(prob=1.0, t_end=5e-4),))),
+    (_ulfm_ring, 4, FaultPlan(crashes=(RankCrash(2, 1.5e-4),))),
+], ids=["alltoall", "compute-then-wait", "drop-retransmit", "ulfm-crash"])
+def test_a_blocked_rank_has_no_queued_protocol_work(program, nprocs, faults):
+    """An RTS or CTS reaching a rank blocked in Wait is answered at once,
+    which is exact only because Wait drained the rank's queued CTSs and
+    data injections before it blocked."""
+    world = make_world(nprocs, placement="cyclic", faults=faults)
+    checked = _guard_blocked_arrivals(world)
+    run_programs(world, program)
+    assert checked
+    if faults is not None and faults.drops:
+        assert world.retransmits >= 1
+    if faults is not None and faults.crashes:
+        assert world._dead == {2}

@@ -130,11 +130,11 @@ LAYERS = ("repro.sim", "repro.nbc", "repro.adcl", "repro.bench", C_CALLS)
 CALL_COUNTS = {
     (3, 11): {
         "perf": {"repro.sim": 496379, "repro.nbc": 173756,
-                 "repro.adcl": 103500, "repro.bench": 40170, "C": 879110},
+                 "repro.adcl": 95491, "repro.bench": 40170, "C": 879110},
         "noisy": {"repro.sim": 657233, "repro.nbc": 210366,
-                  "repro.adcl": 109883, "repro.bench": 52936, "C": 1164005},
+                  "repro.adcl": 101874, "repro.bench": 52936, "C": 1164005},
         "a2a": {"repro.sim": 447083, "repro.nbc": 151680,
-                "repro.adcl": 12986, "repro.bench": 6764, "C": 587305},
+                "repro.adcl": 12026, "repro.bench": 6764, "C": 587305},
     },
 }
 

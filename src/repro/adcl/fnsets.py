@@ -16,12 +16,13 @@ domains are derived from those values.
 
 A candidate set is its family's algorithm table: every name and order
 comes from the exported tuples of :mod:`repro.nbc` (``ALLTOALL_ALGORITHMS``,
-``BCAST_ALGORITHMS``, ...), so a new table row reaches its set without
+``IBCAST_FANOUTS``, ...), so a new table row reaches its set without
 an edit here.  The two-level row (:data:`~repro.nbc.hier.HIER`) joins
 the all-to-all and broadcast sets only when asked for
-(``hierarchical=True``); the only other rules are the paper's
-"dissemination" label for Bruck and that recursive doubling needs a
-power-of-two size.
+(``hierarchical=True``), and the broadcast set is the paper's seven
+fan-outs, without the table's scatter+allgather row (the mock-up set's
+one candidate); the only other rules are the paper's "dissemination"
+label for Bruck and that recursive doubling needs a power-of-two size.
 
 * :func:`ibcast_function_set` — the paper's 21-function ``Ibcast`` set:
   fan-out ∈ {0 linear, 1 chain, 2..5, binomial} x segment size
@@ -37,8 +38,8 @@ power-of-two size.
   and :func:`iallreduce_function_set` — the further operations ADCL
   supports;
 * :func:`ibcast_mockup_function_set` — the scatter+allgather broadcast
-  mock-up of the guideline checker, posted through the same
-  :func:`~repro.nbc.coll.start_plan` bind step as every ``start_*``.
+  mock-up of the guideline checker: the broadcast table's
+  ``"scatter_allgather"`` row, which the paper's set leaves out.
 """
 
 from __future__ import annotations
@@ -54,15 +55,13 @@ from ..nbc.coll import (
     start_ibcast,
     start_ireduce,
     start_ireduce_scatter,
-    start_plan,
 )
-from ..nbc.compose import compiled_scatter_allgather
 from ..nbc.hier import HIER
 from ..nbc.iallgather import ALLGATHER_ALGORITHMS
 from ..nbc.iallgatherv import ALLGATHERV_ALGORITHMS, balanced_counts
 from ..nbc.iallreduce import ALLREDUCE_ALGORITHMS
 from ..nbc.ialltoall import ALLTOALL_ALGORITHMS
-from ..nbc.ibcast import BCAST_ALGORITHMS, bcast_name
+from ..nbc.ibcast import IBCAST_FANOUTS, bcast_name
 from ..nbc.ireduce import REDUCE_ALGORITHMS
 from ..nbc.ireduce_scatter import REDUCE_SCATTER_ALGORITHMS
 from ..nbc.request import NBCRequest
@@ -155,16 +154,6 @@ def _iallreduce(algorithm: str, ctx: MPIContext, spec: CollSpec,
                             buf=(buffers or {}).get("data"))
 
 
-def _scatter_allgather(ctx: MPIContext, spec: CollSpec,
-                       buffers) -> NBCRequest:
-    comm = spec.comm
-    rank = comm.local_rank(ctx.rank)
-    sched, peers = compiled_scatter_allgather(comm.size, rank, spec.root,
-                                              spec.nbytes)
-    return start_plan(ctx, comm, rank, sched, peers,
-                      data=(buffers or {}).get("data"))
-
-
 def _algorithm_set(name: str, maker, algorithms: Sequence[str]) -> FunctionSet:
     """One candidate per algorithm, its one attribute the algorithm's
     label (its name in the paper)."""
@@ -191,29 +180,23 @@ def ibcast_function_set(hierarchical: bool = False) -> FunctionSet:
                  f"{_seg_label(segsize)}",
             maker=partial(_ibcast, fanout, segsize),
             attributes={"fanout": fanout, "segsize": segsize})
-        for fanout in _rows(BCAST_ALGORITHMS, hierarchical)
+        for fanout in IBCAST_FANOUTS + ((HIER,) if hierarchical else ())
         for segsize in IBCAST_SEGSIZES
     ])
 
 
-def scatter_allgather_function() -> CollFunction:
-    """The Bcast ≼ Scatter+Allgather composition as an ADCL function.
-
-    A performance-guideline *mock-up candidate* (Hunold): a broadcast
-    implemented as a linear scatter followed by a ring all-gather
-    (:func:`repro.nbc.compose.compiled_scatter_allgather`).  It is not part
-    of the shipped :func:`ibcast_function_set` — the guideline checker
-    measures it stand-alone and asserts the tuned broadcast decision is
-    never slower than this composition.  It posts through the same
-    :func:`~repro.nbc.coll.start_plan` bind step as the library's
-    candidates, so a mock-up that wins can be adopted as one.
-    """
-    return CollFunction(name="scatter_allgather", maker=_scatter_allgather)
-
-
 def ibcast_mockup_function_set() -> FunctionSet:
-    """Single-function set holding the scatter+allgather bcast mock-up."""
-    return FunctionSet("ibcast_mockup", [scatter_allgather_function()])
+    """Single-function set holding the scatter+allgather bcast mock-up.
+
+    A performance-guideline *mock-up candidate* (Hunold): the guideline
+    checker measures it stand-alone and asserts the tuned broadcast
+    decision is never slower.  It is a row of the broadcast table, so a
+    mock-up that wins is adopted by adding it to
+    :func:`ibcast_function_set`.
+    """
+    return FunctionSet("ibcast_mockup", [
+        CollFunction("scatter_allgather",
+                     partial(_ibcast, "scatter_allgather", 0))])
 
 
 def ialltoall_function_set(hierarchical: bool = False) -> FunctionSet:
@@ -253,14 +236,14 @@ def iallgather_function_set(size: Optional[int] = None) -> FunctionSet:
         if pow2 or a != "recursive_doubling"])
 
 
-def ireduce_function_set(segsizes=(0, 64 * KiB)) -> FunctionSet:
-    """Reduce set: binomial tree plus (segmented) chain pipelines."""
+def ireduce_function_set() -> FunctionSet:
+    """Reduce set: every algorithm unsegmented and in 64 KB segments."""
     return FunctionSet("ireduce", [
         CollFunction(name=f"{algorithm}_{_seg_label(segsize)}",
                      maker=partial(_ireduce, algorithm, segsize),
                      attributes={"algorithm": algorithm, "segsize": segsize})
         for algorithm in REDUCE_ALGORITHMS
-        for segsize in segsizes
+        for segsize in (0, 64 * KiB)
     ])
 
 

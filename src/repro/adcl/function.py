@@ -55,27 +55,19 @@ class CollSpec:
         return f"{self.kind}:P{self.comm.size}:B{self.nbytes}:R{self.root}"
 
 
-#: builds + starts the NBC handle for one implementation:
-#: ``maker(ctx, spec, buffers) -> NBCRequest``
-Maker = Callable[[MPIContext, CollSpec, Optional[Mapping[str, "np.ndarray"]]],
-                 NBCRequest]
-
-
 @dataclass(frozen=True)
 class CollFunction:
     """One implementation (an "ADCL function") within a function-set."""
 
     name: str
-    maker: Maker = field(repr=False)
+    #: builds + starts the NBC handle for this rank (ADCL calls it):
+    #: ``maker(ctx, spec, buffers) -> NBCRequest``
+    maker: Callable[[MPIContext, CollSpec, Optional[Mapping[str, np.ndarray]]],
+                    NBCRequest] = field(repr=False)
     attributes: Mapping[str, Any] = field(default_factory=dict)
     #: blocking functions perform the whole operation inside init
     #: (the wait function pointer is NULL, §III-C)
     blocking: bool = False
-
-    def make(self, ctx: MPIContext, spec: CollSpec,
-             buffers: Optional[Mapping[str, np.ndarray]] = None) -> NBCRequest:
-        """Instantiate and post the operation for this rank."""
-        return self.maker(ctx, spec, buffers)
 
 
 class FunctionSet:

@@ -189,7 +189,7 @@ class ADCLRequest:
                 f"start_now() selected blocking implementation {fn.name!r}; "
                 f"use `yield from start(ctx)`"
             )
-        handle = fn.make(ctx, self.spec, buffers)
+        handle = fn.maker(ctx, self.spec, buffers)
         rs["handles"].append((handle, it, fn_idx, ctx.now))
         return handle, fn.blocking
 

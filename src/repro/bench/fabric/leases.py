@@ -139,8 +139,7 @@ class LeaseTable:
 
     # -- assignment ---------------------------------------------------------
 
-    def next_task(self, worker: int, now: float,
-                  allow_steal: bool = True) -> Optional[Lease]:
+    def next_task(self, worker: int, now: float) -> Optional[Lease]:
         """Lease the next unit of work to ``worker``, or None.
 
         Pending tasks first; with the pending queue drained, a steal —
@@ -155,8 +154,6 @@ class LeaseTable:
             if task in self._results or task in self._poisoned:
                 continue
             return self._issue(task, worker, now, stolen=False)
-        if not allow_steal:
-            return None
         victim = self._steal_candidate(worker, now)
         if victim is None:
             return None

@@ -34,13 +34,10 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_bars(
-    values: Mapping[str, float],
-    title: Optional[str] = None,
-    width: int = 46,
-    mark_best: bool = True,
-) -> str:
-    """Render a labelled horizontal bar chart of times (lower = better)."""
+def format_bars(values: Mapping[str, float],
+                title: Optional[str] = None) -> str:
+    """Render a labelled horizontal bar chart of times (lower = better),
+    the longest bar 46 characters, the best time marked."""
     if not values:
         return title or ""
     vmax = max(values.values())
@@ -50,8 +47,8 @@ def format_bars(
     if title:
         lines.append(title)
     for name, v in values.items():
-        bar = "#" * max(1, round(width * v / vmax)) if vmax > 0 else ""
-        star = "  <-- best" if (mark_best and name == best) else ""
+        bar = "#" * max(1, round(46 * v / vmax)) if vmax > 0 else ""
+        star = "  <-- best" if name == best else ""
         lines.append(f"  {name.ljust(label_w)} {fmt_time(v):>12} {bar}{star}")
     return "\n".join(lines)
 

@@ -150,15 +150,15 @@ def _shrink_steps(probe: dict) -> List[dict]:
     return steps
 
 
-def minimize_violation(violation: dict, engine=None,
-                       max_steps: int = 64) -> dict:
+def minimize_violation(violation: dict, engine=None) -> dict:
     """Greedy deterministic shrink of a violating probe.
 
     Tries single-field reductions (halve nbytes, halve nprocs, drop
     nprogress/evals, zero the seed) and keeps any that still violate
     the *same* rule, restarting from the shrunk probe; stops when no
-    shrink reproduces.  Returns the violation for the smallest
-    reproducing probe — the one exported as a regression scenario.
+    shrink reproduces, or after 64 accepted shrinks.  Returns the
+    violation for the smallest reproducing probe — the one exported as
+    a regression scenario.
     """
     from .checker import GuidelineEngine, check_probe
 
@@ -166,7 +166,7 @@ def minimize_violation(violation: dict, engine=None,
     rule_id = violation["rule"]
     current = violation
     accepted = 0
-    while accepted < max_steps:
+    while accepted < 64:
         probe = current["probe"]
         for step in _shrink_steps(probe):
             try:

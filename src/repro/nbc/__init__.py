@@ -13,12 +13,11 @@ progress engine.  This package re-implements that design:
   :mod:`~repro.nbc.iallgather` / :mod:`~repro.nbc.iallgatherv` /
   :mod:`~repro.nbc.ireduce` / :mod:`~repro.nbc.ireduce_scatter` /
   :mod:`~repro.nbc.iallreduce` — one algorithm table per family
-  (including the paper's 21 Ibcast and 3 Ialltoall variants, and the
-  two-level rows keyed :data:`~repro.nbc.hier.HIER`),
+  (including the paper's 21 Ibcast and 3 Ialltoall variants, the
+  two-level rows keyed :data:`~repro.nbc.hier.HIER`, and the broadcast
+  table's scatter+allgather row, the guideline checker's mock-up),
 * :mod:`repro.nbc.hier` — the node partitions the two-level
   (leader-based) rows of the tables run on,
-* :mod:`repro.nbc.compose` — the scatter+allgather broadcast mock-up of
-  the guideline checker,
 * :mod:`repro.nbc.coll` — :func:`~repro.nbc.coll.start_plan`, the one
   bind step from compiled plan to running request (peer table, caller
   arrays, the plan's derived scratch), the ``start_*`` init functions

@@ -19,10 +19,16 @@ The paper's ``Ibcast`` function-set is parameterized by two attributes
 the paper.  The table's eighth row, pseudo fan-out
 :data:`~repro.nbc.hier.HIER`, is the two-level tree of a node partition
 (:func:`two_level_tree`): a binomial tree over the node leaders, then
-leader → node members.  Every row's tree depends on a rank only through
-its role, so each compiles one role template per role
+leader → node members.  Every tree row's tree depends on a rank only
+through its role, so each compiles one role template per role
 (:func:`~repro.nbc.schedule.compiled_role`), and all of them run the
 same pipelined rounds (:func:`bcast_schedule`).
+
+The last row, ``"scatter_allgather"``, is the guideline checker's
+mock-up ``Bcast ≼ Scatter + Allgather`` (:func:`_scatter_allgather`),
+not in the paper's set: its root scatters, so it compiles one plan per
+rank (:func:`~repro.nbc.schedule.compiled_per_rank`) and ignores
+``segsize`` and ``groups``.
 """
 
 from __future__ import annotations
@@ -33,7 +39,14 @@ from typing import Optional, Union
 
 from ..errors import ScheduleError
 from .hier import HIER, Groups, Partition, as_partition
-from .schedule import Schedule, algorithm_row, check_geometry, compiled_role
+from .iallgatherv import emit_ring, offsets
+from .schedule import (
+    Schedule,
+    algorithm_row,
+    check_geometry,
+    compiled_per_rank,
+    compiled_role,
+)
 
 __all__ = ["BINOMIAL", "BCAST_ALGORITHMS", "build_ibcast", "compiled_ibcast",
            "bcast_name", "bcast_tree", "bcast_peers", "bcast_schedule",
@@ -43,17 +56,18 @@ __all__ = ["BINOMIAL", "BCAST_ALGORITHMS", "build_ibcast", "compiled_ibcast",
 #: sentinel fan-out value selecting the binomial tree (the paper's "N")
 BINOMIAL = -1
 
-#: fan-out -> algorithm name, every row a role template emitted by
-#: :func:`bcast_schedule`: the paper's seven fan-outs, then the
-#: two-level tree of a node partition
+#: fan-out -> algorithm name: the paper's seven fan-outs and the
+#: two-level tree of a node partition, each a role template emitted by
+#: :func:`bcast_schedule`, then the scatter+allgather row, a per-rank
+#: plan emitted by :func:`_scatter_allgather`
 _ALGORITHMS = {0: "linear", 1: "chain", 2: "2-ary", 3: "3-ary", 4: "4-ary",
-               5: "5-ary", BINOMIAL: "binomial", HIER: "hier"}
+               5: "5-ary", BINOMIAL: "binomial", HIER: "hier",
+               "scatter_allgather": "scatter+allgather"}
 
 BCAST_ALGORITHMS = tuple(_ALGORITHMS)
 
-#: the fan-out values of the paper's function-set (every row but the
-#: two-level one)
-IBCAST_FANOUTS = tuple(f for f in BCAST_ALGORITHMS if f != HIER)
+#: the fan-out values of the paper's function-set (the integer keys)
+IBCAST_FANOUTS = tuple(f for f in BCAST_ALGORITHMS if isinstance(f, int))
 
 
 def bcast_tree(size: int, vrank: int, fanout: int) -> tuple[int, list[int]]:
@@ -229,14 +243,50 @@ def bcast_name(fanout) -> str:
     return algorithm_row(_ALGORITHMS, "bcast", fanout)
 
 
+def _scatter_allgather(size: int, rank: int, nbytes: int,
+                       root: int) -> Schedule:
+    """This rank's scatter+allgather broadcast.
+
+    Block *i* is the *i*-th ``ceil(n/P)``-byte segment of ``"data"``,
+    or empty once ``n`` runs out (the empty-block rule of
+    :mod:`repro.nbc.schedule`).  Phase 1 (one round): the root sends
+    block *i* to rank *i*; phase 2 (``P-1`` rounds): the all-gather-v
+    ring circulates the blocks.
+    """
+    sched = Schedule(name="ibcast[scatter+allgather]")
+    counts = [length for _, length
+              in segment_bounds(nbytes, -(-nbytes // size) or 1)]
+    counts += [0] * (size - len(counts))
+    offs = offsets(counts)
+
+    # phase 1: linear scatter from the root (the root keeps its own
+    # block, which is already in place)
+    if rank == root:
+        for peer in range(size):
+            if peer != root:
+                sched.send(peer, counts[peer], tagoff=0,
+                           src=("data", offs[peer], counts[peer]))
+    else:
+        sched.recv(root, counts[rank], tagoff=0,
+                   dst=("data", offs[rank], counts[rank]))
+
+    # phase 2: ring all-gather of the scattered blocks on tags 1..P-1
+    emit_ring(sched, size, rank, rank, counts, offs, "data", tag0=1)
+    sched.tag_span = size
+    return sched
+
+
 def _tree_role(size: int, rank: int, root: int, nbytes: int, fanout,
-               groups) -> tuple[str, tuple[int, ...]]:
+               groups) -> tuple[str, Optional[tuple[int, ...]]]:
     """The algorithm name of ``fanout`` and ``rank``'s ``(parent,
-    *children)`` in its tree, once the geometry checked out."""
+    *children)`` in its tree (``None`` for the per-rank
+    scatter+allgather row), once the geometry checked out."""
     label = algorithm_row(_ALGORITHMS, "bcast", fanout)
     check_geometry("bcast", size, rank, nbytes, root)
     if fanout == HIER:
         return label, two_level_tree(as_partition(groups, size), root)[rank]
+    if fanout == "scatter_allgather":
+        return label, None
     return label, tree_peers(size, root, fanout)[rank]
 
 
@@ -249,19 +299,21 @@ def build_ibcast(
     segsize: int,
     groups: Optional[Union[Groups, Partition]] = None,
 ) -> Schedule:
-    """Build this rank's schedule for a segmented tree broadcast.
+    """Build this rank's schedule for a broadcast.
 
     The broadcast buffer is the schedule buffer named ``"data"`` (on
     every rank; the root's content is distributed into everyone else's).
     ``groups`` is the node partition the :data:`~repro.nbc.hier.HIER`
-    row's tree runs on; the fan-out trees take none.  Peers are real
+    row's tree runs on; the other rows take none.  Peers are real
     ranks (run it bound to :func:`~repro.nbc.schedule.identity_peers`):
     this is the per-rank reference the role templates of
     :func:`compiled_ibcast` equal.  See :func:`bcast_schedule` for the
-    pipelined rounds.
+    trees' pipelined rounds.
     """
-    label, (parent, *children) = _tree_role(size, rank, root, nbytes, fanout,
-                                            groups)
+    label, peers = _tree_role(size, rank, root, nbytes, fanout, groups)
+    if peers is None:
+        return _scatter_allgather(size, rank, nbytes, root)
+    parent, *children = peers
     return bcast_schedule(label, nbytes, segsize, parent, children)
 
 
@@ -274,8 +326,13 @@ def compiled_ibcast(
     segsize: int,
     groups: Optional[Union[Groups, Partition]] = None,
 ):
-    """``(template, peers)`` for :func:`build_ibcast` (same arguments):
-    the role template of ``rank`` in the tree, bound to its peers."""
+    """``(plan, peers)`` for :func:`build_ibcast` (same arguments): the
+    role template of ``rank`` in the tree, bound to its peers, or the
+    scatter+allgather row's cached per-rank plan with the identity
+    table."""
     label, peers = _tree_role(size, rank, root, nbytes, fanout, groups)
+    if peers is None:
+        return compiled_per_rank("bcast", label, size, rank, nbytes,
+                                 _scatter_allgather, (nbytes, root))
     return compiled_role("bcast", label, size, peers,
                          partial(bcast_schedule, label), (nbytes, segsize))

@@ -97,12 +97,11 @@ class AuditLog:
 
     # -- rendering ----------------------------------------------------------
 
-    def narrative(self, measurements: bool = False) -> str:
+    def narrative(self) -> str:
         """Human-readable decision narrative.
 
-        By default individual measurements are summarised (they can run
-        to thousands of lines); pass ``measurements=True`` for the full
-        feed.
+        Individual measurements are summarised as a count (they can run
+        to thousands of lines).
         """
         lines: List[str] = []
         n_meas = 0
@@ -110,10 +109,6 @@ class AuditLog:
             kind = e["kind"]
             if kind == "measurement":
                 n_meas += 1
-                if measurements:
-                    lines.append(
-                        f"  it {e['it']:>4}: measured {e['name']} "
-                        f"= {e['seconds'] * 1e3:.3f} ms")
                 continue
             if kind == "selection":
                 continue  # implied by the measurement feed

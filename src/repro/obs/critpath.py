@@ -452,17 +452,18 @@ def overlay_critical_path(doc: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _render_chain(chain: List[dict], limit: int = 12) -> str:
-    """Compact one-line chain rendering (forward time order)."""
+def _render_chain(chain: List[dict]) -> str:
+    """Compact one-line rendering of the chain's last 12 segments
+    (forward time order)."""
     parts = []
-    for seg in chain[-limit:]:
+    for seg in chain[-12:]:
         ms = (seg["t1"] - seg["t0"]) / 1e3
         if seg["cat"] == "network":
             parts.append(f"r{seg.get('src', '?')}->r{seg['rank']} "
                          f"network {ms:.3f}ms")
         else:
             parts.append(f"r{seg['rank']} {seg['cat']} {ms:.3f}ms")
-    prefix = "... -> " if len(chain) > limit else ""
+    prefix = "... -> " if len(chain) > 12 else ""
     return prefix + " -> ".join(parts)
 
 

@@ -43,8 +43,8 @@ def parse_endpoint(endpoint: str) -> Parsed:
         f"endpoint {endpoint!r} must start with 'unix:' or 'tcp:'")
 
 
-def bind_listener(endpoint: str, backlog: int = 64) -> socket.socket:
-    """A listening server socket for ``endpoint``."""
+def bind_listener(endpoint: str) -> socket.socket:
+    """A listening server socket for ``endpoint`` (backlog 64)."""
     kind, address = parse_endpoint(endpoint)
     if kind == "unix":
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -80,7 +80,7 @@ def bind_listener(endpoint: str, backlog: int = 64) -> socket.socket:
         except OSError as exc:
             sock.close()
             raise ServeError(f"cannot bind {endpoint!r}: {exc}") from exc
-    sock.listen(backlog)
+    sock.listen(64)
     return sock
 
 

@@ -68,16 +68,10 @@ _NO_COHORT = iter(())
 
 
 class Simulator:
-    """Deterministic virtual-time event loop.
+    """Deterministic virtual-time event loop; the clock starts at 0."""
 
-    Parameters
-    ----------
-    start_time:
-        Initial value of the virtual clock (seconds).
-    """
-
-    def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+    def __init__(self):
+        self._now = 0.0
         #: heap of ``(time, seq, fn, args)`` entries, ``fn`` possibly
         #: ``_COHORT`` (tuples compare in C; element 2 is never compared)
         self._heap: list[tuple] = []

@@ -505,8 +505,8 @@ class SimWorld(Transport, ULFMWorld):
     # diagnostics
     # ------------------------------------------------------------------
 
-    def blocked_report(self, max_ranks: int = 16) -> str:
-        """Per-rank dump of what every unfinished rank is waiting on.
+    def blocked_report(self) -> str:
+        """Per-rank dump of what the first 16 unfinished ranks wait on.
 
         Included in :class:`DeadlockError` / :class:`WatchdogTimeout`
         messages so a deadlock under fault injection is debuggable from
@@ -518,7 +518,7 @@ class SimWorld(Transport, ULFMWorld):
             lines.append(f"  dead rank(s): {sorted(self._dead)}")
         blocked = [st for st in self._ranks if not st.finished and not st.dead]
         n_alive = len(self._ranks) - len(self._dead)
-        for st in blocked[:max_ranks]:
+        for st in blocked[:16]:
             if st.id in in_barrier:
                 lines.append(
                     f"  rank {st.id}: in barrier "
@@ -532,8 +532,8 @@ class SimWorld(Transport, ULFMWorld):
                 )
             else:
                 lines.append(f"  rank {st.id}: runnable (between syscalls)")
-        if len(blocked) > max_ranks:
-            lines.append(f"  ... and {len(blocked) - max_ranks} more rank(s)")
+        if len(blocked) > 16:
+            lines.append(f"  ... and {len(blocked) - 16} more rank(s)")
         return "\n".join(lines)
 
     def _describe_waitable(self, item: Waitable) -> str:

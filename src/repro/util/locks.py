@@ -85,15 +85,16 @@ class FileLock:
             return True
         return False
 
-    def acquire(self, timeout: float = 0.0, poll: float = 0.01) -> bool:
-        """Acquire, retrying up to ``timeout`` seconds (0 = one try)."""
+    def acquire(self, timeout: float = 0.0) -> bool:
+        """Acquire, retrying every 10 ms up to ``timeout`` seconds
+        (0 = one try)."""
         deadline = time.monotonic() + timeout
         while True:
             if self.try_acquire():
                 return True
             if time.monotonic() >= deadline:
                 return False
-            time.sleep(poll)
+            time.sleep(0.01)
 
     def release(self) -> None:
         if not self._held:

@@ -10,8 +10,9 @@ point of a family (and caches nothing), a bad root the same error
 through every rooted one (and a whole-tree table names the root alone),
 a two-level row without its node partition, or given it as lists, one
 error in every family, every compiled plan is frozen, and every row
-(and the scatter+allgather mock-up) runs an empty payload without a
-single message.
+runs an empty payload without a single message.  The broadcast table's
+scatter+allgather row (the guideline mock-up) also has cases of its
+own, named ``*scatter_allgather`` and ``mock-up``.
 """
 
 from functools import partial
@@ -51,7 +52,6 @@ from repro.nbc import (
     start_ibarrier,
     start_plan,
 )
-from repro.nbc.compose import compiled_scatter_allgather
 from repro.nbc.schedule import SCHEDULE_CACHE
 from repro.obs import recording
 from repro.sim import SimWorld, Wait, get_platform
@@ -71,7 +71,7 @@ TABLES = {
     "allreduce": (ALLREDUCE_ALGORITHMS, iallreduce._ALGORITHMS,
                   ("reduce_bcast", "ring", "hier")),
     "bcast": (BCAST_ALGORITHMS, ibcast._ALGORITHMS,
-              (0, 1, 2, 3, 4, 5, BINOMIAL, "hier")),
+              (0, 1, 2, 3, 4, 5, BINOMIAL, "hier", "scatter_allgather")),
     "reduce": (REDUCE_ALGORITHMS, ireduce._ALGORITHMS, ("binomial", "chain")),
     "reduce_scatter": (REDUCE_SCATTER_ALGORITHMS, ireduce_scatter._ALGORITHMS,
                        ("pairwise", "reduce_then_scatter")),
@@ -106,7 +106,7 @@ ENTRIES = [
     ("bcast", "build_hier_ibcast", None,
      lambda r, n, a: build_ibcast(P, r, 1, n, HIER, 1024, GROUPS)),
     ("bcast", "compiled_scatter_allgather", None,
-     lambda r, n, a: compiled_scatter_allgather(P, r, 1, n)),
+     lambda r, n, a: compiled_ibcast(P, r, 1, n, "scatter_allgather", 0)),
     ("reduce", "compiled_ireduce", REDUCE_ALGORITHMS,
      lambda r, n, a: compiled_ireduce(P, r, 1, n, a, segsize=1024)),
     ("reduce", "build_ireduce", REDUCE_ALGORITHMS,
@@ -193,7 +193,8 @@ ROOTED = [
     ("build_ireduce", "reduce", REDUCE_ALGORITHMS,
      lambda r, root, a, n: build_ireduce(P, r, root, n, a)),
     ("compiled_scatter_allgather", "bcast", (None,),
-     lambda r, root, a, n: compiled_scatter_allgather(P, r, root, n)),
+     lambda r, root, a, n: compiled_ibcast(P, r, root, n,
+                                           "scatter_allgather", 0)),
 ]
 
 
@@ -327,7 +328,7 @@ def test_compiled_plans_are_frozen(cache, plan):
 
 #: family -> plan(size, rank, algorithm, groups) of its collective at
 #: an empty payload (rooted ones at root ``size // 2``); the mock-up is
-#: the scatter+allgather broadcast, which has no table
+#: the broadcast table's scatter+allgather row
 EMPTY = {
     "alltoall": lambda p, r, a, g: compiled_ialltoall(p, r, 0, a, g),
     "allgather": lambda p, r, a, g: compiled_iallgather(p, r, 0, a),
@@ -338,7 +339,8 @@ EMPTY = {
     "reduce": lambda p, r, a, g: compiled_ireduce(p, r, p // 2, 0, a,
                                                   segsize=1024),
     "reduce_scatter": lambda p, r, a, g: compiled_ireduce_scatter(p, r, 0, a),
-    "mock-up": lambda p, r, a, g: compiled_scatter_allgather(p, r, p // 2, 0),
+    "mock-up": lambda p, r, a, g: compiled_ibcast(p, r, p // 2, 0,
+                                                  "scatter_allgather", 0),
 }
 
 

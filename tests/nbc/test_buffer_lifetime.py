@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro import nbc
-from repro.adcl.fnsets import scatter_allgather_function
+from repro.adcl.fnsets import ibcast_mockup_function_set
 from repro.adcl.function import CollSpec
 from repro.nbc.schedule import USER_BUFFERS
 from repro.sim import SimWorld, Wait, get_platform
@@ -72,7 +72,7 @@ def _iallreduce(ctx):
 
 def _mockup(ctx):
     spec = CollSpec("bcast", ctx.comm_world, 1000)
-    return scatter_allgather_function().make(
+    return ibcast_mockup_function_set()[0].maker(
         ctx, spec, {"data": np.full(1000, ctx.rank, dtype=np.uint8)})
 
 

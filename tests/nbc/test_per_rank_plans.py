@@ -20,9 +20,9 @@ from repro.nbc import (
     compiled_iallgatherv,
     compiled_iallreduce,
     compiled_ialltoall,
+    compiled_ibcast,
     compiled_ireduce_scatter,
 )
-from repro.nbc.compose import compiled_scatter_allgather
 from repro.nbc.schedule import SCHEDULE_CACHE
 
 from .conftest import concrete, digest
@@ -92,7 +92,8 @@ def _reduce_then_scatter(size):
 
 
 def _mockup(size):
-    return [[concrete(*compiled_scatter_allgather(size, rank, root, nbytes))
+    return [[concrete(*compiled_ibcast(size, rank, root, nbytes,
+                                       "scatter_allgather", 0))
              for rank in range(size)]
             for root in range(size) for nbytes in mockup_geometries(size)]
 

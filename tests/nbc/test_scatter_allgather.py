@@ -1,5 +1,5 @@
-"""The Bcast ≼ Scatter+Allgather mock-up on payloads that leave blocks
-empty.
+"""The broadcast table's scatter+allgather row (the Bcast ≼
+Scatter+Allgather mock-up) on payloads that leave blocks empty.
 
 Its blocks are the ``ceil(n/P)``-byte segments of the payload, so when
 ``n`` runs out before the ranks do, the last blocks are empty (P=12,
@@ -12,8 +12,7 @@ must still end with the root's bytes.
 import numpy as np
 import pytest
 
-from repro.nbc import start_plan
-from repro.nbc.compose import compiled_scatter_allgather
+from repro.nbc import compiled_ibcast, start_plan
 from repro.sim import Wait
 
 #: (nranks, nbytes) whose ceil split leaves at least one empty block
@@ -30,7 +29,8 @@ def _payload(nbytes):
 def test_every_rank_and_root_compiles_without_empty_messages(size, nbytes):
     for root in range(size):
         for rank in range(size):
-            plan, _ = compiled_scatter_allgather(size, rank, root, nbytes)
+            plan, _ = compiled_ibcast(size, rank, root, nbytes,
+                                      "scatter_allgather", 0)
             assert plan.tag_span == size
             assert all(op.nbytes > 0 for rnd in plan.rounds for op in rnd
                        if op.kind in ("send", "recv"))
@@ -43,8 +43,8 @@ def test_every_rank_ends_with_the_roots_bytes(run_collective, size, nbytes):
         def body(ctx, out, root=root):
             data = (want.copy() if ctx.rank == root
                     else np.full(nbytes, 0xFF, dtype=np.uint8))
-            plan, peers = compiled_scatter_allgather(size, ctx.rank, root,
-                                                     nbytes)
+            plan, peers = compiled_ibcast(size, ctx.rank, root, nbytes,
+                                          "scatter_allgather", 0)
             yield Wait(start_plan(ctx, ctx.comm_world, ctx.rank, plan, peers,
                                   data=data))
             out["data"] = data

@@ -40,7 +40,6 @@ from repro.nbc import (
     compiled_ireduce,
     compiled_ireduce_scatter,
 )
-from repro.nbc.compose import compiled_scatter_allgather
 
 from .conftest import bind
 
@@ -242,8 +241,8 @@ def test_reduce_sends_match_recvs(size, root, nbytes, algorithm):
 @example(size=5, nbytes=3, counts=[8, 0, 0, 5, 0] + [0] * 12, node=3, root=4)
 def test_tag_span_is_rank_independent_for_every_builder(size, nbytes, counts,
                                                          node, root):
-    """Every rank of every row of every table, and of the mock-up,
-    reserves the same tag span, also when ranks drop the ops of their
+    """Every rank of every row of every table (the broadcast's includes
+    the scatter+allgather mock-up) reserves the same tag span, also when ranks drop the ops of their
     empty blocks (an empty payload, or the all-gather-v blocks
     ``counts`` leaves empty)."""
     nbytes *= 8
@@ -269,8 +268,6 @@ def test_tag_span_is_rank_independent_for_every_builder(size, nbytes, counts,
                                        segsize=1 << 14)),
         (REDUCE_SCATTER_ALGORITHMS,
          lambda r, a: compiled_ireduce_scatter(size, r, m - m % 8, a)),
-        ((None,), lambda r, a: compiled_scatter_allgather(size, r, root,
-                                                          nbytes)),
     ]
     for algorithms, plan in rows:
         for a in algorithms:

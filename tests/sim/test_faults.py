@@ -256,18 +256,22 @@ def test_straggler_slows_compute_of_that_rank_only():
 
 
 def test_failed_rail_reroutes_to_survivor():
-    plat = get_platform("whale")
-    nrails = plat.params.nic_rails
-    if nrails < 2:
-        pytest.skip("platform has a single NIC rail")
+    # crill has two NIC rails; the (0, 1) pair hashes to rail 0, which
+    # is down on node 0 for the whole run
     plan = FaultPlan(rail_failures=(RailFailure(0, 0),))
-    world = make_world(faults=plan)
+    world = SimWorld(get_platform("crill"), nprocs=2, placement="cyclic",
+                     faults=plan)
+    assert world.params.nic_rails == 2
+    assert world._pair_hash(0, 1) % 2 == 0
     payload = np.arange(64, dtype=np.int64)
     received = {}
     world.launch(pingpong_factory(payload, received))
     world.run()
     np.testing.assert_array_equal(received["data"], payload)
     assert world.faults.messages_dropped == 0
+    # the message went out on node 0's surviving rail 1
+    tx_rail0, tx_rail1 = world._tx_free[0]
+    assert tx_rail0 == 0.0 < tx_rail1
 
 
 def test_all_rails_failed_drops_until_recovery():

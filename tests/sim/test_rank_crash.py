@@ -179,16 +179,23 @@ def test_messages_to_dead_rank_become_dead_letters():
 # ---------------------------------------------------------------------------
 
 
-def test_recovery_revoke_agree_shrink_ring():
-    world = make_world(4, crashes=[RankCrash(2, 0.0012)])
+#: a crash inside the ring: on whale the crash-free ring ends at ~0.15 ms
+#: of virtual time
+RING_CRASH = RankCrash(2, 5e-5)
+
+
+def _ring(crashes):
+    """A 4-rank ring (receive from rank-1, send to rank+1) whose ranks
+    agree on whether it completed, then shrink: ``(world, run result,
+    rank -> (flag, shrunk ranks, shrunk comm))``."""
+    world = make_world(4, crashes=crashes)
     comm = world.comm_world
     out = {}
 
     def prog(ctx):
-        peer = (ctx.rank + 1) % 4
         try:
-            r = ctx.irecv(peer, nbytes=256 * 1024, tag=5)
-            s = ctx.isend(peer, nbytes=256 * 1024, tag=5)
+            r = ctx.irecv((ctx.rank - 1) % 4, nbytes=256 * 1024, tag=5)
+            s = ctx.isend((ctx.rank + 1) % 4, nbytes=256 * 1024, tag=5)
             yield Wait([r, s])
             ok = 1
         except (RankFailedError, CommRevokedError):
@@ -199,7 +206,20 @@ def test_recovery_revoke_agree_shrink_ring():
         out[ctx.rank] = (flag, tuple(sc.ranks), sc)
 
     world.launch(prog)
-    world.run()
+    return world, world.run(), out
+
+
+def test_a_crash_free_ring_agrees_it_completed():
+    _, result, out = _ring(())
+    assert sorted(out) == [0, 1, 2, 3]
+    assert {v[0] for v in out.values()} == {1}
+    assert {v[1] for v in out.values()} == {(0, 1, 2, 3)}
+    # the crash below strikes while this ring is still moving data
+    assert result.makespan > RING_CRASH.t
+
+
+def test_recovery_revoke_agree_shrink_ring():
+    world, _, out = _ring([RING_CRASH])
     assert sorted(out) == [0, 1, 3]
     flags = {v[0] for v in out.values()}
     assert flags == {0}  # uniform completion test failed everywhere
@@ -210,7 +230,7 @@ def test_recovery_revoke_agree_shrink_ring():
     assert len(comms) == 1
     sc = next(iter(out.values()))[2]
     assert [sc.local_rank(r) for r in sc.ranks] == [0, 1, 2]
-    assert sc.comm_id != comm.comm_id
+    assert sc.comm_id != world.comm_world.comm_id
 
 
 def test_agree_excludes_mid_protocol_death_and_supports_ops():

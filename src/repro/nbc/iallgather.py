@@ -15,8 +15,8 @@ Ring and linear name every peer, and every ``"recv"`` block, by rank
 offset, so each compiles one *rotation template* (rank 0's plan, slot
 *s* meaning rank ``(rank + s) % P``) bound per request to
 :func:`~repro.nbc.schedule.rotation_peers`.  Recursive doubling pairs
-``rank XOR 2^k``, which is no rotation: it stays one plan per rank,
-bound to :func:`~repro.nbc.schedule.identity_peers`.
+``rank XOR 2^k``: its one template names the partners and the chunks
+they trade by slot, bound to :func:`~repro.nbc.schedule.xor_peers`.
 
 Buffers: ``"send"`` is this rank's contribution (``m`` bytes), ``"recv"``
 is the full ``P x m`` result.
@@ -24,7 +24,6 @@ is the full ``P x m`` result.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 
 from ..errors import ScheduleError
@@ -32,9 +31,10 @@ from .ialltoall import linear_exchange
 from .schedule import (
     Schedule,
     algorithm_row,
-    compiled_per_rank,
     compiled_rotation,
     peer_block,
+    rotation_peers,
+    xor_peers,
 )
 
 __all__ = ["ALLGATHER_ALGORITHMS", "compiled_iallgather"]
@@ -54,44 +54,42 @@ def _ring(size: int, m: int) -> Schedule:
     return sched
 
 
-def _recursive_doubling(size: int, rank: int, m: int) -> Schedule:
+def _recursive_doubling(size: int, m: int) -> Schedule:
     if size & (size - 1):
         raise ScheduleError(
             f"recursive doubling needs a power-of-two size, got {size}"
         )
     sched = Schedule(name="iallgather[rdbl]")
     sched.round()
-    sched.copy(m, src=("send", 0, m), dst=("recv", rank * m, m))
-    nrounds = int(math.log2(size)) if size > 1 else 0
+    sched.copy(m, src=("send", 0, m), dst=peer_block("recv", 0, m, size))
+    # round k trades the 2^k-block chunk this rank holds for its
+    # partner's (slots: see xor_peers)
+    nrounds = size.bit_length() - 1
     for k in range(nrounds):
-        d = 1 << k
-        peer = rank ^ d
-        # after k rounds this rank holds the d-block chunk starting at
-        # (rank rounded down to a multiple of d)
-        my_base = (rank // d) * d
-        peer_base = (peer // d) * d
-        nbytes = d * m
+        nbytes = m << k
+        chunks = size >> k
         sched.round()
-        sched.recv(peer, nbytes, tagoff=k + 1, dst=("recv", peer_base * m, nbytes))
-        sched.send(peer, nbytes, tagoff=k + 1, src=("recv", my_base * m, nbytes))
+        sched.recv(1 + k, nbytes, tagoff=k + 1,
+                   dst=peer_block("recv", 1 + 2 * nrounds + k, nbytes, chunks))
+        sched.send(1 + k, nbytes, tagoff=k + 1,
+                   src=peer_block("recv", 1 + nrounds + k, nbytes, chunks))
     return sched
 
 
-#: algorithm -> (binder, emitter ``(size, m)`` of a rotation template
-#: or ``(size, rank, m)`` of a per-rank plan)
+#: algorithm -> (peer table, emitter ``(size, m)`` of its template)
 _ALGORITHMS = {
-    "ring": (compiled_rotation, _ring),
-    "linear": (compiled_rotation,
+    "ring": (rotation_peers, _ring),
+    "linear": (rotation_peers,
                partial(linear_exchange, "iallgather[linear]", personal=False)),
-    "recursive_doubling": (compiled_per_rank, _recursive_doubling),
+    "recursive_doubling": (xor_peers, _recursive_doubling),
 }
 
 ALLGATHER_ALGORITHMS = tuple(_ALGORITHMS)
 
 
 def compiled_iallgather(size: int, rank: int, m: int, algorithm: str):
-    """``(plan, peers)`` of an all-gather of ``m`` bytes per rank: the
-    cached rotation template with ``rank``'s rotation table, or the
-    cached per-rank plan with the identity table."""
-    bind, emit = algorithm_row(_ALGORITHMS, "allgather", algorithm)
-    return bind("allgather", algorithm, size, rank, m, emit, (m,))
+    """``(template, peers)`` of an all-gather of ``m`` bytes per rank:
+    the algorithm's cached template with ``rank``'s peer table."""
+    table, emit = algorithm_row(_ALGORITHMS, "allgather", algorithm)
+    return compiled_rotation("allgather", algorithm, size, rank, m, emit,
+                             (m,), table)

@@ -91,6 +91,8 @@ def _tree(algorithm: str, nbytes: int, dtype: str, op: str, parent: int,
     """
     sched = Schedule(name=f"iallreduce[{algorithm}]")
     sched.tag_span = 2  # tagoff 0 = reduce up, 1 = result down
+    if parent == -1 and not children:
+        return sched  # one rank: the data already is the result
     sched.round()
     sched.copy(nbytes, src=("data", 0, nbytes), dst=("acc", 0, nbytes))
     for c in reversed(children):
@@ -123,6 +125,8 @@ def _ring(size: int, rank: int, nbytes: int, dtype: str, op: str) -> Schedule:
     offs = offsets(counts)
     sched = Schedule(name="iallreduce[ring]")
     sched.tag_span = max(1, 2 * (size - 1))
+    if size == 1:
+        return sched
     sched.round()
     sched.copy(nbytes, src=("data", 0, nbytes), dst=("acc", 0, nbytes))
     # reduce-scatter: after round r this rank holds the partial sum of

@@ -48,6 +48,10 @@ def _pairwise(size: int, m: int, dtype: str, op: str) -> Schedule:
     sched = Schedule(name="ireduce_scatter[pairwise]")
     sched.tag_span = max(1, size - 1)
     sched.round()
+    if size == 1:
+        # one rank: its own block is the result
+        sched.copy(m, src=peer_block("data", 0, m, size), dst=("recv", 0, m))
+        return sched
     sched.copy(m, src=peer_block("data", 0, m, size), dst=("acc", 0, m))
     for r in range(1, size):
         # send rank + r its block, combine the one from rank - r

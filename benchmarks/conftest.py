@@ -1,4 +1,5 @@
-"""Shared helpers for the figure-regeneration benchmarks.
+"""Shared helpers for the figure-regeneration benchmarks and the perf
+harness.
 
 Every benchmark regenerates one table/figure of the paper.  Results are
 
@@ -10,58 +11,56 @@ Every benchmark regenerates one table/figure of the paper.  Results are
 ``REPRO_PAPER_SCALE=1`` switches the scenario knobs from the fast
 defaults to the paper's process counts and iteration budgets.
 
-At session end, every ``BENCH_*.json`` the run produced is appended to
-``benchmarks/out/BENCH_history.jsonl`` (one canonical-JSON line per
-harness run), feeding ``repro bench-report`` and the trend check in
-``check_perf_regression.py``.
+The perf harness (``test_perf_engine.py``, ``test_perf_scale.py``)
+imports :func:`record`, :func:`fingerprint` and :func:`pins_for_python`
+from here.
 """
 
+import hashlib
 import json
 import pathlib
 import sys
-import time
 
 import pytest
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
-#: harness outputs that feed the run history (source name -> file)
-_HISTORY_SOURCES = [
-    ("perf", "BENCH_perf.json"),
-    ("scale", "BENCH_scale.json"),
-]
 
-_session_start = 0.0
+def record(filename: str, section: str, payload: dict) -> None:
+    """Merge one section into ``out/<filename>``.
 
-
-def pytest_sessionstart(session):
-    global _session_start
-    _session_start = time.time()
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Append this run's harness sections to the benchmark history.
-
-    Only files (re)written during this session are appended — harness
-    outputs persist in ``out/`` across runs, and a stale file re-logged
-    on every unrelated pytest invocation would flood the history.
+    The file is an artifact for reading: no test or CI step gates on
+    what it holds.
     """
-    sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "src"))
-    try:
-        from repro.bench.history import append_run
-    except ImportError:
-        return
-    history = OUT_DIR / "BENCH_history.jsonl"
-    for source, filename in _HISTORY_SOURCES:
-        path = OUT_DIR / filename
-        try:
-            if path.stat().st_mtime < _session_start - 1.0:
-                continue  # untouched this session
-            sections = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(sections, dict) and sections:
-            append_run(str(history), source, sections)
+    OUT_DIR.mkdir(exist_ok=True)
+    path = OUT_DIR / filename
+    data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    data.setdefault("schema", 1)
+    data[section] = payload
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+
+
+def fingerprint(res) -> tuple:
+    """Bit-exact identity of one tuning run's virtual-time results."""
+    seconds = "\n".join(r.seconds.hex() for r in res.records)
+    return (
+        res.winner,
+        res.decided_at,
+        res.makespan.hex(),
+        hashlib.sha256(seconds.encode()).hexdigest(),
+        res.events,
+    )
+
+
+def pins_for_python(table: dict):
+    """``table[(major, minor)]`` for this interpreter; skips the calling
+    test when that version has no pins (call counts follow the
+    interpreter's minor version)."""
+    version = sys.version_info[:2]
+    if version not in table:
+        pytest.skip("no call-count pins for Python %d.%d" % version)
+    return table[version]
 
 
 @pytest.fixture

@@ -104,10 +104,7 @@ class LeaseTable:
         self._results: Dict[int, Any] = {}
         self._kills: Dict[int, int] = {}        # task -> worker deaths held
         self._poisoned: Set[int] = set()
-        # counters the master mirrors into its metrics registry
-        self.leases_issued = 0
         self.leases_expired = 0
-        self.tasks_stolen = 0
         self.duplicate_results = 0
 
     # -- queries ------------------------------------------------------------
@@ -130,9 +127,6 @@ class LeaseTable:
 
     def poisoned(self) -> List[int]:
         return sorted(self._poisoned)
-
-    def outstanding(self) -> List[Lease]:
-        return list(self._leases.values())
 
     def kills(self, task: int) -> int:
         return self._kills.get(task, 0)
@@ -157,14 +151,12 @@ class LeaseTable:
         victim = self._steal_candidate(worker, now)
         if victim is None:
             return None
-        self.tasks_stolen += 1
         return self._issue(victim, worker, now, stolen=True)
 
     def _issue(self, task: int, worker: int, now: float,
                stolen: bool) -> Lease:
         lease = Lease(task, worker, now, now + self.task_timeout, stolen)
         self._leases[(task, worker)] = lease
-        self.leases_issued += 1
         return lease
 
     def _steal_candidate(self, worker: int, now: float) -> Optional[int]:
@@ -258,16 +250,3 @@ class LeaseTable:
         if (task not in self._pending and task not in self._results
                 and task not in self._poisoned):
             self._pending.append(task)
-
-    # -- stats --------------------------------------------------------------
-
-    def stats(self) -> dict:
-        return {
-            "tasks": self.n_tasks,
-            "committed": len(self._results),
-            "poisoned": len(self._poisoned),
-            "leases_issued": self.leases_issued,
-            "leases_expired": self.leases_expired,
-            "tasks_stolen": self.tasks_stolen,
-            "duplicate_results": self.duplicate_results,
-        }

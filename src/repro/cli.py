@@ -26,9 +26,6 @@ Commands
 ``top``
     Scrape ``--telemetry`` endpoints and render live queue depth,
     lease states, cache hit rates and breaker states.
-``bench-report``
-    Summarize the accumulated perf-harness run history with trend
-    deltas.
 
 Examples
 --------
@@ -45,7 +42,6 @@ Examples
     python -m repro report trace.json --critical-path
     python -m repro trace-merge merged.json master=sweep.json w0=t0.json
     python -m repro top tcp:127.0.0.1:9460 --count 5
-    python -m repro bench-report --history benchmarks/out/BENCH_history.jsonl
 """
 
 from __future__ import annotations
@@ -352,19 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "interrupted)")
     p_top.add_argument("--interval", type=float, default=1.0, metavar="S",
                        help="seconds between scrapes (default 1.0)")
-
-    p_bench = sub.add_parser(
-        "bench-report",
-        help="summarize the accumulated perf-harness history "
-             "(benchmarks/out/BENCH_history.jsonl)")
-    p_bench.add_argument("--history",
-                         default=os.path.join("benchmarks", "out",
-                                              "BENCH_history.jsonl"),
-                         metavar="PATH",
-                         help="history file written by the perf harnesses")
-    p_bench.add_argument("--window", type=int, default=5, metavar="N",
-                         help="trend baseline: median of the last N prior "
-                              "runs (default 5)")
 
     p_guide = sub.add_parser(
         "verify-guidelines",
@@ -1155,19 +1138,6 @@ def cmd_top(args) -> int:
     return 1 if failures == rounds * len(args.endpoints) else 0
 
 
-def cmd_bench_report(args) -> int:
-    """``bench-report``: summarize the perf-harness run history."""
-    from .bench.history import load_history, render_history_report
-
-    if not os.path.exists(args.history):
-        print(f"no history at {args.history} — run the perf harness "
-              f"(pytest benchmarks/) to start one")
-        return 0
-    entries = load_history(args.history)
-    print(render_history_report(entries, window=args.window))
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "platforms":
@@ -1186,8 +1156,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cmd_trace_merge(args)
     if args.command == "top":
         return cmd_top(args)
-    if args.command == "bench-report":
-        return cmd_bench_report(args)
     if args.command == "verify-guidelines":
         return cmd_verify_guidelines(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover

@@ -25,11 +25,8 @@ progress engine.  This package re-implements that design:
 """
 
 from .coll import (
-    allgather,
     alltoall,
     barrier,
-    bcast,
-    reduce,
     start_iallgather,
     start_iallgatherv,
     start_iallreduce,
@@ -94,12 +91,10 @@ __all__ = [
     "ScheduleCache",
     "SendOp",
     "USER_BUFFERS",
-    "allgather",
     "alltoall",
     "as_partition",
     "balanced_counts",
     "barrier",
-    "bcast",
     "bcast_tree",
     "build_iallreduce",
     "build_ibcast",
@@ -115,7 +110,6 @@ __all__ = [
     "identity_peers",
     "make_buffers",
     "partition_for_comm",
-    "reduce",
     "schedule_cache_stats",
     "start_iallgather",
     "start_iallgatherv",

@@ -53,9 +53,6 @@ __all__ = [
     "start_ireduce_scatter",
     "start_ibarrier",
     "alltoall",
-    "bcast",
-    "allgather",
-    "reduce",
     "barrier",
 ]
 
@@ -278,27 +275,6 @@ def start_ibarrier(ctx: MPIContext, comm: Optional[SimComm] = None) -> NBCReques
 def alltoall(ctx: MPIContext, m: int, algorithm: str = "pairwise", **kw):
     """Blocking all-to-all: the MPI_Alltoall baseline of §IV-B."""
     req = start_ialltoall(ctx, m, algorithm=algorithm, **kw)
-    yield Wait(req)
-    return req
-
-
-def bcast(ctx: MPIContext, nbytes: int, **kw):
-    """Blocking broadcast."""
-    req = start_ibcast(ctx, nbytes, **kw)
-    yield Wait(req)
-    return req
-
-
-def allgather(ctx: MPIContext, m: int, algorithm: str = "ring", **kw):
-    """Blocking all-gather."""
-    req = start_iallgather(ctx, m, algorithm=algorithm, **kw)
-    yield Wait(req)
-    return req
-
-
-def reduce(ctx: MPIContext, nbytes: int, **kw):
-    """Blocking reduction."""
-    req = start_ireduce(ctx, nbytes, **kw)
     yield Wait(req)
     return req
 

@@ -12,7 +12,7 @@ reproducible.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 __all__ = [
     "Counter",
@@ -110,10 +110,6 @@ class Histogram:
         self.sum = total
         self.total += len(values)
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.total if self.total else 0.0
-
     def snapshot(self) -> dict:
         return {
             "type": "histogram",
@@ -153,12 +149,6 @@ class MetricsRegistry:
         if m is None:
             m = self._metrics[name] = Histogram(name, bounds)
         return m  # type: ignore[return-value]
-
-    def get(self, name: str) -> Optional[object]:
-        return self._metrics.get(name)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
 
     def snapshot(self) -> dict:
         """Deterministic JSON-able snapshot, sorted by metric name."""

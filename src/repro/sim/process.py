@@ -85,26 +85,18 @@ class Waitable:
 class SendRequest(Waitable):
     """Handle for a posted non-blocking send.
 
-    ``notify`` is the optional completion callback (see :class:`Waitable`).
-    The :class:`Waitable` fields are set here directly rather than through
-    ``super().__init__()``: one request is built per message post.  The
-    simulated transport's in-flight message subclasses this class, so a
-    posted send is one object (``peer`` is its destination).
+    The simulated transport's in-flight message subclasses this class,
+    so a posted send is one object; its ``__init__`` sets every field,
+    the :class:`Waitable` ones (``done``, ``failed``, ``_notify``, the
+    optional completion callback) directly rather than through
+    ``super().__init__()``, since one is built per message post.  The
+    fields of this class: ``peer`` (the destination world rank),
+    ``tag``, ``nbytes``, ``post_time`` (the instant the send was
+    posted), ``complete_time`` (None until the send completes) and
+    ``comm_id``.
     """
 
     __slots__ = ("peer", "tag", "nbytes", "post_time", "complete_time", "comm_id")
-
-    def __init__(self, peer: int, tag: int, nbytes: int, post_time: float,
-                 comm_id: int = 0, notify=None):
-        self.done = False
-        self.failed = None
-        self._notify = notify
-        self.peer = peer
-        self.tag = tag
-        self.nbytes = nbytes
-        self.post_time = post_time
-        self.complete_time: Optional[float] = None
-        self.comm_id = comm_id
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "done" if self.done else "pending"

@@ -261,22 +261,6 @@ def test_trace_merge_command(capsys, tmp_path):
                  str(tmp_path / "nope.json")]) == 2
 
 
-def test_bench_report_command(capsys, tmp_path):
-    from repro.bench.history import append_run
-
-    history = str(tmp_path / "h.jsonl")
-    assert main(["bench-report", "--history", history]) == 0
-    assert "no history" in capsys.readouterr().out
-
-    append_run(history, "perf", {"sweep": {"speedup": 2.0}},
-               timestamp=1.0)
-    append_run(history, "perf", {"sweep": {"speedup": 2.5}},
-               timestamp=2.0)
-    assert main(["bench-report", "--history", history]) == 0
-    out = capsys.readouterr().out
-    assert "2 run(s)" in out and "sweep.speedup" in out
-
-
 def test_top_command_unreachable_endpoint(capsys, tmp_path):
     rc = main(["top", f"unix:{tmp_path}/nobody.sock", "--count", "1"])
     assert rc == 1
